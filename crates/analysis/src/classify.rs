@@ -16,8 +16,8 @@ use crate::dbscan::{cluster_count, dbscan_indexed};
 use crate::nist::{BitSequence, NistTest};
 use serde::{Deserialize, Serialize};
 use sixscope_telescope::{Capture, ScanSession, SourceKey};
-use sixscope_types::{map_indexed, Ipv6Prefix, SimTime};
-use std::collections::BTreeMap;
+use sixscope_types::{map_indexed, FxBuildHasher, Ipv6Prefix, SimTime};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Temporal behavior classes (§5.1, Fig. 6).
@@ -126,43 +126,89 @@ pub fn temporal_class(starts: &[SimTime], detector: &PeriodDetector) -> Temporal
     }
 }
 
-/// Minimum number of distinct sources before [`profile_scanners`] fans the
-/// per-source classification out to worker threads; below this the thread
-/// setup costs more than the autocorrelation it parallelizes.
+/// Minimum number of sources to classify before [`ScannerProfiler`] fans
+/// the per-source classification out to worker threads; below this the
+/// thread setup costs more than the autocorrelation it parallelizes.
 const PARALLEL_PROFILE_THRESHOLD: usize = 64;
 
 /// Groups sessions by source and classifies each scanner's temporal
-/// behavior.
-///
-/// Classification of each source is independent (the period detector is a
-/// pure function of the source's session starts), so large inputs are
-/// profiled on worker threads. Grouping uses a `BTreeMap` and the parallel
-/// map preserves input order, so the output order — and content — is
-/// identical at any thread count.
+/// behavior — a one-shot [`ScannerProfiler`].
 pub fn profile_scanners(sessions: &[ScanSession]) -> Vec<ScannerProfile> {
-    let detector = PeriodDetector::default();
-    let mut by_source: BTreeMap<SourceKey, Vec<usize>> = BTreeMap::new();
-    for (i, s) in sessions.iter().enumerate() {
-        by_source.entry(s.source).or_default().push(i);
-    }
-    let groups: Vec<(SourceKey, Vec<usize>)> = by_source.into_iter().collect();
-    let threads = match groups.len() {
-        n if n >= PARALLEL_PROFILE_THRESHOLD => sixscope_types::num_threads(None),
-        _ => 1,
-    };
-    map_indexed(threads, &groups, |_, (source, idxs)| {
-        let starts: Vec<SimTime> = idxs.iter().map(|&i| sessions[i].start).collect();
-        let packets: u64 = idxs
-            .iter()
-            .map(|&i| sessions[i].packet_count() as u64)
-            .sum();
-        ScannerProfile {
-            source: *source,
-            temporal: temporal_class(&starts, &detector),
-            session_indices: idxs.clone(),
-            packets,
+    ScannerProfiler::default().profile(sessions)
+}
+
+/// Scanner profiling that remembers its classifications across calls over
+/// a growing session list.
+///
+/// The input must be *append-only* between calls: new sessions are only
+/// ever appended, and an existing session may gain packets but never
+/// changes its source or start. That is exactly how an incremental
+/// sessionizer's session list evolves. A source's temporal class is a pure
+/// function of its session starts, so under that contract an unchanged
+/// session count means unchanged input: each call reclassifies only the
+/// sources whose count changed, and recomputes the rest of the profile
+/// (indices, packet totals) in one pass over the sessions.
+///
+/// Classification of each source is independent, so large batches of
+/// changed sources are classified on worker threads. Grouping uses a
+/// `BTreeMap` and the parallel map preserves input order, so the output
+/// order — and content — is identical at any thread count.
+#[derive(Debug, Clone, Default)]
+pub struct ScannerProfiler {
+    /// Per source: the session count its class was computed from, and the
+    /// class.
+    memo: HashMap<SourceKey, (usize, TemporalClass), FxBuildHasher>,
+}
+
+impl ScannerProfiler {
+    /// Profiles `sessions`, which must extend the list passed to the
+    /// previous call (see the type docs).
+    pub fn profile(&mut self, sessions: &[ScanSession]) -> Vec<ScannerProfile> {
+        let mut by_source: BTreeMap<SourceKey, Vec<usize>> = BTreeMap::new();
+        for (i, s) in sessions.iter().enumerate() {
+            by_source.entry(s.source).or_default().push(i);
         }
-    })
+        let groups: Vec<(SourceKey, Vec<usize>)> = by_source.into_iter().collect();
+        // The remembered class of each group, `None` where it must be
+        // (re)computed.
+        let mut classes: Vec<Option<TemporalClass>> = groups
+            .iter()
+            .map(|(source, idxs)| match self.memo.get(source) {
+                Some(&(count, class)) if count == idxs.len() => Some(class),
+                _ => None,
+            })
+            .collect();
+        let stale: Vec<usize> = (0..groups.len())
+            .filter(|&g| classes[g].is_none())
+            .collect();
+        let threads = match stale.len() {
+            n if n >= PARALLEL_PROFILE_THRESHOLD => sixscope_types::num_threads(None),
+            _ => 1,
+        };
+        let detector = PeriodDetector::default();
+        let fresh = map_indexed(threads, &stale, |_, &g| {
+            let starts: Vec<SimTime> = groups[g].1.iter().map(|&i| sessions[i].start).collect();
+            temporal_class(&starts, &detector)
+        });
+        for (g, class) in stale.into_iter().zip(fresh) {
+            let (source, idxs) = &groups[g];
+            self.memo.insert(*source, (idxs.len(), class));
+            classes[g] = Some(class);
+        }
+        groups
+            .into_iter()
+            .zip(classes)
+            .map(|((source, session_indices), class)| ScannerProfile {
+                source,
+                temporal: class.expect("every stale group was classified"),
+                packets: session_indices
+                    .iter()
+                    .map(|&i| sessions[i].packet_count() as u64)
+                    .sum(),
+                session_indices,
+            })
+            .collect()
+    }
 }
 
 /// The minimum session size for statistical randomness testing (paper: 100).

@@ -6,10 +6,14 @@
 use proptest::prelude::*;
 use sixscope_analysis::addrtype::{classify, AddressType};
 use sixscope_analysis::autocorr::{self, PeriodDetector};
+use sixscope_analysis::classify::{
+    profile_scanners, ScannerProfile, ScannerProfiler, TemporalClass,
+};
 use sixscope_analysis::dbscan::{cluster_count, dbscan, dbscan_indexed, Assignment};
 use sixscope_analysis::nist::{self, BitSequence, NistTest};
 use sixscope_analysis::special::{erfc, normal_cdf};
 use sixscope_analysis::stats::{ecdf, percent_change, rank_descending};
+use sixscope_telescope::{AggLevel, ScanSession, SourceKey, TelescopeId};
 use sixscope_types::SimTime;
 use std::net::Ipv6Addr;
 
@@ -191,4 +195,63 @@ proptest! {
         let recovered = before * (1.0 + pct / 100.0);
         prop_assert!((recovered - after).abs() < 1e-6 * after.max(1.0));
     }
+
+    /// A `ScannerProfiler` reused over growing prefixes of a session list,
+    /// whose last sessions keep gaining packets in between (how an
+    /// incremental sessionizer's list evolves), equals one-shot
+    /// `profile_scanners` on every prefix. Up to 100 sources cross the
+    /// parallel-classification threshold, so running the suite under
+    /// different `SIXSCOPE_THREADS` values checks thread-count invariance.
+    #[test]
+    fn scanner_profiler_matches_one_shot_profiling(
+        specs in proptest::collection::vec((0u64..100, 0u64..40, 0u64..600, 1usize..6), 1..300),
+        cuts in proptest::collection::vec(0usize..300, 0..6),
+        growth in proptest::collection::vec((0usize..4, 1usize..50), 6),
+    ) {
+        // Sources scan in daily slots (some with a stable period, most
+        // not), and the list is in start order like a sessionizer's.
+        let mut all: Vec<ScanSession> = specs
+            .iter()
+            .map(|&(src, day, jitter, packets)| ScanSession {
+                source: SourceKey::new(
+                    Ipv6Addr::from((0x2a0a_u128 << 112) | u128::from(src)),
+                    AggLevel::Addr128,
+                ),
+                telescope: TelescopeId::T1,
+                start: SimTime::from_secs(day * 86_400 + src * 37 + jitter),
+                end: SimTime::from_secs(day * 86_400 + src * 37 + jitter),
+                packet_indices: vec![0; packets],
+            })
+            .collect();
+        all.sort_by_key(|s| s.start);
+        let mut lens: Vec<usize> = cuts.iter().map(|&c| c % (all.len() + 1)).collect();
+        lens.push(all.len());
+        lens.sort_unstable();
+
+        let mut profiler = ScannerProfiler::default();
+        let mut live: Vec<ScanSession> = Vec::new();
+        for (step, &len) in lens.iter().enumerate() {
+            live.extend_from_slice(&all[live.len()..len]);
+            // The newest sessions are the open ones: they gain packets.
+            let (last, extra) = growth[step % growth.len()];
+            let from = live.len().saturating_sub(last);
+            for s in &mut live[from..] {
+                s.packet_indices.extend(std::iter::repeat_n(0, extra));
+            }
+            prop_assert_eq!(
+                summary(&profiler.profile(&live)),
+                summary(&profile_scanners(&live)),
+                "step {}",
+                step
+            );
+        }
+    }
+}
+
+/// The comparable content of a profile list.
+fn summary(profiles: &[ScannerProfile]) -> Vec<(SourceKey, TemporalClass, Vec<usize>, u64)> {
+    profiles
+        .iter()
+        .map(|p| (p.source, p.temporal, p.session_indices.clone(), p.packets))
+        .collect()
 }

@@ -213,6 +213,12 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         summary.late_records,
         summary.latest.display()
     );
+    if summary.status_write_errors > 0 {
+        eprintln!(
+            "serve: warning: {} status-line writes failed",
+            summary.status_write_errors
+        );
+    }
     Ok(())
 }
 

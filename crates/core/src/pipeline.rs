@@ -267,8 +267,8 @@ struct IngestedTelescope {
 /// [`FeedConsumer::finish`] falls back to sort + re-feed — the
 /// bounded-memory property is lost but the output contract
 /// (byte-identical to batch) is kept. A snapshotting caller checks
-/// [`FeedConsumer::is_sorted`] and clones either the live state or a
-/// sorted copy of the capture.
+/// [`FeedConsumer::is_sorted`] and reads either the live state or a sorted
+/// copy of the capture.
 pub(crate) struct FeedConsumer {
     s128: IncrementalSessionizer,
     s64: IncrementalSessionizer,
@@ -325,6 +325,12 @@ impl FeedConsumer {
     /// Open + closed session counts at /128 and /64 (snapshot statistics).
     pub(crate) fn session_counts(&self) -> (usize, usize) {
         (self.s128.sessions().len(), self.s64.sessions().len())
+    }
+
+    /// The live /128 sessions (open and closed, in creation order). Only
+    /// meaningful while [`FeedConsumer::is_sorted`].
+    pub(crate) fn sessions128(&self) -> &[ScanSession] {
+        self.s128.sessions()
     }
 
     /// Clones the incremental state for a checkpoint. Only meaningful
@@ -417,9 +423,9 @@ impl FeedConsumer {
 }
 
 /// Feeds an already time-sorted capture through fresh incremental state in
-/// `chunk_records` chunks. Shared by the out-of-order fallback and the
-/// serve snapshotter's unsorted path.
-pub(crate) fn sessionize_sorted(
+/// `chunk_records` chunks: the out-of-order fallback of
+/// [`FeedConsumer::finish`].
+fn sessionize_sorted(
     capture: &Capture,
     timeout: SimDuration,
     sources_hint: usize,

@@ -7,10 +7,16 @@
 //!
 //! * **Snapshots** — every `--snapshot-every N` revealed records the
 //!   current report is written to `--out DIR` as `snapshot-NNNNNN.md`
-//!   plus `latest.md`, each via write-to-temp + atomic rename, so a
-//!   reader never observes a torn file.
+//!   (write-to-temp, fsync, atomic rename) plus `latest.md` (a hard link
+//!   to it, renamed into place), and the directory is fsynced, so a reader
+//!   never observes a torn file, even after a crash.
 //! * **Status** — one JSON line per checkpoint (packets, sessions, peak
-//!   open sessions, late/skipped counts, watermark) to `--status-fd`.
+//!   open sessions, late/skipped counts, watermark) to `--status-fd`;
+//!   failed writes are counted in [`ServeSummary::status_write_errors`].
+//! * **Cost** — a pcap checkpoint renders from the live capture and
+//!   session list in place, reusing the scanner classifications of the
+//!   previous checkpoint for every source that opened no new session, so
+//!   its cost follows the sessions, not the whole capture.
 //! * **Shutdown** — SIGTERM/SIGINT set a flag; the loop notices, flushes
 //!   a final checkpoint, and exits cleanly (exit code 0).
 //!
@@ -24,15 +30,16 @@ use crate::corpus::{AnalysisTimings, Analyzed, StreamSettings};
 use crate::index::{CorpusIndex, IndexShard};
 use crate::ingest::passive_config;
 use crate::json::Json;
-use crate::pipeline::{assemble_gathered, sessionize_sorted, FeedConsumer};
+use crate::pipeline::FeedConsumer;
 use crate::{render, tables, Error};
-use sixscope_analysis::classify::{addr_selection, profile_scanners};
+use sixscope_analysis::classify::{addr_selection, AddrSelection, ScannerProfiler};
 use sixscope_sim::{CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, Visibility};
 use sixscope_telescope::{
-    Capture, Feed, IngestStats, ScanSession, SimFeed, TailFeed, TelescopeId, SESSION_TIMEOUT,
+    AggLevel, Capture, Feed, IngestStats, ScanSession, Sessionizer, SimFeed, TailFeed, TelescopeId,
+    SESSION_TIMEOUT,
 };
-use sixscope_types::{num_threads, Ipv6Prefix, SimTime};
-use std::collections::BTreeMap;
+use sixscope_types::{num_threads, FxBuildHasher, Ipv6Prefix, SimTime};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -114,6 +121,8 @@ pub struct ServeSummary {
     pub late_records: u64,
     /// Path of the final checkpoint (`latest.md`).
     pub latest: PathBuf,
+    /// Status-line writes and flushes to `--status-fd` that failed.
+    pub status_write_errors: u64,
 }
 
 /// Set by SIGTERM/SIGINT; polled by the serve loop between chunks.
@@ -158,6 +167,8 @@ struct StatusSink {
     file: Option<std::mem::ManuallyDrop<std::fs::File>>,
     #[cfg(not(unix))]
     file: Option<()>,
+    /// Failed writes and flushes.
+    errors: u64,
 }
 
 impl StatusSink {
@@ -172,21 +183,27 @@ impl StatusSink {
                 file: fd.map(|fd| {
                     std::mem::ManuallyDrop::new(unsafe { std::fs::File::from_raw_fd(fd) })
                 }),
+                errors: 0,
             }
         }
         #[cfg(not(unix))]
         {
             let _ = fd;
-            StatusSink { file: None }
+            StatusSink {
+                file: None,
+                errors: 0,
+            }
         }
     }
 
+    /// Writes one line. A failure never stops the daemon (the snapshots
+    /// are its output); it is counted instead.
     fn emit(&mut self, line: &Json) {
         #[cfg(unix)]
         if let Some(file) = &mut self.file {
             use std::io::Write;
-            let _ = writeln!(file, "{}", line.render());
-            let _ = file.flush();
+            self.errors += u64::from(writeln!(file, "{}", line.render()).is_err());
+            self.errors += u64::from(file.flush().is_err());
         }
         #[cfg(not(unix))]
         let _ = line;
@@ -223,10 +240,15 @@ impl Checkpoint<'_> {
     }
 }
 
-/// Writes one checkpoint atomically: the report goes to a temp file in
-/// `dir`, is renamed to `snapshot-NNNNNN.md`, and the same bytes are then
-/// renamed over `latest.md`. Readers only ever see complete files.
+/// Writes one checkpoint durably and atomically. The report goes to a temp
+/// file in `dir`, which is fsynced and renamed to `snapshot-NNNNNN.md`;
+/// `latest.md` becomes a hard link to that file via a renamed temp link
+/// (an fsynced copy where the filesystem has no hard links); and the
+/// directory is fsynced so both renames reach the disk. Readers
+/// only ever see complete files, and `latest.md` is always one complete
+/// numbered snapshot.
 fn write_snapshot(dir: &Path, seq: usize, report: &str) -> Result<PathBuf, Error> {
+    use std::io::Write;
     let io_err = |p: &Path| {
         let path = p.display().to_string();
         move |source| Error::Io {
@@ -236,23 +258,95 @@ fn write_snapshot(dir: &Path, seq: usize, report: &str) -> Result<PathBuf, Error
     };
     std::fs::create_dir_all(dir).map_err(io_err(dir))?;
     let tmp = dir.join(".snapshot.tmp");
+    let link = dir.join(".latest.tmp");
     let numbered = dir.join(format!("snapshot-{seq:06}.md"));
     let latest = dir.join("latest.md");
-    std::fs::write(&tmp, report).map_err(io_err(&tmp))?;
+    let mut file = std::fs::File::create(&tmp).map_err(io_err(&tmp))?;
+    file.write_all(report.as_bytes())
+        .and_then(|()| file.sync_all())
+        .map_err(io_err(&tmp))?;
+    drop(file);
     std::fs::rename(&tmp, &numbered).map_err(io_err(&numbered))?;
-    std::fs::write(&tmp, report).map_err(io_err(&tmp))?;
-    std::fs::rename(&tmp, &latest).map_err(io_err(&latest))?;
+    // A temp link left behind by a killed run would fail `hard_link`.
+    match std::fs::remove_file(&link) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(io_err(&link)(e)),
+        _ => {}
+    }
+    if std::fs::hard_link(&numbered, &link).is_err() {
+        // Filesystems without hard links get a second fsynced copy.
+        let mut file = std::fs::File::create(&link).map_err(io_err(&link))?;
+        file.write_all(report.as_bytes())
+            .and_then(|()| file.sync_all())
+            .map_err(io_err(&link))?;
+    }
+    std::fs::rename(&link, &latest).map_err(io_err(&latest))?;
+    #[cfg(unix)]
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(io_err(dir))?;
     Ok(latest)
+}
+
+/// Report state a daemon carries from one checkpoint to the next: the
+/// scanner profiler, and the address selection of each profile's first
+/// session keyed by session index and packet count. Both are keyed on the
+/// live, append-only session list, so they hold only while the consumer is
+/// sorted; disorder drops them.
+#[derive(Default)]
+struct ReportMemo {
+    profiler: ScannerProfiler,
+    selections: HashMap<usize, (usize, AddrSelection), FxBuildHasher>,
+}
+
+impl ReportMemo {
+    /// `addr_selection` of `sessions[i]`, recomputed only when the session
+    /// gained packets since the last call.
+    fn selection(
+        &mut self,
+        capture: &Capture,
+        sessions: &[ScanSession],
+        i: usize,
+    ) -> AddrSelection {
+        let count = sessions[i].packet_count();
+        match self.selections.get(&i) {
+            Some(&(seen, selection)) if seen == count => selection,
+            _ => {
+                let prefix_len = capture.config().prefix.len();
+                let selection = addr_selection(&sessions[i], capture, prefix_len);
+                self.selections.insert(i, (count, selection));
+                selection
+            }
+        }
+    }
 }
 
 /// Renders the `analyze`-style report for a corpus — the exact stdout
 /// bytes of `sixscope analyze` (and `merge`) over the same packets, so a
 /// serve checkpoint can be `cmp`'d against the batch run.
 pub fn analysis_report(analyzed: &Analyzed, stats: &IngestStats, json: bool) -> String {
-    let capture = analyzed.capture(TelescopeId::T1);
-    let prefix = capture.config().prefix;
-    let sessions = analyzed.sessions128(TelescopeId::T1);
-    let profiles = profile_scanners(sessions);
+    render_report(
+        analyzed.capture(TelescopeId::T1),
+        analyzed.sessions128(TelescopeId::T1),
+        stats,
+        json,
+        &mut ReportMemo::default(),
+    )
+}
+
+/// The one renderer behind [`analysis_report`] and every pcap checkpoint:
+/// reads only the T1 capture and its /128 sessions, borrowed.
+fn render_report(
+    capture: &Capture,
+    sessions: &[ScanSession],
+    stats: &IngestStats,
+    json: bool,
+    memo: &mut ReportMemo,
+) -> String {
+    let profiles = memo.profiler.profile(sessions);
+    let selections: Vec<AddrSelection> = profiles
+        .iter()
+        .map(|profile| memo.selection(capture, sessions, profile.session_indices[0]))
+        .collect();
     if json {
         let doc = Json::obj([
             ("stats", crate::cli::stats_json(stats)),
@@ -263,19 +357,14 @@ pub fn analysis_report(analyzed: &Analyzed, stats: &IngestStats, json: bool) -> 
                 Json::Arr(
                     profiles
                         .iter()
-                        .map(|profile| {
-                            let first = &sessions[profile.session_indices[0]];
+                        .zip(&selections)
+                        .map(|(profile, selection)| {
                             Json::obj([
                                 ("source", Json::s(profile.source.to_string())),
                                 ("sessions", Json::u(profile.session_indices.len() as u64)),
                                 ("packets", Json::u(profile.packets)),
                                 ("temporal", Json::s(profile.temporal.to_string())),
-                                (
-                                    "addr_selection",
-                                    Json::s(
-                                        addr_selection(first, capture, prefix.len()).to_string(),
-                                    ),
-                                ),
+                                ("addr_selection", Json::s(selection.to_string())),
                             ])
                         })
                         .collect(),
@@ -295,9 +384,7 @@ pub fn analysis_report(analyzed: &Analyzed, stats: &IngestStats, json: bool) -> 
         "{:<42} {:>6} {:>8}  {:<13} addr-selection (first session)\n",
         "source", "sess", "packets", "temporal"
     ));
-    for profile in &profiles {
-        let first = &sessions[profile.session_indices[0]];
-        let selection = addr_selection(first, capture, prefix.len());
+    for (profile, selection) in profiles.iter().zip(&selections) {
         out.push_str(&format!(
             "{:<42} {:>6} {:>8}  {:<13} {}\n",
             profile.source.to_string(),
@@ -370,90 +457,36 @@ fn settings_of(opts: &ServeOptions) -> StreamSettings {
     }
 }
 
-/// One telescope's sessionized state, ready to assemble into a report.
-struct PcapState {
-    capture: Capture,
-    sessions128: Vec<ScanSession>,
-    sessions64: Vec<ScanSession>,
-    shard: IndexShard,
-    peak: usize,
-}
-
-/// Assembles and renders the pcap-mode report from one telescope's state.
-fn render_pcap_state(
-    state: PcapState,
-    stats: &IngestStats,
-    settings: &StreamSettings,
-    json: bool,
-) -> Result<String, Error> {
-    let mut merged = BTreeMap::new();
-    merged.insert(
-        state.capture.config().id,
-        (
-            state.capture,
-            state.sessions128,
-            state.sessions64,
-            state.shard,
-        ),
-    );
-    let out = assemble_gathered(
-        merged,
-        0.0,
-        0.0,
-        state.peak,
-        stats.clone(),
-        Vec::new(),
-        settings,
-    )?;
-    Ok(analysis_report(&out.analyzed, stats, json))
-}
-
-/// A mid-stream checkpoint of the live pcap feed: clone the admitted
-/// packets and either the live incremental state (in-order input) or a
-/// sorted re-feed of the clone (the batch fallback, applied to the prefix
-/// seen so far).
-fn pcap_snapshot_report(
+/// A mid-stream checkpoint of the live pcap feed. In-order input renders
+/// straight from the borrowed capture and live /128 sessions, through the
+/// memos. Disorder drops the memos, then sessionizes a sorted copy of the
+/// capture at /128 (all the report reads) — the batch fallback, applied to
+/// the prefix seen so far.
+fn checkpoint_report(
     capture: &Capture,
     consumer: &FeedConsumer,
+    memo: &mut ReportMemo,
     stats: &IngestStats,
     settings: &StreamSettings,
-    compiled: &CompiledVisibility,
     json: bool,
-) -> Result<String, Error> {
-    let mut restored = Capture::restore(
+) -> String {
+    if consumer.is_sorted() {
+        return render_report(capture, consumer.sessions128(), stats, json, memo);
+    }
+    *memo = ReportMemo::default();
+    let mut sorted = Capture::restore(
         capture.config().clone(),
         capture.packets().to_vec(),
         capture.filtered(),
         capture.malformed(),
     );
-    let (sessions128, sessions64, shard, peak) = if consumer.is_sorted() {
-        let (s128, s64, shard) = consumer.snapshot();
-        (s128, s64, shard, consumer.peak_open())
-    } else {
-        restored.sort_by_time();
-        let hint = (restored.len() / 8).clamp(16, 1 << 16);
-        let (a, b, shard) = sessionize_sorted(
-            &restored,
-            settings.session_timeout,
-            hint,
-            settings.chunk_records,
-            compiled,
-        );
-        let peak = a.peak_open().max(b.peak_open());
-        (a.finish(), b.finish(), shard, peak)
-    };
-    render_pcap_state(
-        PcapState {
-            capture: restored,
-            sessions128,
-            sessions64,
-            shard,
-            peak,
-        },
-        stats,
-        settings,
-        json,
-    )
+    sorted.sort_by_time();
+    let sessions = Sessionizer {
+        level: AggLevel::Addr128,
+        timeout: settings.session_timeout,
+    }
+    .sessionize(&sorted);
+    render_report(&sorted, &sessions, stats, json, memo)
 }
 
 fn serve_pcap(
@@ -473,6 +506,7 @@ fn serve_pcap(
     .poll_interval(Duration::from_millis(opts.poll_ms))
     .quiesce_after(Duration::from_millis(opts.quiesce_ms));
     let mut consumer = FeedConsumer::new(feed.sources_hint(), &settings);
+    let mut memo = ReportMemo::default();
 
     let mut revealed: u64 = 0;
     let mut next_snapshot = opts.snapshot_every;
@@ -490,14 +524,14 @@ fn serve_pcap(
         while next_snapshot.is_some_and(|at| revealed >= at) {
             seq += 1;
             let stats = feed.stats();
-            let report = pcap_snapshot_report(
+            let report = checkpoint_report(
                 feed.capture(),
                 &consumer,
+                &mut memo,
                 &stats,
                 &settings,
-                &compiled,
                 opts.json,
-            )?;
+            );
             write_snapshot(&opts.out_dir, seq, &report)?;
             let (sessions128, sessions64) = consumer.session_counts();
             status.emit(
@@ -525,32 +559,22 @@ fn serve_pcap(
     let late = feed.late_records();
     let watermark = feed.watermark();
     let (mut capture, stats) = feed.finish();
+    if !consumer.is_sorted() {
+        // The fallback below re-sessionizes a sorted capture.
+        memo = ReportMemo::default();
+    }
     let done = consumer.finish(&mut capture, &compiled);
     seq += 1;
-    let packets = capture.len();
-    let (n128, n64) = (done.sessions128.len(), done.sessions64.len());
-    let peak = done.peak;
-    let report = render_pcap_state(
-        PcapState {
-            capture,
-            sessions128: done.sessions128,
-            sessions64: done.sessions64,
-            shard: done.shard,
-            peak: done.peak,
-        },
-        &stats,
-        &settings,
-        opts.json,
-    )?;
+    let report = render_report(&capture, &done.sessions128, &stats, opts.json, &mut memo);
     let latest = write_snapshot(&opts.out_dir, seq, &report)?;
     status.emit(
         &Checkpoint {
             event: "final",
             snapshot: seq,
-            packets,
-            sessions128: n128,
-            sessions64: n64,
-            peak_open: peak,
+            packets: capture.len(),
+            sessions128: done.sessions128.len(),
+            sessions64: done.sessions64.len(),
+            peak_open: done.peak,
             late,
             stats: &stats,
             watermark,
@@ -559,9 +583,10 @@ fn serve_pcap(
     );
     Ok(ServeSummary {
         snapshots: seq,
-        packets,
+        packets: capture.len(),
         late_records: late,
         latest,
+        status_write_errors: status.errors,
     })
 }
 
@@ -757,5 +782,6 @@ fn serve_sim(
         packets,
         late_records: 0,
         latest,
+        status_write_errors: status.errors,
     })
 }

@@ -278,8 +278,11 @@ proptest! {
     ) {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static CASE: AtomicUsize = AtomicUsize::new(0);
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
         let dir = std::env::temp_dir().join(format!(
-            "sixscope-prop-shards-{}-{}",
+            "sixscope-prop-shards-{}-{nanos}-{}",
             std::process::id(),
             CASE.fetch_add(1, Ordering::Relaxed)
         ));

@@ -4,6 +4,9 @@
 //! state must equal a batch run over the finished file, including the
 //! accounting of a record the writer never completed.
 
+mod common;
+
+use common::ScratchDir;
 use sixscope::ingest::passive_config;
 use sixscope::serve::{self, ServeOptions};
 use sixscope::Pipeline;
@@ -31,10 +34,6 @@ fn pcap_image(n: u64) -> Vec<u8> {
         w.write_record(&probe((ts % 7) as u16 + 1, ts)).unwrap();
     }
     w.into_inner().unwrap()
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sixscope-live-{}-{name}", std::process::id()))
 }
 
 fn default_route() -> Ipv6Prefix {
@@ -67,7 +66,8 @@ fn growing_file_is_read_once_and_matches_batch() {
         2 * full.len() / 3 + 5,
         full.len(),
     ];
-    let path = temp_path("grow.pcap");
+    let dir = ScratchDir::new("live-grow");
+    let path = dir.join("grow.pcap");
     std::fs::write(&path, &full[..cuts[0]]).unwrap();
 
     let mut feed = tail_feed(&path);
@@ -98,7 +98,7 @@ fn growing_file_is_read_once_and_matches_batch() {
     }
     let (capture, stats) = feed.finish();
 
-    let batch_path = temp_path("grow-batch.pcap");
+    let batch_path = dir.join("grow-batch.pcap");
     std::fs::write(&batch_path, &full).unwrap();
     let batch = Pipeline::from_pcaps([&batch_path])
         .prefix(default_route())
@@ -112,8 +112,6 @@ fn growing_file_is_read_once_and_matches_batch() {
         "live accounting equals batch accounting"
     );
     assert!(!stats.truncated_tail);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&batch_path).ok();
 }
 
 /// A writer that dies mid-record: the held-back truncated tail must be
@@ -122,7 +120,8 @@ fn growing_file_is_read_once_and_matches_batch() {
 fn abandoned_tail_is_accounted_like_batch() {
     let full = pcap_image(5);
     let cut = full.len() - 9;
-    let path = temp_path("abandoned.pcap");
+    let dir = ScratchDir::new("live-abandoned");
+    let path = dir.join("abandoned.pcap");
     std::fs::write(&path, &full[..cut]).unwrap();
 
     let mut feed = tail_feed(&path);
@@ -133,7 +132,7 @@ fn abandoned_tail_is_accounted_like_batch() {
     }
     let (capture, stats) = feed.finish();
 
-    let batch_path = temp_path("abandoned-batch.pcap");
+    let batch_path = dir.join("abandoned-batch.pcap");
     std::fs::write(&batch_path, &full[..cut]).unwrap();
     let batch = Pipeline::from_pcaps([&batch_path])
         .prefix(default_route())
@@ -142,8 +141,6 @@ fn abandoned_tail_is_accounted_like_batch() {
     assert_eq!(capture.len(), 4);
     assert_eq!(stats, batch.stats);
     assert!(stats.truncated_tail);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&batch_path).ok();
 }
 
 /// The same growth scenario through the serve daemon: the final
@@ -154,7 +151,8 @@ fn abandoned_tail_is_accounted_like_batch() {
 fn serve_over_a_growing_file_matches_batch_report() {
     let full = pcap_image(10);
     let cut = full.len() / 2 + 7;
-    let path = temp_path("serve-grow.pcap");
+    let dir = ScratchDir::new("live-serve-grow");
+    let path = dir.join("serve-grow.pcap");
     std::fs::write(&path, &full[..cut]).unwrap();
 
     let writer_path = path.clone();
@@ -168,8 +166,7 @@ fn serve_over_a_growing_file_matches_batch_report() {
         f.write_all(&tail).unwrap();
     });
 
-    let out_dir = temp_path("serve-grow-out");
-    let mut opts = ServeOptions::pcap(&path, &out_dir);
+    let mut opts = ServeOptions::pcap(&path, dir.join("out"));
     opts.poll_ms = 1;
     opts.quiesce_ms = 400;
     let summary = serve::serve(opts).unwrap();
@@ -177,7 +174,7 @@ fn serve_over_a_growing_file_matches_batch_report() {
     assert_eq!(summary.packets, 10);
     assert_eq!(summary.late_records, 0);
 
-    let batch_path = temp_path("serve-grow-batch.pcap");
+    let batch_path = dir.join("serve-grow-batch.pcap");
     std::fs::write(&batch_path, &full).unwrap();
     let batch = Pipeline::from_pcaps([&batch_path])
         .prefix(default_route())
@@ -186,7 +183,4 @@ fn serve_over_a_growing_file_matches_batch_report() {
     let expected = serve::analysis_report(&batch.analyzed, &batch.stats, false);
     let latest = std::fs::read_to_string(&summary.latest).unwrap();
     assert_eq!(latest, expected, "final checkpoint diverged from batch");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&batch_path).ok();
-    std::fs::remove_dir_all(&out_dir).ok();
 }

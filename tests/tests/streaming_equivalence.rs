@@ -4,6 +4,9 @@
 //! straddling chunk boundaries, and its open-session table must stay
 //! bounded by the eviction horizon rather than by the corpus size.
 
+mod common;
+
+use common::ScratchDir;
 use sixscope::{Pipeline, PipelineOutput};
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 use sixscope_telescope::TelescopeId;
@@ -68,9 +71,8 @@ fn pcap_with(records: &[PcapRecord]) -> Vec<u8> {
 /// Writes the two-file corpus: file A holds bursts 0 and 1 with a damaged
 /// record between them (so damage lands mid-file, straddling chunk
 /// boundaries at small chunk sizes); file B holds burst 2.
-fn write_corpus() -> (PathBuf, Vec<PathBuf>) {
-    let dir = std::env::temp_dir().join(format!("sixscope-stream-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+fn write_corpus() -> (ScratchDir, Vec<PathBuf>) {
+    let dir = ScratchDir::new("stream-eq");
 
     let mut a = pcap_with(&burst_records(0));
     a.extend_from_slice(&damaged_record(2_000));
@@ -104,7 +106,7 @@ fn report(out: &PipelineOutput) -> String {
 
 #[test]
 fn chunked_streaming_is_byte_identical_to_batch() {
-    let (dir, paths) = write_corpus();
+    let (_dir, paths) = write_corpus();
     let reference = run(&paths, None, 1);
     assert_eq!(
         reference.stats.skipped_total(),
@@ -138,12 +140,11 @@ fn chunked_streaming_is_byte_identical_to_batch() {
             assert_eq!(out.stats, reference.stats);
         }
     }
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn open_session_table_is_bounded_by_the_eviction_horizon() {
-    let (dir, paths) = write_corpus();
+    let (_dir, paths) = write_corpus();
     let out = run(&paths, Some(7), 1);
     // 12 sessions total, but only SOURCES of them are ever live at once:
     // the 3 h inter-burst gap exceeds the 1 h eviction horizon, so each
@@ -157,5 +158,4 @@ fn open_session_table_is_bounded_by_the_eviction_horizon() {
     );
     assert!(out.analyzed.peak_open_sessions > 0);
     assert!(out.analyzed.peak_open_sessions < total);
-    let _ = std::fs::remove_dir_all(dir);
 }

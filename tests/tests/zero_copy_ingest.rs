@@ -10,6 +10,9 @@
 //!   same bytes, records and statistics as `MappedPcap::open` — the
 //!   backing changes memory residency, never observable output.
 
+mod common;
+
+use common::ScratchDir;
 use proptest::prelude::*;
 use sixscope::ingest::passive_config;
 use sixscope_packet::{MappedPcap, PcapReader, SliceReader, ViewOutcome};
@@ -110,18 +113,15 @@ fn mmap_and_buffered_backings_are_observably_identical() {
 fn empty_and_missing_files_degrade_gracefully() {
     // Zero-length file: mmap(2) rejects len 0, so open() must fall back to
     // the buffered read and then fail header validation like any short read.
-    let path = std::env::temp_dir().join(format!(
-        "sixscope-zero-copy-empty-{}.pcap",
-        std::process::id()
-    ));
+    let dir = ScratchDir::new("zero-copy");
+    let path = dir.join("empty.pcap");
     std::fs::write(&path, b"").unwrap();
     let mapped = MappedPcap::open(&path).unwrap();
     assert!(!mapped.used_mmap(), "zero-length mmap must fall back");
     assert!(mapped.reader().is_err(), "empty file has no pcap header");
-    std::fs::remove_file(&path).unwrap();
 
     // A missing file errors instead of panicking, on both constructors.
-    let missing = std::env::temp_dir().join("sixscope-zero-copy-does-not-exist.pcap");
+    let missing = dir.join("does-not-exist.pcap");
     assert!(MappedPcap::open(&missing).is_err());
     assert!(MappedPcap::open_buffered(&missing).is_err());
 }
