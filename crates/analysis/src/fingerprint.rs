@@ -122,17 +122,28 @@ impl fmt::Display for ToolMatch {
     }
 }
 
-/// Identifies a payload (and optional rDNS name) against the tool database.
-pub fn identify(payload: &[u8], rdns: Option<&str>) -> ToolMatch {
+/// Matches a payload (and optional rDNS name) against the tools' payload
+/// signatures and rDNS suffixes only, in Table-7 row order: the first tool
+/// whose signature starts the payload or whose suffix ends the name wins.
+pub fn match_tool(payload: &[u8], rdns: Option<&str>) -> Option<KnownTool> {
     for tool in KnownTool::ALL {
         if !payload.is_empty() && payload.starts_with(tool.signature()) {
-            return ToolMatch::Tool(tool);
+            return Some(tool);
         }
         if let (Some(name), Some(suffix)) = (rdns, tool.rdns_suffix()) {
             if name.ends_with(suffix) {
-                return ToolMatch::Tool(tool);
+                return Some(tool);
             }
         }
+    }
+    None
+}
+
+/// Identifies a payload (and optional rDNS name) against the tool database:
+/// [`match_tool`] first, then the payload's byte entropy.
+pub fn identify(payload: &[u8], rdns: Option<&str>) -> ToolMatch {
+    if let Some(tool) = match_tool(payload, rdns) {
+        return ToolMatch::Tool(tool);
     }
     // Entropy is compared against the maximum achievable for the payload's
     // length (a 32-byte payload can reach at most log2(32)/8 normalized

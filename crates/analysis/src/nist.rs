@@ -14,15 +14,17 @@
 //! * bits are stored packed, 64 per `u64` word, MSB first. Frequency is a
 //!   popcount, runs counting is an XOR against the shifted word, cusum
 //!   walks the words through a per-byte prefix-extreme table without
-//!   allocating, and the spectral test runs a real-input split FFT over a
-//!   caller-provided scratch buffer with per-size twiddle tables. The
-//!   statistics they feed into the p-value formulas (bit counts, run
-//!   counts, peak partial sums, below-threshold bin counts) are integers,
-//!   so the packed kernels reproduce the scalar [`reference`] p-values
-//!   bit for bit — which the property tests in `tests/prop.rs` pin.
+//!   allocating, and the spectral test runs a real-input split FFT over
+//!   per-transform buffers, with twiddles from one read-only table per
+//!   transform size shared across a batch ([`Twiddles`]). The statistics
+//!   they feed into the p-value formulas (bit counts, run counts, peak
+//!   partial sums, below-threshold bin counts) are integers, so the packed
+//!   kernels reproduce the scalar [`reference`] p-values bit for bit —
+//!   which the property tests in `tests/prop.rs` pin.
 
 use crate::special::{erfc, normal_cdf};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The tests the paper applies (Appendix B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -138,17 +140,17 @@ impl BitSequence {
         (0..self.len).map(|i| self.bit(i)).collect()
     }
 
-    /// Runs one test, allocating spectral scratch internally.
+    /// Runs one test, building any twiddle table it needs for this call.
     pub fn run(&self, test: NistTest) -> NistOutcome {
-        self.run_with(test, &mut FftScratch::new())
+        self.run_with(test, &Twiddles::new())
     }
 
-    /// Runs one test reusing the caller's spectral scratch buffer.
-    pub fn run_with(&self, test: NistTest, scratch: &mut FftScratch) -> NistOutcome {
+    /// Runs one test with the spectral twiddles of the caller's batch.
+    pub fn run_with(&self, test: NistTest, twiddles: &Twiddles) -> NistOutcome {
         let p_value = match test {
             NistTest::Frequency => frequency_p(&self.words, self.len),
             NistTest::Runs => runs_p(&self.words, self.len),
-            NistTest::Fft => fft_p(&self.words, self.len, scratch),
+            NistTest::Fft => fft_p(&self.words, self.len, twiddles),
             NistTest::CusumForward => cusum_p(&self.words, self.len, false),
             NistTest::CusumBackward => cusum_p(&self.words, self.len, true),
         };
@@ -161,14 +163,14 @@ impl BitSequence {
 
     /// Runs all five tests.
     pub fn run_all(&self) -> Vec<NistOutcome> {
-        self.run_all_with(&mut FftScratch::new())
+        self.run_all_with(&Twiddles::new())
     }
 
-    /// Runs all five tests reusing the caller's spectral scratch buffer.
-    pub fn run_all_with(&self, scratch: &mut FftScratch) -> Vec<NistOutcome> {
+    /// Runs all five tests with the spectral twiddles of the caller's batch.
+    pub fn run_all_with(&self, twiddles: &Twiddles) -> Vec<NistOutcome> {
         NistTest::ALL
             .iter()
-            .map(|&t| self.run_with(t, scratch))
+            .map(|&t| self.run_with(t, twiddles))
             .collect()
     }
 }
@@ -244,43 +246,31 @@ fn runs_p(words: &[u64], len: usize) -> f64 {
 /// p-value depends only on the *count* of bins below the (irrational)
 /// threshold, so the ~1e-12 relative drift this reordering introduces in
 /// the magnitudes never reaches the p-value bits.
-fn fft_p(words: &[u64], len: usize, scratch: &mut FftScratch) -> f64 {
+fn fft_p(words: &[u64], len: usize, twiddles: &Twiddles) -> f64 {
     if len < 16 {
         return 0.0;
     }
     let n2 = 1usize << (usize::BITS - 1 - len.leading_zeros());
     let m = n2 / 2;
-    scratch.load_even_odd(words, n2);
-    scratch.re2.resize(m, 0.0);
-    scratch.im2.resize(m, 0.0);
-    let tables = scratch
-        .tables
-        .entry(m)
-        .or_insert_with(|| SizeTables::new(m));
-    let in_first = stockham_fft(
-        &mut scratch.re,
-        &mut scratch.im,
-        &mut scratch.re2,
-        &mut scratch.im2,
-        tables,
-    );
+    // The ping-pong buffers belong to this one transform and are freed on
+    // return; only the twiddle table outlives it.
+    let (mut re, mut im) = even_odd_samples(words, n2);
+    let (mut re2, mut im2) = (vec![0.0; m], vec![0.0; m]);
+    let table = twiddles.table(m);
+    let in_first = stockham_fft(&mut re, &mut im, &mut re2, &mut im2, table);
     let n = n2 as f64;
     let threshold = ((1.0 / 0.05f64).ln() * n).sqrt();
-    let (re, im) = if in_first {
-        (&scratch.re, &scratch.im)
-    } else {
-        (&scratch.re2, &scratch.im2)
-    };
+    let (re, im) = if in_first { (&re, &im) } else { (&re2, &im2) };
     let n1 = if wide_lanes_available() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `wide_lanes_available` checked for AVX support.
         unsafe {
-            spectral_count_avx(re, im, &tables.recon_re, &tables.recon_im, threshold)
+            spectral_count_avx(re, im, table, threshold)
         }
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!()
     } else {
-        spectral_count(re, im, &tables.recon_re, &tables.recon_im, threshold)
+        spectral_count(re, im, table, threshold)
     };
     let n1 = n1 as f64;
     let n0 = 0.95 * m as f64;
@@ -288,47 +278,27 @@ fn fft_p(words: &[u64], len: usize, scratch: &mut FftScratch) -> f64 {
     erfc(d.abs() / std::f64::consts::SQRT_2)
 }
 
-/// Reusable spectral-test scratch: ping-pong data buffers plus per-size
-/// twiddle tables (keyed by half-transform length, each built once).
-#[derive(Debug, Default)]
-pub struct FftScratch {
-    re: Vec<f64>,
-    im: Vec<f64>,
-    re2: Vec<f64>,
-    im2: Vec<f64>,
-    tables: std::collections::BTreeMap<usize, SizeTables>,
-}
-
-impl FftScratch {
-    /// Empty scratch; buffers and tables grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Splits the first `n2` bits into ±1 samples, even positions into
-    /// `re`, odd into `im` (`n2` is a power of two ≥ 16, so pairs never
-    /// straddle a word).
-    fn load_even_odd(&mut self, words: &[u64], n2: usize) {
-        let m = n2 / 2;
-        self.re.clear();
-        self.im.clear();
-        self.re.reserve(m);
-        self.im.reserve(m);
-        for &w in &words[..n2 / 64] {
-            for j in 0..32 {
-                self.re.push(pm1(w >> (63 - 2 * j)));
-                self.im.push(pm1(w >> (62 - 2 * j)));
-            }
-        }
-        let rem = n2 % 64;
-        if rem > 0 {
-            let w = words[n2 / 64];
-            for j in 0..rem / 2 {
-                self.re.push(pm1(w >> (63 - 2 * j)));
-                self.im.push(pm1(w >> (62 - 2 * j)));
-            }
+/// Splits the first `n2` bits into ±1 samples, even positions into the
+/// first vector, odd into the second (`n2` is a power of two ≥ 16, so
+/// pairs never straddle a word).
+fn even_odd_samples(words: &[u64], n2: usize) -> (Vec<f64>, Vec<f64>) {
+    let m = n2 / 2;
+    let (mut re, mut im) = (Vec::with_capacity(m), Vec::with_capacity(m));
+    for &w in &words[..n2 / 64] {
+        for j in 0..32 {
+            re.push(pm1(w >> (63 - 2 * j)));
+            im.push(pm1(w >> (62 - 2 * j)));
         }
     }
+    let rem = n2 % 64;
+    if rem > 0 {
+        let w = words[n2 / 64];
+        for j in 0..rem / 2 {
+            re.push(pm1(w >> (63 - 2 * j)));
+            im.push(pm1(w >> (62 - 2 * j)));
+        }
+    }
+    (re, im)
 }
 
 fn pm1(bit: u64) -> f64 {
@@ -339,90 +309,140 @@ fn pm1(bit: u64) -> f64 {
     }
 }
 
-/// Twiddle tables for one half-transform size `m`: per-stage factors
-/// packed contiguously (`m - 1` entries across all stages) plus the
-/// `e^{-2πik/2m}` spectrum-reconstruction factors.
+/// Spectral-test twiddles for a batch of sequences: one read-only stage
+/// table per transform size, built on first use and shared by every thread
+/// that borrows the batch. Dropping it frees every table, so the spectral
+/// test's memory is the in-flight transforms' buffers plus one table per
+/// size the batch has met.
 #[derive(Debug)]
-struct SizeTables {
-    stage_re: Vec<f64>,
-    stage_im: Vec<f64>,
-    recon_re: Vec<f64>,
-    recon_im: Vec<f64>,
+pub struct Twiddles {
+    tables: [OnceLock<StageTable>; usize::BITS as usize],
 }
 
-impl SizeTables {
+impl Twiddles {
+    /// No tables yet.
+    pub fn new() -> Self {
+        Twiddles {
+            tables: [const { OnceLock::new() }; usize::BITS as usize],
+        }
+    }
+
+    /// The table for transform size `m` (a power of two).
+    fn table(&self, m: usize) -> &StageTable {
+        assert!(m.is_power_of_two(), "FFT length {m} is not a power of two");
+        self.tables[m.trailing_zeros() as usize].get_or_init(|| StageTable::new(m))
+    }
+}
+
+impl Default for Twiddles {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Twiddle factors of one transform size `m`: the per-stage factors
+/// `e^{-2πip/len}` for `len = 2, 4, …, m`, packed contiguously (`m - 1`
+/// entries; the table for length `len` starts at `len/2 - 1`).
+///
+/// Every entry comes from size `m`'s *reconstruction recurrence*: the
+/// factors `r[k] = e^{-2πik/2m}`, `k < m`, generated by repeated
+/// multiplication with `w = e^{-2πi/2m}` and resynchronized against
+/// `sin_cos` at every multiple of 32. The length-`m` stage holds the even
+/// entries `r[2j]`, and each smaller stage every other entry of the next
+/// larger one. The spectral test needs the whole of `r` to rebuild the
+/// real-input spectrum; it regenerates the odd entries on the fly as
+/// `r[2j+1] = r[2j]·w` ([`StageTable::recon_pairs`]), which is exactly the
+/// recurrence step that produced them (32 is even, so no odd `k` is a
+/// resynchronization point). So the table fixes every twiddle bit of the
+/// transform and of the reconstruction without storing `r`.
+#[derive(Debug)]
+struct StageTable {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    /// The recurrence step `w = e^{-2πi/2m}` as `(re, im)`.
+    step: (f64, f64),
+}
+
+impl StageTable {
     fn new(m: usize) -> Self {
-        debug_assert!(m.is_power_of_two());
-        let mut t = SizeTables {
-            stage_re: Vec::with_capacity(m.saturating_sub(1)),
-            stage_im: Vec::with_capacity(m.saturating_sub(1)),
-            recon_re: vec![0.0; m],
-            recon_im: vec![0.0; m],
+        let ang = -std::f64::consts::TAU / (2 * m) as f64;
+        let (w_im, w_re) = ang.sin_cos();
+        let stages = m.saturating_sub(1);
+        let step = (w_re, w_im);
+        let mut t = StageTable {
+            re: vec![0.0; stages],
+            im: vec![0.0; stages],
+            step,
         };
-        fill_twiddles(
-            &mut t.recon_re,
-            &mut t.recon_im,
-            -std::f64::consts::TAU / (2 * m) as f64,
-        );
-        // Every stage factor is a reconstruction factor: e^{-2πij/len} =
-        // recon[j · 2m/len]. Derive the largest stage from recon and each
-        // smaller stage from the next larger one (stride-2 each time), so
-        // every copy streams instead of striding across the whole table.
-        if m >= 2 {
-            t.stage_re.resize(m - 1, 0.0);
-            t.stage_im.resize(m - 1, 0.0);
-            for j in 0..m / 2 {
-                t.stage_re[m / 2 - 1 + j] = t.recon_re[2 * j];
-                t.stage_im[m / 2 - 1 + j] = t.recon_im[2 * j];
-            }
-            let mut l = m;
-            while l >= 4 {
-                // The table for length l/2 (offset l/4 - 1) is every other
-                // entry of the table for length l (offset l/2 - 1).
-                let (lo_re, hi_re) = t.stage_re.split_at_mut(l / 2 - 1);
-                let (lo_im, hi_im) = t.stage_im.split_at_mut(l / 2 - 1);
-                for j in 0..l / 4 {
-                    lo_re[l / 4 - 1 + j] = hi_re[2 * j];
-                    lo_im[l / 4 - 1 + j] = hi_im[2 * j];
+        if m < 2 {
+            return t;
+        }
+        // The length-m stage: the even entries of the recurrence.
+        let (top_re, top_im) = (&mut t.re[m / 2 - 1..], &mut t.im[m / 2 - 1..]);
+        let mut k = 0;
+        while k < m {
+            let (s, c) = (ang * k as f64).sin_cos();
+            let (mut cur_re, mut cur_im) = (c, s);
+            let end = (k + 32).min(m);
+            for j in k..end {
+                if j % 2 == 0 {
+                    top_re[j / 2] = cur_re;
+                    top_im[j / 2] = cur_im;
                 }
-                l /= 2;
+                (cur_re, cur_im) = rotate((cur_re, cur_im), step);
             }
+            k = end;
+        }
+        // Each smaller stage from the next larger one (stride 2), so every
+        // copy streams instead of striding across the whole table.
+        let mut l = m;
+        while l >= 4 {
+            // The table for length l/2 (offset l/4 - 1) is every other
+            // entry of the table for length l (offset l/2 - 1).
+            let (lo_re, hi_re) = t.re.split_at_mut(l / 2 - 1);
+            let (lo_im, hi_im) = t.im.split_at_mut(l / 2 - 1);
+            for j in 0..l / 4 {
+                lo_re[l / 4 - 1 + j] = hi_re[2 * j];
+                lo_im[l / 4 - 1 + j] = hi_im[2 * j];
+            }
+            l /= 2;
         }
         t
     }
+
+    /// The `len/2` stage factors `e^{-2πip/len}` for transform length `len`.
+    fn stage(&self, len: usize) -> (&[f64], &[f64]) {
+        let off = len / 2 - 1;
+        (&self.re[off..off + len / 2], &self.im[off..off + len / 2])
+    }
+
+    /// The reconstruction factors `r[k]`, `k < m`, in pairs
+    /// `(r[2j], r[2j+1])`: the stored length-`m` stage entry `j` and one
+    /// recurrence step from it (`m ≥ 2`).
+    fn recon_pairs(&self) -> impl Iterator<Item = ((f64, f64), (f64, f64))> + '_ {
+        let (re, im) = self.stage(self.re.len() + 1);
+        re.iter()
+            .zip(im)
+            .map(|(&c, &s)| ((c, s), rotate((c, s), self.step)))
+    }
 }
 
-/// Fills `re[k] + i·im[k] = e^{i·ang·k}` via the same complex-multiply
-/// recurrence the in-loop twiddle update used, resynchronized against
-/// `sin_cos` every 32 entries to keep the accumulated error ~1 ulp.
-fn fill_twiddles(re: &mut [f64], im: &mut [f64], ang: f64) {
-    let (w_im, w_re) = ang.sin_cos();
-    let mut k = 0;
-    while k < re.len() {
-        let (s, c) = (ang * k as f64).sin_cos();
-        let (mut cur_re, mut cur_im) = (c, s);
-        let end = (k + 32).min(re.len());
-        for j in k..end {
-            re[j] = cur_re;
-            im[j] = cur_im;
-            let next_re = cur_re * w_re - cur_im * w_im;
-            cur_im = cur_re * w_im + cur_im * w_re;
-            cur_re = next_re;
-        }
-        k = end;
-    }
+/// One step of a reconstruction recurrence, `z·w`, on `(re, im)` pairs.
+/// The table build and [`StageTable::recon_pairs`] both step through it,
+/// so they perform the same floating-point operations.
+#[inline(always)]
+fn rotate((re, im): (f64, f64), (w_re, w_im): (f64, f64)) -> (f64, f64) {
+    (re * w_re - im * w_im, re * w_im + im * w_re)
 }
 
 /// Iterative radix-2 FFT (length must be a power of two).
 ///
-/// Builds its twiddle tables and ping-pong buffer on every call; hot paths
-/// that transform many sequences should go through
-/// [`BitSequence::run_with`]/[`FftScratch`], which cache both.
+/// Builds its twiddle table and ping-pong buffer on every call.
 pub fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
-    let tables = SizeTables::new(re.len());
+    let twiddles = Twiddles::new();
     let mut re2 = vec![0.0; re.len()];
     let mut im2 = vec![0.0; im.len()];
-    if !stockham_fft(re, im, &mut re2, &mut im2, &tables) {
+    if !stockham_fft(re, im, &mut re2, &mut im2, twiddles.table(re.len())) {
         re.copy_from_slice(&re2);
         im.copy_from_slice(&im2);
     }
@@ -443,7 +463,7 @@ fn stockham_fft<'a>(
     mut x_im: &'a mut [f64],
     mut y_re: &'a mut [f64],
     mut y_im: &'a mut [f64],
-    tables: &SizeTables,
+    table: &StageTable,
 ) -> bool {
     let n = x_re.len();
     debug_assert!(n.is_power_of_two());
@@ -453,14 +473,7 @@ fn stockham_fft<'a>(
     let mut s = 1usize;
     if n.trailing_zeros() % 2 == 1 && l >= 2 {
         // Odd power of two: one radix-2 stage, then pure radix-4.
-        let m = l / 2;
-        // The packed stage tables hold e^{-2πip/len} for len = 2, 4, ...,
-        // so the table for length `len` starts at len/2 - 1.
-        let toff = m - 1;
-        let (tr, ti) = (
-            &tables.stage_re[toff..toff + m],
-            &tables.stage_im[toff..toff + m],
-        );
+        let (tr, ti) = table.stage(l);
         if wide {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `wide_lanes_available` checked for AVX support.
@@ -478,16 +491,10 @@ fn stockham_fft<'a>(
     }
     while l >= 4 {
         let m = l / 4;
-        let t1off = l / 2 - 1; // e^{-2πip/l}
-        let t2off = l / 4 - 1; // e^{-2πip/(l/2)} = e^{-2πi·2p/l}
-        let (t1r, t1i) = (
-            &tables.stage_re[t1off..t1off + m],
-            &tables.stage_im[t1off..t1off + m],
-        );
-        let (t2r, t2i) = (
-            &tables.stage_re[t2off..t2off + m],
-            &tables.stage_im[t2off..t2off + m],
-        );
+        // e^{-2πip/l}, and e^{-2πip/(l/2)} = e^{-2πi·2p/l}, for p < l/4.
+        let (t1r, t1i) = table.stage(l);
+        let (t1r, t1i) = (&t1r[..m], &t1i[..m]);
+        let (t2r, t2i) = table.stage(l / 2);
         if wide {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `wide_lanes_available` checked for AVX support.
@@ -508,24 +515,26 @@ fn stockham_fft<'a>(
 
 /// Reconstructs the first `n2/2` bins of the full real-input DFT from the
 /// half-size transform `Z` and counts magnitudes below `threshold`:
-/// `X[k] = E[k] + w^k · O[k]` with `E[k] = (Z[k] + conj(Z[m-k]))/2`,
-/// `O[k] = (Z[k] - conj(Z[m-k]))/(2i)` and `w = e^{-2πi/n2}`.
+/// `X[k] = E[k] + r[k] · O[k]` with `E[k] = (Z[k] + conj(Z[m-k]))/2`,
+/// `O[k] = (Z[k] - conj(Z[m-k]))/(2i)` and `r[k] = e^{-2πik/n2}`, rebuilt
+/// from size `m`'s stage table ([`StageTable::recon_pairs`]).
 #[inline(always)]
-fn spectral_count(re: &[f64], im: &[f64], recon_re: &[f64], recon_im: &[f64], t: f64) -> usize {
+fn spectral_count(re: &[f64], im: &[f64], table: &StageTable, t: f64) -> usize {
     let m = re.len();
-    let mut n1 = 0usize;
-    for k in 0..m {
+    let below = |k: usize, (c, s): (f64, f64)| -> usize {
         let mk = (m - k) & (m - 1);
         let (zr, zi) = (re[k], im[k]);
         let (yr, yi) = (re[mk], -im[mk]);
         let (er, ei) = ((zr + yr) / 2.0, (zi + yi) / 2.0);
         let (or, oi) = ((zi - yi) / 2.0, -(zr - yr) / 2.0);
-        let (c, s) = (recon_re[k], recon_im[k]);
         let xr = er + c * or - s * oi;
         let xi = ei + c * oi + s * or;
-        if (xr * xr + xi * xi).sqrt() < t {
-            n1 += 1;
-        }
+        usize::from((xr * xr + xi * xi).sqrt() < t)
+    };
+    let mut n1 = 0usize;
+    for (j, (even, odd)) in table.recon_pairs().enumerate() {
+        n1 += below(2 * j, even);
+        n1 += below(2 * j + 1, odd);
     }
     n1
 }
@@ -534,14 +543,8 @@ fn spectral_count(re: &[f64], im: &[f64], recon_re: &[f64], recon_im: &[f64], t:
 /// results (see [`wide_lanes_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn spectral_count_avx(
-    re: &[f64],
-    im: &[f64],
-    recon_re: &[f64],
-    recon_im: &[f64],
-    t: f64,
-) -> usize {
-    spectral_count(re, im, recon_re, recon_im, t)
+unsafe fn spectral_count_avx(re: &[f64], im: &[f64], table: &StageTable, t: f64) -> usize {
+    spectral_count(re, im, table, t)
 }
 
 /// Whether 256-bit float lanes are available at runtime. AVX widens the
@@ -1251,6 +1254,92 @@ mod tests {
                     "cusum backward={backward}, len {len}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn spectral_matches_reference_at_fig17_sizes() {
+        // Fig. 17's sessions have at least 100 packets of 32 or 64 bits, so
+        // its half-transforms start at 2^10 points; these lengths reach
+        // 2^11 to 2^15 points (odd and even log2), cross many 32-entry
+        // resynchronization blocks, and end mid-word.
+        let mut rng = Xoshiro256pp::seed_from_u64(17);
+        for len in [
+            (1usize << 12) + 37,
+            (1 << 13) + 61,
+            (1 << 15) + 3,
+            (1 << 16) + 101,
+            (1 << 17) - 45,
+        ] {
+            let mut seq = BitSequence::new();
+            while seq.len() + 64 <= len {
+                seq.push_bits(rng.next_u64() as u128, 64);
+            }
+            let tail = (len - seq.len()) as u32;
+            seq.push_bits(rng.next_u64() as u128, tail);
+            assert_eq!(seq.len(), len);
+            assert_eq!(
+                seq.run(NistTest::Fft).p_value.to_bits(),
+                reference::fft_p(&seq.to_bools()).clamp(0.0, 1.0).to_bits(),
+                "fft, len {len}"
+            );
+        }
+    }
+
+    /// Size `m`'s twiddles with every reconstruction factor `r[k]` stored
+    /// and each stage factor `e^{-2πip/len}` read as `r[p·2m/len]`.
+    fn stored_twiddles(m: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let ang = -std::f64::consts::TAU / (2 * m) as f64;
+        let (w_im, w_re) = ang.sin_cos();
+        let (mut recon_re, mut recon_im) = (vec![0.0; m], vec![0.0; m]);
+        let mut k = 0;
+        while k < m {
+            let (s, c) = (ang * k as f64).sin_cos();
+            let (mut cur_re, mut cur_im) = (c, s);
+            let end = (k + 32).min(m);
+            for j in k..end {
+                recon_re[j] = cur_re;
+                recon_im[j] = cur_im;
+                let next_re = cur_re * w_re - cur_im * w_im;
+                cur_im = cur_re * w_im + cur_im * w_re;
+                cur_re = next_re;
+            }
+            k = end;
+        }
+        let (mut stage_re, mut stage_im) = (Vec::new(), Vec::new());
+        let mut len = 2;
+        while len <= m {
+            for p in 0..len / 2 {
+                stage_re.push(recon_re[p * 2 * m / len]);
+                stage_im.push(recon_im[p * 2 * m / len]);
+            }
+            len *= 2;
+        }
+        (stage_re, stage_im, recon_re, recon_im)
+    }
+
+    #[test]
+    fn stage_tables_match_stored_twiddles_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for log2 in 0..=15 {
+            let m = 1usize << log2;
+            let table = StageTable::new(m);
+            let (stage_re, stage_im, recon_re, recon_im) = stored_twiddles(m);
+            assert_eq!(bits(&table.re), bits(&stage_re), "stage re, m = {m}");
+            assert_eq!(bits(&table.im), bits(&stage_im), "stage im, m = {m}");
+            if m < 2 {
+                continue;
+            }
+            // The reconstruction factors spectral_count rebuilds.
+            let (mut got_re, mut got_im) = (Vec::new(), Vec::new());
+            for (even, odd) in table.recon_pairs() {
+                for (c, s) in [even, odd] {
+                    got_re.push(c);
+                    got_im.push(s);
+                }
+            }
+            assert_eq!(bits(&got_re), bits(&recon_re), "recon re, m = {m}");
+            assert_eq!(bits(&got_im), bits(&recon_im), "recon im, m = {m}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for the analysis toolkit: NIST p-value sanity, DBSCAN
 //! label validity and determinism, address-classifier totality, statistics
-//! invariants, and packed-kernel equivalence against the retained naive
-//! references.
+//! invariants, tool matching, and packed-kernel equivalence against the
+//! retained naive references.
 
 use proptest::prelude::*;
 use sixscope_analysis::addrtype::{classify, AddressType};
@@ -10,6 +10,7 @@ use sixscope_analysis::classify::{
     profile_scanners, ScannerProfile, ScannerProfiler, TemporalClass,
 };
 use sixscope_analysis::dbscan::{cluster_count, dbscan, dbscan_indexed, Assignment};
+use sixscope_analysis::fingerprint::{identify, match_tool, KnownTool, ToolMatch};
 use sixscope_analysis::nist::{self, BitSequence, NistTest};
 use sixscope_analysis::special::{erfc, normal_cdf};
 use sixscope_analysis::stats::{ecdf, percent_change, rank_descending};
@@ -51,6 +52,37 @@ proptest! {
                 out.p_value,
                 want
             );
+        }
+    }
+
+    /// Table 7's shortcut: `match_tool` names a tool exactly when
+    /// `identify` does. Payloads are random bytes, a tool signature followed
+    /// by random bytes, or a signature after 1–7 leading bytes; the rDNS
+    /// name is absent, an Atlas probe, an Ark monitor, or another host.
+    #[test]
+    fn match_tool_agrees_with_identify(
+        tool in 0usize..KnownTool::ALL.len(),
+        shape in 0u8..3,
+        lead in proptest::collection::vec(any::<u8>(), 1..8),
+        rest in proptest::collection::vec(any::<u8>(), 0..80),
+        rdns in 0usize..4,
+    ) {
+        let signature = KnownTool::ALL[tool].signature();
+        let payload = match shape {
+            0 => rest.clone(),
+            1 => [signature, &rest].concat(),
+            _ => [&lead, signature, &rest].concat(),
+        };
+        let rdns = [
+            None,
+            Some("p6012.probes.atlas.ripe.net"),
+            Some("ams-nl.ark.caida.org"),
+            Some("scanner.example.net"),
+        ][rdns];
+        let matched = match_tool(&payload, rdns);
+        match identify(&payload, rdns) {
+            ToolMatch::Tool(t) => prop_assert_eq!(matched, Some(t)),
+            _ => prop_assert_eq!(matched, None),
         }
     }
 

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sixscope_analysis::autocorr::{self, PeriodDetector};
 use sixscope_analysis::dbscan::{dbscan, dbscan_indexed};
-use sixscope_analysis::nist::{self, BitSequence, FftScratch, NistTest};
+use sixscope_analysis::nist::{self, BitSequence, NistTest, Twiddles};
 use sixscope_types::{SimTime, Xoshiro256pp};
 use std::hint::black_box;
 
@@ -43,11 +43,11 @@ fn bench_nist(c: &mut Criterion) {
             outcome.test
         );
     }
-    let mut scratch = FftScratch::new();
-    // Warm the twiddle tables so the packed bench times the transform.
-    black_box(seq.run_all_with(&mut scratch));
+    let twiddles = Twiddles::new();
+    // Warm the twiddle table so the packed bench times the transform.
+    black_box(seq.run_all_with(&twiddles));
     c.bench_function("kernels_nist_packed", |b| {
-        b.iter(|| black_box(seq.run_all_with(&mut scratch)))
+        b.iter(|| black_box(seq.run_all_with(&twiddles)))
     });
     c.bench_function("kernels_nist_reference", |b| {
         b.iter(|| {

@@ -7,12 +7,10 @@ use crate::corpus::Analyzed;
 use crate::index::{ProfiledWindow, NO_ID};
 use sixscope_analysis::classify::{AddrSelection, TemporalClass};
 use sixscope_analysis::intersect::{TelescopeSet, UpSet};
-use sixscope_analysis::nist::{BitSequence, FftScratch, NistTest};
+use sixscope_analysis::nist::{BitSequence, NistTest, Twiddles};
 use sixscope_analysis::stats::bucket_counts;
 use sixscope_telescope::{ScanSession, SourceKey, TelescopeId};
-use sixscope_types::{
-    chunk_ranges, map_indexed, nibble, num_threads, Ipv6Prefix, SimDuration, SimTime,
-};
+use sixscope_types::{map_indexed, nibble, num_threads, Ipv6Prefix, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fig. 3: number of new /64 source prefixes first seen per week during
@@ -603,61 +601,56 @@ pub struct NistFigureCell {
 /// Fig. 17: NIST test outcomes for T1 sessions with ≥ 100 packets, testing
 /// the subnet bits (32 bits after the /32) and the IID separately.
 ///
-/// The per-session NIST work fans out through [`map_indexed`] over
-/// contiguous shards of the eligible-session list; each shard reuses one
-/// [`FftScratch`] (twiddle tables and FFT buffers survive across sessions).
-/// Cell counts are summed over disjoint session sets, so the merged totals
-/// are identical at any thread count and any shard layout.
+/// Each (session, address part) sequence is one job. The jobs run largest
+/// spectral transform first, handed out one at a time by
+/// [`map_indexed`]'s shared cursor, so the longest sessions' transforms
+/// start at once on different workers instead of queueing behind each
+/// other. Every job frees its FFT buffers when it ends; the workers share
+/// one [`Twiddles`] set, freed when the figure is done. Cell counts are
+/// sums over jobs, so they are identical at any thread count and in any
+/// job order.
 pub fn fig17(a: &Analyzed) -> Vec<NistFigureCell> {
     let (sessions, profiles) = a.t1_split_profiles();
     let dst = &a.index.telescope(TelescopeId::T1).dst;
-    // Eligible sessions, in profile order (order only affects work layout;
-    // the additive merge below is order-free).
-    let jobs: Vec<(usize, TemporalClass)> = profiles
+    let mut jobs: Vec<(usize, bool, TemporalClass)> = profiles
         .iter()
         .flat_map(|p| {
             p.session_indices
                 .iter()
                 .filter(|&&idx| sessions[idx].packet_count() >= 100)
-                .map(move |&idx| (idx, p.temporal))
+                .flat_map(move |&idx| [(idx, true, p.temporal), (idx, false, p.temporal)])
         })
         .collect();
-    let threads = num_threads(None);
-    let shards = chunk_ranges(jobs.len(), threads);
-    type CellMap = BTreeMap<(NistTest, bool, TemporalClass), (u64, u64)>;
-    let built = map_indexed(threads, &shards, |_, r| {
-        let mut scratch = FftScratch::new();
-        let mut cells = CellMap::new();
-        for &(idx, temporal) in &jobs[r.clone()] {
-            let s = &sessions[idx];
-            // Assemble both bit sequences from the destination column.
-            let mut iid_bits = BitSequence::new();
-            let mut subnet_bits = BitSequence::new();
-            for &pi in &s.packet_indices {
-                let bits = dst[pi as usize];
-                iid_bits.push_bits(bits & u64::MAX as u128, 64);
+    // The spectral test transforms the largest power-of-two prefix of the
+    // sequence: 64 bits per packet for the IID, 32 for the subnet.
+    jobs.sort_by_key(|&(idx, is_iid, _)| {
+        let bits = sessions[idx].packet_count() * if is_iid { 64 } else { 32 };
+        std::cmp::Reverse(bits.ilog2())
+    });
+    let twiddles = Twiddles::new();
+    let outcomes = map_indexed(num_threads(None), &jobs, |_, &(idx, is_iid, _)| {
+        // Assemble the bit sequence from the destination column.
+        let mut seq = BitSequence::new();
+        for &pi in &sessions[idx].packet_indices {
+            let bits = dst[pi as usize];
+            if is_iid {
+                seq.push_bits(bits & u64::MAX as u128, 64);
+            } else {
                 // The 32 bits after the fixed /32.
-                subnet_bits.push_bits((bits >> 64) & 0xffff_ffff, 32);
-            }
-            for (seq, is_iid) in [(&iid_bits, true), (&subnet_bits, false)] {
-                for outcome in seq.run_all_with(&mut scratch) {
-                    let cell = cells.entry((outcome.test, is_iid, temporal)).or_default();
-                    if outcome.passes() {
-                        cell.0 += 1;
-                    } else {
-                        cell.1 += 1;
-                    }
-                }
+                seq.push_bits((bits >> 64) & 0xffff_ffff, 32);
             }
         }
-        cells
+        seq.run_all_with(&twiddles)
     });
-    let mut cells = CellMap::new();
-    for shard in built {
-        for (key, (pass, fail)) in shard {
-            let cell = cells.entry(key).or_default();
-            cell.0 += pass;
-            cell.1 += fail;
+    let mut cells: BTreeMap<(NistTest, bool, TemporalClass), (u64, u64)> = BTreeMap::new();
+    for (&(_, is_iid, temporal), job) in jobs.iter().zip(outcomes) {
+        for outcome in job {
+            let cell = cells.entry((outcome.test, is_iid, temporal)).or_default();
+            if outcome.passes() {
+                cell.0 += 1;
+            } else {
+                cell.1 += 1;
+            }
         }
     }
     cells

@@ -8,12 +8,12 @@ use sixscope_analysis::addrtype::AddressType;
 use sixscope_analysis::classify::{
     network_selection, CycleCounts, NetworkSelection, TemporalClass,
 };
-use sixscope_analysis::fingerprint::{identify, KnownTool, ToolMatch};
+use sixscope_analysis::fingerprint::{match_tool, KnownTool};
 use sixscope_analysis::heavy::HeavyHitter;
 use sixscope_analysis::stats::percent_change;
 use sixscope_telescope::{Protocol, SourceKey, TelescopeId};
 use sixscope_types::ports::PortLabel;
-use sixscope_types::{chunk_ranges, map_indexed, num_threads, Ipv6Prefix, NetworkType};
+use sixscope_types::{Ipv6Prefix, NetworkType};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The §4 data-corpus overview: totals for a time range.
@@ -549,46 +549,28 @@ pub struct ToolRow {
 
 /// Table 7: public tools identified at T1 during the split period.
 ///
-/// Per-scanner identification is independent work, so it fans out through
-/// [`map_indexed`] over contiguous profile shards; the per-tool counts are
-/// summed over disjoint scanner sets, which makes the merged table identical
-/// at any thread count.
+/// A scanner is attributed to the tool of its first packet that
+/// [`match_tool`] recognizes by payload signature or rDNS. The table counts
+/// tools only, so no packet pays for the byte-entropy check that
+/// `fingerprint::identify` falls back to, and the scan is one serial pass
+/// over the scanners' packets.
 pub fn table7(a: &Analyzed) -> Vec<ToolRow> {
     let (sessions, profiles) = a.t1_split_profiles();
     let capture = a.capture(TelescopeId::T1);
     let total_scanners = profiles.len() as u64;
     let total_sessions = sessions.len() as u64;
-    let threads = num_threads(None);
-    let shards = chunk_ranges(profiles.len(), threads);
-    let built = map_indexed(threads, &shards, |_, r| {
-        let mut by_tool: BTreeMap<KnownTool, (u64, u64)> = BTreeMap::new();
-        for profile in &profiles[r.clone()] {
-            // Identify the scanner by its first recognizable payload + rDNS.
-            let src = profile.source.prefix.network();
-            let rdns = a.rdns_of(src);
-            let mut tool = None;
-            'outer: for &idx in &profile.session_indices {
-                for p in sessions[idx].packets(capture) {
-                    if let ToolMatch::Tool(t) = identify(&p.payload, rdns) {
-                        tool = Some(t);
-                        break 'outer;
-                    }
-                }
-            }
-            if let Some(t) = tool {
-                let entry = by_tool.entry(t).or_default();
-                entry.0 += 1;
-                entry.1 += profile.session_indices.len() as u64;
-            }
-        }
-        by_tool
-    });
     let mut by_tool: BTreeMap<KnownTool, (u64, u64)> = BTreeMap::new();
-    for shard in built {
-        for (tool, (scanners, tool_sessions)) in shard {
-            let entry = by_tool.entry(tool).or_default();
-            entry.0 += scanners;
-            entry.1 += tool_sessions;
+    for profile in profiles {
+        let rdns = a.rdns_of(profile.source.prefix.network());
+        let tool = profile.session_indices.iter().find_map(|&idx| {
+            sessions[idx]
+                .packets(capture)
+                .find_map(|p| match_tool(&p.payload, rdns))
+        });
+        if let Some(t) = tool {
+            let entry = by_tool.entry(t).or_default();
+            entry.0 += 1;
+            entry.1 += profile.session_indices.len() as u64;
         }
     }
     let mut rows: Vec<ToolRow> = by_tool
