@@ -1,12 +1,10 @@
-//! Zero-copy ingest benchmarks: the recovering slice reader plus the
-//! batched parse kernel over an in-memory pcap image, against the owned
-//! reader they replaced. Throughput is reported in records/sec — the
-//! single-core target for `view_parse` is ≥1M pkt/s.
+//! Zero-copy ingest benchmark: the recovering slice reader plus the batched
+//! parse kernel over an in-memory pcap image. Throughput is reported in
+//! records/sec — the single-core target for `view_parse` is ≥1M pkt/s.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sixscope::packet::{
-    parse_run, PacketBuilder, ParsedPacket, PcapReader, PcapRecord, PcapWriter, RecordOutcome,
-    SliceReader, ViewOutcome,
+    parse_run, PacketBuilder, PcapRecord, PcapWriter, SliceReader, ViewOutcome,
 };
 use sixscope_bench::bench_corpus;
 use sixscope_telescope::{Protocol, TelescopeId};
@@ -69,23 +67,6 @@ fn bench_ingest(c: &mut Criterion) {
                 let failed = parse_run(&run, &mut parsed);
                 ok += parsed.len();
                 black_box(failed);
-            }
-            black_box(ok)
-        })
-    });
-
-    // The owned path this PR replaced: every record copied into a fresh
-    // `Vec<u8>`, every packet parsed into owned `Bytes`.
-    group.bench_function("owned_parse", |b| {
-        b.iter(|| {
-            let mut reader = PcapReader::new(&image[..]).expect("valid header");
-            let mut ok = 0usize;
-            while let Ok(Some(outcome)) = reader.read_record_recovering() {
-                if let RecordOutcome::Record(rec) = outcome {
-                    if ParsedPacket::parse(&rec.data).is_ok() {
-                        ok += 1;
-                    }
-                }
             }
             black_box(ok)
         })

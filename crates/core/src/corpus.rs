@@ -2,7 +2,7 @@
 //! columnar corpus index and metadata join helpers.
 
 use crate::index::CorpusIndex;
-use crate::pipeline::FeedConsumer;
+use crate::pipeline::{ConsumedFeed, FeedConsumer};
 use sixscope_analysis::classify::ScannerProfile;
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
 use sixscope_telescope::{
@@ -13,15 +13,17 @@ use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::time::Instant;
 
-/// Wall-clock seconds of the analysis stages in [`Analyzed::from_result`].
+/// Wall-clock seconds of the analysis stages that built an [`Analyzed`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalysisTimings {
-    /// The chunked feed phase end to end: sessionizer pushes plus index-
-    /// shard appends across all telescopes (wall-clock of the parallel
-    /// stage).
+    /// The phase that produced the per-telescope sessions and index
+    /// shards, end to end: the chunked feeds (sessionizer pushes plus
+    /// index-shard appends, wall-clock of the parallel stage), or the
+    /// read and merge of shard files.
     pub streaming: f64,
     /// Time spent pushing packets into the incremental sessionizers
-    /// (summed across the per-telescope jobs).
+    /// (summed across the per-telescope jobs; zero for a shard merge,
+    /// which stitches sessions instead).
     pub sessionize: f64,
     /// The index shard-merge and finalize ([`CorpusIndex::from_shards`]).
     pub index_build: f64,
@@ -31,6 +33,7 @@ pub struct AnalysisTimings {
 /// [`crate::Pipeline`] fills this from its builder methods. The defaults
 /// reproduce the batch behavior (one big chunk, the paper's 1-hour
 /// timeout).
+#[derive(Clone, Copy)]
 pub(crate) struct StreamSettings {
     /// Packets fed per chunk.
     pub chunk_records: usize,
@@ -104,55 +107,41 @@ impl Analyzed {
             }
             // Simulated captures are produced in time order, so the
             // incremental state is final as-is.
-            let done = consumer.finish_in_order();
-            (
-                done.sessions128,
-                done.sessions64,
-                done.shard,
-                done.sessionize,
-                done.peak,
-            )
+            consumer.finish_in_order()
         });
         let streaming = stream_start.elapsed().as_secs_f64();
+        let fed = TelescopeId::ALL.into_iter().zip(fed).collect();
+        Self::gather(result, fed, threads, streaming)
+    }
+
+    /// The one gather every corpus goes through: merges the per-telescope
+    /// sessions and index shards (telescopes absent from `fed` are empty)
+    /// into the [`CorpusIndex`] and builds the AS join trie. `streaming`
+    /// is the caller's wall-clock for producing `fed`; the gather times
+    /// the index build itself, sums the sessionize times and takes the
+    /// largest open-session peak.
+    pub(crate) fn gather(
+        result: ExperimentResult,
+        mut fed: BTreeMap<TelescopeId, ConsumedFeed>,
+        threads: usize,
+        streaming: f64,
+    ) -> Analyzed {
         let mut sessions128 = BTreeMap::new();
         let mut sessions64 = BTreeMap::new();
         let mut shards = BTreeMap::new();
         let mut sessionize = 0.0;
         let mut peak_open_sessions = 0;
-        for (id, (s128, s64, shard, secs, peak)) in TelescopeId::ALL.into_iter().zip(fed) {
-            sessions128.insert(id, s128);
-            sessions64.insert(id, s64);
-            shards.insert(id, shard);
-            sessionize += secs;
-            peak_open_sessions = peak_open_sessions.max(peak);
+        for id in TelescopeId::ALL {
+            let feed = fed.remove(&id).unwrap_or_default();
+            sessions128.insert(id, feed.sessions128);
+            sessions64.insert(id, feed.sessions64);
+            shards.insert(id, feed.shard);
+            sessionize += feed.sessionize;
+            peak_open_sessions = peak_open_sessions.max(feed.peak);
         }
         let index_start = Instant::now();
         let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
         let index_build = index_start.elapsed().as_secs_f64();
-        Self::assemble(
-            result,
-            sessions128,
-            sessions64,
-            index,
-            AnalysisTimings {
-                streaming,
-                sessionize,
-                index_build,
-            },
-            peak_open_sessions,
-        )
-    }
-
-    /// Final assembly (builds the AS join trie); shared by the streaming
-    /// constructor above and [`crate::Pipeline`]'s pcap path.
-    pub(crate) fn assemble(
-        result: ExperimentResult,
-        sessions128: BTreeMap<TelescopeId, Vec<ScanSession>>,
-        sessions64: BTreeMap<TelescopeId, Vec<ScanSession>>,
-        index: CorpusIndex,
-        timings: AnalysisTimings,
-        peak_open_sessions: usize,
-    ) -> Analyzed {
         let mut asn_by_subnet = PrefixTrie::new();
         for scanner in &result.population.scanners {
             asn_by_subnet.insert(scanner.source.subnet(), scanner.asn);
@@ -162,7 +151,11 @@ impl Analyzed {
             sessions128,
             sessions64,
             index,
-            timings,
+            timings: AnalysisTimings {
+                streaming,
+                sessionize,
+                index_build,
+            },
             peak_open_sessions,
             asn_by_subnet,
         }

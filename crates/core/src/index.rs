@@ -157,9 +157,9 @@ impl SourceTable {
 }
 
 /// Dense per-packet columns of one telescope's capture, index-aligned with
-/// [`Capture::packets`]. The capture is time-sorted, so `ts` is
-/// non-decreasing and any `[from, until)` window is a `partition_point`
-/// slice.
+/// [`Capture::packets`] — finalized from an [`IndexShard`]. The capture is
+/// time-sorted, so `ts` is non-decreasing and any `[from, until)` window is
+/// a `partition_point` slice.
 #[derive(Debug, Clone)]
 pub struct PacketColumns {
     /// Arrival time (non-decreasing).
@@ -191,66 +191,6 @@ pub struct PacketColumns {
 }
 
 impl PacketColumns {
-    /// Derives all columns from one capture.
-    ///
-    /// # Panics
-    /// Panics when the capture is not time-sorted (simulated captures are
-    /// by construction; replayed ones must be sorted first).
-    pub fn build(
-        capture: &Capture,
-        sources: &SourceTable,
-        visibility: &CompiledVisibility,
-    ) -> PacketColumns {
-        assert!(
-            capture.is_time_sorted(),
-            "corpus index requires a time-sorted capture"
-        );
-        let n = capture.len();
-        let mut cols = PacketColumns {
-            ts: Vec::with_capacity(n),
-            src128: Vec::with_capacity(n),
-            src64: Vec::with_capacity(n),
-            class: Vec::with_capacity(n),
-            proto: Vec::with_capacity(n),
-            port: Vec::with_capacity(n),
-            week: Vec::with_capacity(n),
-            day: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            prefix: Vec::with_capacity(n),
-            prefixes: Vec::new(),
-        };
-        // Prefix ids are assigned in first-encounter order (the intern
-        // table's arena order); only the id→prefix direction is consumed,
-        // so any stable assignment works.
-        let mut prefix_ids: InternTable<Ipv6Prefix> = InternTable::new();
-        for p in capture.packets() {
-            cols.ts.push(p.ts);
-            let k128 = SourceKey::new(p.src, AggLevel::Addr128);
-            let k64 = SourceKey::new(p.src, AggLevel::Subnet64);
-            cols.src128
-                .push(sources.id128(&k128).expect("every packet source interned"));
-            cols.src64.push(sources.id64(&k64).expect("interned /64"));
-            cols.class.push(classify(p.dst).code());
-            cols.proto.push(proto_code(p.protocol));
-            let port = match (p.protocol, p.dst_port) {
-                (Protocol::Tcp, Some(port)) => encode_port(PortLabel::classify_tcp(port)),
-                (Protocol::Udp, Some(port)) => encode_port(PortLabel::classify_udp(port)),
-                _ => PORT_NONE,
-            };
-            cols.port.push(port);
-            cols.week.push(p.ts.week() as u32);
-            cols.day.push(p.ts.day() as u32);
-            cols.dst.push(u128::from(p.dst));
-            let prefix = match visibility.lpm(p.dst, p.ts) {
-                Some(pre) => prefix_ids.insert(pre).id,
-                None => NO_ID,
-            };
-            cols.prefix.push(prefix);
-        }
-        cols.prefixes = prefix_ids.into_keys();
-        cols
-    }
-
     /// Number of packets.
     pub fn len(&self) -> usize {
         self.ts.len()
@@ -294,8 +234,7 @@ impl PacketColumns {
 /// merges shards in capture order with [`IndexShard::absorb`] (mirroring
 /// `Capture::absorb`), and finally [`CorpusIndex::from_shards`] interns the
 /// union of the shard source sets and resolves the raw columns to ids —
-/// producing columns byte-identical to a batch [`PacketColumns::build`]
-/// over the concatenated capture.
+/// producing the same columns whatever the chunking.
 #[derive(Debug, Clone, Default)]
 pub struct IndexShard {
     /// Shard-local source interning. Arena order is first-encounter; the
@@ -316,8 +255,8 @@ pub struct IndexShard {
     pub(crate) day: Vec<u32>,
     pub(crate) dst: Vec<u128>,
     pub(crate) prefix: Vec<u32>,
-    /// Shard-local announced-prefix interning (first-encounter order, as in
-    /// [`PacketColumns::build`]); remapped on absorb.
+    /// Shard-local announced-prefix interning (first-encounter order; only
+    /// the id→prefix direction is consumed); remapped on absorb.
     pub(crate) prefix_ids: InternTable<Ipv6Prefix>,
 }
 
@@ -346,8 +285,9 @@ impl IndexShard {
     ///
     /// # Panics
     /// Panics when the chunk's packets are not in non-decreasing time order
-    /// relative to what the shard already holds — the shard-level form of
-    /// [`PacketColumns::build`]'s time-sorted requirement.
+    /// relative to what the shard already holds: the corpus index requires
+    /// time-sorted captures (simulated captures are by construction;
+    /// replayed ones must be sorted first).
     pub fn push_range(
         &mut self,
         capture: &Capture,

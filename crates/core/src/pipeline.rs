@@ -26,10 +26,10 @@
 //! §10): any `chunk_records` and any thread count produce byte-identical
 //! tables and figures.
 
-use crate::corpus::{AnalysisTimings, Analyzed, StreamSettings};
-use crate::index::{CorpusIndex, IndexShard};
+use crate::corpus::{Analyzed, StreamSettings};
+use crate::index::IndexShard;
 use crate::ingest::passive_config;
-use crate::shardfile::{merge_group, read_shard, write_shard, TelescopeShard};
+use crate::shardfile::{merge_group, read_shard_groups, write_shard, TelescopeShard};
 use crate::Error;
 use sixscope_scanners::population::Population;
 use sixscope_scanners::ExperimentLayout;
@@ -228,9 +228,9 @@ impl Pipeline {
             capture: ing.capture,
             session_timeout: settings.session_timeout,
             stats: ing.stats.clone(),
-            sessions128: ing.sessions128,
-            sessions64: ing.sessions64,
-            index: ing.shard,
+            sessions128: ing.feed.sessions128,
+            sessions64: ing.feed.sessions64,
+            index: ing.feed.shard,
         };
         write_shard(out.as_ref(), &shard)?;
         Ok(ShardOutput {
@@ -244,14 +244,10 @@ impl Pipeline {
 }
 
 /// One telescope's fully ingested state: what the scatter side writes to a
-/// shard file and what the in-process path feeds straight to the merge.
+/// shard file and what the in-process path feeds straight to the gather.
 struct IngestedTelescope {
     capture: Capture,
-    sessions128: Vec<ScanSession>,
-    sessions64: Vec<ScanSession>,
-    shard: IndexShard,
-    sessionize: f64,
-    peak: usize,
+    feed: ConsumedFeed,
     stats: IngestStats,
     file_stats: Vec<(String, IngestStats)>,
 }
@@ -260,12 +256,13 @@ struct IngestedTelescope {
 /// /128 and /64 plus an [`IndexShard`] accumulator, fed one
 /// [`sixscope_telescope::FeedChunk`] at a time.
 ///
-/// The consumer is the same for every [`Feed`]: batch pcaps, a live tail,
-/// or a simulated capture. If the feed ever delivers packets out of time
-/// order (live feeds admit in-horizon disorder; finite feeds simply
-/// reflect their files) the incremental state is abandoned and
-/// [`FeedConsumer::finish`] falls back to sort + re-feed — the
-/// bounded-memory property is lost but the output contract
+/// The consumer is the only code that turns a packet range into sessions
+/// and index columns, for every [`Feed`] — batch pcaps, a live tail, or a
+/// simulated capture — and for every shard piece. If the feed ever
+/// delivers packets out of time order (live feeds admit in-horizon
+/// disorder; finite feeds simply reflect their files) the incremental
+/// state is abandoned and [`FeedConsumer::finish`] falls back to sort +
+/// re-feed — the bounded-memory property is lost but the output contract
 /// (byte-identical to batch) is kept. A snapshotting caller checks
 /// [`FeedConsumer::is_sorted`] and reads either the live state or a sorted
 /// copy of the capture.
@@ -275,12 +272,14 @@ pub(crate) struct FeedConsumer {
     shard: IndexShard,
     sessionize: f64,
     sorted: bool,
-    timeout: SimDuration,
     sources_hint: usize,
-    chunk_records: usize,
+    settings: StreamSettings,
 }
 
-/// What a drained [`FeedConsumer`] hands to the gather stage.
+/// One telescope's sessions and index shard: what a drained (or
+/// snapshotted) [`FeedConsumer`] or a shard merge hands to
+/// [`Analyzed::gather`]. The default is an empty telescope.
+#[derive(Debug, Default)]
 pub(crate) struct ConsumedFeed {
     pub sessions128: Vec<ScanSession>,
     pub sessions64: Vec<ScanSession>,
@@ -305,9 +304,8 @@ impl FeedConsumer {
             shard: IndexShard::new(),
             sessionize: 0.0,
             sorted: true,
-            timeout: settings.session_timeout,
             sources_hint,
-            chunk_records: settings.chunk_records,
+            settings: *settings,
         }
     }
 
@@ -336,12 +334,14 @@ impl FeedConsumer {
     /// Clones the incremental state for a checkpoint. Only meaningful
     /// while [`FeedConsumer::is_sorted`]; an unsorted consumer's state is
     /// stale by construction.
-    pub(crate) fn snapshot(&self) -> (Vec<ScanSession>, Vec<ScanSession>, IndexShard) {
-        (
-            self.s128.sessions().to_vec(),
-            self.s64.sessions().to_vec(),
-            self.shard.clone(),
-        )
+    pub(crate) fn snapshot(&self) -> ConsumedFeed {
+        ConsumedFeed {
+            sessions128: self.s128.sessions().to_vec(),
+            sessions64: self.s64.sessions().to_vec(),
+            shard: self.shard.clone(),
+            sessionize: self.sessionize,
+            peak: self.peak_open(),
+        }
     }
 
     /// Feeds the capture packets `range` (one feed chunk) into the
@@ -380,31 +380,28 @@ impl FeedConsumer {
     }
 
     /// Closes the consumer. If disorder was seen, sorts the capture and
-    /// re-feeds fresh state over the sorted order — chunk boundaries are
+    /// re-feeds it through a fresh consumer — chunk boundaries are
     /// invisible (DESIGN.md §10), so this equals the batch path byte for
     /// byte.
     pub(crate) fn finish(
-        mut self,
+        self,
         capture: &mut Capture,
         compiled: &CompiledVisibility,
     ) -> ConsumedFeed {
-        if !self.sorted {
-            capture.sort_by_time();
-            let push_start = Instant::now();
-            let (s128, s64, shard) = sessionize_sorted(
-                capture,
-                self.timeout,
-                self.sources_hint,
-                self.chunk_records,
-                compiled,
-            );
-            self.s128 = s128;
-            self.s64 = s64;
-            self.shard = shard;
-            self.sessionize = push_start.elapsed().as_secs_f64();
-            self.sorted = true;
+        if self.sorted {
+            return self.finish_in_order();
         }
-        self.finish_in_order()
+        capture.sort_by_time();
+        let mut fresh = FeedConsumer::new(self.sources_hint, &self.settings);
+        let mut start = 0;
+        while start < capture.len() {
+            let end = start
+                .saturating_add(self.settings.chunk_records)
+                .min(capture.len());
+            fresh.consume(capture, start..end, compiled);
+            start = end;
+        }
+        fresh.finish_in_order()
     }
 
     /// Closes the consumer without a fallback path, for feeds whose source
@@ -420,36 +417,6 @@ impl FeedConsumer {
             peak,
         }
     }
-}
-
-/// Feeds an already time-sorted capture through fresh incremental state in
-/// `chunk_records` chunks: the out-of-order fallback of
-/// [`FeedConsumer::finish`].
-fn sessionize_sorted(
-    capture: &Capture,
-    timeout: SimDuration,
-    sources_hint: usize,
-    chunk_records: usize,
-    compiled: &CompiledVisibility,
-) -> (IncrementalSessionizer, IncrementalSessionizer, IndexShard) {
-    let mut s128 = IncrementalSessionizer::with_capacity(AggLevel::Addr128, timeout, sources_hint);
-    let mut s64 = IncrementalSessionizer::with_capacity(AggLevel::Subnet64, timeout, sources_hint);
-    let mut shard = IndexShard::new();
-    let n = capture.len();
-    let mut start = 0;
-    while start < n {
-        let end = start.saturating_add(chunk_records).min(n);
-        for (i, p) in capture.packets()[start..end].iter().enumerate() {
-            let idx = (start + i) as u32;
-            s128.push(idx, p);
-            s64.push(idx, p);
-        }
-        let mut piece = IndexShard::new();
-        piece.push_range(capture, start..end, compiled);
-        shard.absorb(piece);
-        start = end;
-    }
-    (s128, s64, shard)
 }
 
 /// The streaming pcap ingest, now phrased over [`PcapFeed`]: the feed maps
@@ -478,14 +445,10 @@ fn ingest_pcaps(
         }
     }
     let (mut capture, stats, file_stats) = feed.finish();
-    let done = consumer.finish(&mut capture, &compiled);
+    let feed = consumer.finish(&mut capture, &compiled);
     Ok(IngestedTelescope {
         capture,
-        sessions128: done.sessions128,
-        sessions64: done.sessions64,
-        shard: done.shard,
-        sessionize: done.sessionize,
-        peak: done.peak,
+        feed,
         stats,
         file_stats,
     })
@@ -501,21 +464,15 @@ fn stream_pcaps(
     let ingest_start = Instant::now();
     let ing = ingest_pcaps(paths, prefix, settings)?;
     let ingest = ingest_start.elapsed().as_secs_f64();
-    let mut merged = BTreeMap::new();
     let id = ing.capture.config().id;
-    merged.insert(
-        id,
-        (ing.capture, ing.sessions128, ing.sessions64, ing.shard),
-    );
-    assemble_gathered(
-        merged,
+    Ok(assemble_gathered(
+        BTreeMap::from([(id, ing.capture)]),
+        BTreeMap::from([(id, ing.feed)]),
         ingest,
-        ing.sessionize,
-        ing.peak,
         ing.stats,
         ing.file_stats,
         settings,
-    )
+    ))
 }
 
 /// The gather side of federated sharding: reads every `.sixshard` file,
@@ -528,83 +485,44 @@ fn stream_shards(paths: &[PathBuf], settings: &StreamSettings) -> Result<Pipelin
         ));
     }
     let ingest_start = Instant::now();
-    let mut groups: BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>> = BTreeMap::new();
-    let mut file_stats = Vec::with_capacity(paths.len());
-    for path in paths {
-        let display = path.display().to_string();
-        let shard = read_shard(path)?;
-        file_stats.push((display.clone(), shard.stats.clone()));
-        groups
-            .entry(shard.capture.config().id)
-            .or_default()
-            .push((display, shard));
-    }
+    let (groups, file_stats) = read_shard_groups(paths)?;
     let mut total = IngestStats::default();
-    let mut merged = BTreeMap::new();
+    let mut captures = BTreeMap::new();
+    let mut feeds = BTreeMap::new();
     for (id, group) in groups {
-        let m = merge_group(group)?;
-        total.absorb(&m.stats);
-        merged.insert(id, (m.capture, m.sessions128, m.sessions64, m.index));
+        let merged = merge_group(group)?;
+        total.absorb(&merged.stats);
+        captures.insert(id, merged.capture);
+        feeds.insert(id, merged.feed);
     }
     let ingest = ingest_start.elapsed().as_secs_f64();
-    assemble_gathered(merged, ingest, 0.0, 0, total, file_stats, settings)
+    Ok(assemble_gathered(
+        captures, feeds, ingest, total, file_stats, settings,
+    ))
 }
 
 /// The gather half shared by the in-process pcap path and the shard-file
-/// merge: wraps the merged telescopes into an [`ExperimentResult`], builds
-/// the corpus index, and assembles the final [`Analyzed`]. Telescopes with
-/// no capture are filled in empty, so both paths produce the same corpus
-/// shape from the same packets.
-#[allow(clippy::type_complexity)]
-pub(crate) fn assemble_gathered(
-    merged: BTreeMap<TelescopeId, (Capture, Vec<ScanSession>, Vec<ScanSession>, IndexShard)>,
+/// merge: wraps the gathered captures into an [`ExperimentResult`] and
+/// hands them with their consumed feeds to [`Analyzed::gather`], which
+/// fills in absent telescopes empty — so both paths produce the same
+/// corpus shape from the same packets.
+fn assemble_gathered(
+    captures: BTreeMap<TelescopeId, Capture>,
+    feeds: BTreeMap<TelescopeId, ConsumedFeed>,
     ingest: f64,
-    sessionize: f64,
-    peak: usize,
     stats: IngestStats,
     file_stats: Vec<(String, IngestStats)>,
     settings: &StreamSettings,
-) -> Result<PipelineOutput, Error> {
-    let mut present = BTreeMap::new();
-    let mut sessions128 = BTreeMap::new();
-    let mut sessions64 = BTreeMap::new();
-    let mut shards = BTreeMap::new();
-    for (id, (capture, s128, s64, shard)) in merged {
-        present.insert(id, capture);
-        sessions128.insert(id, s128);
-        sessions64.insert(id, s64);
-        shards.insert(id, shard);
-    }
-    for id in TelescopeId::ALL {
-        sessions128.entry(id).or_default();
-        sessions64.entry(id).or_default();
-        shards.entry(id).or_insert_with(IndexShard::new);
-    }
-
-    let result = gathered_result(present, Visibility::from_events(&[]));
-    let index_start = Instant::now();
+) -> PipelineOutput {
+    let result = gathered_result(captures, Visibility::from_events(&[]));
     let threads = num_threads(settings.threads);
-    let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
-    let index_build = index_start.elapsed().as_secs_f64();
-    let analyzed = Analyzed::assemble(
-        result,
-        sessions128,
-        sessions64,
-        index,
-        AnalysisTimings {
-            streaming: ingest,
-            sessionize,
-            index_build,
-        },
-        peak,
-    );
-    Ok(PipelineOutput {
-        analyzed,
+    PipelineOutput {
+        analyzed: Analyzed::gather(result, feeds, threads, ingest),
         sim: ScenarioTimings::default(),
         ingest,
         stats,
         file_stats,
-    })
+    }
 }
 
 /// Wraps gathered captures into the [`ExperimentResult`] shape the

@@ -26,11 +26,10 @@
 //! the batch state once the feed drains, and disorder falls back to the
 //! same sort-and-re-feed path (DESIGN.md §10, §14).
 
-use crate::corpus::{AnalysisTimings, Analyzed, StreamSettings};
-use crate::index::{CorpusIndex, IndexShard};
+use crate::corpus::{Analyzed, StreamSettings};
 use crate::ingest::passive_config;
 use crate::json::Json;
-use crate::pipeline::FeedConsumer;
+use crate::pipeline::{ConsumedFeed, FeedConsumer};
 use crate::{render, tables, Error};
 use sixscope_analysis::classify::{addr_selection, AddrSelection, ScannerProfiler};
 use sixscope_sim::{CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, Visibility};
@@ -625,37 +624,6 @@ fn partial_result(
     }
 }
 
-/// Assembles the corpus from per-telescope consumer state and renders the
-/// full-tables report.
-#[allow(clippy::type_complexity)]
-fn render_sim_state(
-    result: ExperimentResult,
-    fed: BTreeMap<TelescopeId, (Vec<ScanSession>, Vec<ScanSession>, IndexShard, usize)>,
-    threads: usize,
-    json: bool,
-) -> String {
-    let mut sessions128 = BTreeMap::new();
-    let mut sessions64 = BTreeMap::new();
-    let mut shards = BTreeMap::new();
-    let mut peak = 0usize;
-    for (id, (s128, s64, shard, p)) in fed {
-        sessions128.insert(id, s128);
-        sessions64.insert(id, s64);
-        shards.insert(id, shard);
-        peak = peak.max(p);
-    }
-    let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
-    let analyzed = Analyzed::assemble(
-        result,
-        sessions128,
-        sessions64,
-        index,
-        AnalysisTimings::default(),
-        peak,
-    );
-    tables_report(&analyzed, json)
-}
-
 fn serve_sim(
     opts: &ServeOptions,
     seed: u64,
@@ -674,7 +642,7 @@ fn serve_sim(
     let mut seq = 0usize;
     let sim_stats = IngestStats::default();
     let mut watermark = SimTime::EPOCH;
-    let fed: BTreeMap<TelescopeId, (Vec<ScanSession>, Vec<ScanSession>, IndexShard, usize)>;
+    let fed: BTreeMap<TelescopeId, ConsumedFeed>;
     {
         let mut lanes: Vec<(TelescopeId, SimFeed<'_>, FeedConsumer, bool)> = TelescopeId::ALL
             .into_iter()
@@ -705,19 +673,13 @@ fn serve_sim(
                     .iter()
                     .map(|(id, feed, _, _)| (*id, feed.revealed()))
                     .collect();
-                let fed_now: BTreeMap<_, _> = lanes
+                let fed_now = lanes
                     .iter()
-                    .map(|(id, _, consumer, _)| {
-                        let (s128, s64, shard) = consumer.snapshot();
-                        (*id, (s128, s64, shard, consumer.peak_open()))
-                    })
+                    .map(|(id, _, consumer, _)| (*id, consumer.snapshot()))
                     .collect();
-                let report = render_sim_state(
-                    partial_result(&result, &revealed_by),
-                    fed_now,
-                    threads,
-                    opts.json,
-                );
+                let partial = partial_result(&result, &revealed_by);
+                let report =
+                    tables_report(&Analyzed::gather(partial, fed_now, threads, 0.0), opts.json);
                 write_snapshot(&opts.out_dir, seq, &report)?;
                 let (n128, n64, peak) = lanes.iter().fold((0, 0, 0), |(a, b, p), l| {
                     let (x, y) = l.2.session_counts();
@@ -742,26 +704,24 @@ fn serve_sim(
                     .map(|every| revealed + every - revealed % every);
             }
         }
+        // Simulated captures are time-sorted, so the incremental state is
+        // final as-is.
         fed = lanes
             .into_iter()
-            .map(|(id, _, consumer, _)| {
-                // Simulated captures are time-sorted, so the incremental
-                // state is final as-is.
-                let done = consumer.finish_in_order();
-                (
-                    id,
-                    (done.sessions128, done.sessions64, done.shard, done.peak),
-                )
-            })
+            .map(|(id, _, consumer, _)| (id, consumer.finish_in_order()))
             .collect();
     }
 
     seq += 1;
-    let (n128, n64, peak) = fed.values().fold((0, 0, 0), |(a, b, p), (s1, s2, _, pk)| {
-        (a + s1.len(), b + s2.len(), p.max(*pk))
+    let (n128, n64, peak) = fed.values().fold((0, 0, 0), |(a, b, p), f| {
+        (
+            a + f.sessions128.len(),
+            b + f.sessions64.len(),
+            p.max(f.peak),
+        )
     });
     let packets: usize = result.captures.values().map(Capture::len).sum();
-    let report = render_sim_state(result, fed, threads, opts.json);
+    let report = tables_report(&Analyzed::gather(result, fed, threads, 0.0), opts.json);
     let latest = write_snapshot(&opts.out_dir, seq, &report)?;
     status.emit(
         &Checkpoint {

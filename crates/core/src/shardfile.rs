@@ -30,21 +30,22 @@
 //! ascending order and cover the table), which also makes the encoding
 //! canonical.
 
-use crate::corpus::{AnalysisTimings, Analyzed};
+use crate::corpus::{Analyzed, StreamSettings};
 use crate::error::Error;
-use crate::index::{encode_port, proto_code, CorpusIndex, IndexShard, NO_ID, PORT_NONE};
+use crate::index::{encode_port, proto_code, IndexShard, NO_ID, PORT_NONE};
+use crate::pipeline::{ConsumedFeed, FeedConsumer};
 use sixscope_analysis::addrtype::classify;
 use sixscope_packet::MAX_RECORD_LEN;
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
 use sixscope_telescope::{
-    AggLevel, Bytes, Capture, CapturedPacket, IncrementalSessionizer, IngestStats, Protocol,
-    ScanSession, SessionStitcher, SourceKey, TelescopeConfig, TelescopeId, TelescopeKind,
-    SESSION_TIMEOUT,
+    AggLevel, Bytes, Capture, CapturedPacket, IngestStats, Protocol, ScanSession, SessionStitcher,
+    SourceKey, TelescopeConfig, TelescopeId, TelescopeKind, SESSION_TIMEOUT,
 };
 use sixscope_types::{chunk_ranges, num_threads, InternTable, Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// File magic: the first eight bytes of every `.sixshard` file.
 pub const MAGIC: [u8; 8] = *b"SIXSHARD";
@@ -1065,14 +1066,35 @@ pub fn write_shard<P: AsRef<Path>>(path: P, shard: &TelescopeShard) -> Result<()
 // ---------------------------------------------------------------------------
 // Scatter / gather
 
+/// Shard files grouped by telescope, each group in path order, with every
+/// file labelled by its path.
+type ShardGroups = BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>>;
+
+/// Reads shard files and groups them by telescope, each group in path
+/// order. Also returns each file's ingest statistics, in path order.
+pub(crate) fn read_shard_groups(
+    paths: &[PathBuf],
+) -> Result<(ShardGroups, Vec<(String, IngestStats)>), Error> {
+    let mut groups = ShardGroups::new();
+    let mut file_stats = Vec::with_capacity(paths.len());
+    for path in paths {
+        let display = path.display().to_string();
+        let shard = read_shard(path)?;
+        file_stats.push((display.clone(), shard.stats.clone()));
+        groups
+            .entry(shard.capture.config().id)
+            .or_default()
+            .push((display, shard));
+    }
+    Ok((groups, file_stats))
+}
+
 /// One telescope's shards merged back together.
 #[derive(Debug)]
 pub(crate) struct MergedTelescope {
     pub capture: Capture,
     pub stats: IngestStats,
-    pub sessions128: Vec<ScanSession>,
-    pub sessions64: Vec<ScanSession>,
-    pub index: IndexShard,
+    pub feed: ConsumedFeed,
 }
 
 /// Merges one telescope's shards, in the order given (which must be
@@ -1120,9 +1142,12 @@ pub(crate) fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<Merge
     Ok(MergedTelescope {
         capture: Capture::restore(config, packets, filtered, malformed),
         stats,
-        sessions128: st128.finish(),
-        sessions64: st64.finish(),
-        index,
+        feed: ConsumedFeed {
+            sessions128: st128.finish(),
+            sessions64: st64.finish(),
+            shard: index,
+            ..ConsumedFeed::default()
+        },
     })
 }
 
@@ -1152,15 +1177,6 @@ pub fn write_experiment_shards(
             ranges.push(0..0);
         }
         for (k, range) in ranges.into_iter().enumerate() {
-            let piece_packets = capture.packets()[range.clone()].to_vec();
-            let mut s128 = IncrementalSessionizer::new(AggLevel::Addr128, SESSION_TIMEOUT);
-            let mut s64 = IncrementalSessionizer::new(AggLevel::Subnet64, SESSION_TIMEOUT);
-            for (i, p) in piece_packets.iter().enumerate() {
-                s128.push(i as u32, p);
-                s64.push(i as u32, p);
-            }
-            let mut index = IndexShard::new();
-            index.push_range(capture, range, &compiled);
             // Capture-level counters ride on piece 0 only, so the merged
             // sums equal the original capture's counters.
             let (filtered, malformed) = if k == 0 {
@@ -1168,18 +1184,22 @@ pub fn write_experiment_shards(
             } else {
                 (0, 0)
             };
+            let mut piece = Capture::restore(
+                capture.config().clone(),
+                capture.packets()[range].to_vec(),
+                filtered,
+                malformed,
+            );
+            let mut consumer = FeedConsumer::new(0, &StreamSettings::default());
+            consumer.consume(&piece, 0..piece.len(), &compiled);
+            let fed = consumer.finish(&mut piece, &compiled);
             let shard = TelescopeShard {
-                capture: Capture::restore(
-                    capture.config().clone(),
-                    piece_packets,
-                    filtered,
-                    malformed,
-                ),
+                capture: piece,
                 session_timeout: SESSION_TIMEOUT,
                 stats: IngestStats::default(),
-                sessions128: s128.finish(),
-                sessions64: s64.finish(),
-                index,
+                sessions128: fed.sessions128,
+                sessions64: fed.sessions64,
+                index: fed.shard,
             };
             let path = dir.join(format!("{id}-{k}.sixshard"));
             write_shard(&path, &shard)?;
@@ -1193,23 +1213,16 @@ pub fn write_experiment_shards(
 /// the simulation-side metadata (layout, schedule, population, hitlist,
 /// visibility) and replacing its captures with the shard contents. All
 /// four telescopes must be covered and each group's shards must arrive in
-/// capture order.
+/// capture order. The corpus's `streaming` time is the read and merge of
+/// the files.
 pub fn merge_experiment(
     mut result: ExperimentResult,
     paths: &[PathBuf],
     threads: Option<usize>,
 ) -> Result<Analyzed, Error> {
-    let mut groups: BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>> = BTreeMap::new();
-    for path in paths {
-        let shard = read_shard(path)?;
-        groups
-            .entry(shard.capture.config().id)
-            .or_default()
-            .push((path.display().to_string(), shard));
-    }
-    let mut sessions128 = BTreeMap::new();
-    let mut sessions64 = BTreeMap::new();
-    let mut shards = BTreeMap::new();
+    let merge_start = Instant::now();
+    let (mut groups, _) = read_shard_groups(paths)?;
+    let mut fed = BTreeMap::new();
     for id in TelescopeId::ALL {
         let group = groups
             .remove(&id)
@@ -1222,19 +1235,14 @@ pub fn merge_experiment(
             )));
         }
         result.captures.insert(id, merged.capture);
-        sessions128.insert(id, merged.sessions128);
-        sessions64.insert(id, merged.sessions64);
-        shards.insert(id, merged.index);
+        fed.insert(id, merged.feed);
     }
-    let threads = num_threads(threads);
-    let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
-    Ok(Analyzed::assemble(
+    let streaming = merge_start.elapsed().as_secs_f64();
+    Ok(Analyzed::gather(
         result,
-        sessions128,
-        sessions64,
-        index,
-        AnalysisTimings::default(),
-        0,
+        fed,
+        num_threads(threads),
+        streaming,
     ))
 }
 
@@ -1263,19 +1271,14 @@ mod tests {
         }
     }
 
-    /// Builds a shard from packets exactly as the ingest path does:
-    /// incremental sessionizers plus one `push_range` over the capture.
+    /// Builds a shard from packets exactly as the ingest path does: one
+    /// feed consumer over the whole capture.
     fn build(packets: Vec<CapturedPacket>) -> TelescopeShard {
         let capture = Capture::restore(passive_config(Ipv6Prefix::default_route()), packets, 2, 1);
         let compiled = CompiledVisibility::compile(&Visibility::from_events(&[]));
-        let mut s128 = IncrementalSessionizer::new(AggLevel::Addr128, SESSION_TIMEOUT);
-        let mut s64 = IncrementalSessionizer::new(AggLevel::Subnet64, SESSION_TIMEOUT);
-        for (i, p) in capture.packets().iter().enumerate() {
-            s128.push(i as u32, p);
-            s64.push(i as u32, p);
-        }
-        let mut index = IndexShard::new();
-        index.push_range(&capture, 0..capture.len(), &compiled);
+        let mut consumer = FeedConsumer::new(0, &StreamSettings::default());
+        consumer.consume(&capture, 0..capture.len(), &compiled);
+        let fed = consumer.finish_in_order();
         let stats = IngestStats {
             records_read: capture.len() as u64 + 3,
             parsed: capture.len() as u64,
@@ -1288,9 +1291,9 @@ mod tests {
             capture,
             session_timeout: SESSION_TIMEOUT,
             stats,
-            sessions128: s128.finish(),
-            sessions64: s64.finish(),
-            index,
+            sessions128: fed.sessions128,
+            sessions64: fed.sessions64,
+            index: fed.shard,
         }
     }
 
@@ -1423,10 +1426,10 @@ mod tests {
         .unwrap();
         assert_eq!(merged.capture.packets(), whole.capture.packets());
         assert_eq!(merged.capture.filtered(), 4, "counters are summed");
-        assert_eq!(merged.sessions128, whole.sessions128);
-        assert_eq!(merged.sessions64, whole.sessions64);
+        assert_eq!(merged.feed.sessions128, whole.sessions128);
+        assert_eq!(merged.feed.sessions64, whole.sessions64);
         assert_eq!(
-            encode_columns(&merged.index),
+            encode_columns(&merged.feed.shard),
             encode_columns(&whole.index),
             "merged index columns must equal the single-process build"
         );

@@ -269,8 +269,8 @@ proptest! {
 
     /// Scatter the corpus over shard *files* and gather them back: the
     /// merged corpus must equal the in-process one — packets, sessions at
-    /// both aggregation levels, and the rendered tables — for any capture
-    /// and any piece count (DESIGN.md §13).
+    /// both aggregation levels, and the whole tables report in both
+    /// backends — for any capture and any piece count (DESIGN.md §13).
     #[test]
     fn shard_files_round_trip_to_the_in_process_corpus(
         raws in proptest::collection::vec(raw_packet(), 0..60),
@@ -305,5 +305,11 @@ proptest! {
             sixscope::render::render_table3(&tables::table3(&merged)),
             sixscope::render::render_table3(&tables::table3(&direct))
         );
+        for json in [false, true] {
+            prop_assert_eq!(
+                sixscope::serve::tables_report(&merged, json),
+                sixscope::serve::tables_report(&direct, json)
+            );
+        }
     }
 }

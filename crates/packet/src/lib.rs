@@ -28,8 +28,8 @@ pub use icmpv6::{Icmpv6Header, Icmpv6Type};
 pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
 pub use parse::{parse_run, ParsedPacket, ParsedView, Transport};
 pub use pcap::{
-    MappedPcap, PcapChunks, PcapReader, PcapRecord, PcapWriter, RecordOutcome, RecordView,
-    SliceReader, SliceReaderState, ViewOutcome, MAX_RECORD_LEN,
+    MappedPcap, PcapRecord, PcapWriter, RecordView, SliceReader, SliceReaderState, ViewOutcome,
+    MAX_RECORD_LEN,
 };
 pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};

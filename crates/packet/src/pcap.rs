@@ -9,13 +9,14 @@
 //! format; the reader additionally accepts big-endian and
 //! nanosecond-resolution magic values.
 //!
-//! Real captures are damaged in predictable ways — a killed `tcpdump`
-//! leaves a half-written final record, disk corruption flips length
-//! fields — so the reader never trusts a length field: `incl_len` is
-//! validated against the file's own snaplen and the [`MAX_RECORD_LEN`]
-//! ceiling before any allocation, and
-//! [`PcapReader::read_record_recovering`] turns per-record damage into
-//! typed [`RecordOutcome`]s instead of aborting the file.
+//! There is one reader, [`SliceReader`], over a whole file image (a
+//! [`MappedPcap`] or any byte slice). Real captures are damaged in
+//! predictable ways — a killed `tcpdump` leaves a half-written final
+//! record, disk corruption flips length fields — so the reader never
+//! trusts a length field: `incl_len` is validated against the file's own
+//! snaplen and the [`MAX_RECORD_LEN`] ceiling, and
+//! [`SliceReader::read_record_recovering`] turns per-record damage into
+//! typed [`ViewOutcome`]s instead of aborting the file.
 
 use crate::error::{MalformedRecord, PacketError};
 use sixscope_types::SimTime;
@@ -93,255 +94,6 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Outcome of one recoverable read step (see
-/// [`PcapReader::read_record_recovering`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordOutcome {
-    /// A complete, well-formed record.
-    Record(PcapRecord),
-    /// A damaged record was skipped; the stream is re-synchronized on the
-    /// next record boundary.
-    Skipped(MalformedRecord),
-    /// The file ends inside a record (a live capture that was killed). All
-    /// preceding records were yielded; no further reads will succeed.
-    TruncatedTail(MalformedRecord),
-}
-
-/// Streaming pcap reader.
-pub struct PcapReader<R: Read> {
-    input: R,
-    swapped: bool,
-    nanos: bool,
-    /// The file's declared snapshot length (0 = writer declared none).
-    snaplen: u32,
-    /// Set once a truncated tail was reported; further recoverable reads
-    /// return end-of-file instead of re-reading garbage.
-    exhausted: bool,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Reads and validates the global header.
-    pub fn new(mut input: R) -> Result<Self, PacketError> {
-        let mut hdr = [0u8; 24];
-        input.read_exact(&mut hdr)?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let (swapped, nanos) = match magic {
-            MAGIC_LE_US => (false, false),
-            MAGIC_LE_NS => (false, true),
-            m if m.swap_bytes() == MAGIC_LE_US => (true, false),
-            m if m.swap_bytes() == MAGIC_LE_NS => (true, true),
-            m => return Err(PacketError::BadPcapMagic(m)),
-        };
-        let read_u32 = |b: &[u8]| {
-            let v = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            if swapped {
-                v.swap_bytes()
-            } else {
-                v
-            }
-        };
-        let linktype = read_u32(&hdr[20..24]);
-        if linktype != LINKTYPE_RAW {
-            return Err(PacketError::UnsupportedLinkType(linktype));
-        }
-        Ok(PcapReader {
-            input,
-            swapped,
-            nanos,
-            snaplen: read_u32(&hdr[16..20]),
-            exhausted: false,
-        })
-    }
-
-    /// The snapshot length declared by the file's global header.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
-    }
-
-    /// Fills `buf` as far as the input allows; returns the bytes read.
-    fn read_fully(&mut self, buf: &mut [u8]) -> Result<usize, PacketError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.input.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(filled)
-    }
-
-    /// Reads the next record, or `None` at end of file.
-    ///
-    /// Every length field is validated before allocation: `incl_len` must
-    /// not exceed the file's snaplen, the [`MAX_RECORD_LEN`] ceiling, or
-    /// `orig_len`. Violations and mid-record EOF return
-    /// [`PacketError::Malformed`]; callers that want to continue past the
-    /// damage use [`PcapReader::read_record_recovering`] instead.
-    pub fn read_record(&mut self) -> Result<Option<PcapRecord>, PacketError> {
-        let mut hdr = [0u8; 16];
-        let have = self.read_fully(&mut hdr)?;
-        if have == 0 {
-            return Ok(None);
-        }
-        if have < hdr.len() {
-            return Err(PacketError::Malformed(MalformedRecord::TruncatedHeader {
-                have,
-            }));
-        }
-        let field = |i: usize| {
-            let v = u32::from_le_bytes([hdr[i], hdr[i + 1], hdr[i + 2], hdr[i + 3]]);
-            if self.swapped {
-                v.swap_bytes()
-            } else {
-                v
-            }
-        };
-        let (ts_sec, ts_frac, incl_len, orig_len) = (field(0), field(4), field(8), field(12));
-        if self.snaplen != 0 && incl_len > self.snaplen {
-            return Err(PacketError::Malformed(MalformedRecord::SnaplenExceeded {
-                incl_len,
-                snaplen: self.snaplen,
-            }));
-        }
-        if incl_len > MAX_RECORD_LEN {
-            return Err(PacketError::Malformed(MalformedRecord::CapExceeded {
-                incl_len,
-            }));
-        }
-        if incl_len > orig_len {
-            return Err(PacketError::Malformed(
-                MalformedRecord::LengthInconsistent { incl_len, orig_len },
-            ));
-        }
-        let mut data = vec![0u8; incl_len as usize];
-        let have = self.read_fully(&mut data)?;
-        if have < data.len() {
-            return Err(PacketError::Malformed(MalformedRecord::TruncatedBody {
-                need: data.len(),
-                have,
-            }));
-        }
-        let ts_micros = if self.nanos { ts_frac / 1000 } else { ts_frac };
-        Ok(Some(PcapRecord {
-            ts: SimTime::from_secs(ts_sec as u64),
-            ts_micros,
-            data,
-        }))
-    }
-
-    /// Reads the next record with skip-and-count recovery, or `None` at end
-    /// of file.
-    ///
-    /// Damage is confined to the record it occurs in: a record with a
-    /// rejected length field is skipped (its advertised bytes are discarded
-    /// in bounded chunks, so the stream stays synchronized on the next
-    /// record boundary) and reported as [`RecordOutcome::Skipped`]; a file
-    /// cut off mid-record yields [`RecordOutcome::TruncatedTail`] once and
-    /// then end-of-file. `Err` is reserved for real I/O failures.
-    pub fn read_record_recovering(&mut self) -> Result<Option<RecordOutcome>, PacketError> {
-        if self.exhausted {
-            return Ok(None);
-        }
-        match self.read_record() {
-            Ok(Some(rec)) => Ok(Some(RecordOutcome::Record(rec))),
-            Ok(None) => Ok(None),
-            Err(PacketError::Malformed(m)) if m.is_truncation() => {
-                self.exhausted = true;
-                Ok(Some(RecordOutcome::TruncatedTail(m)))
-            }
-            Err(PacketError::Malformed(m)) => {
-                let advertised = match m {
-                    MalformedRecord::SnaplenExceeded { incl_len, .. }
-                    | MalformedRecord::CapExceeded { incl_len }
-                    | MalformedRecord::LengthInconsistent { incl_len, .. } => incl_len,
-                    _ => unreachable!("truncation handled above"),
-                };
-                if self.discard(u64::from(advertised))? {
-                    Ok(Some(RecordOutcome::Skipped(m)))
-                } else {
-                    self.exhausted = true;
-                    Ok(Some(RecordOutcome::TruncatedTail(m)))
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Discards `n` bytes through a bounded scratch buffer. Returns `false`
-    /// if the input ended first.
-    fn discard(&mut self, mut n: u64) -> Result<bool, PacketError> {
-        let mut scratch = [0u8; 8192];
-        while n > 0 {
-            let want = scratch.len().min(usize::try_from(n).unwrap_or(usize::MAX));
-            let got = self.read_fully(&mut scratch[..want])?;
-            if got == 0 {
-                return Ok(false);
-            }
-            n -= got as u64;
-        }
-        Ok(true)
-    }
-}
-
-impl<R: Read> Iterator for PcapReader<R> {
-    type Item = Result<PcapRecord, PacketError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        self.read_record().transpose()
-    }
-}
-
-/// Chunked streaming source over a recovering reader: yields up to
-/// `chunk_records` [`RecordOutcome`]s at a time, so a consumer holds one
-/// chunk of records in memory instead of a whole capture file.
-///
-/// Recovery semantics are exactly [`PcapReader::read_record_recovering`]'s —
-/// chunk boundaries are invisible in the outcome sequence. `Err` (real I/O
-/// failure only) ends the iteration.
-pub struct PcapChunks<R: Read> {
-    reader: PcapReader<R>,
-    chunk_records: usize,
-    failed: bool,
-}
-
-impl<R: Read> PcapChunks<R> {
-    /// Wraps an open reader; `chunk_records` is clamped to at least 1.
-    pub fn new(reader: PcapReader<R>, chunk_records: usize) -> Self {
-        PcapChunks {
-            reader,
-            chunk_records: chunk_records.max(1),
-            failed: false,
-        }
-    }
-}
-
-impl<R: Read> Iterator for PcapChunks<R> {
-    type Item = Result<Vec<RecordOutcome>, PacketError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let mut out = Vec::new();
-        while out.len() < self.chunk_records {
-            match self.reader.read_record_recovering() {
-                Ok(Some(outcome)) => out.push(outcome),
-                Ok(None) => break,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(Ok(out))
-        }
-    }
-}
-
 /// One captured packet record, borrowed from the underlying file bytes.
 ///
 /// The zero-copy counterpart of [`PcapRecord`]: `data` is a subslice of
@@ -370,12 +122,8 @@ impl RecordView<'_> {
     }
 }
 
-/// Outcome of one recoverable zero-copy read step (see
+/// Outcome of one recoverable read step (see
 /// [`SliceReader::read_record_recovering`]).
-///
-/// The borrowed counterpart of [`RecordOutcome`]; the two encode the same
-/// taxonomy and a [`SliceReader`] yields exactly the outcome sequence a
-/// [`PcapReader`] yields over the same bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewOutcome<'a> {
     /// A complete, well-formed record.
@@ -388,27 +136,14 @@ pub enum ViewOutcome<'a> {
     TruncatedTail(MalformedRecord),
 }
 
-impl ViewOutcome<'_> {
-    /// Copies the outcome out into its owned [`RecordOutcome`] form.
-    pub fn to_owned(&self) -> RecordOutcome {
-        match self {
-            ViewOutcome::Record(v) => RecordOutcome::Record(v.to_owned()),
-            ViewOutcome::Skipped(m) => RecordOutcome::Skipped(*m),
-            ViewOutcome::TruncatedTail(m) => RecordOutcome::TruncatedTail(*m),
-        }
-    }
-}
-
 /// Zero-copy recovering pcap reader over an in-memory byte slice.
 ///
-/// Parses the same global-header dialects as [`PcapReader`] (both endians,
-/// micro- and nanosecond magic) and applies the same per-record validation
-/// in the same order, but yields borrowed [`RecordView`]s instead of
-/// allocating a `Vec<u8>` per record. Because the whole file is addressable,
-/// recovery is a cursor adjustment: skipping a damaged record advances the
-/// offset past its advertised bytes, and no copy-out is ever needed to
-/// re-synchronize — the "copy-out at re-sync boundaries" obligation of
-/// streaming readers vanishes in slice mode.
+/// Accepts both endians and micro- or nanosecond magic, validates every
+/// record header before trusting it, and yields borrowed [`RecordView`]s
+/// instead of allocating a `Vec<u8>` per record. Because the whole file is
+/// addressable, recovery is a cursor adjustment: skipping a damaged record
+/// advances the offset past its advertised bytes, so no byte is ever copied
+/// to re-synchronize.
 pub struct SliceReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -530,10 +265,11 @@ impl<'a> SliceReader<'a> {
     /// Reads the next record with skip-and-count recovery, or `None` at end
     /// of file.
     ///
-    /// Infallible (unlike the streaming reader there is no I/O to fail):
-    /// damage maps to [`ViewOutcome::Skipped`] / [`ViewOutcome::TruncatedTail`]
-    /// exactly as [`PcapReader::read_record_recovering`] maps it, including
-    /// the reported-once-then-EOF truncation semantics.
+    /// Infallible (there is no I/O to fail): a record with a rejected
+    /// length field is skipped past its advertised bytes and reported as
+    /// [`ViewOutcome::Skipped`]; a file cut off mid-record — or a skip that
+    /// runs off its end — yields [`ViewOutcome::TruncatedTail`] once and
+    /// then end-of-file.
     #[allow(clippy::should_implement_trait)]
     pub fn read_record_recovering(&mut self) -> Option<ViewOutcome<'a>> {
         if self.exhausted {
@@ -559,8 +295,8 @@ impl<'a> SliceReader<'a> {
             }
         };
         let (ts_sec, ts_frac, incl_len, orig_len) = (field(0), field(4), field(8), field(12));
-        // Same validation order as the streaming reader so the same damage
-        // produces the same MalformedRecord reason.
+        // Snaplen before the cap before the length pair: the first check
+        // that fails names the MalformedRecord reason.
         let malformed = if self.snaplen != 0 && incl_len > self.snaplen {
             Some(MalformedRecord::SnaplenExceeded {
                 incl_len,
@@ -577,7 +313,7 @@ impl<'a> SliceReader<'a> {
         let end = body.checked_add(incl_len as usize);
         if let Some(m) = malformed {
             // Skip the advertised bytes; a skip running off the end of the
-            // slice is the streaming reader's discard-hit-EOF case.
+            // slice ends the file like any other truncation.
             return Some(match end {
                 Some(end) if end <= self.data.len() => {
                     self.pos = end;
@@ -697,8 +433,7 @@ impl MappedPcap {
         {
             let len = file.metadata()?.len();
             // mmap(2) rejects zero-length mappings; tiny or empty files go
-            // through the fallback (and then fail header validation with
-            // the same error the streaming reader reports).
+            // through the fallback (and then fail header validation).
             if len > 0 && usize::try_from(len).is_ok() {
                 use std::os::unix::io::AsRawFd;
                 let len = len as usize;
@@ -780,8 +515,15 @@ impl Drop for MappedPcap {
     }
 }
 
+/// The independent streaming walk the reader is checked against; shared
+/// with the mutation harness.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{Oracle, Outcome};
     use super::*;
     use crate::builder::PacketBuilder;
 
@@ -809,6 +551,17 @@ mod tests {
         ]
     }
 
+    /// Every record of `bytes`, copied out; panics on any damage outcome.
+    fn read_all(bytes: &[u8]) -> Vec<PcapRecord> {
+        SliceReader::new(bytes)
+            .unwrap()
+            .map(|outcome| match outcome {
+                ViewOutcome::Record(rec) => rec.to_owned(),
+                other => panic!("expected a record, got {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn write_read_round_trip() {
         let records = sample_records();
@@ -817,51 +570,7 @@ mod tests {
             w.write_record(r).unwrap();
         }
         let bytes = w.into_inner().unwrap();
-        let reader = PcapReader::new(&bytes[..]).unwrap();
-        let back: Vec<PcapRecord> = reader.map(Result::unwrap).collect();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn chunked_reading_is_boundary_invisible() {
-        // Good records plus a damaged one plus a truncated tail: chunked
-        // iteration must yield exactly the outcome sequence the plain
-        // recovering loop produces, at any chunk size.
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for r in sample_records() {
-            w.write_record(&r).unwrap();
-        }
-        let mut bytes = w.into_inner().unwrap();
-        // incl_len 8 > orig_len 2, body present → Skipped(LengthInconsistent).
-        bytes.extend_from_slice(&9u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&8u32.to_le_bytes());
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&[0xab; 8]);
-        bytes.extend_from_slice(&[0u8; 5]); // header cut off by EOF
-        let mut reference = Vec::new();
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        while let Some(outcome) = r.read_record_recovering().unwrap() {
-            reference.push(outcome);
-        }
-        assert!(reference
-            .iter()
-            .any(|o| matches!(o, RecordOutcome::Skipped(_))));
-        assert!(reference
-            .iter()
-            .any(|o| matches!(o, RecordOutcome::TruncatedTail(_))));
-        for chunk in [1usize, 2, 1000] {
-            let reader = PcapReader::new(&bytes[..]).unwrap();
-            let mut chunk_sizes = Vec::new();
-            let mut chunked: Vec<RecordOutcome> = Vec::new();
-            for c in PcapChunks::new(reader, chunk) {
-                let c = c.unwrap();
-                chunk_sizes.push(c.len());
-                chunked.extend(c);
-            }
-            assert_eq!(chunked, reference, "chunk size {chunk}");
-            assert!(chunk_sizes.iter().all(|&n| n >= 1 && n <= chunk));
-        }
+        assert_eq!(read_all(&bytes), records);
     }
 
     #[test]
@@ -880,79 +589,14 @@ mod tests {
     }
 
     #[test]
-    fn reader_rejects_bad_magic() {
-        let bytes = [0u8; 24];
-        assert!(matches!(
-            PcapReader::new(&bytes[..]),
-            Err(PacketError::BadPcapMagic(0))
-        ));
-    }
-
-    #[test]
-    fn reader_rejects_wrong_linktype() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_record(&sample_records()[0]).unwrap();
-        let mut bytes = w.into_inner().unwrap();
-        bytes[20..24].copy_from_slice(&1u32.to_le_bytes()); // LINKTYPE_ETHERNET
-        assert!(matches!(
-            PcapReader::new(&bytes[..]),
-            Err(PacketError::UnsupportedLinkType(1))
-        ));
-    }
-
-    #[test]
-    fn reader_accepts_big_endian_files() {
-        // Hand-build a big-endian header + one record.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_LE_US.to_be_bytes());
-        bytes.extend_from_slice(&2u16.to_be_bytes());
-        bytes.extend_from_slice(&4u16.to_be_bytes());
-        bytes.extend_from_slice(&0i32.to_be_bytes());
-        bytes.extend_from_slice(&0u32.to_be_bytes());
-        bytes.extend_from_slice(&65_535u32.to_be_bytes());
-        bytes.extend_from_slice(&LINKTYPE_RAW.to_be_bytes());
-        bytes.extend_from_slice(&42u32.to_be_bytes()); // ts_sec
-        bytes.extend_from_slice(&7u32.to_be_bytes()); // ts_usec
-        bytes.extend_from_slice(&3u32.to_be_bytes()); // incl
-        bytes.extend_from_slice(&3u32.to_be_bytes()); // orig
-        bytes.extend_from_slice(&[0xaa, 0xbb, 0xcc]);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let rec = r.read_record().unwrap().unwrap();
-        assert_eq!(rec.ts.as_secs(), 42);
-        assert_eq!(rec.ts_micros, 7);
-        assert_eq!(rec.data, vec![0xaa, 0xbb, 0xcc]);
-        assert!(r.read_record().unwrap().is_none());
-    }
-
-    #[test]
-    fn nanosecond_magic_scales_to_micros() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_LE_NS.to_le_bytes());
-        bytes.extend_from_slice(&2u16.to_le_bytes());
-        bytes.extend_from_slice(&4u16.to_le_bytes());
-        bytes.extend_from_slice(&0i32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&65_535u32.to_le_bytes());
-        bytes.extend_from_slice(&LINKTYPE_RAW.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&5_000_000u32.to_le_bytes()); // 5 ms in ns
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(0x60);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let rec = r.read_record().unwrap().unwrap();
-        assert_eq!(rec.ts_micros, 5000);
-    }
-
-    #[test]
     fn truncated_record_is_an_error_not_a_panic() {
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         w.write_record(&sample_records()[0]).unwrap();
         let bytes = w.into_inner().unwrap();
-        let mut r = PcapReader::new(&bytes[..bytes.len() - 4]).unwrap();
+        let mut r = SliceReader::new(&bytes[..bytes.len() - 4]).unwrap();
         assert!(matches!(
-            r.read_record(),
-            Err(PacketError::Malformed(
+            r.next(),
+            Some(ViewOutcome::TruncatedTail(
                 MalformedRecord::TruncatedBody { .. }
             ))
         ));
@@ -972,16 +616,19 @@ mod tests {
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         w.write_record(&sample_records()[0]).unwrap();
         let mut bytes = w.into_inner().unwrap();
-        // Overwrite incl_len with a 4 GiB-adjacent value.
+        // Overwrite incl_len with a 4 GiB-adjacent value; skipping it runs
+        // off the end of the file.
         bytes[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        assert!(matches!(
-            r.read_record(),
-            Err(PacketError::Malformed(MalformedRecord::SnaplenExceeded {
-                incl_len: u32::MAX,
-                snaplen: 65_535,
-            }))
-        ));
+        let mut r = SliceReader::new(&bytes).unwrap();
+        assert_eq!(
+            r.next(),
+            Some(ViewOutcome::TruncatedTail(
+                MalformedRecord::SnaplenExceeded {
+                    incl_len: u32::MAX,
+                    snaplen: 65_535,
+                }
+            ))
+        );
     }
 
     #[test]
@@ -991,11 +638,13 @@ mod tests {
         let mut bytes = w.into_inner().unwrap();
         bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes()); // snaplen
         bytes[32..36].copy_from_slice(&(MAX_RECORD_LEN + 1).to_le_bytes());
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
+        let mut r = SliceReader::new(&bytes).unwrap();
         assert_eq!(r.snaplen(), u32::MAX);
         assert!(matches!(
-            r.read_record(),
-            Err(PacketError::Malformed(MalformedRecord::CapExceeded { .. }))
+            r.next(),
+            Some(ViewOutcome::TruncatedTail(
+                MalformedRecord::CapExceeded { .. }
+            ))
         ));
     }
 
@@ -1011,25 +660,23 @@ mod tests {
         push_record(&mut bytes, 8, 4, &[0xeeu8; 8]);
         // A well-formed record after the damage.
         push_record(&mut bytes, 3, 3, &[1, 2, 3]);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
+        let mut r = SliceReader::new(&bytes).unwrap();
         assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Record(rec)) if rec == records[0]
+            r.next(),
+            Some(ViewOutcome::Record(rec)) if rec.to_owned() == records[0]
         ));
+        assert_eq!(
+            r.next(),
+            Some(ViewOutcome::Skipped(MalformedRecord::LengthInconsistent {
+                incl_len: 8,
+                orig_len: 4,
+            }))
+        );
         assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Skipped(
-                MalformedRecord::LengthInconsistent {
-                    incl_len: 8,
-                    orig_len: 4,
-                }
-            ))
+            r.next(),
+            Some(ViewOutcome::Record(rec)) if rec.data == [1, 2, 3]
         ));
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Record(rec)) if rec.data == [1, 2, 3]
-        ));
-        assert!(r.read_record_recovering().unwrap().is_none());
+        assert!(r.next().is_none());
     }
 
     #[test]
@@ -1040,19 +687,16 @@ mod tests {
         w.write_record(&records[1]).unwrap();
         let bytes = w.into_inner().unwrap();
         // Cut the file off inside the second record's body.
-        let mut r = PcapReader::new(&bytes[..bytes.len() - 2]).unwrap();
+        let mut r = SliceReader::new(&bytes[..bytes.len() - 2]).unwrap();
+        assert!(matches!(r.next(), Some(ViewOutcome::Record(_))));
         assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Record(_))
-        ));
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::TruncatedTail(
+            r.next(),
+            Some(ViewOutcome::TruncatedTail(
                 MalformedRecord::TruncatedBody { .. }
             ))
         ));
-        assert!(r.read_record_recovering().unwrap().is_none());
-        assert!(r.read_record_recovering().unwrap().is_none());
+        assert!(r.next().is_none());
+        assert!(r.next().is_none());
     }
 
     #[test]
@@ -1062,33 +706,30 @@ mod tests {
         let mut bytes = w.into_inner().unwrap();
         // Damaged record advertising 100 body bytes, of which only 5 exist.
         push_record(&mut bytes, 100, 50, &[0u8; 5]);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
+        let mut r = SliceReader::new(&bytes).unwrap();
+        assert!(matches!(r.next(), Some(ViewOutcome::Record(_))));
         assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Record(_))
-        ));
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::TruncatedTail(
+            r.next(),
+            Some(ViewOutcome::TruncatedTail(
                 MalformedRecord::LengthInconsistent { .. }
             ))
         ));
-        assert!(r.read_record_recovering().unwrap().is_none());
+        assert!(r.next().is_none());
     }
 
-    /// Streams `bytes` through both the owned recovering reader and the
-    /// zero-copy slice reader and asserts identical outcome sequences.
+    /// Asserts that [`SliceReader`] and the streaming oracle yield the same
+    /// outcome sequence over `bytes`.
     fn assert_readers_agree(bytes: &[u8]) {
-        let mut owned = Vec::new();
-        let mut r = PcapReader::new(bytes).unwrap();
-        while let Some(outcome) = r.read_record_recovering().unwrap() {
-            owned.push(outcome);
+        let mut oracle = Oracle::new(bytes).expect("oracle accepts the header");
+        let mut streamed = Vec::new();
+        while let Some(outcome) = oracle.next() {
+            streamed.push(outcome);
         }
-        let borrowed: Vec<RecordOutcome> = SliceReader::new(bytes)
+        let borrowed: Vec<Outcome> = SliceReader::new(bytes)
             .unwrap()
-            .map(|o| o.to_owned())
+            .map(Outcome::from)
             .collect();
-        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed, streamed);
     }
 
     #[test]
@@ -1102,8 +743,8 @@ mod tests {
 
     #[test]
     fn slice_reader_matches_streaming_reader_on_damage() {
-        // Same damage catalog the owned-reader tests use: inconsistent
-        // lengths mid-file, a skip running off EOF, a truncated header.
+        // Inconsistent lengths mid-file, a skip running off EOF, a
+        // truncated header, a truncated body.
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         for r in sample_records() {
             w.write_record(&r).unwrap();
@@ -1142,16 +783,10 @@ mod tests {
         assert_eq!(views.len(), 1);
         let state = first.state();
         assert!(state.offset() > 24, "cursor moved past the global header");
-        let rest: Vec<RecordOutcome> = SliceReader::resume(&bytes, state)
-            .map(|o| o.to_owned())
-            .collect();
-        let full: Vec<RecordOutcome> = SliceReader::new(&bytes)
-            .unwrap()
-            .map(|o| o.to_owned())
-            .collect();
+        let rest: Vec<ViewOutcome<'_>> = SliceReader::resume(&bytes, state).collect();
+        let full: Vec<ViewOutcome<'_>> = SliceReader::new(&bytes).unwrap().collect();
         assert_eq!(rest, full[1..]);
     }
-
     #[test]
     fn slice_reader_resume_rereads_a_completed_tail() {
         // A truncated tail leaves the cursor at the in-flight record's
@@ -1238,6 +873,26 @@ mod tests {
             other => panic!("expected record, got {other:?}"),
         }
         assert!(r.read_record_recovering().is_none());
+
+        // A big-endian microsecond file: header and record fields swapped.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC_LE_US.to_be_bytes());
+        bytes.extend_from_slice(&2u16.to_be_bytes());
+        bytes.extend_from_slice(&4u16.to_be_bytes());
+        bytes.extend_from_slice(&0i32.to_be_bytes());
+        bytes.extend_from_slice(&0u32.to_be_bytes());
+        bytes.extend_from_slice(&65_535u32.to_be_bytes());
+        bytes.extend_from_slice(&LINKTYPE_RAW.to_be_bytes());
+        bytes.extend_from_slice(&42u32.to_be_bytes()); // ts_sec
+        bytes.extend_from_slice(&7u32.to_be_bytes()); // ts_usec
+        bytes.extend_from_slice(&3u32.to_be_bytes()); // incl
+        bytes.extend_from_slice(&3u32.to_be_bytes()); // orig
+        bytes.extend_from_slice(&[0xaa, 0xbb, 0xcc]);
+        let back = read_all(&bytes);
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].ts.as_secs(), 42);
+        assert_eq!(back[0].ts_micros, 7);
+        assert_eq!(back[0].data, vec![0xaa, 0xbb, 0xcc]);
     }
 
     #[test]
@@ -1247,18 +902,24 @@ mod tests {
             w.write_record(&r).unwrap();
         }
         let mut bytes = w.into_inner().unwrap();
+        // A skipped record, then a record header cut off by EOF.
         push_record(&mut bytes, 8, 2, &[0xab; 8]);
-        let reference: Vec<RecordOutcome> = SliceReader::new(&bytes)
-            .unwrap()
-            .map(|o| o.to_owned())
-            .collect();
+        bytes.extend_from_slice(&[0u8; 5]);
+        let reference: Vec<ViewOutcome<'_>> = SliceReader::new(&bytes).unwrap().collect();
+        assert!(reference
+            .iter()
+            .any(|o| matches!(o, ViewOutcome::Skipped(_))));
+        assert!(matches!(
+            reference.last(),
+            Some(ViewOutcome::TruncatedTail(_))
+        ));
         for chunk in [1usize, 2, 1000] {
             let mut r = SliceReader::new(&bytes).unwrap();
             let mut buf = Vec::new();
             let mut collected = Vec::new();
             while r.next_chunk(chunk, &mut buf) {
                 assert!(!buf.is_empty() && buf.len() <= chunk);
-                collected.extend(buf.iter().map(|o| o.to_owned()));
+                collected.extend_from_slice(&buf);
             }
             assert_eq!(collected, reference, "chunk size {chunk}");
         }
@@ -1278,8 +939,8 @@ mod tests {
         let buffered = MappedPcap::open_buffered(&path).unwrap();
         assert!(!buffered.used_mmap());
         assert_eq!(mapped.data(), buffered.data());
-        let a: Vec<RecordOutcome> = mapped.reader().unwrap().map(|o| o.to_owned()).collect();
-        let b: Vec<RecordOutcome> = buffered.reader().unwrap().map(|o| o.to_owned()).collect();
+        let a: Vec<ViewOutcome<'_>> = mapped.reader().unwrap().collect();
+        let b: Vec<ViewOutcome<'_>> = buffered.reader().unwrap().collect();
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         std::fs::remove_file(&path).unwrap();
@@ -1327,9 +988,8 @@ mod tests {
         assert_eq!(bytes.len(), 24 + 16 + 65_535);
         // The clipped record reads back cleanly (incl_len < orig_len is a
         // legitimate snaplen clip, not damage).
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let back = r.read_record().unwrap().unwrap();
-        assert_eq!(back.data.len(), 65_535);
-        assert!(r.read_record().unwrap().is_none());
+        let back = read_all(&bytes);
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].data.len(), 65_535);
     }
 }

@@ -10,14 +10,18 @@
 //! * the walk always terminates (the test finishing is the proof),
 //! * the outcome is a pure function of the bytes: the same seed produces
 //!   the same aggregate statistics on every run,
-//! * the zero-copy [`SliceReader`] agrees with the owned [`PcapReader`]
-//!   outcome-for-outcome on every mutant (DESIGN.md §11).
+//! * [`SliceReader`] agrees outcome-for-outcome with [`Oracle`], an
+//!   independent streaming walk over `std::io::Read`, on every mutant, on
+//!   every prefix of the corpus and on a fixed damage catalog.
 
 use sixscope_packet::{
-    MalformedRecord, PacketBuilder, ParsedPacket, PcapReader, PcapRecord, PcapWriter,
-    RecordOutcome, SliceReader, MAX_RECORD_LEN,
+    MalformedRecord, PacketBuilder, ParsedPacket, PcapRecord, PcapWriter, SliceReader, ViewOutcome,
+    MAX_RECORD_LEN,
 };
 use sixscope_types::{SimTime, Xoshiro256pp};
+
+mod oracle;
+use oracle::{Oracle, Outcome, LINKTYPE_RAW, MAGIC_NS};
 
 const MUTATIONS: usize = 12_000;
 const SEED: u64 = 0x51c_5c09e;
@@ -99,7 +103,7 @@ fn mutate(rng: &mut Xoshiro256pp, buf: &mut Vec<u8>) {
 }
 
 /// Aggregate outcome of one full run; equality pins determinism.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct RunSummary {
     records: u64,
     skipped: u64,
@@ -110,21 +114,115 @@ struct RunSummary {
     fingerprint: u64,
 }
 
+impl RunSummary {
+    fn mix(&mut self, v: u64) {
+        self.fingerprint = self.fingerprint.rotate_left(7) ^ v.wrapping_mul(0x9e3779b97f4a7c15);
+    }
+}
+
+/// Walks `buf` with the slice reader and the oracle in lockstep, asserting
+/// identical header verdicts and outcome sequences, and folds the walk
+/// into `s`.
+fn lockstep(buf: &[u8], s: &mut RunSummary) {
+    let Some(mut oracle) = Oracle::new(buf) else {
+        assert!(
+            SliceReader::new(buf).is_err(),
+            "slice reader accepted a header the oracle rejected"
+        );
+        s.header_rejected += 1;
+        s.mix(1);
+        return;
+    };
+    let mut reader = SliceReader::new(buf).expect("slice reader rejected a header the oracle took");
+    loop {
+        let view = reader.read_record_recovering();
+        assert_eq!(view.map(Outcome::from), oracle.next(), "reader divergence");
+        match view {
+            None => break,
+            Some(ViewOutcome::Record(rec)) => {
+                assert!(
+                    rec.data.len() as u32 <= MAX_RECORD_LEN,
+                    "allocation cap violated: {} bytes",
+                    rec.data.len()
+                );
+                s.records += 1;
+                s.mix(rec.data.len() as u64);
+                match ParsedPacket::parse(rec.data) {
+                    Ok(p) => {
+                        s.packets_parsed += 1;
+                        s.mix(u64::from(p.ext_headers) << 32 | p.payload.len() as u64);
+                    }
+                    Err(_) => s.packets_rejected += 1,
+                }
+            }
+            Some(ViewOutcome::Skipped(m)) => {
+                s.skipped += 1;
+                s.mix(m.reason_index() as u64);
+            }
+            Some(ViewOutcome::TruncatedTail(m)) => {
+                s.truncated_tails += 1;
+                s.mix(0x100 | m.reason_index() as u64);
+            }
+        }
+    }
+}
+
+/// Appends a raw little-endian record header (+ body) to `bytes`.
+fn push_record(bytes: &mut Vec<u8>, incl: u32, orig: u32, body: &[u8]) {
+    for v in [1, 0, incl, orig] {
+        bytes.extend_from_slice(&u32::to_le_bytes(v));
+    }
+    bytes.extend_from_slice(body);
+}
+
+/// `clean` rewritten as a big-endian, nanosecond-resolution file.
+fn big_endian_nanos(clean: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for v in [MAGIC_NS, 0x0002_0004, 0, 0, 65_535, LINKTYPE_RAW] {
+        out.extend_from_slice(&v.to_be_bytes());
+    }
+    for outcome in SliceReader::new(clean).unwrap() {
+        let ViewOutcome::Record(rec) = outcome else {
+            panic!("the clean corpus has no damage");
+        };
+        let len = rec.data.len() as u32;
+        for v in [rec.ts.as_secs() as u32, rec.ts_micros * 1000, len, len] {
+            out.extend_from_slice(&v.to_be_bytes());
+        }
+        out.extend_from_slice(rec.data);
+    }
+    out
+}
+
+/// Fixed inputs walked before the mutants: the clean corpus, a skip that
+/// re-synchronizes, a skip that runs into EOF, a header and a body cut by
+/// EOF, and the other byte order and timestamp resolution.
+fn damage_catalog(clean: &[u8]) -> Vec<Vec<u8>> {
+    let mut resync = clean.to_vec();
+    push_record(&mut resync, 8, 4, &[0xee; 8]);
+    push_record(&mut resync, 3, 3, &[1, 2, 3]);
+    let mut skip_to_eof = clean.to_vec();
+    push_record(&mut skip_to_eof, 100, 50, &[0; 5]);
+    let mut cut_header = clean.to_vec();
+    cut_header.extend_from_slice(&[0; 7]);
+    let cut_body = clean[..clean.len() - 2].to_vec();
+    vec![
+        clean.to_vec(),
+        resync,
+        skip_to_eof,
+        cut_header,
+        cut_body,
+        big_endian_nanos(clean),
+    ]
+}
+
 fn run(seed: u64, mutations: usize) -> RunSummary {
     let base = base_corpus();
+    let mut s = RunSummary::default();
+    for case in damage_catalog(&base) {
+        lockstep(&case, &mut s);
+    }
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut s = RunSummary {
-        records: 0,
-        skipped: 0,
-        truncated_tails: 0,
-        header_rejected: 0,
-        packets_parsed: 0,
-        packets_rejected: 0,
-        fingerprint: 0,
-    };
-    let mix = |s: &mut RunSummary, v: u64| {
-        s.fingerprint = s.fingerprint.rotate_left(7) ^ v.wrapping_mul(0x9e3779b97f4a7c15);
-    };
     for _ in 0..mutations {
         let mut buf = base.clone();
         // One to three stacked mutations per input.
@@ -134,74 +232,7 @@ fn run(seed: u64, mutations: usize) -> RunSummary {
             }
             mutate(&mut rng, &mut buf);
         }
-        let mut reader = match PcapReader::new(&buf[..]) {
-            Ok(r) => r,
-            Err(_) => {
-                assert!(
-                    SliceReader::new(&buf).is_err(),
-                    "slice reader accepted a header the owned reader rejected"
-                );
-                s.header_rejected += 1;
-                mix(&mut s, 1);
-                continue;
-            }
-        };
-        let mut slice_reader =
-            SliceReader::new(&buf).expect("slice reader rejected a header the owned reader took");
-        loop {
-            let view = slice_reader.read_record_recovering().map(|v| v.to_owned());
-            match reader.read_record_recovering() {
-                Ok(None) => {
-                    assert_eq!(view, None, "slice reader yielded past owned EOF");
-                    break;
-                }
-                Ok(Some(RecordOutcome::Record(rec))) => {
-                    assert_eq!(
-                        view,
-                        Some(RecordOutcome::Record(rec.clone())),
-                        "reader divergence on a record"
-                    );
-                    assert!(
-                        rec.data.len() as u32 <= MAX_RECORD_LEN,
-                        "allocation cap violated: {} bytes",
-                        rec.data.len()
-                    );
-                    s.records += 1;
-                    mix(&mut s, rec.data.len() as u64);
-                    match ParsedPacket::parse(&rec.data) {
-                        Ok(p) => {
-                            s.packets_parsed += 1;
-                            mix(
-                                &mut s,
-                                u64::from(p.ext_headers) << 32 | p.payload.len() as u64,
-                            );
-                        }
-                        Err(_) => s.packets_rejected += 1,
-                    }
-                }
-                Ok(Some(RecordOutcome::Skipped(m))) => {
-                    assert_eq!(
-                        view,
-                        Some(RecordOutcome::Skipped(m)),
-                        "reader divergence on a skip"
-                    );
-                    s.skipped += 1;
-                    mix(&mut s, m.reason_index() as u64);
-                }
-                Ok(Some(RecordOutcome::TruncatedTail(m))) => {
-                    assert_eq!(
-                        view,
-                        Some(RecordOutcome::TruncatedTail(m)),
-                        "reader divergence on a truncated tail"
-                    );
-                    s.truncated_tails += 1;
-                    mix(&mut s, 0x100 | m.reason_index() as u64);
-                }
-                // An in-memory slice produces no transient I/O errors, so a
-                // hard Err here would itself be a contract violation.
-                Err(e) => panic!("recovering read returned a non-record error: {e}"),
-            }
-        }
+        lockstep(&buf, &mut s);
     }
     s
 }
@@ -222,25 +253,21 @@ fn mutated_captures_never_panic_overallocate_or_diverge() {
 
 #[test]
 fn sliced_corpus_prefixes_never_panic() {
-    // Every prefix of the clean corpus: EOF at each possible byte offset.
+    // Every prefix of the clean corpus: EOF at each possible byte offset,
+    // walked in lockstep with the oracle.
     let base = base_corpus();
+    let mut s = RunSummary::default();
     for end in 0..base.len() {
-        if let Ok(mut r) = PcapReader::new(&base[..end]) {
-            while let Ok(Some(outcome)) = r.read_record_recovering() {
-                if let RecordOutcome::Record(rec) = outcome {
-                    assert!(rec.data.len() as u32 <= MAX_RECORD_LEN);
-                }
-            }
-        }
+        lockstep(&base[..end], &mut s);
     }
+    assert_eq!(
+        s.header_rejected, 24,
+        "every prefix shorter than the header"
+    );
     // A fully truncated tail at every record boundary flags as such.
-    let mut r = PcapReader::new(&base[..base.len() - 1]).unwrap();
-    let mut saw_tail = false;
-    while let Some(outcome) = r.read_record_recovering().unwrap() {
-        if matches!(outcome, RecordOutcome::TruncatedTail(m) if m.is_truncation()) {
-            saw_tail = true;
-        }
-    }
+    let saw_tail = SliceReader::new(&base[..base.len() - 1])
+        .unwrap()
+        .any(|outcome| matches!(outcome, ViewOutcome::TruncatedTail(m) if m.is_truncation()));
     assert!(saw_tail);
 }
 

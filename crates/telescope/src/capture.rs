@@ -9,7 +9,8 @@
 use crate::config::{TelescopeConfig, TelescopeId};
 use bytes::Bytes;
 use sixscope_packet::{
-    MalformedRecord, ParsedView, PcapRecord, PcapWriter, RecordOutcome, Transport, ViewOutcome,
+    MalformedRecord, PacketError, ParsedView, PcapRecord, PcapWriter, SliceReader, Transport,
+    ViewOutcome,
 };
 use sixscope_types::SimTime;
 use std::fmt;
@@ -177,7 +178,7 @@ impl Capture {
     pub fn attach_pcap<W: Write + Send + Sync + 'static>(
         &mut self,
         writer: W,
-    ) -> Result<(), sixscope_packet::PacketError> {
+    ) -> Result<(), PacketError> {
         self.pcap = Some(PcapWriter::new(
             Box::new(writer) as Box<dyn Write + Send + Sync>
         )?);
@@ -446,63 +447,29 @@ impl Capture {
         self.malformed
     }
 
-    /// Reads a pcap stream into this capture, applying the same filter.
-    ///
-    /// Fail-fast: the first damaged record aborts with an error. Real
-    /// telescope captures should use [`Capture::ingest_pcap_recovering`],
-    /// which confines damage to the record it occurs in.
-    pub fn ingest_pcap<R: std::io::Read>(
-        &mut self,
-        reader: R,
-    ) -> Result<usize, sixscope_packet::PacketError> {
-        let mut count = 0;
-        for rec in sixscope_packet::PcapReader::new(reader)? {
-            let rec = rec?;
-            if self.ingest(rec.ts, &rec.data) {
-                count += 1;
-            }
-        }
-        Ok(count)
-    }
-
-    /// Reads a pcap stream with skip-and-count recovery: damaged records
+    /// Reads a whole pcap file image (a [`sixscope_packet::MappedPcap`]'s
+    /// bytes, or any slice) with skip-and-count recovery: damaged records
     /// are skipped (tallied per reason), a file cut off mid-record yields
     /// every complete record plus the `truncated_tail` marker, and only
-    /// file-level problems — unreadable global header, wrong link type,
-    /// real I/O failure — abort with `Err`.
-    pub fn ingest_pcap_recovering<R: std::io::Read>(
-        &mut self,
-        reader: R,
-    ) -> Result<IngestStats, sixscope_packet::PacketError> {
-        let mut r = sixscope_packet::PcapReader::new(reader)?;
+    /// file-level problems — a short or unknown global header, a wrong link
+    /// type — abort with `Err`. The walk is the one chunked feeds run:
+    /// [`SliceReader::next_chunk`] into [`Capture::extend_from_views`].
+    pub fn ingest_pcap_recovering(&mut self, data: &[u8]) -> Result<IngestStats, PacketError> {
+        let mut reader = SliceReader::new(data)?;
         let mut stats = IngestStats::default();
-        while let Some(outcome) = r.read_record_recovering()? {
-            self.apply_outcome(outcome, &mut stats);
+        let mut views = Vec::new();
+        // Bounded chunks keep the view buffer small on any file size.
+        while reader.next_chunk(1 << 14, &mut views) {
+            self.extend_from_views(&views, &mut stats);
         }
         Ok(stats)
     }
 
     /// Applies one recovering-reader outcome: a complete record is ingested
     /// (filtered/malformed-packet tallies included), a damaged one is
-    /// counted by reason. The streaming pipeline drives this per chunk;
-    /// [`Capture::ingest_pcap_recovering`] is the same loop over a whole
-    /// file.
-    pub fn apply_outcome(&mut self, outcome: RecordOutcome, stats: &mut IngestStats) {
-        match outcome {
-            RecordOutcome::Record(rec) => self.apply_record(rec.ts, &rec.data, stats),
-            RecordOutcome::Skipped(m) => {
-                stats.skipped[m.reason_index()] += 1;
-            }
-            RecordOutcome::TruncatedTail(m) => {
-                stats.skipped[m.reason_index()] += 1;
-                stats.truncated_tail = true;
-            }
-        }
-    }
-
-    /// Zero-copy twin of [`Capture::apply_outcome`]: applies one borrowed
-    /// [`ViewOutcome`] with identical statistics semantics, without the
-    /// owned `Vec<u8>` per record.
+    /// counted by reason. Live feeds that filter outcomes one at a time
+    /// drive this directly; [`Capture::extend_from_views`] is the same
+    /// fold over a run.
     pub fn apply_outcome_view(&mut self, outcome: &ViewOutcome<'_>, stats: &mut IngestStats) {
         match outcome {
             ViewOutcome::Record(rec) => self.apply_record(rec.ts, rec.data, stats),
@@ -703,10 +670,15 @@ mod tests {
         let raw = probe("2001:db8:3::42");
         cap.ingest(SimTime::from_secs(77), &raw);
         let bytes = buf.0.lock().unwrap().clone();
-        let mut reader = sixscope_packet::PcapReader::new(&bytes[..]).unwrap();
-        let rec = reader.read_record().unwrap().unwrap();
-        assert_eq!(rec.ts.as_secs(), 77);
-        assert_eq!(rec.data, raw);
+        let mut reader = SliceReader::new(&bytes).unwrap();
+        match reader.next() {
+            Some(ViewOutcome::Record(rec)) => {
+                assert_eq!(rec.ts.as_secs(), 77);
+                assert_eq!(rec.data, raw);
+            }
+            other => panic!("expected the teed record, got {other:?}"),
+        }
+        assert!(reader.next().is_none());
     }
 
     #[test]
@@ -781,8 +753,8 @@ mod tests {
         .unwrap();
         let bytes = w.into_inner().unwrap();
         let mut cap = t3_capture();
-        let n = cap.ingest_pcap(&bytes[..]).unwrap();
-        assert_eq!(n, 1);
+        let stats = cap.ingest_pcap_recovering(&bytes[..]).unwrap();
+        assert_eq!((stats.parsed, stats.filtered), (1, 1));
         assert_eq!(cap.len(), 1);
         assert_eq!(cap.filtered(), 1);
     }

@@ -6,7 +6,8 @@
 //! the trait collapses them to one shape the pipeline can drive:
 //!
 //! * [`PcapFeed`] — finite; walks one or more finished pcap files through
-//!   the zero-copy [`SliceReader`] exactly like the classic streaming path.
+//!   the zero-copy [`SliceReader`], the walk of
+//!   [`Capture::ingest_pcap_recovering`].
 //! * [`TailFeed`] — live; follows one growing pcap file, remapping it as
 //!   the writer appends, holding back an in-flight truncated record until
 //!   the writer either completes it or goes quiet, and dropping (but
@@ -175,6 +176,19 @@ impl LateFilter {
     }
 }
 
+/// Open-session table sizing for a feed of about `records` records:
+/// distinct concurrently-live sources are a small fraction of records.
+/// Capacity never affects output.
+fn hint_for_records(records: u64) -> usize {
+    (records / 8).clamp(16, 1 << 16) as usize
+}
+
+/// [`hint_for_records`] for `bytes` of pcap: a record is at least 56 bytes
+/// (a 16-byte record header plus a 40-byte IPv6 header).
+fn hint_for_pcap_bytes(bytes: u64) -> usize {
+    hint_for_records(bytes / 56)
+}
+
 /// One open file of a [`PcapFeed`].
 struct OpenPcap {
     display: String,
@@ -211,16 +225,12 @@ impl PcapFeed {
         P: Into<PathBuf>,
     {
         let paths: Vec<PathBuf> = paths.into_iter().map(Into::into).collect();
-        // Pre-size the consumer's open-session tables from the input
-        // sizes: a record is at least 56 bytes (16-byte pcap header + IPv6
-        // header) and distinct live sources are a small fraction of
-        // records. Capacity never affects output.
         let input_bytes: u64 = paths
             .iter()
             .filter_map(|p| std::fs::metadata(p).ok())
             .map(|m| m.len())
             .sum();
-        let hint = ((input_bytes / 56 / 8) as usize).clamp(16, 1 << 16);
+        let hint = hint_for_pcap_bytes(input_bytes);
         PcapFeed {
             paths,
             next_path: 0,
@@ -522,9 +532,8 @@ impl Feed for TailFeed {
 
     fn sources_hint(&self) -> usize {
         // The file is still growing; size the table from what is already
-        // on disk, with the same floor the finite path uses.
-        let bytes = self.mapped.as_ref().map_or(0, |m| m.data().len());
-        (bytes / 56 / 8).clamp(16, 1 << 16)
+        // on disk, mapped or not.
+        hint_for_pcap_bytes(std::fs::metadata(&self.path).map_or(0, |m| m.len()))
     }
 
     fn next_chunk(&mut self) -> Result<FeedChunk, FeedError> {
@@ -651,7 +660,7 @@ impl Feed for SimFeed<'_> {
     }
 
     fn sources_hint(&self) -> usize {
-        (self.capture.len() / 8).clamp(16, 1 << 16)
+        hint_for_records(self.capture.len() as u64)
     }
 
     fn next_chunk(&mut self) -> Result<FeedChunk, FeedError> {
@@ -825,6 +834,24 @@ mod tests {
         assert_eq!(capture.len(), reference.len());
         assert_eq!(stats, ref_stats, "quiesce accounts the tail like batch");
         assert!(stats.truncated_tail);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn tail_feed_sizes_from_the_file_before_the_first_pull() {
+        // 200 records of 69 bytes: a 13 KiB file, past the 7 KiB the floor
+        // of 16 covers.
+        let times: Vec<u64> = (0..200).collect();
+        let path = temp_file("hint.pcap", &pcap_with(&times));
+        let finite = PcapFeed::new(default_capture(), [&path], 64);
+        let live = TailFeed::new(
+            default_capture(),
+            &path,
+            64,
+            crate::session::SESSION_TIMEOUT,
+        );
+        assert!(finite.sources_hint() > 16);
+        assert_eq!(live.sources_hint(), finite.sources_hint());
         std::fs::remove_file(&path).ok();
     }
 

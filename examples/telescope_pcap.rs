@@ -15,6 +15,7 @@
 
 use sixscope_analysis::classify::{addr_selection, profile_scanners};
 use sixscope_analysis::fingerprint::identify;
+use sixscope_packet::MappedPcap;
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, NetworkStrategy, ScannerSpec, SourceModel, TemporalModel, ToolProfile,
@@ -115,8 +116,10 @@ fn main() {
     // The recovering reader is what a real deployment uses: damaged
     // records are skipped and counted instead of aborting the file.
     let mut offline = Capture::new(config);
-    let reader = std::fs::File::open(&pcap_path).expect("open pcap");
-    let stats = offline.ingest_pcap_recovering(reader).expect("parse pcap");
+    let pcap = MappedPcap::open(&pcap_path).expect("open pcap");
+    let stats = offline
+        .ingest_pcap_recovering(pcap.data())
+        .expect("parse pcap");
     println!("re-read from disk: {stats}");
 
     let sessions = Sessionizer::paper(AggLevel::Addr128).sessionize(&offline);

@@ -1,7 +1,7 @@
 //! Integration: the offline pcap pipeline — capture bytes written to pcap,
 //! read back, and analyzed must yield identical results to the live path.
 
-use sixscope_packet::{PcapReader, PcapWriter};
+use sixscope_packet::{PcapWriter, SliceReader, ViewOutcome};
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, NetworkStrategy, ScannerSpec, SourceModel, TemporalModel, ToolProfile,
@@ -74,7 +74,8 @@ fn live_and_offline_pipelines_agree() {
     }
     let pcap_bytes = writer.into_inner().unwrap();
     let mut offline = Capture::new(config);
-    offline.ingest_pcap(&pcap_bytes[..]).unwrap();
+    let stats = offline.ingest_pcap_recovering(&pcap_bytes[..]).unwrap();
+    assert_eq!(stats.parsed, wire.len() as u64, "no record lost or damaged");
 
     assert_eq!(live.packets(), offline.packets());
 
@@ -99,15 +100,18 @@ fn pcap_files_are_self_describing() {
             .unwrap();
     }
     let bytes = writer.into_inner().unwrap();
-    let records: Vec<_> = PcapReader::new(&bytes[..])
+    let records: Vec<_> = SliceReader::new(&bytes)
         .unwrap()
-        .map(Result::unwrap)
+        .map(|outcome| match outcome {
+            ViewOutcome::Record(rec) => rec,
+            other => panic!("expected a record, got {other:?}"),
+        })
         .collect();
     assert_eq!(records.len(), wire.len());
     for (rec, (ts, data)) in records.iter().zip(&wire) {
         assert_eq!(rec.ts, *ts);
-        assert_eq!(&rec.data, data);
+        assert_eq!(rec.data, &data[..]);
         // Every record re-parses as a valid IPv6 packet.
-        sixscope_packet::ParsedPacket::parse(&rec.data).unwrap();
+        sixscope_packet::ParsedPacket::parse(rec.data).unwrap();
     }
 }

@@ -1,11 +1,12 @@
-//! The zero-copy ingest contract (DESIGN.md §11): borrowed record views
-//! must be observably identical to the owned records they replaced, and
-//! the mmap backing must be a pure residency optimization.
+//! The zero-copy ingest contract (DESIGN.md §11): the chunk size of the
+//! record walk must be invisible, and the mmap backing must be a pure
+//! residency optimization.
 //!
-//! * Borrow-vs-owned equivalence: every corpus file — and thousands of
-//!   proptest-mutated variants — fed through `Capture::apply_outcome`
-//!   (owned) and `Capture::extend_from_views` (borrowed) yields identical
-//!   [`IngestStats`] and identical per-packet fields.
+//! * Chunk invisibility: every corpus file — and thousands of
+//!   proptest-mutated variants — fed through `Capture::extend_from_views`
+//!   at chunk sizes 1, 3 and unbounded yields the [`IngestStats`] and
+//!   per-packet fields of the one-shot `Capture::ingest_pcap_recovering`
+//!   walk.
 //! * Fallback: `MappedPcap::open_buffered` (the no-mmap path) produces the
 //!   same bytes, records and statistics as `MappedPcap::open` — the
 //!   backing changes memory residency, never observable output.
@@ -15,7 +16,7 @@ mod common;
 use common::ScratchDir;
 use proptest::prelude::*;
 use sixscope::ingest::passive_config;
-use sixscope_packet::{MappedPcap, PcapReader, SliceReader, ViewOutcome};
+use sixscope_packet::{MappedPcap, SliceReader, ViewOutcome};
 use sixscope_telescope::{Capture, IngestStats};
 use sixscope_types::Ipv6Prefix;
 use std::path::PathBuf;
@@ -35,20 +36,15 @@ fn telescope_prefix() -> Ipv6Prefix {
     "2001:db8::/32".parse().unwrap()
 }
 
-/// Ingests `bytes` through the owned reader and per-record
-/// `apply_outcome` — the pre-zero-copy path.
-fn ingest_owned(bytes: &[u8]) -> Option<(Capture, IngestStats)> {
-    let mut reader = PcapReader::new(bytes).ok()?;
+/// Ingests `bytes` through the one-shot `ingest_pcap_recovering` walk.
+fn ingest_whole(bytes: &[u8]) -> Option<(Capture, IngestStats)> {
     let mut capture = Capture::new(passive_config(telescope_prefix()));
-    let mut stats = IngestStats::default();
-    while let Ok(Some(outcome)) = reader.read_record_recovering() {
-        capture.apply_outcome(outcome, &mut stats);
-    }
+    let stats = capture.ingest_pcap_recovering(bytes).ok()?;
     Some((capture, stats))
 }
 
 /// Ingests `bytes` through borrowed views and the batched
-/// `extend_from_views` feed — the zero-copy path, at chunk size `chunk`.
+/// `extend_from_views` feed at chunk size `chunk`.
 fn ingest_views(bytes: &[u8], chunk: usize) -> Option<(Capture, IngestStats)> {
     let mut reader = SliceReader::new(bytes).ok()?;
     let mut capture = Capture::new(passive_config(telescope_prefix()));
@@ -60,26 +56,27 @@ fn ingest_views(bytes: &[u8], chunk: usize) -> Option<(Capture, IngestStats)> {
     Some((capture, stats))
 }
 
-/// Asserts the two paths agree on every observable: the reader-level
-/// outcome sequence, the ingest statistics, and every per-packet field.
+/// Asserts every chunk size agrees with the one-shot walk on every
+/// observable: header acceptance, the ingest statistics, and every
+/// per-packet field.
 fn assert_paths_agree(bytes: &[u8], label: &str) {
-    let owned = ingest_owned(bytes);
+    let whole = ingest_whole(bytes);
     for chunk in [1usize, 3, usize::MAX] {
         let views = ingest_views(bytes, chunk);
-        match (&owned, views) {
+        match (&whole, views) {
             (None, None) => {}
-            (Some((ocap, ostats)), Some((vcap, vstats))) => {
-                assert_eq!(ostats, &vstats, "{label}: stats diverged at chunk {chunk}");
+            (Some((wcap, wstats)), Some((vcap, vstats))) => {
+                assert_eq!(wstats, &vstats, "{label}: stats diverged at chunk {chunk}");
                 assert_eq!(
-                    ocap.packets(),
+                    wcap.packets(),
                     vcap.packets(),
                     "{label}: packets diverged at chunk {chunk}"
                 );
-                assert_eq!(ocap.filtered(), vcap.filtered(), "{label}: filtered count");
+                assert_eq!(wcap.filtered(), vcap.filtered(), "{label}: filtered count");
             }
-            (o, v) => panic!(
-                "{label}: header acceptance diverged: owned={} views={}",
-                o.is_some(),
+            (w, v) => panic!(
+                "{label}: header acceptance diverged: one-shot={} chunked={}",
+                w.is_some(),
                 v.is_some()
             ),
         }
@@ -102,8 +99,8 @@ fn mmap_and_buffered_backings_are_observably_identical() {
         let buffered = MappedPcap::open_buffered(&path).unwrap();
         assert!(!buffered.used_mmap());
         assert_eq!(mapped.data(), buffered.data(), "{name}: backing bytes");
-        let (mcap, mstats) = ingest_views(mapped.data(), usize::MAX).unwrap();
-        let (bcap, bstats) = ingest_views(buffered.data(), usize::MAX).unwrap();
+        let (mcap, mstats) = ingest_whole(mapped.data()).unwrap();
+        let (bcap, bstats) = ingest_whole(buffered.data()).unwrap();
         assert_eq!(mstats, bstats, "{name}: stats diverged across backings");
         assert_eq!(mcap.packets(), bcap.packets(), "{name}: packets");
     }
@@ -127,8 +124,8 @@ fn empty_and_missing_files_degrade_gracefully() {
 }
 
 proptest! {
-    /// Mutated corpus bytes (truncations, byte flips, splices) ingest
-    /// identically through the borrowed and owned paths.
+    /// Mutated corpus bytes (truncations, byte flips) ingest identically
+    /// at every chunk size.
     #[test]
     fn mutated_corpora_ingest_identically(
         file in 0usize..CORPUS.len(),
