@@ -12,7 +12,7 @@ use sixscope::json::Json;
 use sixscope::sim::ScenarioConfig;
 use sixscope::Pipeline;
 use sixscope_bench::report::{figures_section, tables_section};
-use sixscope_bench::{comparisons_markdown, peak_rss_kib, take_comparisons, SEED};
+use sixscope_bench::{comparisons_markdown, peak_rss_kib, SEED};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -119,14 +119,13 @@ fn main() {
     .unwrap();
 
     let tables_start = Instant::now();
-    tables_section(&a, &mut out);
+    let mut rows = tables_section(&a, &mut out);
     let tables_secs = tables_start.elapsed().as_secs_f64();
     let figures_start = Instant::now();
-    figures_section(&a, &mut out);
+    rows.extend(figures_section(&a, &mut out));
     let figures_secs = figures_start.elapsed().as_secs_f64();
 
     writeln!(out, "\n## Comparison summary\n").unwrap();
-    let rows = take_comparisons();
     let holds = rows.iter().filter(|r| r.holds).count();
     out.push_str(&comparisons_markdown(&rows));
     writeln!(out, "\n**{holds} of {} shape checks hold.**", rows.len()).unwrap();

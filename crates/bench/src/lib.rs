@@ -4,7 +4,7 @@
 
 use sixscope::sim::ScenarioConfig;
 use sixscope::{Analyzed, Pipeline};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 pub mod report;
 
@@ -61,31 +61,6 @@ pub struct Comparison {
     pub measured: String,
     /// Does the shape hold?
     pub holds: bool,
-}
-
-static COMPARISONS: Mutex<Vec<Comparison>> = Mutex::new(Vec::new());
-
-/// Records a comparison row (collected into EXPERIMENTS.md by `repro`).
-pub fn record(experiment: &str, metric: &str, paper: &str, measured: String, holds: bool) {
-    record_row(Comparison {
-        experiment: experiment.to_string(),
-        metric: metric.to_string(),
-        paper: paper.to_string(),
-        measured,
-        holds,
-    });
-}
-
-/// Records an already-built comparison row. The report layer computes rows
-/// in parallel and replays them through here in report order, so the global
-/// comparison list stays deterministic.
-pub fn record_row(row: Comparison) {
-    COMPARISONS.lock().unwrap().push(row);
-}
-
-/// Drains all recorded comparisons.
-pub fn take_comparisons() -> Vec<Comparison> {
-    std::mem::take(&mut COMPARISONS.lock().unwrap())
 }
 
 /// Renders comparisons as a markdown table.

@@ -1,6 +1,6 @@
 //! The EXPERIMENTS.md report body: every table and figure of the paper
-//! rendered from an [`Analyzed`] corpus, with paper-vs-measured comparison
-//! rows recorded via [`crate::record_row`].
+//! rendered from an [`Analyzed`] corpus, with the paper-vs-measured
+//! comparison rows each section returns.
 //!
 //! The `repro` binary and the report-determinism test both build the report
 //! through these two functions, so byte-identity checks exercise exactly
@@ -9,10 +9,10 @@
 //! Each table and figure is an independent pure function of the corpus, so
 //! the sections dispatch their items through the order-preserving
 //! [`map_indexed`] helper: items compute (text + comparison rows) in
-//! parallel, then the section appends the text and records the rows
+//! parallel, then the section appends the text and collects the rows
 //! serially in report order. Output is byte-identical at any thread count.
 
-use crate::{record_row, Comparison};
+use crate::Comparison;
 use sixscope::tables::{self, Headline};
 use sixscope::{figures, render, Analyzed};
 use sixscope_analysis::classify::TemporalClass;
@@ -29,7 +29,7 @@ struct Item {
 
 type ItemFn = fn(&Analyzed) -> Item;
 
-/// Builds a comparison row (the parallel-safe form of [`crate::record`]).
+/// Builds a comparison row.
 fn row(experiment: &str, metric: &str, paper: &str, measured: String, holds: bool) -> Comparison {
     Comparison {
         experiment: experiment.to_string(),
@@ -40,19 +40,21 @@ fn row(experiment: &str, metric: &str, paper: &str, measured: String, holds: boo
     }
 }
 
-/// Computes the items in parallel, then replays text and rows in order.
-fn run_items(a: &Analyzed, items: &[ItemFn], out: &mut String) {
+/// Computes the items in parallel, then appends their text and returns
+/// their rows, both in item order.
+fn run_items(a: &Analyzed, items: &[ItemFn], out: &mut String) -> Vec<Comparison> {
     let built = map_indexed(num_threads(None), items, |_, item| item(a));
+    let mut rows = Vec::new();
     for item in built {
         out.push_str(&item.text);
-        for r in item.rows {
-            record_row(r);
-        }
+        rows.extend(item.rows);
     }
+    rows
 }
 
-/// Appends the tables section (overview, Tables 2–8, headline numbers).
-pub fn tables_section(a: &Analyzed, out: &mut String) {
+/// Appends the tables section (overview, Tables 2–8, headline numbers) and
+/// returns its comparison rows in report order.
+pub fn tables_section(a: &Analyzed, out: &mut String) -> Vec<Comparison> {
     writeln!(out, "## Tables\n").unwrap();
     const ITEMS: &[ItemFn] = &[
         overview_item,
@@ -65,11 +67,12 @@ pub fn tables_section(a: &Analyzed, out: &mut String) {
         table8_item,
         headline_item,
     ];
-    run_items(a, ITEMS, out);
+    run_items(a, ITEMS, out)
 }
 
-/// Appends the figures section (Figs. 3–17).
-pub fn figures_section(a: &Analyzed, out: &mut String) {
+/// Appends the figures section (Figs. 3–17) and returns its comparison
+/// rows in report order.
+pub fn figures_section(a: &Analyzed, out: &mut String) -> Vec<Comparison> {
     writeln!(out, "## Figures\n").unwrap();
     const ITEMS: &[ItemFn] = &[
         fig3_item,
@@ -87,7 +90,7 @@ pub fn figures_section(a: &Analyzed, out: &mut String) {
         fig16_item,
         fig17_item,
     ];
-    run_items(a, ITEMS, out);
+    run_items(a, ITEMS, out)
 }
 
 fn overview_item(a: &Analyzed) -> Item {

@@ -6,7 +6,7 @@
 use sixscope::sim::ScenarioConfig;
 use sixscope::Pipeline;
 use sixscope_bench::report::{figures_section, tables_section};
-use sixscope_bench::{comparisons_markdown, take_comparisons, BENCH_SCALE, SEED};
+use sixscope_bench::{comparisons_markdown, BENCH_SCALE, SEED};
 
 /// Builds the complete report body from a fresh experiment run.
 fn report_body() -> String {
@@ -14,9 +14,9 @@ fn report_body() -> String {
         .run()
         .expect("simulated runs cannot fail");
     let mut out = String::new();
-    tables_section(&a, &mut out);
-    figures_section(&a, &mut out);
-    out.push_str(&comparisons_markdown(&take_comparisons()));
+    let mut rows = tables_section(&a, &mut out);
+    rows.extend(figures_section(&a, &mut out));
+    out.push_str(&comparisons_markdown(&rows));
     out
 }
 

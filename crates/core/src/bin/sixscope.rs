@@ -5,7 +5,7 @@
 //! sixscope serve <file.pcap|--sim F> [--out DIR]    live telescope daemon
 //! sixscope ingest <file.pcap>… [--report out.md]    hardened real-pcap ingest
 //! sixscope analyze <telescope-prefix> <file.pcap>…  analyze real captures
-//! sixscope shard <file.pcap>… --out f.sixshard      ingest one worker's shard
+//! sixscope shard <file.pcap>… --out f.sixshard      write one worker's packets
 //! sixscope merge <f.sixshard>…                      gather shards and analyze
 //! sixscope schedule <covering/32>                   print the Fig.-2 split plan
 //! sixscope classify <addr>…                         RFC 7707 address typing
@@ -106,13 +106,14 @@ USAGE:
 
     sixscope shard <capture.pcap> [more.pcap…] --out <file.sixshard>
             [--prefix P] [--chunk N]
-        Ingest and sessionize one worker's captures and write the result
-        as one .sixshard file — the scatter side of federated sharding.
+        Read one worker's captures and write their packets and recovery
+        statistics as one .sixshard file — the scatter side of federated
+        sharding (sessions are built by merge).
 
     sixscope merge <file.sixshard> [more.sixshard…] [--json]
-        Gather .sixshard files (in capture order per telescope) and run
-        the full analysis; the output is byte-identical to analyzing the
-        concatenated pcaps in one process.
+        Gather .sixshard files (in capture order per telescope),
+        sessionize them and run the full analysis; the output is
+        byte-identical to analyzing the concatenated pcaps in one process.
 
     sixscope schedule <covering-prefix/32> [--weeks-baseline N]
         Print the bi-weekly asymmetric split plan (paper Fig. 2).
@@ -131,10 +132,6 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
         pipeline = pipeline.threads(n);
     }
     let analyzed = pipeline.run()?;
-    if flags.is_true("json") {
-        print!("{}", serve::tables_report(&analyzed, true));
-        return Ok(());
-    }
     if let Some(dir) = flags.get("pcap-dir") {
         std::fs::create_dir_all(dir).map_err(|source| Error::Io {
             path: dir.to_string(),
@@ -147,7 +144,7 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
             eprintln!("wrote {path}");
         }
     }
-    print!("{}", serve::tables_report(&analyzed, false));
+    print!("{}", serve::tables_report(&analyzed, flags.is_true("json")));
     Ok(())
 }
 
@@ -415,10 +412,7 @@ fn cmd_shard(args: &[String]) -> Result<(), Error> {
     }
     let out = pipeline.to_shard(out_path)?;
     print_file_stats(&out.file_stats, &out.stats);
-    eprintln!(
-        "wrote {out_path}: {} packets, {} sessions (/128), {} sessions (/64)",
-        out.packets, out.sessions128, out.sessions64
-    );
+    eprintln!("wrote {out_path}: {} packets", out.packets);
     Ok(())
 }
 

@@ -18,12 +18,11 @@ use std::time::Instant;
 pub struct AnalysisTimings {
     /// The phase that produced the per-telescope sessions and index
     /// shards, end to end: the chunked feeds (sessionizer pushes plus
-    /// index-shard appends, wall-clock of the parallel stage), or the
-    /// read and merge of shard files.
+    /// index-shard appends, wall-clock of the parallel stage), plus, for
+    /// a shard merge, the read and decode of the files before them.
     pub streaming: f64,
     /// Time spent pushing packets into the incremental sessionizers
-    /// (summed across the per-telescope jobs; zero for a shard merge,
-    /// which stitches sessions instead).
+    /// (summed across the per-telescope jobs).
     pub sessionize: f64,
     /// The index shard-merge and finalize ([`CorpusIndex::from_shards`]).
     pub index_build: f64,
@@ -84,6 +83,8 @@ impl Analyzed {
     /// a [`FeedConsumer`] (incremental sessionizers at /128 and /64 plus an
     /// index-shard accumulator), then merging the shards into the
     /// [`CorpusIndex`] — the same consumer the pcap and live paths use.
+    /// Simulated captures and the time-ordered captures a shard gather
+    /// concatenates both come through here.
     ///
     /// The four per-telescope feeds are independent pure functions of
     /// their capture, so they run on worker threads (`SIXSCOPE_THREADS`

@@ -20,7 +20,6 @@
 //! lists. Captures are time-sorted by construction, which makes every time
 //! window a `partition_point` slice.
 
-use crate::error::Error;
 use sixscope_analysis::addrtype::classify;
 use sixscope_analysis::classify::{
     addr_selection, profile_scanners, AddrSelection, ScannerProfile,
@@ -230,34 +229,31 @@ impl PacketColumns {
 /// A shard accumulates exactly the per-packet facts [`PacketColumns`]
 /// stores, except that source addresses stay raw (`u128`): global source
 /// ids cannot be assigned until every chunk has been seen. The streaming
-/// pipeline appends one chunk at a time with [`IndexShard::push_range`],
-/// merges shards in capture order with [`IndexShard::absorb`] (mirroring
-/// `Capture::absorb`), and finally [`CorpusIndex::from_shards`] interns the
-/// union of the shard source sets and resolves the raw columns to ids —
-/// producing the same columns whatever the chunking.
+/// pipeline appends one chunk at a time with [`IndexShard::push_range`] —
+/// the only code that writes index columns — and finally
+/// [`CorpusIndex::from_shards`] interns the union of the shard source sets
+/// and resolves the raw columns to ids, producing the same columns
+/// whatever the chunking.
 #[derive(Debug, Clone, Default)]
 pub struct IndexShard {
     /// Shard-local source interning. Arena order is first-encounter; the
     /// merge sorts the union, so final ids still land in ascending key
     /// order exactly as the old `BTreeSet` union assigned them.
-    ///
-    /// (Fields are `pub(crate)` so the shard-file codec can write them out
-    /// and rebuild validated shards without an intermediate copy.)
-    pub(crate) sources128: InternTable<SourceKey>,
-    pub(crate) sources64: InternTable<SourceKey>,
-    pub(crate) ts: Vec<SimTime>,
+    sources128: InternTable<SourceKey>,
+    sources64: InternTable<SourceKey>,
+    ts: Vec<SimTime>,
     /// Raw source address per packet (resolved to ids at merge time).
-    pub(crate) src: Vec<u128>,
-    pub(crate) class: Vec<u8>,
-    pub(crate) proto: Vec<u8>,
-    pub(crate) port: Vec<u32>,
-    pub(crate) week: Vec<u32>,
-    pub(crate) day: Vec<u32>,
-    pub(crate) dst: Vec<u128>,
-    pub(crate) prefix: Vec<u32>,
+    src: Vec<u128>,
+    class: Vec<u8>,
+    proto: Vec<u8>,
+    port: Vec<u32>,
+    week: Vec<u32>,
+    day: Vec<u32>,
+    dst: Vec<u128>,
+    prefix: Vec<u32>,
     /// Shard-local announced-prefix interning (first-encounter order; only
-    /// the id→prefix direction is consumed); remapped on absorb.
-    pub(crate) prefix_ids: InternTable<Ipv6Prefix>,
+    /// the id→prefix direction is consumed).
+    prefix_ids: InternTable<Ipv6Prefix>,
 }
 
 impl IndexShard {
@@ -295,7 +291,18 @@ impl IndexShard {
         visibility: &CompiledVisibility,
     ) {
         let packets = &capture.packets()[range];
-        self.ts.reserve(packets.len());
+        // Every column grows by the chunk up front, so a one-chunk feed
+        // allocates each column once, at its final size.
+        let n = packets.len();
+        self.ts.reserve(n);
+        self.src.reserve(n);
+        self.class.reserve(n);
+        self.proto.reserve(n);
+        self.port.reserve(n);
+        self.week.reserve(n);
+        self.day.reserve(n);
+        self.dst.reserve(n);
+        self.prefix.reserve(n);
         // Packets are non-decreasing in time (asserted below), so the
         // epoch lookup rides a monotone cursor instead of a binary search
         // per packet.
@@ -330,92 +337,6 @@ impl IndexShard {
             };
             self.prefix.push(prefix);
         }
-    }
-
-    /// Order-preserving merge: appends `other`'s columns after this shard's
-    /// (chunks must be absorbed in capture order, like `Capture::absorb`
-    /// shards), unions the source sets, and remaps `other`'s local prefix
-    /// ids — preserving global first-encounter order, so the merged shard
-    /// is indistinguishable from one built sequentially.
-    ///
-    /// # Panics
-    /// Panics when `other` starts before this shard ends (time order) —
-    /// appropriate for the in-process streaming path, where chunk order is
-    /// a pipeline invariant and violating it is a bug. File-loaded shards
-    /// are user input, not invariants: route those through
-    /// [`IndexShard::try_absorb`] instead.
-    pub fn absorb(&mut self, other: IndexShard) {
-        if let (Some(&end), Some(&start)) = (self.ts.last(), other.ts.first()) {
-            assert!(end <= start, "absorbing an out-of-order index shard");
-        }
-        self.merge_unchecked(other);
-    }
-
-    /// Checked form of [`IndexShard::absorb`] for shards loaded from files:
-    /// an out-of-order shard yields [`Error::Analysis`] (CLI exit code 6)
-    /// instead of aborting the process, and `self` is left untouched.
-    pub fn try_absorb(&mut self, other: IndexShard) -> Result<(), Error> {
-        if let (Some(&end), Some(&start)) = (self.ts.last(), other.ts.first()) {
-            if end > start {
-                return Err(Error::Analysis(format!(
-                    "out-of-order index shard: previous shard ends at t={} \
-                     but next starts at t={} — pass shard files in capture \
-                     order",
-                    end.as_secs(),
-                    start.as_secs()
-                )));
-            }
-        }
-        self.merge_unchecked(other);
-        Ok(())
-    }
-
-    /// The shared merge body of [`IndexShard::absorb`] and
-    /// [`IndexShard::try_absorb`]; callers have already established time
-    /// order.
-    fn merge_unchecked(&mut self, other: IndexShard) {
-        let remap: Vec<u32> = other
-            .prefix_ids
-            .keys()
-            .iter()
-            .map(|&pre| self.prefix_ids.insert(pre).id)
-            .collect();
-        // One exact reservation per column, then append — the merge path
-        // must never grow a destination vector mid-extend (realloc churn is
-        // what this guards against; the debug assertion pins it).
-        let n = other.ts.len();
-        self.prefix.reserve_exact(n);
-        self.ts.reserve_exact(n);
-        self.src.reserve_exact(n);
-        self.class.reserve_exact(n);
-        self.proto.reserve_exact(n);
-        self.port.reserve_exact(n);
-        self.week.reserve_exact(n);
-        self.day.reserve_exact(n);
-        self.dst.reserve_exact(n);
-        let cap_before = (self.ts.capacity(), self.dst.capacity());
-        for id in other.prefix {
-            self.prefix.push(if id == NO_ID {
-                NO_ID
-            } else {
-                remap[id as usize]
-            });
-        }
-        self.ts.extend(other.ts);
-        self.src.extend(other.src);
-        self.class.extend(other.class);
-        self.proto.extend(other.proto);
-        self.port.extend(other.port);
-        self.week.extend(other.week);
-        self.day.extend(other.day);
-        self.dst.extend(other.dst);
-        debug_assert_eq!(
-            (self.ts.capacity(), self.dst.capacity()),
-            cap_before,
-            "IndexShard::absorb reallocated mid-merge"
-        );
-        self.sources128.absorb(&other.sources128);
-        self.sources64.absorb(&other.sources64);
     }
 
     /// Resolves the raw source column against the final interned source
@@ -943,47 +864,31 @@ mod tests {
         }
     }
 
-    /// A minimal shard whose packets sit at the given timestamps — enough
-    /// structure to exercise the absorb order check.
-    fn shard_at(ts: &[u64]) -> IndexShard {
-        let mut s = IndexShard::new();
-        for &t in ts {
-            s.ts.push(SimTime::from_secs(t));
-            s.src.push(1);
-            s.class.push(0);
-            s.proto.push(0);
-            s.port.push(0);
-            s.week.push(0);
-            s.day.push(0);
-            s.dst.push(2);
-            s.prefix.push(NO_ID);
-        }
-        s
-    }
-
     #[test]
-    fn try_absorb_accepts_in_order_shards() {
-        let mut acc = shard_at(&[0, 10]);
-        acc.try_absorb(shard_at(&[10, 20])).unwrap();
-        acc.try_absorb(shard_at(&[])).unwrap();
-        acc.try_absorb(shard_at(&[20])).unwrap();
-        assert_eq!(acc.len(), 5);
-    }
-
-    #[test]
-    fn try_absorb_rejects_out_of_order_shards_without_mutating() {
-        let mut acc = shard_at(&[0, 10]);
-        let err = acc.try_absorb(shard_at(&[9])).unwrap_err();
-        assert!(matches!(err, Error::Analysis(_)));
-        assert!(err.to_string().contains("out-of-order"));
-        assert_eq!(acc.len(), 2, "failed absorb must leave the shard intact");
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn absorb_panics_on_out_of_order_shards() {
-        let mut acc = shard_at(&[0, 10]);
-        acc.absorb(shard_at(&[9]));
+    #[should_panic(expected = "non-decreasing packet times")]
+    fn push_range_panics_on_out_of_order_chunks() {
+        let packet = |t: u64| sixscope_telescope::CapturedPacket {
+            ts: SimTime::from_secs(t),
+            telescope: TelescopeId::T1,
+            src: "2001:db8::1".parse().unwrap(),
+            dst: "2001:db8:1::2".parse().unwrap(),
+            protocol: Protocol::Icmpv6,
+            src_port: None,
+            dst_port: None,
+            payload: Default::default(),
+        };
+        let capture = Capture::restore(
+            crate::ingest::passive_config(Ipv6Prefix::default_route()),
+            vec![packet(0), packet(10), packet(9)],
+            0,
+            0,
+        );
+        let compiled = CompiledVisibility::compile(&sixscope_sim::Visibility::from_events(&[]));
+        let mut shard = IndexShard::new();
+        shard.push_range(&capture, 0..2, &compiled);
+        assert_eq!(shard.len(), 2);
+        // The next chunk starts before the shard's last packet.
+        shard.push_range(&capture, 2..3, &compiled);
     }
 
     #[test]

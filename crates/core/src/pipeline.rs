@@ -29,7 +29,7 @@
 use crate::corpus::{Analyzed, StreamSettings};
 use crate::index::IndexShard;
 use crate::ingest::passive_config;
-use crate::shardfile::{merge_group, read_shard_groups, write_shard, TelescopeShard};
+use crate::shardfile::{gather_shards, write_shard, TelescopeShard};
 use crate::Error;
 use sixscope_scanners::population::Population;
 use sixscope_scanners::ExperimentLayout;
@@ -88,10 +88,6 @@ pub struct PipelineOutput {
 pub struct ShardOutput {
     /// Packets retained by the capture filter and written to the shard.
     pub packets: usize,
-    /// Scan sessions at /128 written to the shard.
-    pub sessions128: usize,
-    /// Scan sessions at /64 written to the shard.
-    pub sessions64: usize,
     /// Combined recovery statistics over all input files.
     pub stats: IngestStats,
     /// Per-file recovery statistics, in input order.
@@ -120,10 +116,11 @@ impl Pipeline {
 
     /// Gathers `.sixshard` files (written by [`Pipeline::to_shard`]
     /// workers) into one analyzed corpus. Shards of the same telescope
-    /// must be given in capture order; their id-interned tables are
-    /// remapped and absorbed exactly as the streaming path absorbs
-    /// in-process chunks, so the merged corpus is byte-identical to a
-    /// single-process run over the concatenated packets.
+    /// must be given in capture order; their captures are concatenated
+    /// and sessionized and indexed exactly as a simulated capture is, so
+    /// the merged corpus is byte-identical to a single-process run over
+    /// the concatenated packets, and [`Pipeline::session_timeout`],
+    /// [`Pipeline::chunk_records`] and [`Pipeline::threads`] apply.
     pub fn from_shards<I, P>(paths: I) -> Pipeline
     where
         I: IntoIterator<Item = P>,
@@ -158,8 +155,8 @@ impl Pipeline {
         self
     }
 
-    /// Streaming chunk size in pcap records (and, for the simulated path,
-    /// in packets per sessionizer/shard feed). Bounds live memory on the
+    /// Streaming chunk size in pcap records (and, for the simulated and
+    /// shard paths, in packets per feed chunk). Bounds live memory on the
     /// pcap path; output bytes never depend on it. Defaults to unchunked.
     pub fn chunk_records(mut self, records: usize) -> Pipeline {
         self.chunk_records = records.max(1);
@@ -205,46 +202,40 @@ impl Pipeline {
         }
     }
 
-    /// Runs the ingest half of the pipeline only and writes the result as
-    /// one `.sixshard` file — the scatter side of federated sharding. Only
-    /// the pcap source can scatter; simulated and shard sources are
-    /// [`Error::Usage`].
+    /// Reads the pcaps into one capture and writes it, with the recovery
+    /// statistics, as one `.sixshard` file — the scatter side of federated
+    /// sharding. Sessions and the index are built at the gather
+    /// ([`Pipeline::from_shards`]). Only the pcap source can scatter;
+    /// simulated and shard sources are [`Error::Usage`].
     pub fn to_shard<P: AsRef<std::path::Path>>(self, out: P) -> Result<ShardOutput, Error> {
-        let settings = StreamSettings {
-            chunk_records: self.chunk_records,
-            session_timeout: self.session_timeout,
-            threads: self.threads,
+        let Source::Pcaps { paths, prefix } = self.source else {
+            return Err(Error::Usage(
+                "shard export requires a pcap source (Pipeline::from_pcaps)".into(),
+            ));
         };
-        let (paths, prefix) = match self.source {
-            Source::Pcaps { paths, prefix } => (paths, prefix),
-            _ => {
-                return Err(Error::Usage(
-                    "shard export requires a pcap source (Pipeline::from_pcaps)".into(),
-                ))
-            }
-        };
-        let ing = ingest_pcaps(&paths, prefix, &settings)?;
-        let shard = TelescopeShard {
-            capture: ing.capture,
-            session_timeout: settings.session_timeout,
-            stats: ing.stats.clone(),
-            sessions128: ing.feed.sessions128,
-            sessions64: ing.feed.sessions64,
-            index: ing.feed.shard,
-        };
+        let mut feed = PcapFeed::new(
+            Capture::new(passive_config(prefix)),
+            paths,
+            self.chunk_records,
+        );
+        while !feed.next_chunk()?.end_of_feed {}
+        let (mut capture, stats, file_stats) = feed.finish();
+        // The format stores packets in time order: the same stable sort
+        // the in-process path applies to disordered input.
+        if !capture.is_time_sorted() {
+            capture.sort_by_time();
+        }
+        let shard = TelescopeShard { capture, stats };
         write_shard(out.as_ref(), &shard)?;
         Ok(ShardOutput {
             packets: shard.capture.len(),
-            sessions128: shard.sessions128.len(),
-            sessions64: shard.sessions64.len(),
-            stats: ing.stats,
-            file_stats: ing.file_stats,
+            stats: shard.stats,
+            file_stats,
         })
     }
 }
 
-/// One telescope's fully ingested state: what the scatter side writes to a
-/// shard file and what the in-process path feeds straight to the gather.
+/// One telescope's fully ingested pcap state, fed straight to the gather.
 struct IngestedTelescope {
     capture: Capture,
     feed: ConsumedFeed,
@@ -258,7 +249,7 @@ struct IngestedTelescope {
 ///
 /// The consumer is the only code that turns a packet range into sessions
 /// and index columns, for every [`Feed`] — batch pcaps, a live tail, or a
-/// simulated capture — and for every shard piece. If the feed ever
+/// simulated or shard-gathered capture. If the feed ever
 /// delivers packets out of time order (live feeds admit in-horizon
 /// disorder; finite feeds simply reflect their files) the incremental
 /// state is abandoned and [`FeedConsumer::finish`] falls back to sort +
@@ -277,8 +268,8 @@ pub(crate) struct FeedConsumer {
 }
 
 /// One telescope's sessions and index shard: what a drained (or
-/// snapshotted) [`FeedConsumer`] or a shard merge hands to
-/// [`Analyzed::gather`]. The default is an empty telescope.
+/// snapshotted) [`FeedConsumer`] hands to [`Analyzed::gather`]. The
+/// default is an empty telescope.
 #[derive(Debug, Default)]
 pub(crate) struct ConsumedFeed {
     pub sessions128: Vec<ScanSession>,
@@ -374,9 +365,7 @@ impl FeedConsumer {
             self.s64.push(idx, p);
         }
         self.sessionize += push_start.elapsed().as_secs_f64();
-        let mut piece = IndexShard::new();
-        piece.push_range(capture, range, compiled);
-        self.shard.absorb(piece);
+        self.shard.push_range(capture, range, compiled);
     }
 
     /// Closes the consumer. If disorder was seen, sorts the capture and
@@ -454,8 +443,9 @@ fn ingest_pcaps(
     })
 }
 
-/// The in-process pcap path: ingest into one telescope, then gather it
-/// exactly as the shard-file merge gathers its telescopes.
+/// The in-process pcap path: ingest into one telescope, then hand its
+/// consumed feed to [`Analyzed::gather`], which fills in the absent
+/// telescopes empty.
 fn stream_pcaps(
     paths: &[PathBuf],
     prefix: Ipv6Prefix,
@@ -465,64 +455,44 @@ fn stream_pcaps(
     let ing = ingest_pcaps(paths, prefix, settings)?;
     let ingest = ingest_start.elapsed().as_secs_f64();
     let id = ing.capture.config().id;
-    Ok(assemble_gathered(
+    let result = gathered_result(
         BTreeMap::from([(id, ing.capture)]),
-        BTreeMap::from([(id, ing.feed)]),
+        Visibility::from_events(&[]),
+    );
+    let fed = BTreeMap::from([(id, ing.feed)]);
+    Ok(PipelineOutput {
+        analyzed: Analyzed::gather(result, fed, num_threads(settings.threads), ingest),
+        sim: ScenarioTimings::default(),
         ingest,
-        ing.stats,
-        ing.file_stats,
-        settings,
-    ))
+        stats: ing.stats,
+        file_stats: ing.file_stats,
+    })
 }
 
 /// The gather side of federated sharding: reads every `.sixshard` file,
-/// groups them by telescope in path order, merges each group exactly as
-/// the streaming path absorbs in-process chunks, and assembles the corpus.
+/// joins each telescope's shards into one capture, and streams the
+/// captures through [`Analyzed::stream`] like a simulated experiment. The
+/// `streaming` stage (and `ingest`) is the read and decode of the files
+/// plus that feed.
 fn stream_shards(paths: &[PathBuf], settings: &StreamSettings) -> Result<PipelineOutput, Error> {
     if paths.is_empty() {
         return Err(Error::Usage(
             "merge requires at least one .sixshard file".into(),
         ));
     }
-    let ingest_start = Instant::now();
-    let (groups, file_stats) = read_shard_groups(paths)?;
-    let mut total = IngestStats::default();
-    let mut captures = BTreeMap::new();
-    let mut feeds = BTreeMap::new();
-    for (id, group) in groups {
-        let merged = merge_group(group)?;
-        total.absorb(&merged.stats);
-        captures.insert(id, merged.capture);
-        feeds.insert(id, merged.feed);
-    }
-    let ingest = ingest_start.elapsed().as_secs_f64();
-    Ok(assemble_gathered(
-        captures, feeds, ingest, total, file_stats, settings,
-    ))
-}
-
-/// The gather half shared by the in-process pcap path and the shard-file
-/// merge: wraps the gathered captures into an [`ExperimentResult`] and
-/// hands them with their consumed feeds to [`Analyzed::gather`], which
-/// fills in absent telescopes empty — so both paths produce the same
-/// corpus shape from the same packets.
-fn assemble_gathered(
-    captures: BTreeMap<TelescopeId, Capture>,
-    feeds: BTreeMap<TelescopeId, ConsumedFeed>,
-    ingest: f64,
-    stats: IngestStats,
-    file_stats: Vec<(String, IngestStats)>,
-    settings: &StreamSettings,
-) -> PipelineOutput {
-    let result = gathered_result(captures, Visibility::from_events(&[]));
-    let threads = num_threads(settings.threads);
-    PipelineOutput {
-        analyzed: Analyzed::gather(result, feeds, threads, ingest),
+    let read_start = Instant::now();
+    let gathered = gather_shards(paths)?;
+    let read = read_start.elapsed().as_secs_f64();
+    let result = gathered_result(gathered.captures, Visibility::from_events(&[]));
+    let mut analyzed = Analyzed::stream(result, settings);
+    analyzed.timings.streaming += read;
+    Ok(PipelineOutput {
+        ingest: analyzed.timings.streaming,
+        analyzed,
         sim: ScenarioTimings::default(),
-        ingest,
-        stats,
-        file_stats,
-    }
+        stats: gathered.stats,
+        file_stats: gathered.file_stats,
+    })
 }
 
 /// Wraps gathered captures into the [`ExperimentResult`] shape the

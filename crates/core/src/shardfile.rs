@@ -1,47 +1,35 @@
 //! The `.sixshard` wire format — federated scatter/gather for the corpus
 //! (DESIGN.md §13).
 //!
-//! One shard file carries everything one worker learned from one
-//! telescope's packets: the capture itself, ingest statistics, both
-//! session lists and the [`IndexShard`] columns, so a coordinator can
-//! [`merge_experiment`] N files into the exact corpus a single process
-//! would have built. The format is sectioned (magic + version + section
-//! table), little-endian throughout, and canonical: encoding a shard twice
-//! yields identical bytes.
+//! One shard file carries what one worker read from one telescope's
+//! packets: the telescope configuration, the ingest statistics and the
+//! capture itself. Nothing derived from the packets is stored: the gather
+//! concatenates each telescope's captures and builds sessions and index
+//! columns through [`Analyzed::stream`], the same feed consumer every
+//! other input goes through, so a coordinator can [`merge_experiment`] N
+//! files into the exact corpus a single process would have built. The
+//! format is sectioned (magic + version + section table), little-endian
+//! throughout, and canonical: encoding a shard twice yields identical
+//! bytes.
 //!
 //! Shard files are **untrusted input**, like pcaps. Every length prefix is
 //! bounds-checked against the bytes actually present before anything is
 //! allocated (mirroring the pcap reader's [`MAX_RECORD_LEN`] discipline),
-//! and every derived column is validated against recomputation from the
-//! embedded capture, so a decoded shard upholds the same invariants as one
-//! built in-process — downstream analysis cannot be driven into a panic by
-//! a damaged or hostile file. All violations surface as [`ShardError`]
-//! wrapped in [`Error::Shard`] (CLI exit code 7).
-//!
-//! # Id-remap contract
-//!
-//! Interned *source* tables are written in [`InternTable::sorted_keys`]
-//! order — canonical, and safe because the final merge re-sorts the union
-//! before assigning global ids. The interned *prefix* table is written in
-//! first-encounter order instead: the prefix column stores ids into that
-//! table, and [`IndexShard::try_absorb`] remaps them on merge, which
-//! reproduces the global first-encounter order only if each shard preserves
-//! its local one. The decoder enforces this (ids must first appear in
-//! ascending order and cover the table), which also makes the encoding
-//! canonical.
+//! and every field is validated — known codes, canonical prefixes,
+//! time-ordered packets — so downstream analysis cannot be driven into a
+//! panic by a damaged or hostile file. All violations surface as
+//! [`ShardError`] wrapped in [`Error::Shard`] (CLI exit code 7).
 
 use crate::corpus::{Analyzed, StreamSettings};
 use crate::error::Error;
-use crate::index::{encode_port, proto_code, IndexShard, NO_ID, PORT_NONE};
-use crate::pipeline::{ConsumedFeed, FeedConsumer};
-use sixscope_analysis::addrtype::classify;
+use crate::index::proto_code;
 use sixscope_packet::MAX_RECORD_LEN;
-use sixscope_sim::{CompiledVisibility, ExperimentResult};
+use sixscope_sim::ExperimentResult;
 use sixscope_telescope::{
-    AggLevel, Bytes, Capture, CapturedPacket, IngestStats, Protocol, ScanSession, SessionStitcher,
-    SourceKey, TelescopeConfig, TelescopeId, TelescopeKind, SESSION_TIMEOUT,
+    Bytes, Capture, CapturedPacket, IngestStats, Protocol, TelescopeConfig, TelescopeId,
+    TelescopeKind,
 };
-use sixscope_types::{chunk_ranges, num_threads, InternTable, Ipv6Prefix, SimDuration, SimTime};
+use sixscope_types::{chunk_ranges, Ipv6Prefix, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::path::{Path, PathBuf};
@@ -53,20 +41,10 @@ pub const MAGIC: [u8; 8] = *b"SIXSHARD";
 /// Current format version. Decoders reject other versions outright
 /// (DESIGN.md §13 versioning rule: the format is rewritten, never patched
 /// in place — a version bump is a new format).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section tags, in the exact order they must appear in the section table.
-const SECTION_TAGS: [(u32, &str); 9] = [
-    (1, "config"),
-    (2, "stats"),
-    (3, "capture"),
-    (4, "sources128"),
-    (5, "sources64"),
-    (6, "prefixes"),
-    (7, "columns"),
-    (8, "sessions128"),
-    (9, "sessions64"),
-];
+const SECTION_TAGS: [(u32, &str); 3] = [(1, "config"), (2, "stats"), (3, "capture")];
 
 /// Why a `.sixshard` file failed to decode.
 #[derive(Debug)]
@@ -138,23 +116,14 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// One telescope's complete shard: the decoded (or to-be-encoded) contents
-/// of a `.sixshard` file.
+/// One telescope's shard: the decoded (or to-be-encoded) contents of a
+/// `.sixshard` file.
 #[derive(Debug)]
 pub struct TelescopeShard {
     /// The capture — config, packets in time order, filter counters.
     pub capture: Capture,
-    /// The session timeout the sessions below were built with; every shard
-    /// of a merge must agree.
-    pub session_timeout: SimDuration,
     /// Ingest recovery statistics of the worker's pcap reads.
     pub stats: IngestStats,
-    /// Scan sessions at /128 over this shard's packets (local indices).
-    pub sessions128: Vec<ScanSession>,
-    /// Scan sessions at /64 over this shard's packets (local indices).
-    pub sessions64: Vec<ScanSession>,
-    /// The columnar index piece over this shard's packets.
-    pub index: IndexShard,
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +199,6 @@ fn encode_config(shard: &TelescopeShard) -> Vec<u8> {
         }
         None => e.u8(0),
     }
-    e.u64(shard.session_timeout.as_secs());
     e.buf
 }
 
@@ -280,92 +248,12 @@ fn encode_capture(shard: &TelescopeShard) -> Vec<u8> {
     e.buf
 }
 
-fn encode_sources(keys: Vec<SourceKey>) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(keys.len() as u64);
-    for key in keys {
-        e.prefix(key.prefix);
-    }
-    e.buf
-}
-
-fn encode_prefixes(table: &InternTable<Ipv6Prefix>) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(table.len() as u64);
-    for &p in table.keys() {
-        e.prefix(p);
-    }
-    e.buf
-}
-
-fn encode_columns(index: &IndexShard) -> Vec<u8> {
-    let n = index.ts.len();
-    let mut e = Enc::default();
-    e.u64(n as u64);
-    // Each column is length-prefixed in bytes so a reader can skip or
-    // bounds-check it without knowing the element layout.
-    e.u64((n * 8) as u64);
-    for &t in &index.ts {
-        e.u64(t.as_secs());
-    }
-    e.u64((n * 16) as u64);
-    for &s in &index.src {
-        e.u128(s);
-    }
-    e.u64(n as u64);
-    e.bytes(&index.class);
-    e.u64(n as u64);
-    e.bytes(&index.proto);
-    e.u64((n * 4) as u64);
-    for &p in &index.port {
-        e.u32(p);
-    }
-    e.u64((n * 4) as u64);
-    for &w in &index.week {
-        e.u32(w);
-    }
-    e.u64((n * 4) as u64);
-    for &d in &index.day {
-        e.u32(d);
-    }
-    e.u64((n * 16) as u64);
-    for &d in &index.dst {
-        e.u128(d);
-    }
-    e.u64((n * 4) as u64);
-    for &p in &index.prefix {
-        e.u32(p);
-    }
-    e.buf
-}
-
-fn encode_sessions(sessions: &[ScanSession]) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(sessions.len() as u64);
-    for s in sessions {
-        e.prefix(s.source.prefix);
-        e.u64(s.start.as_secs());
-        e.u64(s.end.as_secs());
-        e.u32(s.packet_indices.len() as u32);
-        for &i in &s.packet_indices {
-            e.u32(i);
-        }
-    }
-    e.buf
-}
-
 /// Encodes a shard into the canonical `.sixshard` byte representation.
 pub fn encode_shard(shard: &TelescopeShard) -> Vec<u8> {
     let sections = [
         encode_config(shard),
         encode_stats(shard),
         encode_capture(shard),
-        encode_sources(shard.index.sources128.sorted_keys()),
-        encode_sources(shard.index.sources64.sorted_keys()),
-        encode_prefixes(&shard.index.prefix_ids),
-        encode_columns(&shard.index),
-        encode_sessions(&shard.sessions128),
-        encode_sessions(&shard.sessions64),
     ];
     let mut out = Enc::default();
     out.bytes(&MAGIC);
@@ -519,7 +407,7 @@ fn decode_protocol(code: u8, c: &Cursor<'_>) -> Result<Protocol, ShardError> {
     }
 }
 
-fn decode_config(buf: &[u8]) -> Result<(TelescopeConfig, SimDuration), ShardError> {
+fn decode_config(buf: &[u8]) -> Result<TelescopeConfig, ShardError> {
     let mut c = Cursor::new(buf, "config");
     let id = decode_telescope(c.u8()?, &c)?;
     let kind = decode_kind(c.u8()?, &c)?;
@@ -535,19 +423,15 @@ fn decode_config(buf: &[u8]) -> Result<(TelescopeConfig, SimDuration), ShardErro
     } else {
         None
     };
-    let timeout = SimDuration::secs(c.u64()?);
     c.done()?;
-    Ok((
-        TelescopeConfig {
-            id,
-            kind,
-            prefix,
-            separately_announced,
-            dns_exposed,
-            productive_subnet,
-        },
-        timeout,
-    ))
+    Ok(TelescopeConfig {
+        id,
+        kind,
+        prefix,
+        separately_announced,
+        dns_exposed,
+        productive_subnet,
+    })
 }
 
 /// Capture-level counters riding in the stats section.
@@ -637,326 +521,6 @@ fn decode_capture(buf: &[u8], id: TelescopeId) -> Result<Vec<CapturedPacket>, Sh
     Ok(packets)
 }
 
-/// Encoded size of one source entry (prefix bits + length).
-const SOURCE_ENTRY_LEN: usize = 17;
-
-fn decode_sources(
-    buf: &[u8],
-    section: &'static str,
-    level: AggLevel,
-) -> Result<Vec<SourceKey>, ShardError> {
-    let mut c = Cursor::new(buf, section);
-    let n = c.count(SOURCE_ENTRY_LEN)?;
-    let mut keys: Vec<SourceKey> = Vec::with_capacity(n);
-    for i in 0..n {
-        let prefix = c.prefix()?;
-        if prefix.len() != level.bits() {
-            return Err(c.corrupt(format!(
-                "source {i} has length /{}, expected /{}",
-                prefix.len(),
-                level.bits()
-            )));
-        }
-        let key = SourceKey { prefix };
-        if let Some(prev) = keys.last() {
-            if *prev >= key {
-                return Err(c.corrupt(format!("source {i} breaks strict ascending order")));
-            }
-        }
-        keys.push(key);
-    }
-    c.done()?;
-    Ok(keys)
-}
-
-fn decode_prefixes(buf: &[u8]) -> Result<Vec<Ipv6Prefix>, ShardError> {
-    let mut c = Cursor::new(buf, "prefixes");
-    let n = c.count(SOURCE_ENTRY_LEN)?;
-    let mut prefixes = Vec::with_capacity(n);
-    for _ in 0..n {
-        prefixes.push(c.prefix()?);
-    }
-    let mut sorted = prefixes.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.len() != prefixes.len() {
-        return Err(c.corrupt("duplicate entries in the prefix table".into()));
-    }
-    c.done()?;
-    Ok(prefixes)
-}
-
-/// The decoded columns section, still unvalidated against the capture.
-struct RawColumns {
-    ts: Vec<SimTime>,
-    src: Vec<u128>,
-    class: Vec<u8>,
-    proto: Vec<u8>,
-    port: Vec<u32>,
-    week: Vec<u32>,
-    day: Vec<u32>,
-    dst: Vec<u128>,
-    prefix: Vec<u32>,
-}
-
-fn column_bytes<'a>(
-    c: &mut Cursor<'a>,
-    n: usize,
-    elem: usize,
-    name: &str,
-) -> Result<&'a [u8], ShardError> {
-    let len = c.u64()?;
-    let expected = (n * elem) as u64;
-    if len != expected {
-        return Err(c.corrupt(format!(
-            "{name} column claims {len} bytes, expected {expected} ({n} × {elem})"
-        )));
-    }
-    c.take(len as usize)
-}
-
-fn decode_columns(buf: &[u8], packets: usize) -> Result<RawColumns, ShardError> {
-    let mut c = Cursor::new(buf, "columns");
-    let n = c.u64()? as usize;
-    if n != packets {
-        return Err(c.corrupt(format!(
-            "column length {n} disagrees with the capture's {packets} packets"
-        )));
-    }
-    let ts = column_bytes(&mut c, n, 8, "ts")?
-        .chunks_exact(8)
-        .map(|b| SimTime::from_secs(u64::from_le_bytes(b.try_into().unwrap())))
-        .collect();
-    let src = column_bytes(&mut c, n, 16, "src")?
-        .chunks_exact(16)
-        .map(|b| u128::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    let class = column_bytes(&mut c, n, 1, "class")?.to_vec();
-    let proto = column_bytes(&mut c, n, 1, "proto")?.to_vec();
-    let u32s = |b: &[u8]| -> Vec<u32> {
-        b.chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-            .collect()
-    };
-    let port = u32s(column_bytes(&mut c, n, 4, "port")?);
-    let week = u32s(column_bytes(&mut c, n, 4, "week")?);
-    let day = u32s(column_bytes(&mut c, n, 4, "day")?);
-    let dst = column_bytes(&mut c, n, 16, "dst")?
-        .chunks_exact(16)
-        .map(|b| u128::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    let prefix = u32s(column_bytes(&mut c, n, 4, "prefix")?);
-    c.done()?;
-    Ok(RawColumns {
-        ts,
-        src,
-        class,
-        proto,
-        port,
-        week,
-        day,
-        dst,
-        prefix,
-    })
-}
-
-/// Minimum encoded size of one session (one packet index).
-const MIN_SESSION_LEN: usize = 17 + 8 + 8 + 4 + 4;
-
-fn decode_sessions(
-    buf: &[u8],
-    section: &'static str,
-    level: AggLevel,
-    id: TelescopeId,
-    ts: &[SimTime],
-    sources: &InternTable<SourceKey>,
-) -> Result<Vec<ScanSession>, ShardError> {
-    let mut c = Cursor::new(buf, section);
-    let n = c.count(MIN_SESSION_LEN)?;
-    let mut sessions: Vec<ScanSession> = Vec::with_capacity(n);
-    for i in 0..n {
-        let prefix = c.prefix()?;
-        if prefix.len() != level.bits() {
-            return Err(c.corrupt(format!(
-                "session {i} source has length /{}, expected /{}",
-                prefix.len(),
-                level.bits()
-            )));
-        }
-        let source = SourceKey { prefix };
-        if sources.get(&source).is_none() {
-            return Err(c.corrupt(format!(
-                "session {i} source {source} does not appear in the capture"
-            )));
-        }
-        let start = SimTime::from_secs(c.u64()?);
-        let end = SimTime::from_secs(c.u64()?);
-        if let Some(prev) = sessions.last() {
-            if start < prev.start {
-                return Err(c.corrupt(format!(
-                    "session {i} starts before its predecessor (sessions must be \
-                     in start order)"
-                )));
-            }
-        }
-        let npkts = c.u32()? as usize;
-        if npkts == 0 {
-            return Err(c.corrupt(format!("session {i} has no packets")));
-        }
-        if npkts > c.remaining() / 4 {
-            return Err(ShardError::Oversized {
-                section,
-                count: npkts as u64,
-                limit: (c.remaining() / 4) as u64,
-            });
-        }
-        let mut packet_indices = Vec::with_capacity(npkts);
-        for _ in 0..npkts {
-            let idx = c.u32()?;
-            if idx as usize >= ts.len() {
-                return Err(c.corrupt(format!(
-                    "session {i} references packet {idx} of a {}-packet capture",
-                    ts.len()
-                )));
-            }
-            if let Some(&prev) = packet_indices.last() {
-                if idx <= prev {
-                    return Err(c.corrupt(format!(
-                        "session {i} packet indices are not strictly increasing"
-                    )));
-                }
-            }
-            packet_indices.push(idx);
-        }
-        if start != ts[packet_indices[0] as usize] {
-            return Err(c.corrupt(format!(
-                "session {i} start does not match its first packet's timestamp"
-            )));
-        }
-        if end != ts[*packet_indices.last().expect("npkts >= 1") as usize] {
-            return Err(c.corrupt(format!(
-                "session {i} end does not match its last packet's timestamp"
-            )));
-        }
-        sessions.push(ScanSession {
-            source,
-            telescope: id,
-            start,
-            end,
-            packet_indices,
-        });
-    }
-    c.done()?;
-    Ok(sessions)
-}
-
-/// Rebuilds the index shard from the validated capture and wire data, and
-/// cross-checks every derived column against recomputation — the decoded
-/// shard is exactly what [`IndexShard::push_range`] would have produced,
-/// so downstream merge/finalize invariants hold unconditionally.
-fn rebuild_index(
-    packets: &[CapturedPacket],
-    cols: RawColumns,
-    prefixes: Vec<Ipv6Prefix>,
-    wire128: &[SourceKey],
-    wire64: &[SourceKey],
-) -> Result<IndexShard, ShardError> {
-    let c = Cursor::new(&[], "columns");
-    let mut sources128: InternTable<SourceKey> = InternTable::new();
-    let mut sources64: InternTable<SourceKey> = InternTable::new();
-    for (i, p) in packets.iter().enumerate() {
-        sources128.insert(SourceKey::new(p.src, AggLevel::Addr128));
-        sources64.insert(SourceKey::new(p.src, AggLevel::Subnet64));
-        if cols.ts[i] != p.ts {
-            return Err(c.corrupt(format!("ts column disagrees with packet {i}")));
-        }
-        if cols.src[i] != u128::from(p.src) {
-            return Err(c.corrupt(format!("src column disagrees with packet {i}")));
-        }
-        if cols.class[i] != classify(p.dst).code() {
-            return Err(c.corrupt(format!("class column disagrees with packet {i}")));
-        }
-        if cols.proto[i] != proto_code(p.protocol) {
-            return Err(c.corrupt(format!("proto column disagrees with packet {i}")));
-        }
-        let port = match (p.protocol, p.dst_port) {
-            (Protocol::Tcp, Some(port)) => {
-                encode_port(sixscope_types::ports::PortLabel::classify_tcp(port))
-            }
-            (Protocol::Udp, Some(port)) => {
-                encode_port(sixscope_types::ports::PortLabel::classify_udp(port))
-            }
-            _ => PORT_NONE,
-        };
-        if cols.port[i] != port {
-            return Err(c.corrupt(format!("port column disagrees with packet {i}")));
-        }
-        if cols.week[i] != p.ts.week() as u32 {
-            return Err(c.corrupt(format!("week column disagrees with packet {i}")));
-        }
-        if cols.day[i] != p.ts.day() as u32 {
-            return Err(c.corrupt(format!("day column disagrees with packet {i}")));
-        }
-        if cols.dst[i] != u128::from(p.dst) {
-            return Err(c.corrupt(format!("dst column disagrees with packet {i}")));
-        }
-    }
-    // The wire source tables (sorted) must be exactly the packet key sets.
-    if sources128.sorted_keys() != wire128 {
-        return Err(c.corrupt("sources128 table disagrees with the capture's source set".into()));
-    }
-    if sources64.sorted_keys() != wire64 {
-        return Err(c.corrupt("sources64 table disagrees with the capture's source set".into()));
-    }
-    // The prefix column is the one non-recomputable column (it encodes the
-    // writer's visibility LPM): bounds-check every id and require ids to
-    // first appear in ascending order covering the table — the
-    // first-encounter discipline [`IndexShard::try_absorb`]'s remap relies
-    // on, and the property that makes the encoding canonical.
-    let mut seen = vec![false; prefixes.len()];
-    let mut next = 0u32;
-    for (i, &id) in cols.prefix.iter().enumerate() {
-        if id == NO_ID {
-            continue;
-        }
-        if id as usize >= prefixes.len() {
-            return Err(c.corrupt(format!(
-                "prefix column entry {i} references id {id} of a {}-entry table",
-                prefixes.len()
-            )));
-        }
-        if !seen[id as usize] {
-            if id != next {
-                return Err(c.corrupt(format!(
-                    "prefix id {id} first appears out of first-encounter order"
-                )));
-            }
-            seen[id as usize] = true;
-            next += 1;
-        }
-    }
-    if (next as usize) != prefixes.len() {
-        return Err(c.corrupt(format!(
-            "{} prefix table entries are never referenced",
-            prefixes.len() - next as usize
-        )));
-    }
-    Ok(IndexShard {
-        sources128,
-        sources64,
-        ts: cols.ts,
-        src: cols.src,
-        class: cols.class,
-        proto: cols.proto,
-        port: cols.port,
-        week: cols.week,
-        day: cols.day,
-        dst: cols.dst,
-        prefix: cols.prefix,
-        prefix_ids: InternTable::from_keys(prefixes),
-    })
-}
-
 /// Decodes a `.sixshard` byte buffer into a fully validated shard.
 pub fn decode_shard(bytes: &[u8]) -> Result<TelescopeShard, ShardError> {
     let mut header = Cursor::new(bytes, "header");
@@ -1002,39 +566,11 @@ pub fn decode_shard(bytes: &[u8]) -> Result<TelescopeShard, ShardError> {
         bodies.push(header.take(len as usize)?);
     }
 
-    let (config, session_timeout) = decode_config(bodies[0])?;
+    let config = decode_config(bodies[0])?;
     let (stats, counters) = decode_stats(bodies[1])?;
     let packets = decode_capture(bodies[2], config.id)?;
-    let wire128 = decode_sources(bodies[3], "sources128", AggLevel::Addr128)?;
-    let wire64 = decode_sources(bodies[4], "sources64", AggLevel::Subnet64)?;
-    let prefixes = decode_prefixes(bodies[5])?;
-    let cols = decode_columns(bodies[6], packets.len())?;
-    let index = rebuild_index(&packets, cols, prefixes, &wire128, &wire64)?;
-    let sessions128 = decode_sessions(
-        bodies[7],
-        "sessions128",
-        AggLevel::Addr128,
-        config.id,
-        &index.ts,
-        &index.sources128,
-    )?;
-    let sessions64 = decode_sessions(
-        bodies[8],
-        "sessions64",
-        AggLevel::Subnet64,
-        config.id,
-        &index.ts,
-        &index.sources64,
-    )?;
     let capture = Capture::restore(config, packets, counters.filtered, counters.malformed);
-    Ok(TelescopeShard {
-        capture,
-        session_timeout,
-        stats,
-        sessions128,
-        sessions64,
-        index,
-    })
+    Ok(TelescopeShard { capture, stats })
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,44 +602,56 @@ pub fn write_shard<P: AsRef<Path>>(path: P, shard: &TelescopeShard) -> Result<()
 // ---------------------------------------------------------------------------
 // Scatter / gather
 
-/// Shard files grouped by telescope, each group in path order, with every
-/// file labelled by its path.
-type ShardGroups = BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>>;
+/// Every telescope covered by a set of shard files, gathered: one
+/// concatenated capture per telescope, plus the ingest statistics summed
+/// over all files and listed per file (in path order).
+pub(crate) struct GatheredShards {
+    pub captures: BTreeMap<TelescopeId, Capture>,
+    pub stats: IngestStats,
+    pub file_stats: Vec<(String, IngestStats)>,
+}
 
-/// Reads shard files and groups them by telescope, each group in path
-/// order. Also returns each file's ingest statistics, in path order.
-pub(crate) fn read_shard_groups(
-    paths: &[PathBuf],
-) -> Result<(ShardGroups, Vec<(String, IngestStats)>), Error> {
-    let mut groups = ShardGroups::new();
+/// Reads shard files, groups them by telescope in path order and joins
+/// each group with [`merge_group`].
+pub(crate) fn gather_shards(paths: &[PathBuf]) -> Result<GatheredShards, Error> {
+    let mut groups: BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>> = BTreeMap::new();
+    let mut stats = IngestStats::default();
     let mut file_stats = Vec::with_capacity(paths.len());
     for path in paths {
         let display = path.display().to_string();
         let shard = read_shard(path)?;
+        stats.absorb(&shard.stats);
         file_stats.push((display.clone(), shard.stats.clone()));
         groups
             .entry(shard.capture.config().id)
             .or_default()
             .push((display, shard));
     }
-    Ok((groups, file_stats))
+    let mut captures = BTreeMap::new();
+    for (id, group) in groups {
+        captures.insert(id, merge_group(group)?);
+    }
+    Ok(GatheredShards {
+        captures,
+        stats,
+        file_stats,
+    })
 }
 
-/// One telescope's shards merged back together.
-#[derive(Debug)]
-pub(crate) struct MergedTelescope {
-    pub capture: Capture,
-    pub stats: IngestStats,
-    pub feed: ConsumedFeed,
-}
-
-/// Merges one telescope's shards, in the order given (which must be
-/// capture order). Configs and session timeouts must agree across the
-/// group; out-of-order shards yield [`Error::Analysis`].
-pub(crate) fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<MergedTelescope, Error> {
-    let first = &shards.first().expect("merge_group requires shards").1;
-    let config = first.capture.config().clone();
-    let timeout = first.session_timeout;
+/// Joins one telescope's shards, in the order given, into one capture.
+/// Every shard must share the first one's configuration and start no
+/// earlier than the previous non-empty shard ends (seam order), so the
+/// joined capture is time-sorted; a violation is [`Error::Analysis`]
+/// (CLI exit code 6) naming the offending file.
+fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<Capture, Error> {
+    let config = shards
+        .first()
+        .expect("merge_group requires shards")
+        .1
+        .capture
+        .config()
+        .clone();
+    let mut end = SimTime::EPOCH;
     for (name, shard) in &shards {
         if *shard.capture.config() != config {
             return Err(Error::Analysis(format!(
@@ -1111,44 +659,25 @@ pub(crate) fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<Merge
                  configuration than the group's first shard"
             )));
         }
-        if shard.session_timeout != timeout {
-            return Err(Error::Analysis(format!(
-                "shard {name} was sessionized with timeout {} but the group \
-                 uses {}",
-                shard.session_timeout, timeout
-            )));
+        let packets = shard.capture.packets();
+        if let (Some(first), Some(last)) = (packets.first(), packets.last()) {
+            if first.ts < end {
+                return Err(Error::Analysis(format!(
+                    "out-of-order shard {name}: it starts at t={} but the previous \
+                     shard ends at t={} — pass shard files in capture order",
+                    first.ts.as_secs(),
+                    end.as_secs()
+                )));
+            }
+            end = last.ts;
         }
     }
-    let mut index = IndexShard::new();
-    let mut stats = IngestStats::default();
-    let mut st128 = SessionStitcher::new(timeout);
-    let mut st64 = SessionStitcher::new(timeout);
-    let mut packets = Vec::new();
-    let mut filtered = 0u64;
-    let mut malformed = 0u64;
-    for (name, shard) in shards {
-        index.try_absorb(shard.index).map_err(|e| match e {
-            Error::Analysis(msg) => Error::Analysis(format!("{msg} (at {name})")),
-            other => other,
-        })?;
-        let piece = shard.capture.len() as u32;
-        st128.absorb(shard.sessions128, piece);
-        st64.absorb(shard.sessions64, piece);
-        stats.absorb(&shard.stats);
-        filtered += shard.capture.filtered();
-        malformed += shard.capture.malformed();
-        packets.extend(shard.capture.into_packets());
+    let total = shards.iter().map(|(_, shard)| shard.capture.len()).sum();
+    let mut capture = Capture::restore(config, Vec::with_capacity(total), 0, 0);
+    for (_, shard) in shards {
+        capture.absorb(shard.capture);
     }
-    Ok(MergedTelescope {
-        capture: Capture::restore(config, packets, filtered, malformed),
-        stats,
-        feed: ConsumedFeed {
-            sessions128: st128.finish(),
-            sessions64: st64.finish(),
-            shard: index,
-            ..ConsumedFeed::default()
-        },
-    })
+    Ok(capture)
 }
 
 /// Scatters a finished experiment into `pieces` shard files per telescope
@@ -1166,7 +695,6 @@ pub fn write_experiment_shards(
         path: dir.display().to_string(),
         source,
     })?;
-    let compiled = CompiledVisibility::compile(&result.visibility);
     let mut paths = Vec::new();
     for id in TelescopeId::ALL {
         let capture = &result.captures[&id];
@@ -1184,22 +712,14 @@ pub fn write_experiment_shards(
             } else {
                 (0, 0)
             };
-            let mut piece = Capture::restore(
-                capture.config().clone(),
-                capture.packets()[range].to_vec(),
-                filtered,
-                malformed,
-            );
-            let mut consumer = FeedConsumer::new(0, &StreamSettings::default());
-            consumer.consume(&piece, 0..piece.len(), &compiled);
-            let fed = consumer.finish(&mut piece, &compiled);
             let shard = TelescopeShard {
-                capture: piece,
-                session_timeout: SESSION_TIMEOUT,
+                capture: Capture::restore(
+                    capture.config().clone(),
+                    capture.packets()[range].to_vec(),
+                    filtered,
+                    malformed,
+                ),
                 stats: IngestStats::default(),
-                sessions128: fed.sessions128,
-                sessions64: fed.sessions64,
-                index: fed.shard,
             };
             let path = dir.join(format!("{id}-{k}.sixshard"));
             write_shard(&path, &shard)?;
@@ -1213,44 +733,43 @@ pub fn write_experiment_shards(
 /// the simulation-side metadata (layout, schedule, population, hitlist,
 /// visibility) and replacing its captures with the shard contents. All
 /// four telescopes must be covered and each group's shards must arrive in
-/// capture order. The corpus's `streaming` time is the read and merge of
-/// the files.
+/// capture order. Sessions and the index are built by
+/// [`Analyzed::stream`]; the corpus's `streaming` time is the read and
+/// decode of the files plus that feed.
 pub fn merge_experiment(
     mut result: ExperimentResult,
     paths: &[PathBuf],
     threads: Option<usize>,
 ) -> Result<Analyzed, Error> {
-    let merge_start = Instant::now();
-    let (mut groups, _) = read_shard_groups(paths)?;
-    let mut fed = BTreeMap::new();
+    let read_start = Instant::now();
+    let mut gathered = gather_shards(paths)?;
     for id in TelescopeId::ALL {
-        let group = groups
+        let capture = gathered
+            .captures
             .remove(&id)
             .ok_or_else(|| Error::Analysis(format!("no shard file covers telescope {id}")))?;
-        let merged = merge_group(group)?;
-        if *merged.capture.config() != *result.captures[&id].config() {
+        if *capture.config() != *result.captures[&id].config() {
             return Err(Error::Analysis(format!(
                 "telescope {id}'s shards disagree with the experiment's \
                  configuration"
             )));
         }
-        result.captures.insert(id, merged.capture);
-        fed.insert(id, merged.feed);
+        result.captures.insert(id, capture);
     }
-    let streaming = merge_start.elapsed().as_secs_f64();
-    Ok(Analyzed::gather(
-        result,
-        fed,
-        num_threads(threads),
-        streaming,
-    ))
+    let read = read_start.elapsed().as_secs_f64();
+    let settings = StreamSettings {
+        threads,
+        ..StreamSettings::default()
+    };
+    let mut analyzed = Analyzed::stream(result, &settings);
+    analyzed.timings.streaming += read;
+    Ok(analyzed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ingest::passive_config;
-    use sixscope_sim::Visibility;
 
     fn pkt(
         t: u64,
@@ -1271,14 +790,10 @@ mod tests {
         }
     }
 
-    /// Builds a shard from packets exactly as the ingest path does: one
-    /// feed consumer over the whole capture.
+    /// A shard over `packets` as a worker writes one: capture counters
+    /// and ingest statistics set.
     fn build(packets: Vec<CapturedPacket>) -> TelescopeShard {
         let capture = Capture::restore(passive_config(Ipv6Prefix::default_route()), packets, 2, 1);
-        let compiled = CompiledVisibility::compile(&Visibility::from_events(&[]));
-        let mut consumer = FeedConsumer::new(0, &StreamSettings::default());
-        consumer.consume(&capture, 0..capture.len(), &compiled);
-        let fed = consumer.finish_in_order();
         let stats = IngestStats {
             records_read: capture.len() as u64 + 3,
             parsed: capture.len() as u64,
@@ -1287,14 +802,7 @@ mod tests {
             truncated_tail: true,
             ..IngestStats::default()
         };
-        TelescopeShard {
-            capture,
-            session_timeout: SESSION_TIMEOUT,
-            stats,
-            sessions128: fed.sessions128,
-            sessions64: fed.sessions64,
-            index: fed.shard,
-        }
+        TelescopeShard { capture, stats }
     }
 
     fn sample_packets() -> Vec<CapturedPacket> {
@@ -1331,12 +839,8 @@ mod tests {
         assert_eq!(decoded.capture.packets(), shard.capture.packets());
         assert_eq!(decoded.capture.filtered(), 2);
         assert_eq!(decoded.capture.malformed(), 1);
-        assert_eq!(decoded.session_timeout, SESSION_TIMEOUT);
         assert_eq!(decoded.stats, shard.stats);
-        assert_eq!(decoded.sessions128, shard.sessions128);
-        assert_eq!(decoded.sessions64, shard.sessions64);
-        // Canonical: re-encoding the decoded shard reproduces the bytes,
-        // which also pins every index column (the encoding is injective).
+        // Canonical: re-encoding the decoded shard reproduces the bytes.
         assert_eq!(encode_shard(&decoded), bytes);
     }
 
@@ -1355,12 +859,16 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
         assert!(matches!(decode_shard(&bad), Err(ShardError::BadMagic)));
-        let mut bumped = bytes;
-        bumped[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(
-            decode_shard(&bumped),
-            Err(ShardError::UnsupportedVersion(2))
-        ));
+        // Version 1 files (which stored sessions and index columns) and
+        // any later version are rejected before their sections are read.
+        for version in [1u32, FORMAT_VERSION + 1] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                decode_shard(&other),
+                Err(ShardError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -1417,21 +925,19 @@ mod tests {
     fn merge_group_equals_single_process() {
         let packets = sample_packets();
         let whole = build(packets.clone());
-        let first = build(packets[..2].to_vec());
-        let second = build(packets[2..].to_vec());
+        // An empty shard may sit anywhere in the group.
         let merged = merge_group(vec![
-            ("a.sixshard".into(), first),
-            ("b.sixshard".into(), second),
+            ("a.sixshard".into(), build(packets[..2].to_vec())),
+            ("e.sixshard".into(), build(Vec::new())),
+            ("b.sixshard".into(), build(packets[2..].to_vec())),
         ])
         .unwrap();
-        assert_eq!(merged.capture.packets(), whole.capture.packets());
-        assert_eq!(merged.capture.filtered(), 4, "counters are summed");
-        assert_eq!(merged.feed.sessions128, whole.sessions128);
-        assert_eq!(merged.feed.sessions64, whole.sessions64);
+        assert_eq!(merged.config(), whole.capture.config());
+        assert_eq!(merged.packets(), whole.capture.packets());
         assert_eq!(
-            encode_columns(&merged.feed.shard),
-            encode_columns(&whole.index),
-            "merged index columns must equal the single-process build"
+            (merged.filtered(), merged.malformed()),
+            (6, 3),
+            "capture counters are summed"
         );
     }
 
@@ -1446,17 +952,24 @@ mod tests {
         ])
         .unwrap_err();
         assert!(matches!(err, Error::Analysis(_)));
+        assert_eq!(err.exit_code(), 6, "`sixscope merge` exits 6");
         let msg = err.to_string();
         assert!(msg.contains("a.sixshard"), "{msg}");
 
         let first = build(packets[..2].to_vec());
         let mut second = build(packets[2..].to_vec());
-        second.session_timeout = SimDuration::secs(1);
+        second.capture = Capture::restore(
+            passive_config("2001:db8::/32".parse().unwrap()),
+            second.capture.into_packets(),
+            0,
+            0,
+        );
         let err = merge_group(vec![
             ("a.sixshard".into(), first),
             ("b.sixshard".into(), second),
         ])
         .unwrap_err();
-        assert!(err.to_string().contains("timeout"), "{err}");
+        assert_eq!(err.exit_code(), 6);
+        assert!(err.to_string().contains("b.sixshard"), "{err}");
     }
 }

@@ -41,9 +41,12 @@ pub struct IngestStats {
 }
 
 impl IngestStats {
-    /// Total damaged records skipped across all reasons.
+    /// Total damaged records skipped across all reasons (saturating:
+    /// statistics decoded from a shard file are untrusted).
     pub fn skipped_total(&self) -> u64 {
-        self.skipped.iter().sum()
+        self.skipped
+            .iter()
+            .fold(0, |total, &n| total.saturating_add(n))
     }
 
     /// Per-reason skip counts with their stable labels (all reasons, in
@@ -52,14 +55,17 @@ impl IngestStats {
         MalformedRecord::REASONS.into_iter().zip(self.skipped)
     }
 
-    /// Folds another run's statistics into this one (multi-file ingest).
+    /// Folds another run's statistics into this one (multi-file ingest,
+    /// shard merges). Counts saturate, like [`IngestStats::skipped_total`].
     pub fn absorb(&mut self, other: &IngestStats) {
-        self.records_read += other.records_read;
-        self.parsed += other.parsed;
-        self.filtered += other.filtered;
-        self.malformed_packets += other.malformed_packets;
+        self.records_read = self.records_read.saturating_add(other.records_read);
+        self.parsed = self.parsed.saturating_add(other.parsed);
+        self.filtered = self.filtered.saturating_add(other.filtered);
+        self.malformed_packets = self
+            .malformed_packets
+            .saturating_add(other.malformed_packets);
         for (mine, theirs) in self.skipped.iter_mut().zip(other.skipped) {
-            *mine += theirs;
+            *mine = mine.saturating_add(theirs);
         }
         self.truncated_tail |= other.truncated_tail;
     }
@@ -281,11 +287,12 @@ impl Capture {
     }
 
     /// Appends another capture of the same telescope: packets concatenate
-    /// in order, filter/malformed counters add up. The parallel delivery
-    /// engine merges per-shard captures with this; the caller is
-    /// responsible for shard order (contiguous time-sorted shards keep the
-    /// merged capture time-sorted). `other`'s pcap tee, if any, is dropped
-    /// — shard-local captures never attach one.
+    /// in order, filter/malformed counters add up (saturating — a shard
+    /// file's counters are untrusted). The parallel delivery engine and
+    /// the shard-file gather merge per-shard captures with this; the
+    /// caller is responsible for shard order (contiguous time-sorted
+    /// shards keep the merged capture time-sorted). `other`'s pcap tee, if
+    /// any, is dropped — shard-local captures never attach one.
     pub fn absorb(&mut self, other: Capture) {
         debug_assert_eq!(
             self.config.id, other.config.id,
@@ -301,8 +308,8 @@ impl Capture {
             cap_before,
             "Capture::absorb reallocated mid-merge"
         );
-        self.filtered += other.filtered;
-        self.malformed += other.malformed;
+        self.filtered = self.filtered.saturating_add(other.filtered);
+        self.malformed = self.malformed.saturating_add(other.malformed);
     }
 
     /// Reconstructs a capture from decoded shard-file parts. Packets must

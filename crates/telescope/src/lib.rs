@@ -33,7 +33,5 @@ pub use config::{TelescopeConfig, TelescopeId, TelescopeKind};
 pub use feed::{Feed, FeedChunk, FeedError, LateFilter, PcapFeed, SimFeed, TailFeed};
 pub use reactive::respond;
 pub use schedule::{ScheduleAction, ScheduleActionKind, SplitSchedule};
-pub use session::{
-    IncrementalSessionizer, ScanSession, SessionStitcher, Sessionizer, SESSION_TIMEOUT,
-};
+pub use session::{IncrementalSessionizer, ScanSession, Sessionizer, SESSION_TIMEOUT};
 pub use source::{AggLevel, SourceKey};

@@ -13,14 +13,21 @@
 //!   the same aggregate outcome on every run,
 //! * the untouched file round-trips canonically: decode → encode
 //!   reproduces the input bytes.
+//!
+//! The gather side is pinned here too: statistics a hostile but
+//! decodable shard carries saturate instead of overflowing, and a merge
+//! sessionizes with the pipeline's own session timeout.
 
 mod common;
 
 use common::ScratchDir;
-use sixscope::shardfile::{decode_shard, encode_shard, ShardError};
-use sixscope::Pipeline;
+use sixscope::serve::analysis_report;
+use sixscope::shardfile::{decode_shard, encode_shard, write_shard, ShardError, TelescopeShard};
+use sixscope::{Pipeline, PipelineOutput};
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
-use sixscope_types::{SimTime, Xoshiro256pp};
+use sixscope_telescope::{Capture, TelescopeId};
+use sixscope_types::{SimDuration, SimTime, Xoshiro256pp};
+use std::path::PathBuf;
 
 const MUTATIONS: usize = 12_000;
 const SEED: u64 = 0x5ead_f11e;
@@ -36,7 +43,7 @@ fn base_pcap() -> Vec<u8> {
         "2a0a::bad:2".parse().unwrap(),
         "2001:db8:3::7".parse().unwrap(),
     );
-    let records: Vec<(u64, Vec<u8>)> = vec![
+    pcap_image(&[
         (100, a.icmpv6_echo_request(7, 1, b"yarrp")),
         (150, a.tcp_syn(40_000, 443, 0xdead_beef, &[])),
         (200, b.udp(40_001, 33_434, &[0xab; 64])),
@@ -44,13 +51,17 @@ fn base_pcap() -> Vec<u8> {
         // Past the 1 h session timeout: a second session per source.
         (8_000, a.tcp_syn(40_002, 80, 1, b"GET / HTTP/1.1")),
         (8_050, b.udp(40_003, 53, b"probe")),
-    ];
+    ])
+}
+
+/// A classic pcap image of `(ts, packet)` records.
+fn pcap_image(records: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut w = PcapWriter::new(Vec::new()).unwrap();
     for (ts, data) in records {
         w.write_record(&PcapRecord {
-            ts: SimTime::from_secs(ts),
+            ts: SimTime::from_secs(*ts),
             ts_micros: 0,
-            data,
+            data: data.clone(),
         })
         .unwrap();
     }
@@ -218,5 +229,119 @@ fn mutation_outcome_is_deterministic_per_seed() {
     assert_ne!(
         a.fingerprint, c.fingerprint,
         "different seeds should explore different mutants"
+    );
+}
+
+/// Gathers `shards` and renders everything a `sixscope merge` prints: the
+/// per-file and total statistics lines and the text and JSON reports.
+fn merge_and_report(shards: &[PathBuf]) -> PipelineOutput {
+    let out = Pipeline::from_shards(shards)
+        .run_detailed()
+        .expect("decodable shards in capture order merge");
+    for (_, stats) in &out.file_stats {
+        assert!(!stats.to_string().is_empty());
+    }
+    assert!(!out.stats.to_string().is_empty());
+    for json in [false, true] {
+        assert!(!analysis_report(&out.analyzed, &out.stats, json).is_empty());
+    }
+    out
+}
+
+#[test]
+fn hostile_shard_statistics_saturate_through_the_merge() {
+    let dir = ScratchDir::new("shard-hostile-stats");
+    let bytes = base_shard_bytes();
+    // One shard whose skip reasons sum past u64::MAX.
+    let mut shard = decode_shard(&bytes).unwrap();
+    shard.stats.skipped[0] = u64::MAX;
+    shard.stats.skipped[1] = 1;
+    let one = dir.join("skips.sixshard");
+    write_shard(&one, &shard).unwrap();
+    let out = merge_and_report(std::slice::from_ref(&one));
+    assert_eq!(out.stats.skipped_total(), u64::MAX);
+
+    // Two shards in seam order whose record counts and capture counters
+    // sum past u64::MAX.
+    let base = decode_shard(&bytes).unwrap();
+    let config = base.capture.config().clone();
+    let packets = base.capture.into_packets();
+    let (head, tail) = packets.split_at(3);
+    let mut paths = Vec::new();
+    for (k, piece) in [head, tail].into_iter().enumerate() {
+        let mut stats = base.stats.clone();
+        stats.records_read = u64::MAX - 1;
+        let shard = TelescopeShard {
+            capture: Capture::restore(config.clone(), piece.to_vec(), u64::MAX, 1),
+            stats,
+        };
+        let path = dir.join(format!("half-{k}.sixshard"));
+        write_shard(&path, &shard).unwrap();
+        paths.push(path);
+    }
+    let out = merge_and_report(&paths);
+    assert_eq!(out.stats.records_read, u64::MAX);
+    let capture = out.analyzed.capture(TelescopeId::T1);
+    assert_eq!(capture.len(), packets.len());
+    assert_eq!((capture.filtered(), capture.malformed()), (u64::MAX, 2));
+}
+
+#[test]
+fn merge_sessionizes_with_the_pipelines_session_timeout() {
+    let dir = ScratchDir::new("shard-timeout");
+    let a = PacketBuilder::new(
+        "2a0a::bad:1".parse().unwrap(),
+        "2001:db8:3::42".parse().unwrap(),
+    );
+    let b = PacketBuilder::new(
+        "2a0a::bad:2".parse().unwrap(),
+        "2001:db8:3::7".parse().unwrap(),
+    );
+    // Gaps of 15 to 50 minutes (longer than 10 min, shorter than 1 h) and
+    // a few shorter ones, with a session that straddles the file seam.
+    let times = [0u64, 120, 1_020, 2_820, 5_820, 6_000, 8_700, 11_700, 11_760];
+    let records: Vec<(u64, Vec<u8>)> = times
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| {
+            let builder = if i % 3 == 2 { &b } else { &a };
+            (t, builder.icmpv6_echo_request(9, i as u16, b"gap"))
+        })
+        .collect();
+    let (first, second) = records.split_at(5);
+    let pcaps = [dir.join("day0.pcap"), dir.join("day1.pcap")];
+    let shards = [dir.join("day0.sixshard"), dir.join("day1.sixshard")];
+    for ((pcap, shard), part) in pcaps.iter().zip(&shards).zip([first, second]) {
+        std::fs::write(pcap, pcap_image(part)).unwrap();
+        // Workers scatter with the default pipeline: the shard stores no
+        // timeout.
+        Pipeline::from_pcaps([pcap]).to_shard(shard).unwrap();
+    }
+    let ten = SimDuration::mins(10);
+    let merged = Pipeline::from_shards(&shards)
+        .session_timeout(ten)
+        .run_detailed()
+        .unwrap();
+    let direct = Pipeline::from_pcaps(&pcaps)
+        .session_timeout(ten)
+        .run_detailed()
+        .unwrap();
+    let (m, d) = (&merged.analyzed, &direct.analyzed);
+    assert_eq!(
+        m.sessions128(TelescopeId::T1),
+        d.sessions128(TelescopeId::T1)
+    );
+    assert_eq!(m.sessions64(TelescopeId::T1), d.sessions64(TelescopeId::T1));
+    for json in [false, true] {
+        assert_eq!(
+            analysis_report(m, &merged.stats, json),
+            analysis_report(d, &direct.stats, json)
+        );
+    }
+    // The gaps split sessions at 10 minutes but not at the 1 h default.
+    let hourly = Pipeline::from_shards(&shards).run().unwrap();
+    assert!(
+        hourly.sessions128(TelescopeId::T1).len() < m.sessions128(TelescopeId::T1).len(),
+        "the fixture must tell the two timeouts apart"
     );
 }
