@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sixscope::ingest::passive_config;
 use sixscope::packet::{PacketBuilder, PcapRecord, PcapWriter, SliceReader, ViewOutcome};
 use sixscope_bench::bench_corpus;
-use sixscope_telescope::{Capture, Feed, IngestStats, PcapFeed, Protocol, SimFeed, TelescopeId};
+use sixscope_telescope::{Capture, Feed, IngestStats, PcapFeed, Protocol, TelescopeId};
 use sixscope_types::Ipv6Prefix;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -90,28 +90,6 @@ fn bench_feed(c: &mut Criterion) {
         })
     });
 
-    group.finish();
-
-    // Synthetic reveal: how fast the sim lane can hand an already-built
-    // capture to the consumer, chunk by chunk.
-    let analyzed = bench_corpus();
-    let capture = analyzed.capture(TelescopeId::T1);
-    let mut group = c.benchmark_group("sim_feed");
-    group.throughput(Throughput::Elements(capture.len() as u64));
-    group.bench_function("chunked_reveal", |b| {
-        b.iter(|| {
-            let mut feed = SimFeed::new(capture, 1 << 12);
-            let mut revealed = 0usize;
-            loop {
-                let chunk = feed.next_chunk().expect("sim feeds cannot fail");
-                revealed += chunk.range.len();
-                if chunk.end_of_feed {
-                    break;
-                }
-            }
-            black_box(revealed)
-        })
-    });
     group.finish();
 
     std::fs::remove_file(&path).ok();

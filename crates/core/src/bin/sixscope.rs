@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! sixscope run [--seed N] [--scale F] [--out DIR]   run the full experiment
-//! sixscope serve <file.pcap|--sim F> [--out DIR]    live telescope daemon
-//! sixscope ingest <file.pcap>… [--report out.md]    hardened real-pcap ingest
+//! sixscope serve <file.pcap> [--out DIR]            live telescope daemon
 //! sixscope analyze <telescope-prefix> <file.pcap>…  analyze real captures
 //! sixscope shard <file.pcap>… --out f.sixshard      write one worker's packets
 //! sixscope merge <f.sixshard>…                      gather shards and analyze
@@ -17,13 +16,11 @@
 //! code ([`sixscope::Error::exit_code`]): 2 usage, 3 I/O, 4 pcap,
 //! 5 BGP, 6 analysis, 7 shard file.
 
-use sixscope::cli::{stats_json, Flags};
-use sixscope::json::Json;
+use sixscope::cli::Flags;
 use sixscope::serve::{self, ServeOptions};
 use sixscope::sim::ScenarioConfig;
-use sixscope::{ingest, Error, Pipeline, PipelineOutput};
+use sixscope::{Error, Pipeline, PipelineOutput};
 use sixscope_analysis::addrtype;
-use sixscope_analysis::classify::profile_scanners;
 use sixscope_telescope::{Capture, SplitSchedule, TelescopeId};
 use sixscope_types::{Ipv6Prefix, SimTime};
 use std::net::Ipv6Addr;
@@ -38,7 +35,6 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "run" => cmd_run(rest),
         "serve" => cmd_serve(rest),
-        "ingest" => cmd_ingest(rest),
         "analyze" => cmd_analyze(rest),
         "shard" => cmd_shard(rest),
         "merge" => cmd_merge(rest),
@@ -76,28 +72,23 @@ USAGE:
         (--json prints one machine-readable JSON document instead).
         --pcap-dir also writes one pcap per telescope.
 
-    sixscope ingest <capture.pcap> [more.pcap…] [--prefix P] [--report out.md]
-            [--chunk N] [--json]
-        Stream real pcap captures (LINKTYPE_RAW) with per-record damage
-        recovery: damaged records are skipped and counted by reason, a
-        file cut off mid-record keeps every complete record. Prints the
-        recovery statistics and writes a markdown report (to --report,
-        or stdout; --json prints a JSON summary instead). --prefix
-        filters to a telescope prefix (default ::/0); --chunk bounds
-        memory to N records per read.
-
     sixscope analyze <telescope-prefix> <capture.pcap> [more.pcap…]
             [--chunk N] [--json]
-        Analyze real pcap captures (LINKTYPE_RAW) of a telescope:
-        sessions, temporal classes, address selection, tools.
+        Stream real pcap captures (LINKTYPE_RAW) of a telescope, filtered
+        to its prefix (::/0 keeps every packet), and print sessions,
+        temporal classes and address selection per scanner. Damaged
+        records are skipped and counted by reason, and a file cut off
+        mid-record keeps every complete record: the recovery statistics
+        go to stderr, one line per file plus a total for several files,
+        and into the stats object of --json. --chunk bounds memory to
+        N records per read.
 
-    sixscope serve <capture.pcap | --sim SCALE> [--out DIR]
+    sixscope serve <capture.pcap> [--out DIR]
             [--snapshot-every N] [--status-fd FD] [--prefix P]
-            [--seed N] [--poll-ms MS] [--quiesce-ms MS] [--chunk N] [--json]
-        Live telescope daemon. Follows a growing pcap (remapping as the
+            [--poll-ms MS] [--quiesce-ms MS] [--chunk N] [--json]
+        Live telescope daemon. Follows a growing pcap, remapping as the
         file grows; records older than the session-eviction horizon are
-        counted as late, not replayed into closed sessions) — or, with
-        --sim SCALE, replays a simulated experiment as a live source.
+        counted as late, not replayed into closed sessions.
         Checkpoints go to --out DIR as snapshot-NNNNNN.md plus latest.md,
         written atomically; --status-fd emits one JSON line per
         checkpoint. SIGTERM/SIGINT flush a final checkpoint and exit 0;
@@ -152,8 +143,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
     let flags = Flags::parse(
         args,
         &[
-            "sim",
-            "seed",
             "prefix",
             "snapshot-every",
             "out",
@@ -166,26 +155,12 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         ],
     )?;
     let threads = flags.apply_threads()?;
-    let out_dir = flags.get("out").unwrap_or("serve-out").to_string();
-    let mut opts = match flags.parsed::<f64>("sim")? {
-        Some(scale) => {
-            if !flags.positional().is_empty() {
-                return Err(Error::Usage(
-                    "serve --sim SCALE takes no pcap arguments".into(),
-                ));
-            }
-            let seed: u64 = flags.parsed("seed")?.unwrap_or(20230824);
-            ServeOptions::sim(seed, scale, &out_dir)
-        }
-        None => {
-            let [path] = flags.positional() else {
-                return Err(Error::Usage(
-                    "usage: sixscope serve <capture.pcap | --sim SCALE> [--out DIR]".into(),
-                ));
-            };
-            ServeOptions::pcap(path, &out_dir)
-        }
+    let [path] = flags.positional() else {
+        return Err(Error::Usage(
+            "usage: sixscope serve <capture.pcap> [--out DIR]".into(),
+        ));
     };
+    let mut opts = ServeOptions::pcap(path, flags.get("out").unwrap_or("serve-out"));
     opts.threads = threads;
     if let Some(n) = flags.chunk()? {
         opts.chunk_records = n;
@@ -259,26 +234,6 @@ fn write_capture_pcap(capture: &Capture, path: &str) -> Result<(), Error> {
     Ok(())
 }
 
-/// Runs the streaming pcap pipeline with the flags every pcap subcommand
-/// shares (`--prefix`, `--chunk`, `--threads`), logging per-file recovery
-/// statistics to stderr.
-fn run_pcap_pipeline(
-    files: &[String],
-    prefix: Ipv6Prefix,
-    flags: &Flags,
-) -> Result<PipelineOutput, Error> {
-    let mut pipeline = Pipeline::from_pcaps(files).prefix(prefix);
-    if let Some(n) = flags.apply_threads()? {
-        pipeline = pipeline.threads(n);
-    }
-    if let Some(n) = flags.chunk()? {
-        pipeline = pipeline.chunk_records(n);
-    }
-    let out = pipeline.run_detailed()?;
-    print_file_stats(&out.file_stats, &out.stats);
-    Ok(out)
-}
-
 /// Logs per-file recovery statistics (and the total, when there are
 /// several files) to stderr, keeping stdout byte-comparable across the
 /// pcap and shard paths.
@@ -294,70 +249,6 @@ fn print_file_stats(
     }
 }
 
-fn cmd_ingest(args: &[String]) -> Result<(), Error> {
-    let flags = Flags::parse(args, &["prefix", "report", "json", "threads", "chunk"])?;
-    let files = flags.positional().to_vec();
-    if files.is_empty() {
-        return Err(Error::Usage(
-            "usage: sixscope ingest <capture.pcap>… [--prefix P] [--report out.md]".into(),
-        ));
-    }
-    let prefix: Ipv6Prefix = flags
-        .parsed("prefix")?
-        .unwrap_or_else(Ipv6Prefix::default_route);
-    let out = run_pcap_pipeline(&files, prefix, &flags)?;
-    let analyzed = &out.analyzed;
-    let sessions = analyzed.sessions128(TelescopeId::T1);
-    if flags.is_true("json") {
-        let doc = Json::obj([
-            ("stats", stats_json(&out.stats)),
-            (
-                "files",
-                Json::Arr(
-                    out.file_stats
-                        .iter()
-                        .map(|(f, s)| {
-                            Json::Obj(vec![
-                                ("file".to_string(), Json::s(f.clone())),
-                                ("stats".to_string(), stats_json(s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "packets",
-                Json::u(analyzed.capture(TelescopeId::T1).len() as u64),
-            ),
-            ("sessions_128", Json::u(sessions.len() as u64)),
-            ("scanners", Json::u(profile_scanners(sessions).len() as u64)),
-            (
-                "peak_open_sessions",
-                Json::u(analyzed.peak_open_sessions as u64),
-            ),
-        ]);
-        println!("{}", doc.render());
-        return Ok(());
-    }
-    let report = ingest::render_report(
-        analyzed.capture(TelescopeId::T1),
-        sessions,
-        &out.stats,
-        &files.join(", "),
-    );
-    match flags.get("report") {
-        Some(path) => {
-            std::fs::write(path, &report).map_err(|source| Error::Io {
-                path: path.to_string(),
-                source,
-            })?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{report}"),
-    }
-    Ok(())
-}
-
 fn cmd_analyze(args: &[String]) -> Result<(), Error> {
     let flags = Flags::parse(args, &["json", "threads", "chunk"])?;
     let [prefix, files @ ..] = flags.positional() else {
@@ -371,7 +262,15 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
     let prefix: Ipv6Prefix = prefix
         .parse()
         .map_err(|e| Error::Usage(format!("bad telescope prefix: {e}")))?;
-    let out = run_pcap_pipeline(files, prefix, &flags)?;
+    let mut pipeline = Pipeline::from_pcaps(files).prefix(prefix);
+    if let Some(n) = flags.apply_threads()? {
+        pipeline = pipeline.threads(n);
+    }
+    if let Some(n) = flags.chunk()? {
+        pipeline = pipeline.chunk_records(n);
+    }
+    let out = pipeline.run_detailed()?;
+    print_file_stats(&out.file_stats, &out.stats);
     print_analysis(&out, flags.is_true("json"))
 }
 

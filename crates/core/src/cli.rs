@@ -16,8 +16,10 @@ use sixscope_types::THREADS_ENV;
 /// Flags that take no value: present means `true`.
 const VALUELESS: &[&str] = &["json"];
 
-/// JSON rendering of one [`IngestStats`] — shared by the binary's
-/// `ingest`/`analyze` summaries and the serve daemon's checkpoints.
+/// JSON rendering of one [`IngestStats`]: the `stats` object of the one
+/// pcap report ([`crate::serve::analysis_report`]) that `analyze --json`,
+/// `merge --json` and JSON serve checkpoints print. `skip_reasons` lists
+/// every reason of [`IngestStats::skip_reasons`] in order, zeros included.
 pub fn stats_json(stats: &IngestStats) -> Json {
     Json::obj([
         ("records_read", Json::u(stats.records_read)),
@@ -25,6 +27,15 @@ pub fn stats_json(stats: &IngestStats) -> Json {
         ("filtered", Json::u(stats.filtered)),
         ("malformed_packets", Json::u(stats.malformed_packets)),
         ("skipped", Json::u(stats.skipped_total())),
+        (
+            "skip_reasons",
+            Json::Obj(
+                stats
+                    .skip_reasons()
+                    .map(|(reason, n)| (reason.to_string(), Json::u(n)))
+                    .collect(),
+            ),
+        ),
         ("truncated_tail", Json::Bool(stats.truncated_tail)),
     ])
 }
@@ -192,6 +203,17 @@ mod tests {
         assert!(err.to_string().contains("--chunk"), "{err}");
         let f = Flags::parse(&argv(&["--chunk", "512"]), &["chunk"]).unwrap();
         assert_eq!(f.chunk().unwrap(), Some(512));
+    }
+
+    #[test]
+    fn stats_json_lists_every_skip_reason_in_order() {
+        let rendered = stats_json(&IngestStats::default()).render();
+        let reasons: Vec<String> = IngestStats::default()
+            .skip_reasons()
+            .map(|(reason, _)| format!("\"{reason}\":0"))
+            .collect();
+        let expected = format!("\"skip_reasons\":{{{}}}", reasons.join(","));
+        assert!(rendered.contains(&expected), "{rendered}");
     }
 
     #[test]

@@ -5,9 +5,8 @@ use crate::index::CorpusIndex;
 use crate::pipeline::{ConsumedFeed, FeedConsumer};
 use sixscope_analysis::classify::ScannerProfile;
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
-use sixscope_telescope::{
-    Capture, Feed, ScanSession, SimFeed, SourceKey, TelescopeId, SESSION_TIMEOUT,
-};
+use sixscope_telescope::feed::hint_for_records;
+use sixscope_telescope::{Capture, ScanSession, SourceKey, TelescopeId, SESSION_TIMEOUT};
 use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, PrefixTrie, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -79,9 +78,9 @@ impl Analyzed {
         Self::stream(result, &StreamSettings::default())
     }
 
-    /// Builds the corpus by driving each capture through a [`SimFeed`] into
-    /// a [`FeedConsumer`] (incremental sessionizers at /128 and /64 plus an
-    /// index-shard accumulator), then merging the shards into the
+    /// Builds the corpus by feeding each capture in `chunk_records` steps
+    /// into a [`FeedConsumer`] (incremental sessionizers at /128 and /64
+    /// plus an index-shard accumulator), then merging the shards into the
     /// [`CorpusIndex`] — the same consumer the pcap and live paths use.
     /// Simulated captures and the time-ordered captures a shard gather
     /// concatenates both come through here.
@@ -97,18 +96,8 @@ impl Analyzed {
         let compiled = CompiledVisibility::compile(&result.visibility);
         let fed = map_indexed(threads, &TelescopeId::ALL, |_, id| {
             let capture = &result.captures[id];
-            let mut feed = SimFeed::new(capture, settings.chunk_records);
-            let mut consumer = FeedConsumer::new(feed.sources_hint(), settings);
-            loop {
-                let chunk = feed.next_chunk().expect("sim feeds cannot fail");
-                consumer.consume(capture, chunk.range, &compiled);
-                if chunk.end_of_feed {
-                    break;
-                }
-            }
-            // Simulated captures are produced in time order, so the
-            // incremental state is final as-is.
-            consumer.finish_in_order()
+            FeedConsumer::new(hint_for_records(capture.len() as u64), settings)
+                .consume_capture(capture, &compiled)
         });
         let streaming = stream_start.elapsed().as_secs_f64();
         let fed = TelescopeId::ALL.into_iter().zip(fed).collect();

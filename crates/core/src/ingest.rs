@@ -1,28 +1,17 @@
-//! Real-capture ingestion — the `sixscope ingest` pipeline.
+//! Real-capture ingestion settings.
 //!
-//! A telescope operator points [`crate::Pipeline::from_pcaps`] at classic
-//! pcap files (`tcpdump -y RAW` output) and gets the same analysis the
-//! simulated experiment runs: hardened per-record reading with
+//! A telescope operator points [`crate::Pipeline::from_pcaps`] (behind
+//! `sixscope analyze` and `shard`) or the [`crate::serve`] daemon at
+//! classic pcap files (`tcpdump -y RAW` output) and gets the same analysis
+//! the simulated experiment runs: hardened per-record reading with
 //! skip-and-count recovery ([`sixscope_telescope::Capture::ingest_pcap_recovering`]),
-//! sessionization with the paper's 1-hour timeout, temporal and
-//! address-selection classification, and tool fingerprinting — rendered as
-//! one markdown report by [`render_report`].
-//!
-//! The report is byte-identical at any `SIXSCOPE_THREADS` setting: the
-//! per-scanner rows are computed through the order-preserving
-//! [`map_indexed`], and every aggregation iterates in a deterministic
-//! order.
+//! sessionization with the paper's 1-hour timeout, and temporal and
+//! address-selection classification, rendered by
+//! [`crate::serve::analysis_report`]. Every such path captures into the
+//! telescope [`passive_config`] describes.
 
-use sixscope_analysis::classify::{addr_selection, profile_scanners};
-use sixscope_analysis::fingerprint::identify;
-use sixscope_telescope::{
-    Capture, IngestStats, Protocol, ScanSession, TelescopeConfig, TelescopeId, TelescopeKind,
-};
-use sixscope_types::{map_indexed, num_threads, Ipv6Prefix};
-use std::collections::BTreeMap;
-
-/// How many destination ports the report lists.
-const TOP_PORTS: usize = 10;
+use sixscope_telescope::{TelescopeConfig, TelescopeId, TelescopeKind};
+use sixscope_types::Ipv6Prefix;
 
 /// The passive telescope configuration real-capture ingestion uses: plain
 /// prefix filtering, no productive subnet, no DNS attractor. `::/0`
@@ -36,138 +25,4 @@ pub fn passive_config(prefix: Ipv6Prefix) -> TelescopeConfig {
         dns_exposed: None,
         productive_subnet: None,
     }
-}
-
-/// Renders the full markdown ingest report: recovery statistics, traffic
-/// overview, and the per-scanner classification table.
-///
-/// `sessions` must be the /128 paper-timeout sessionization of `capture`
-/// (the [`crate::Pipeline`] computes it incrementally while streaming).
-pub fn render_report(
-    capture: &Capture,
-    sessions: &[ScanSession],
-    stats: &IngestStats,
-    source_label: &str,
-) -> String {
-    let mut out = String::new();
-    out.push_str("# sixscope ingest report\n\n");
-    out.push_str(&format!("Input: {source_label}\n\n"));
-    render_recovery(stats, &mut out);
-    render_traffic(capture, &mut out);
-    render_scanners(capture, sessions, &mut out);
-    out
-}
-
-fn render_recovery(s: &IngestStats, out: &mut String) {
-    out.push_str("## Recovery\n\n");
-    out.push_str("| metric | count |\n|---|---:|\n");
-    out.push_str(&format!("| records read | {} |\n", s.records_read));
-    out.push_str(&format!("| parsed into capture | {} |\n", s.parsed));
-    out.push_str(&format!("| filtered (outside prefix) | {} |\n", s.filtered));
-    out.push_str(&format!(
-        "| malformed IPv6 packets | {} |\n",
-        s.malformed_packets
-    ));
-    out.push_str(&format!(
-        "| skipped pcap records | {} |\n",
-        s.skipped_total()
-    ));
-    for (reason, n) in s.skip_reasons() {
-        if n > 0 {
-            out.push_str(&format!("| &nbsp;&nbsp;{reason} | {n} |\n"));
-        }
-    }
-    out.push_str(&format!(
-        "| truncated tail | {} |\n\n",
-        if s.truncated_tail { "yes" } else { "no" }
-    ));
-}
-
-fn render_traffic(capture: &Capture, out: &mut String) {
-    out.push_str("## Traffic\n\n");
-    let packets = capture.packets();
-    if packets.is_empty() {
-        out.push_str("No packets inside the telescope prefix.\n\n");
-        return;
-    }
-    let (mut lo, mut hi) = (packets[0].ts, packets[0].ts);
-    let mut by_proto: BTreeMap<Protocol, u64> = BTreeMap::new();
-    let mut by_port: BTreeMap<u16, u64> = BTreeMap::new();
-    let mut sources: Vec<u128> = Vec::with_capacity(packets.len());
-    for p in packets {
-        lo = lo.min(p.ts);
-        hi = hi.max(p.ts);
-        *by_proto.entry(p.protocol).or_default() += 1;
-        if let Some(port) = p.dst_port {
-            *by_port.entry(port).or_default() += 1;
-        }
-        sources.push(u128::from(p.src));
-    }
-    sources.sort_unstable();
-    sources.dedup();
-    out.push_str(&format!(
-        "{} packets from {} distinct /128 sources, t = {}..{}\n\n",
-        packets.len(),
-        sources.len(),
-        lo.as_secs(),
-        hi.as_secs(),
-    ));
-    out.push_str("| protocol | packets |\n|---|---:|\n");
-    for (proto, n) in &by_proto {
-        out.push_str(&format!("| {} | {} |\n", proto.name(), n));
-    }
-    out.push('\n');
-    if !by_port.is_empty() {
-        let mut ports: Vec<(u16, u64)> = by_port.into_iter().collect();
-        ports.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ports.truncate(TOP_PORTS);
-        out.push_str("| top destination port | packets |\n|---|---:|\n");
-        for (port, n) in ports {
-            out.push_str(&format!("| {port} | {n} |\n"));
-        }
-        out.push('\n');
-    }
-}
-
-fn render_scanners(capture: &Capture, sessions: &[ScanSession], out: &mut String) {
-    out.push_str("## Scanners\n\n");
-    let profiles = profile_scanners(sessions);
-    out.push_str(&format!(
-        "{} scan sessions (/128, 1-hour timeout) from {} scanners\n\n",
-        sessions.len(),
-        profiles.len()
-    ));
-    if profiles.is_empty() {
-        return;
-    }
-    out.push_str(
-        "| source | sessions | packets | temporal | address selection | tool |\n\
-         |---|---:|---:|---|---|---|\n",
-    );
-    // Each row is an independent pure function of the capture, so rows
-    // are computed in parallel; map_indexed preserves profile order,
-    // keeping the report bytes identical at any thread count.
-    let prefix_len = capture.config().prefix.len();
-    let rows = map_indexed(num_threads(None), &profiles, |_, profile| {
-        let first = &sessions[profile.session_indices[0]];
-        let selection = addr_selection(first, capture, prefix_len);
-        let payload = first
-            .packets(capture)
-            .find(|p| !p.payload.is_empty())
-            .map(|p| p.payload.clone())
-            .unwrap_or_default();
-        format!(
-            "| {} | {} | {} | {} | {} | {} |\n",
-            profile.source,
-            profile.session_indices.len(),
-            profile.packets,
-            profile.temporal,
-            selection,
-            identify(&payload, None),
-        )
-    });
-    for row in rows {
-        out.push_str(&row);
-    }
-    out.push('\n');
 }

@@ -55,7 +55,7 @@ pub use corpus::Analyzed;
 pub use error::Error;
 pub use index::CorpusIndex;
 pub use pipeline::{Pipeline, PipelineOutput};
-pub use serve::{ServeOptions, ServeSource};
+pub use serve::ServeOptions;
 
 // Re-export the workspace surface so downstream users need one dependency.
 pub use sixscope_analysis as analysis;

@@ -74,10 +74,6 @@ pub struct PipelineOutput {
     pub analyzed: Analyzed,
     /// Simulation stage timings (zero for the pcap path).
     pub sim: ScenarioTimings,
-    /// Wall-clock seconds of pcap reading + streaming feed (zero for the
-    /// simulated path, whose analysis timings live in
-    /// [`Analyzed::timings`]).
-    pub ingest: f64,
     /// Combined recovery statistics over all input files.
     pub stats: IngestStats,
     /// Per-file recovery statistics, in input order.
@@ -192,7 +188,6 @@ impl Pipeline {
                 Ok(PipelineOutput {
                     analyzed: Analyzed::stream(result, &settings),
                     sim,
-                    ingest: 0.0,
                     stats: IngestStats::default(),
                     file_stats: Vec::new(),
                 })
@@ -248,15 +243,16 @@ struct IngestedTelescope {
 /// [`sixscope_telescope::FeedChunk`] at a time.
 ///
 /// The consumer is the only code that turns a packet range into sessions
-/// and index columns, for every [`Feed`] — batch pcaps, a live tail, or a
-/// simulated or shard-gathered capture. If the feed ever
+/// and index columns, for every input — a [`Feed`] over batch pcaps or a
+/// live tail, or a finished simulated or shard-gathered capture
+/// ([`FeedConsumer::consume_capture`]). If the input ever
 /// delivers packets out of time order (live feeds admit in-horizon
 /// disorder; finite feeds simply reflect their files) the incremental
 /// state is abandoned and [`FeedConsumer::finish`] falls back to sort +
 /// re-feed — the bounded-memory property is lost but the output contract
 /// (byte-identical to batch) is kept. A snapshotting caller checks
-/// [`FeedConsumer::is_sorted`] and reads either the live state or a sorted
-/// copy of the capture.
+/// [`FeedConsumer::is_sorted`] and reads either the live state or a
+/// batch sessionization of the capture.
 pub(crate) struct FeedConsumer {
     s128: IncrementalSessionizer,
     s64: IncrementalSessionizer,
@@ -267,9 +263,9 @@ pub(crate) struct FeedConsumer {
     settings: StreamSettings,
 }
 
-/// One telescope's sessions and index shard: what a drained (or
-/// snapshotted) [`FeedConsumer`] hands to [`Analyzed::gather`]. The
-/// default is an empty telescope.
+/// One telescope's sessions and index shard: what a drained
+/// [`FeedConsumer`] hands to [`Analyzed::gather`]. The default is an empty
+/// telescope.
 #[derive(Debug, Default)]
 pub(crate) struct ConsumedFeed {
     pub sessions128: Vec<ScanSession>,
@@ -322,19 +318,6 @@ impl FeedConsumer {
         self.s128.sessions()
     }
 
-    /// Clones the incremental state for a checkpoint. Only meaningful
-    /// while [`FeedConsumer::is_sorted`]; an unsorted consumer's state is
-    /// stale by construction.
-    pub(crate) fn snapshot(&self) -> ConsumedFeed {
-        ConsumedFeed {
-            sessions128: self.s128.sessions().to_vec(),
-            sessions64: self.s64.sessions().to_vec(),
-            shard: self.shard.clone(),
-            sessionize: self.sessionize,
-            peak: self.peak_open(),
-        }
-    }
-
     /// Feeds the capture packets `range` (one feed chunk) into the
     /// incremental state.
     pub(crate) fn consume(
@@ -381,21 +364,30 @@ impl FeedConsumer {
             return self.finish_in_order();
         }
         capture.sort_by_time();
-        let mut fresh = FeedConsumer::new(self.sources_hint, &self.settings);
-        let mut start = 0;
-        while start < capture.len() {
-            let end = start
-                .saturating_add(self.settings.chunk_records)
-                .min(capture.len());
-            fresh.consume(capture, start..end, compiled);
-            start = end;
-        }
-        fresh.finish_in_order()
+        FeedConsumer::new(self.sources_hint, &self.settings).consume_capture(capture, compiled)
     }
 
-    /// Closes the consumer without a fallback path, for feeds whose source
-    /// guarantees time order (simulated captures).
-    pub(crate) fn finish_in_order(self) -> ConsumedFeed {
+    /// Feeds a whole, time-sorted capture through this fresh consumer in
+    /// `chunk_records` steps and closes it — the one loop behind the
+    /// simulated and shard-gathered corpus build ([`Analyzed::stream`]) and
+    /// the disorder fallback of [`FeedConsumer::finish`]. A zero chunk size
+    /// feeds one packet per step, as [`Pipeline::chunk_records`] clamps it.
+    pub(crate) fn consume_capture(
+        mut self,
+        capture: &Capture,
+        compiled: &CompiledVisibility,
+    ) -> ConsumedFeed {
+        let step = self.settings.chunk_records.max(1);
+        for start in (0..capture.len()).step_by(step) {
+            let end = start.saturating_add(step).min(capture.len());
+            self.consume(capture, start..end, compiled);
+        }
+        self.finish_in_order()
+    }
+
+    /// Closes the consumer without a fallback path, for input whose source
+    /// guarantees time order.
+    fn finish_in_order(self) -> ConsumedFeed {
         debug_assert!(self.sorted, "in-order finish over a disordered feed");
         let peak = self.peak_open();
         ConsumedFeed {
@@ -463,7 +455,6 @@ fn stream_pcaps(
     Ok(PipelineOutput {
         analyzed: Analyzed::gather(result, fed, num_threads(settings.threads), ingest),
         sim: ScenarioTimings::default(),
-        ingest,
         stats: ing.stats,
         file_stats: ing.file_stats,
     })
@@ -472,8 +463,7 @@ fn stream_pcaps(
 /// The gather side of federated sharding: reads every `.sixshard` file,
 /// joins each telescope's shards into one capture, and streams the
 /// captures through [`Analyzed::stream`] like a simulated experiment. The
-/// `streaming` stage (and `ingest`) is the read and decode of the files
-/// plus that feed.
+/// `streaming` stage is the read and decode of the files plus that feed.
 fn stream_shards(paths: &[PathBuf], settings: &StreamSettings) -> Result<PipelineOutput, Error> {
     if paths.is_empty() {
         return Err(Error::Usage(
@@ -487,7 +477,6 @@ fn stream_shards(paths: &[PathBuf], settings: &StreamSettings) -> Result<Pipelin
     let mut analyzed = Analyzed::stream(result, settings);
     analyzed.timings.streaming += read;
     Ok(PipelineOutput {
-        ingest: analyzed.timings.streaming,
         analyzed,
         sim: ScenarioTimings::default(),
         stats: gathered.stats,

@@ -1,9 +1,8 @@
 //! `sixscope serve` — the live telescope daemon.
 //!
-//! A long-running loop that drives a [`Feed`] (a growing pcap via
-//! [`TailFeed`], or a simulated experiment via [`SimFeed`]) through the
-//! same [`FeedConsumer`] the batch pipeline uses, and checkpoints the
-//! analysis as it goes:
+//! A long-running loop that follows one growing pcap through a
+//! [`TailFeed`] into the same [`FeedConsumer`] the batch pipeline uses,
+//! and checkpoints the analysis as it goes:
 //!
 //! * **Snapshots** — every `--snapshot-every N` revealed records the
 //!   current report is written to `--out DIR` as `snapshot-NNNNNN.md`
@@ -13,63 +12,48 @@
 //! * **Status** — one JSON line per checkpoint (packets, sessions, peak
 //!   open sessions, late/skipped counts, watermark) to `--status-fd`;
 //!   failed writes are counted in [`ServeSummary::status_write_errors`].
-//! * **Cost** — a pcap checkpoint renders from the live capture and
-//!   session list in place, reusing the scanner classifications of the
+//! * **Cost** — a checkpoint renders from the live capture and session
+//!   list in place, reusing the scanner classifications of the
 //!   previous checkpoint for every source that opened no new session, so
 //!   its cost follows the sessions, not the whole capture.
 //! * **Shutdown** — SIGTERM/SIGINT set a flag; the loop notices, flushes
 //!   a final checkpoint, and exits cleanly (exit code 0).
 //!
 //! The final checkpoint over a finished pcap is byte-identical to batch
-//! `sixscope analyze` over the same file (and, for `--sim`, to the
-//! pipeline's [`Analyzed::stream`]): the daemon's incremental state *is*
-//! the batch state once the feed drains, and disorder falls back to the
-//! same sort-and-re-feed path (DESIGN.md §10, §14).
+//! `sixscope analyze` over the same file: the daemon's incremental state
+//! *is* the batch state once the feed drains, and disorder falls back to
+//! the same sort-and-re-feed path (DESIGN.md §10, §14).
 
 use crate::corpus::{Analyzed, StreamSettings};
 use crate::ingest::passive_config;
 use crate::json::Json;
-use crate::pipeline::{ConsumedFeed, FeedConsumer};
+use crate::pipeline::FeedConsumer;
 use crate::{render, tables, Error};
 use sixscope_analysis::classify::{addr_selection, AddrSelection, ScannerProfiler};
-use sixscope_sim::{CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, Visibility};
+use sixscope_sim::{CompiledVisibility, Visibility};
 use sixscope_telescope::{
-    AggLevel, Capture, Feed, IngestStats, ScanSession, Sessionizer, SimFeed, TailFeed, TelescopeId,
+    AggLevel, Capture, Feed, IngestStats, ScanSession, Sessionizer, TailFeed, TelescopeId,
     SESSION_TIMEOUT,
 };
-use sixscope_types::{num_threads, FxBuildHasher, Ipv6Prefix, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use sixscope_types::{FxBuildHasher, Ipv6Prefix, SimTime};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// What the daemon serves.
-pub enum ServeSource {
-    /// Follow one growing pcap file (telescope operator mode).
-    Pcap(PathBuf),
-    /// Run the simulated experiment and replay its captures as a live
-    /// source (deterministic testing mode).
-    Sim {
-        /// Scenario seed.
-        seed: u64,
-        /// Population scale relative to the paper.
-        scale: f64,
-    },
-}
-
 /// Configuration of one [`serve`] run.
 pub struct ServeOptions {
-    /// The input feed.
-    pub source: ServeSource,
+    /// The growing pcap file to follow.
+    pub source: PathBuf,
     /// Directory receiving `snapshot-NNNNNN.md` and `latest.md`.
     pub out_dir: PathBuf,
     /// Checkpoint every this many revealed records (`None`: only the
-    /// final checkpoint).
+    /// final checkpoint). Zero is [`Error::Usage`].
     pub snapshot_every: Option<u64>,
     /// Worker-thread cap (`None` defers to `SIXSCOPE_THREADS`). Output
     /// bytes never depend on it.
     pub threads: Option<usize>,
-    /// Feed chunk size in records.
+    /// Feed chunk size in records (0 acts as 1).
     pub chunk_records: usize,
     /// Render checkpoints as JSON instead of text.
     pub json: bool,
@@ -80,7 +64,7 @@ pub struct ServeOptions {
     /// Cumulative idle time after which the live tail quiesces, in
     /// milliseconds.
     pub quiesce_ms: u64,
-    /// Telescope prefix filter for the pcap source (default `::/0`).
+    /// Telescope prefix filter (default `::/0`).
     pub prefix: Ipv6Prefix,
 }
 
@@ -88,7 +72,7 @@ impl ServeOptions {
     /// Serves a growing pcap into `out_dir` with default knobs.
     pub fn pcap<P: Into<PathBuf>, O: Into<PathBuf>>(path: P, out_dir: O) -> ServeOptions {
         ServeOptions {
-            source: ServeSource::Pcap(path.into()),
+            source: path.into(),
             out_dir: out_dir.into(),
             snapshot_every: None,
             threads: None,
@@ -100,21 +84,13 @@ impl ServeOptions {
             prefix: Ipv6Prefix::default_route(),
         }
     }
-
-    /// Serves a simulated experiment into `out_dir` with default knobs.
-    pub fn sim<O: Into<PathBuf>>(seed: u64, scale: f64, out_dir: O) -> ServeOptions {
-        ServeOptions {
-            source: ServeSource::Sim { seed, scale },
-            ..ServeOptions::pcap("", out_dir)
-        }
-    }
 }
 
 /// What a finished [`serve`] run reports back.
 pub struct ServeSummary {
     /// Numbered snapshots written (the final checkpoint included).
     pub snapshots: usize,
-    /// Packets admitted into the capture(s).
+    /// Packets admitted into the capture.
     pub packets: usize,
     /// Live-feed records dropped as older than the eviction horizon.
     pub late_records: u64,
@@ -332,7 +308,7 @@ pub fn analysis_report(analyzed: &Analyzed, stats: &IngestStats, json: bool) -> 
     )
 }
 
-/// The one renderer behind [`analysis_report`] and every pcap checkpoint:
+/// The one renderer behind [`analysis_report`] and every checkpoint:
 /// reads only the T1 capture and its /128 sessions, borrowed.
 fn render_report(
     capture: &Capture,
@@ -438,29 +414,11 @@ pub fn tables_report(analyzed: &Analyzed, json: bool) -> String {
     out
 }
 
-/// Runs the daemon to completion (feed drained, or SIGTERM/SIGINT).
-pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
-    install_signal_handlers();
-    let mut status = StatusSink::new(opts.status_fd);
-    match &opts.source {
-        ServeSource::Pcap(path) => serve_pcap(&opts, &path.clone(), &mut status),
-        ServeSource::Sim { seed, scale } => serve_sim(&opts, *seed, *scale, &mut status),
-    }
-}
-
-fn settings_of(opts: &ServeOptions) -> StreamSettings {
-    StreamSettings {
-        chunk_records: opts.chunk_records,
-        session_timeout: SESSION_TIMEOUT,
-        threads: opts.threads,
-    }
-}
-
-/// A mid-stream checkpoint of the live pcap feed. In-order input renders
-/// straight from the borrowed capture and live /128 sessions, through the
-/// memos. Disorder drops the memos, then sessionizes a sorted copy of the
-/// capture at /128 (all the report reads) — the batch fallback, applied to
-/// the prefix seen so far.
+/// A mid-stream checkpoint. In-order input renders straight from the
+/// borrowed capture and live /128 sessions, through the memos. Disorder
+/// drops the memos, then sessionizes the borrowed capture at /128 (all
+/// the report reads) in stable time order — the batch fallback, applied
+/// to the prefix seen so far, without copying a packet.
 fn checkpoint_report(
     capture: &Capture,
     consumer: &FeedConsumer,
@@ -473,32 +431,34 @@ fn checkpoint_report(
         return render_report(capture, consumer.sessions128(), stats, json, memo);
     }
     *memo = ReportMemo::default();
-    let mut sorted = Capture::restore(
-        capture.config().clone(),
-        capture.packets().to_vec(),
-        capture.filtered(),
-        capture.malformed(),
-    );
-    sorted.sort_by_time();
     let sessions = Sessionizer {
         level: AggLevel::Addr128,
         timeout: settings.session_timeout,
     }
-    .sessionize(&sorted);
-    render_report(&sorted, &sessions, stats, json, memo)
+    .sessionize(capture);
+    render_report(capture, &sessions, stats, json, memo)
 }
 
-fn serve_pcap(
-    opts: &ServeOptions,
-    path: &Path,
-    status: &mut StatusSink,
-) -> Result<ServeSummary, Error> {
-    let settings = settings_of(opts);
+/// Runs the daemon to completion (feed drained, or SIGTERM/SIGINT). A
+/// zero `snapshot_every` is [`Error::Usage`].
+pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
+    if opts.snapshot_every == Some(0) {
+        return Err(Error::Usage(
+            "--snapshot-every must be at least 1 record".into(),
+        ));
+    }
+    install_signal_handlers();
+    let mut status = StatusSink::new(opts.status_fd);
+    let settings = StreamSettings {
+        chunk_records: opts.chunk_records,
+        session_timeout: SESSION_TIMEOUT,
+        threads: opts.threads,
+    };
     let visibility = Visibility::from_events(&[]);
     let compiled = CompiledVisibility::compile(&visibility);
     let mut feed = TailFeed::new(
         Capture::new(passive_config(opts.prefix)),
-        path,
+        &opts.source,
         settings.chunk_records,
         settings.session_timeout,
     )
@@ -584,163 +544,6 @@ fn serve_pcap(
         snapshots: seq,
         packets: capture.len(),
         late_records: late,
-        latest,
-        status_write_errors: status.errors,
-    })
-}
-
-/// Clones the experiment's metadata around partial captures: each
-/// telescope keeps only its first `revealed[id]` packets. The counters are
-/// carried over whole — they describe the run, not the reveal.
-fn partial_result(
-    result: &ExperimentResult,
-    revealed: &BTreeMap<TelescopeId, usize>,
-) -> ExperimentResult {
-    let mut captures = BTreeMap::new();
-    for id in TelescopeId::ALL {
-        let full = &result.captures[&id];
-        let k = revealed.get(&id).copied().unwrap_or(0);
-        captures.insert(
-            id,
-            Capture::restore(
-                full.config().clone(),
-                full.packets()[..k].to_vec(),
-                full.filtered(),
-                full.malformed(),
-            ),
-        );
-    }
-    ExperimentResult {
-        layout: result.layout.clone(),
-        schedule: result.schedule.clone(),
-        captures,
-        events: result.events.clone(),
-        visibility: result.visibility.clone(),
-        population: result.population.clone(),
-        hitlist: result.hitlist.clone(),
-        t4_responses: result.t4_responses,
-        dropped_unrouted: result.dropped_unrouted,
-        truncated_probes: result.truncated_probes,
-    }
-}
-
-fn serve_sim(
-    opts: &ServeOptions,
-    seed: u64,
-    scale: f64,
-    status: &mut StatusSink,
-) -> Result<ServeSummary, Error> {
-    let settings = settings_of(opts);
-    let threads = num_threads(opts.threads);
-    let mut config = ScenarioConfig::new(seed, scale);
-    config.threads = opts.threads;
-    let (result, _sim) = Scenario::new(config).run_timed();
-    let compiled = CompiledVisibility::compile(&result.visibility);
-
-    let mut revealed: u64 = 0;
-    let mut next_snapshot = opts.snapshot_every;
-    let mut seq = 0usize;
-    let sim_stats = IngestStats::default();
-    let mut watermark = SimTime::EPOCH;
-    let fed: BTreeMap<TelescopeId, ConsumedFeed>;
-    {
-        let mut lanes: Vec<(TelescopeId, SimFeed<'_>, FeedConsumer, bool)> = TelescopeId::ALL
-            .into_iter()
-            .map(|id| {
-                let feed = SimFeed::new(&result.captures[&id], settings.chunk_records);
-                let consumer = FeedConsumer::new(feed.sources_hint(), &settings);
-                (id, feed, consumer, false)
-            })
-            .collect();
-        // Round-robin over the four telescopes, one chunk each per round,
-        // so checkpoints interleave the captures deterministically.
-        while !lanes.iter().all(|(_, _, _, done)| *done) && !shutdown_requested() {
-            for (_, feed, consumer, done) in &mut lanes {
-                if *done {
-                    continue;
-                }
-                let chunk = feed.next_chunk().expect("sim feeds cannot fail");
-                consumer.consume(feed.capture(), chunk.range.clone(), &compiled);
-                revealed += chunk.range.len() as u64;
-                watermark = watermark.max(chunk.watermark);
-                if chunk.end_of_feed {
-                    *done = true;
-                }
-            }
-            while next_snapshot.is_some_and(|at| revealed >= at) {
-                seq += 1;
-                let revealed_by: BTreeMap<TelescopeId, usize> = lanes
-                    .iter()
-                    .map(|(id, feed, _, _)| (*id, feed.revealed()))
-                    .collect();
-                let fed_now = lanes
-                    .iter()
-                    .map(|(id, _, consumer, _)| (*id, consumer.snapshot()))
-                    .collect();
-                let partial = partial_result(&result, &revealed_by);
-                let report =
-                    tables_report(&Analyzed::gather(partial, fed_now, threads, 0.0), opts.json);
-                write_snapshot(&opts.out_dir, seq, &report)?;
-                let (n128, n64, peak) = lanes.iter().fold((0, 0, 0), |(a, b, p), l| {
-                    let (x, y) = l.2.session_counts();
-                    (a + x, b + y, p.max(l.2.peak_open()))
-                });
-                status.emit(
-                    &Checkpoint {
-                        event: "snapshot",
-                        snapshot: seq,
-                        packets: revealed as usize,
-                        sessions128: n128,
-                        sessions64: n64,
-                        peak_open: peak,
-                        late: 0,
-                        stats: &sim_stats,
-                        watermark,
-                    }
-                    .json(),
-                );
-                next_snapshot = opts
-                    .snapshot_every
-                    .map(|every| revealed + every - revealed % every);
-            }
-        }
-        // Simulated captures are time-sorted, so the incremental state is
-        // final as-is.
-        fed = lanes
-            .into_iter()
-            .map(|(id, _, consumer, _)| (id, consumer.finish_in_order()))
-            .collect();
-    }
-
-    seq += 1;
-    let (n128, n64, peak) = fed.values().fold((0, 0, 0), |(a, b, p), f| {
-        (
-            a + f.sessions128.len(),
-            b + f.sessions64.len(),
-            p.max(f.peak),
-        )
-    });
-    let packets: usize = result.captures.values().map(Capture::len).sum();
-    let report = tables_report(&Analyzed::gather(result, fed, threads, 0.0), opts.json);
-    let latest = write_snapshot(&opts.out_dir, seq, &report)?;
-    status.emit(
-        &Checkpoint {
-            event: "final",
-            snapshot: seq,
-            packets,
-            sessions128: n128,
-            sessions64: n64,
-            peak_open: peak,
-            late: 0,
-            stats: &sim_stats,
-            watermark,
-        }
-        .json(),
-    );
-    Ok(ServeSummary {
-        snapshots: seq,
-        packets,
-        late_records: 0,
         latest,
         status_write_errors: status.errors,
     })

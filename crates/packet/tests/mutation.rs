@@ -273,8 +273,8 @@ fn sliced_corpus_prefixes_never_panic() {
 
 #[test]
 fn malformed_reason_labels_are_stable() {
-    // The per-reason labels are a public contract (ingest reports, CI
-    // greps); pin them.
+    // The per-reason labels are a public contract (`analyze` stderr, the
+    // JSON `skip_reasons` keys, CI greps); pin them.
     assert_eq!(
         MalformedRecord::REASONS,
         [

@@ -1,6 +1,6 @@
 //! The unified input surface of the analysis pipeline: a [`Feed`] hands
 //! out capture chunks with a watermark, whether the packets come from a
-//! finished pcap, a still-growing capture file, or a simulated experiment.
+//! finished pcap or a still-growing capture file.
 //!
 //! Batch, streaming and live ingestion used to be three different loops;
 //! the trait collapses them to one shape the pipeline can drive:
@@ -12,8 +12,6 @@
 //!   the writer appends, holding back an in-flight truncated record until
 //!   the writer either completes it or goes quiet, and dropping (but
 //!   counting) records that arrive later than the eviction horizon.
-//! * [`SimFeed`] — synthetic; reveals an already-simulated capture in
-//!   record chunks or in simulator-clock ticks, for deterministic tests.
 //!
 //! The watermark is the maximum record timestamp observed so far — event
 //! time, not arrival time. A record whose timestamp is at least one
@@ -179,7 +177,7 @@ impl LateFilter {
 /// Open-session table sizing for a feed of about `records` records:
 /// distinct concurrently-live sources are a small fraction of records.
 /// Capacity never affects output.
-fn hint_for_records(records: u64) -> usize {
+pub fn hint_for_records(records: u64) -> usize {
     (records / 8).clamp(16, 1 << 16) as usize
 }
 
@@ -594,112 +592,10 @@ impl Feed for TailFeed {
     }
 }
 
-/// A synthetic live source over an already-simulated (or otherwise
-/// finished) capture, for deterministic testing.
-///
-/// Two pacing modes: record chunks ([`SimFeed::new`] reveals
-/// `chunk_records` packets per pull) or simulator-clock ticks
-/// ([`SimFeed::with_clock`] advances a virtual clock by `tick` per pull
-/// and reveals every packet with a timestamp below it — the capture must
-/// be time-sorted). Either way the revealed sequence is the capture's
-/// packet order, so chunk boundaries stay invisible (DESIGN.md §10).
-pub struct SimFeed<'a> {
-    capture: &'a Capture,
-    pos: usize,
-    chunk_records: usize,
-    clock: Option<(SimTime, SimDuration)>,
-    watermark: SimTime,
-}
-
-impl<'a> SimFeed<'a> {
-    /// Record-chunk pacing: reveal up to `chunk_records` packets per pull.
-    pub fn new(capture: &'a Capture, chunk_records: usize) -> SimFeed<'a> {
-        SimFeed {
-            capture,
-            pos: 0,
-            chunk_records: chunk_records.max(1),
-            clock: None,
-            watermark: SimTime::EPOCH,
-        }
-    }
-
-    /// Packets revealed so far (the prefix `capture().packets()[..revealed]`).
-    pub fn revealed(&self) -> usize {
-        self.pos
-    }
-
-    /// Simulator-clock pacing: each pull advances a virtual clock by
-    /// `tick` and reveals every packet with `ts` strictly below it. The
-    /// capture must be time-sorted.
-    pub fn with_clock(capture: &'a Capture, tick: SimDuration) -> SimFeed<'a> {
-        debug_assert!(
-            capture.is_time_sorted(),
-            "clock pacing needs a time-sorted capture"
-        );
-        SimFeed {
-            capture,
-            pos: 0,
-            chunk_records: usize::MAX,
-            clock: Some((SimTime::EPOCH, tick)),
-            watermark: SimTime::EPOCH,
-        }
-    }
-}
-
-impl Feed for SimFeed<'_> {
-    fn capture(&self) -> &Capture {
-        self.capture
-    }
-
-    fn stats(&self) -> IngestStats {
-        IngestStats {
-            records_read: self.pos as u64,
-            parsed: self.pos as u64,
-            ..IngestStats::default()
-        }
-    }
-
-    fn sources_hint(&self) -> usize {
-        hint_for_records(self.capture.len() as u64)
-    }
-
-    fn next_chunk(&mut self) -> Result<FeedChunk, FeedError> {
-        let packets = self.capture.packets();
-        let end = match &mut self.clock {
-            Some((now, tick)) => {
-                *now += *tick;
-                let now = *now;
-                self.pos
-                    + packets[self.pos..].partition_point(|p| p.ts < now).min(
-                        self.chunk_records, // chunk_records is MAX in clock mode
-                    )
-            }
-            None => self
-                .pos
-                .saturating_add(self.chunk_records)
-                .min(packets.len()),
-        };
-        let range = self.pos..end;
-        for p in &packets[range.clone()] {
-            if p.ts > self.watermark {
-                self.watermark = p.ts;
-            }
-        }
-        self.pos = end;
-        Ok(FeedChunk {
-            range,
-            watermark: self.watermark,
-            end_of_feed: self.pos >= packets.len(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{CapturedPacket, Protocol};
-    use crate::config::{TelescopeConfig, TelescopeId};
-    use bytes::Bytes;
+    use crate::config::TelescopeConfig;
     use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 
     fn default_capture() -> Capture {
@@ -867,45 +763,5 @@ mod tests {
         assert_eq!(f.late_records(), 1);
         assert!(f.admit(SimTime::from_secs(20_000)));
         assert_eq!(f.watermark(), SimTime::from_secs(20_000));
-    }
-
-    #[test]
-    fn sim_feed_reveals_whole_capture_in_chunks() {
-        let mut capture = default_capture();
-        for ts in [5u64, 10, 15, 20, 25] {
-            capture.push(CapturedPacket {
-                ts: SimTime::from_secs(ts),
-                telescope: TelescopeId::T3,
-                src: "2001:db8:f00::1".parse().unwrap(),
-                dst: "2001:db8:3::1".parse().unwrap(),
-                protocol: Protocol::Icmpv6,
-                src_port: None,
-                dst_port: None,
-                payload: Bytes::new(),
-            });
-        }
-        let mut feed = SimFeed::new(&capture, 2);
-        let mut seen = Vec::new();
-        loop {
-            let chunk = feed.next_chunk().unwrap();
-            seen.extend(chunk.range.clone());
-            if chunk.end_of_feed {
-                assert_eq!(chunk.watermark, SimTime::from_secs(25));
-                break;
-            }
-        }
-        assert_eq!(seen, (0..5).collect::<Vec<_>>());
-
-        // Clock pacing reveals the same sequence.
-        let mut clocked = SimFeed::with_clock(&capture, SimDuration::secs(10));
-        let mut seen = Vec::new();
-        loop {
-            let chunk = clocked.next_chunk().unwrap();
-            seen.extend(chunk.range.clone());
-            if chunk.end_of_feed {
-                break;
-            }
-        }
-        assert_eq!(seen, (0..5).collect::<Vec<_>>());
     }
 }

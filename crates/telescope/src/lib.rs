@@ -12,7 +12,7 @@
 //! * [`session`] — scan-session construction with the paper's 1-hour
 //!   inter-arrival timeout,
 //! * [`feed`] — the unified chunked input surface ([`Feed`]) over finished
-//!   pcaps, growing capture files and simulated experiments,
+//!   pcaps and growing capture files,
 //! * [`reactive`] — T4's responder (echo replies, SYN/ACKs, port
 //!   unreachables),
 //! * [`schedule`] — the bi-weekly asymmetric prefix-split automation of
@@ -30,7 +30,7 @@ pub mod source;
 pub use bytes::Bytes;
 pub use capture::{Capture, CapturedPacket, IngestStats, Protocol};
 pub use config::{TelescopeConfig, TelescopeId, TelescopeKind};
-pub use feed::{Feed, FeedChunk, FeedError, LateFilter, PcapFeed, SimFeed, TailFeed};
+pub use feed::{Feed, FeedChunk, FeedError, LateFilter, PcapFeed, TailFeed};
 pub use reactive::respond;
 pub use schedule::{ScheduleAction, ScheduleActionKind, SplitSchedule};
 pub use session::{IncrementalSessionizer, ScanSession, Sessionizer, SESSION_TIMEOUT};

@@ -3,9 +3,9 @@
 //! The corpus exercises every branch of the recovery contract
 //! (DESIGN.md §8): valid records, each `MalformedRecord` reason, a
 //! packet-level malformation, and a file cut off mid-record. The files
-//! are committed so the integration tests and the CI ingest smoke step
-//! run against fixed bytes; this generator documents their provenance
-//! and rebuilds them byte-identically:
+//! are committed so the integration tests and the CI smoke step that runs
+//! `sixscope analyze` over them see fixed bytes; this generator documents
+//! their provenance and rebuilds them byte-identically:
 //!
 //! ```sh
 //! cargo run -p sixscope-examples --bin make-corpus --release [out-dir]

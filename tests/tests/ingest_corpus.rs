@@ -1,9 +1,10 @@
 //! The checked-in corrupted-pcap corpus (`tests/corpus/`, regenerated by
 //! `cargo run -p sixscope-examples --bin make-corpus`) pins the recovery
 //! contract end to end: exact per-reason skip counts per file, every
-//! complete record survives the damage around it, and the ingest report
-//! is byte-identical at any worker-thread count.
+//! complete record survives the damage around it, and the `analyze`
+//! report is byte-identical at any worker-thread count.
 
+use sixscope::serve::analysis_report;
 use sixscope::{Pipeline, PipelineOutput};
 use sixscope_telescope::{IngestStats, TelescopeId};
 use sixscope_types::Ipv6Prefix;
@@ -120,12 +121,7 @@ fn multi_file_stats_accumulate() {
 fn ingest_report_is_thread_count_invariant() {
     let build = || {
         let out = run(&["mixed.pcap", "clean.pcap"]);
-        sixscope::ingest::render_report(
-            out.analyzed.capture(TelescopeId::T1),
-            out.analyzed.sessions128(TelescopeId::T1),
-            &out.stats,
-            "corpus",
-        )
+        [false, true].map(|json| analysis_report(&out.analyzed, &out.stats, json))
     };
     std::env::set_var("SIXSCOPE_THREADS", "1");
     let serial = build();
@@ -133,7 +129,8 @@ fn ingest_report_is_thread_count_invariant() {
     let parallel = build();
     std::env::remove_var("SIXSCOPE_THREADS");
     assert_eq!(serial, parallel, "report bytes diverged across threads");
-    // The report actually carries the recovery story.
-    assert!(serial.contains("length-inconsistent"));
-    assert!(serial.contains("truncated tail"));
+    // The JSON report actually carries the recovery story.
+    let json = &serial[1];
+    assert!(json.contains(r#""length-inconsistent":1"#), "{json}");
+    assert!(json.contains(r#""truncated_tail":true"#), "{json}");
 }

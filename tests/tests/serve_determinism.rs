@@ -1,7 +1,6 @@
 //! Serve-daemon determinism (DESIGN.md §10, §14): the final checkpoint is
-//! byte-identical across worker-thread counts and chunk sizes, equals the
-//! batch `analyze` stdout over the same finished pcap, and equals the
-//! streaming pipeline's tables for a simulated source. Every mid-run pcap
+//! byte-identical across worker-thread counts and chunk sizes and equals
+//! the batch `analyze` stdout over the same finished pcap. Every mid-run
 //! checkpoint equals the batch report over the prefix of the file it
 //! covers, on the in-order path and on the disorder fallback alike.
 
@@ -9,16 +8,13 @@ mod common;
 
 use common::ScratchDir;
 use sixscope::serve::{self, ServeOptions};
-use sixscope::sim::ScenarioConfig;
 use sixscope::Pipeline;
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 use sixscope_types::{Ipv6Prefix, SimTime, Xoshiro256pp};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::path::PathBuf;
-
-const SEED: u64 = 20230824;
-const SCALE: f64 = 0.004;
+use std::time::Duration;
 
 fn corpus_path(name: &str) -> PathBuf {
     PathBuf::from(format!("{}/corpus/{name}", env!("CARGO_MANIFEST_DIR")))
@@ -32,31 +28,10 @@ fn serve_once(mut opts: ServeOptions) -> String {
     std::fs::read_to_string(summary.latest).unwrap()
 }
 
-/// `serve --sim` at seed 20230824 yields one byte sequence regardless of
-/// worker threads or chunking, and that sequence is exactly what
-/// `sixscope run` prints for the same scenario.
-#[test]
-fn sim_serve_is_invariant_and_matches_the_batch_pipeline() {
-    let analyzed = Pipeline::simulate(ScenarioConfig::new(SEED, SCALE))
-        .run()
-        .unwrap();
-    let expected = serve::tables_report(&analyzed, false);
-    for (threads, chunk) in [(1, 7), (8, 7), (1, usize::MAX), (8, usize::MAX)] {
-        let mut opts = ServeOptions::sim(SEED, SCALE, "");
-        opts.threads = Some(threads);
-        opts.chunk_records = chunk;
-        let latest = serve_once(opts);
-        assert_eq!(
-            latest, expected,
-            "sim serve diverged at threads={threads} chunk={chunk}"
-        );
-    }
-}
-
 /// Serving a finished pcap yields the exact stdout bytes of batch
 /// `sixscope analyze` over the same file, at every thread count and chunk
 /// size — including the JSON rendering, which carries the recovery
-/// statistics.
+/// statistics down to the per-reason skip counts.
 #[test]
 fn pcap_serve_final_checkpoint_equals_batch_analyze() {
     let pcap = corpus_path("mixed.pcap");
@@ -66,6 +41,15 @@ fn pcap_serve_final_checkpoint_equals_batch_analyze() {
         .unwrap();
     for json in [false, true] {
         let expected = serve::analysis_report(&batch.analyzed, &batch.stats, json);
+        if json {
+            for count in [
+                r#""snaplen-exceeded":1"#,
+                r#""length-inconsistent":1"#,
+                r#""truncated-body":1"#,
+            ] {
+                assert!(expected.contains(count), "{count} missing: {expected}");
+            }
+        }
         for (threads, chunk) in [(1, 7), (8, 7), (1, usize::MAX), (8, usize::MAX)] {
             let mut opts = ServeOptions::pcap(&pcap, "");
             opts.threads = Some(threads);
@@ -107,6 +91,48 @@ fn snapshots_are_numbered_and_latest_mirrors_the_last() {
             "snapshot {seq} missing"
         );
     }
+}
+
+/// A zero snapshot interval would never advance: the library rejects it
+/// before reading anything, as the CLI rejects `--snapshot-every 0`.
+#[test]
+fn zero_snapshot_interval_is_a_usage_error() {
+    let dir = ScratchDir::new("serve-every-0");
+    let mut opts = ServeOptions::pcap(corpus_path("mixed.pcap"), dir.path());
+    opts.snapshot_every = Some(0);
+    match serve::serve(opts) {
+        Ok(_) => panic!("snapshot_every = Some(0) must be rejected"),
+        Err(err) => assert_eq!(err.exit_code(), 2, "{err}"),
+    }
+    assert!(!dir.join("latest.md").exists(), "no checkpoint written");
+}
+
+/// A zero chunk size feeds one record per step, so the disorder
+/// fallback's sort-and-re-feed terminates and the final checkpoint still
+/// equals batch `analyze`. The daemon runs on a worker thread, so a hang
+/// fails the test instead of stalling the suite.
+#[test]
+fn zero_chunk_serve_finishes_over_a_disordered_pcap() {
+    let dir = ScratchDir::new("serve-chunk-0");
+    let pcap = dir.join("disordered.pcap");
+    let mut records = scan_records(4);
+    records.swap(1, 2);
+    std::fs::write(&pcap, pcap_image(&records)).unwrap();
+    let batch = Pipeline::from_pcaps([&pcap]).run_detailed().unwrap();
+    let expected = serve::analysis_report(&batch.analyzed, &batch.stats, false);
+    let mut opts = ServeOptions::pcap(&pcap, dir.join("out"));
+    opts.chunk_records = 0;
+    opts.poll_ms = 1;
+    opts.quiesce_ms = 20;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let daemon =
+        std::thread::spawn(move || tx.send(serve::serve(opts).map(|summary| summary.latest)));
+    let latest = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("serve with chunk_records = 0 did not finish")
+        .unwrap();
+    daemon.join().unwrap().unwrap();
+    assert_eq!(std::fs::read_to_string(latest).unwrap(), expected);
 }
 
 /// A status fd the daemon cannot write to fails every line; the run still

@@ -96,12 +96,7 @@ fn run(paths: &[PathBuf], chunk: Option<usize>, threads: usize) -> PipelineOutpu
 }
 
 fn report(out: &PipelineOutput) -> String {
-    sixscope::ingest::render_report(
-        out.analyzed.capture(TelescopeId::T1),
-        out.analyzed.sessions128(TelescopeId::T1),
-        &out.stats,
-        "corpus",
-    )
+    sixscope::serve::analysis_report(&out.analyzed, &out.stats, true)
 }
 
 #[test]
