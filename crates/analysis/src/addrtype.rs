@@ -76,14 +76,6 @@ impl AddressType {
             AddressType::Isatap => 7,
         }
     }
-
-    /// Inverse of [`AddressType::code`].
-    ///
-    /// # Panics
-    /// Panics on codes ≥ 8.
-    pub fn from_code(code: u8) -> AddressType {
-        AddressType::ALL[code as usize]
-    }
 }
 
 impl fmt::Display for AddressType {
@@ -336,7 +328,7 @@ mod tests {
     fn codes_round_trip_in_table_order() {
         for (i, &ty) in AddressType::ALL.iter().enumerate() {
             assert_eq!(ty.code() as usize, i);
-            assert_eq!(AddressType::from_code(ty.code()), ty);
+            assert_eq!(AddressType::ALL[ty.code() as usize], ty);
         }
     }
 

@@ -99,22 +99,6 @@ impl UpSet {
         upset
     }
 
-    /// Items observed *only* at `t`.
-    pub fn exclusive_to(&self, t: TelescopeId) -> u64 {
-        let mut solo = TelescopeSet::EMPTY;
-        solo.insert(t);
-        self.exclusive.get(&solo).copied().unwrap_or(0)
-    }
-
-    /// Items observed at every telescope.
-    pub fn at_all(&self) -> u64 {
-        let mut all = TelescopeSet::EMPTY;
-        for t in TelescopeId::ALL {
-            all.insert(t);
-        }
-        self.exclusive.get(&all).copied().unwrap_or(0)
-    }
-
     /// Share of the universe observed at exactly one telescope.
     pub fn exclusive_share(&self) -> f64 {
         if self.universe == 0 {
@@ -169,9 +153,9 @@ mod tests {
         obs.insert("e", set(&[])); // never observed: excluded
         let upset = UpSet::from_observations(&obs);
         assert_eq!(upset.universe, 4);
-        assert_eq!(upset.exclusive_to(T1), 2);
-        assert_eq!(upset.exclusive_to(T2), 0);
-        assert_eq!(upset.at_all(), 1);
+        assert_eq!(upset.exclusive.get(&set(&[T1])), Some(&2));
+        assert_eq!(upset.exclusive.get(&set(&[T2])), None);
+        assert_eq!(upset.exclusive.get(&set(&TelescopeId::ALL)), Some(&1));
         // Non-exclusive totals.
         assert_eq!(upset.totals[&T1], 4);
         assert_eq!(upset.totals[&T2], 2);
@@ -186,7 +170,7 @@ mod tests {
         let upset = UpSet::from_observations(&obs);
         assert_eq!(upset.universe, 0);
         assert_eq!(upset.exclusive_share(), 0.0);
-        assert_eq!(upset.at_all(), 0);
+        assert!(upset.exclusive.is_empty());
     }
 
     #[test]
@@ -198,7 +182,7 @@ mod tests {
         }
         let upset = UpSet::from_observations(&obs);
         assert_eq!(upset.exclusive[&set(&[T1, T3])], 5);
-        assert_eq!(upset.exclusive_to(T1), 0);
-        assert_eq!(upset.exclusive_to(T3), 0);
+        assert_eq!(upset.exclusive.get(&set(&[T1])), None);
+        assert_eq!(upset.exclusive.get(&set(&[T3])), None);
     }
 }

@@ -11,7 +11,6 @@
 //! * [`autocorr`] — autocorrelation period detection for the temporal
 //!   taxonomy,
 //! * [`mod@dbscan`] — generic density-based clustering,
-//! * [`entropy`] — Entropy/IP-style per-nibble entropy profiling,
 //! * [`classify`] — the three-axis scanner taxonomy (temporal behavior,
 //!   network selection, address selection),
 //! * [`fingerprint`] — payload clustering and public-tool identification
@@ -24,7 +23,6 @@ pub mod addrtype;
 pub mod autocorr;
 pub mod classify;
 pub mod dbscan;
-pub mod entropy;
 pub mod fingerprint;
 pub mod heavy;
 pub mod intersect;

@@ -19,7 +19,7 @@
 //!   transform size shared across a batch ([`Twiddles`]). The statistics
 //!   they feed into the p-value formulas (bit counts, run counts, peak
 //!   partial sums, below-threshold bin counts) are integers, so the packed
-//!   kernels reproduce the scalar [`reference`] p-values bit for bit —
+//!   kernels reproduce the scalar [`mod@reference`] p-values bit for bit —
 //!   which the property tests in `tests/prop.rs` pin.
 
 use crate::special::{erfc, normal_cdf};
@@ -135,7 +135,7 @@ impl BitSequence {
         (self.words[i / 64] >> (63 - i % 64)) & 1 == 1
     }
 
-    /// Unpacks to a `bool` vector (for the [`reference`] kernels/tests).
+    /// Unpacks to a `bool` vector (for the [`mod@reference`] kernels/tests).
     pub fn to_bools(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.bit(i)).collect()
     }

@@ -58,15 +58,6 @@ pub fn rank_descending(mut values: Vec<u64>) -> Vec<u64> {
     values
 }
 
-/// Top-k entries of a count map, by count descending (ties broken by key
-/// order for determinism). Used for the port tables.
-pub fn top_k<K: Ord + Clone>(counts: &BTreeMap<K, u64>, k: usize) -> Vec<(K, u64)> {
-    let mut entries: Vec<(K, u64)> = counts.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    entries.truncate(k);
-    entries
-}
-
 /// Empirical CDF evaluation points `(value, P(X <= value))`.
 pub fn ecdf(mut values: Vec<f64>) -> Vec<(f64, f64)> {
     if values.is_empty() {
@@ -126,17 +117,6 @@ mod tests {
     #[test]
     fn rank_descending_sorts() {
         assert_eq!(rank_descending(vec![3, 9, 1, 9]), vec![9, 9, 3, 1]);
-    }
-
-    #[test]
-    fn top_k_orders_and_truncates() {
-        let mut counts = BTreeMap::new();
-        counts.insert(80u16, 100u64);
-        counts.insert(443, 50);
-        counts.insert(22, 50);
-        counts.insert(21, 10);
-        let top = top_k(&counts, 3);
-        assert_eq!(top, vec![(80, 100), (22, 50), (443, 50)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use sixscope_telescope::{AggLevel, Sessionizer, TelescopeId};
 use std::hint::black_box;
 
 fn bench_packet_codec(c: &mut Criterion) {
-    use sixscope::packet::{PacketBuilder, ParsedPacket};
+    use sixscope::packet::{PacketBuilder, ParsedView};
     let builder = PacketBuilder::new("2a0a::1".parse().unwrap(), "2001:db8::1".parse().unwrap());
     let bytes = builder.icmpv6_echo_request(7, 9, b"yrp6-0000000042");
     let mut group = c.benchmark_group("packet_codec");
@@ -18,7 +18,7 @@ fn bench_packet_codec(c: &mut Criterion) {
         b.iter(|| black_box(builder.icmpv6_echo_request(7, 9, b"yrp6-0000000042")))
     });
     group.bench_function("parse_echo_request", |b| {
-        b.iter(|| black_box(ParsedPacket::parse(&bytes).unwrap()))
+        b.iter(|| black_box(ParsedView::parse(&bytes).unwrap()))
     });
     group.finish();
 }

@@ -61,6 +61,13 @@ fn main() {
                 Ok(n) => shards = Some(n),
             }
         } else if let Ok(s) = arg.parse::<f64>() {
+            // `inf` would abort on allocation; NaN, zero and negative
+            // scales would build a degenerate population and overwrite
+            // EXPERIMENTS.md with its report.
+            if !(s.is_finite() && s > 0.0) {
+                eprintln!("invalid scale {arg:?} (need a finite number > 0)");
+                std::process::exit(2);
+            }
             scale = s;
         } else {
             eprintln!("usage: repro [scale] [--timing] [--chunk N] [--shards K]");

@@ -1,10 +1,10 @@
-//! IRR route6 objects and RPKI route-origin validation (RFC 6811).
+//! IRR route6 objects.
 //!
 //! §3.2 of the paper: the authors created a route6 object for the non-split
 //! /33 four months in (observing no scanner effect) and deliberately did not
-//! create ROAs, because *not-found* routes are not filtered. Both registries
-//! are modelled so the experiment schedule can reproduce those actions and a
-//! validating upstream can be configured in ablations.
+//! create ROAs, because *not-found* routes are not filtered. The route6
+//! registry is modelled so the experiment schedule can reproduce that
+//! action and an IRR-filtering upstream can be configured in ablations.
 
 use serde::{Deserialize, Serialize};
 use sixscope_types::{Asn, Ipv6Prefix, SimTime};
@@ -55,67 +55,6 @@ impl Route6Registry {
     }
 }
 
-/// RFC 6811 validation outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RpkiValidity {
-    /// A covering ROA matches origin and length.
-    Valid,
-    /// A covering ROA exists but origin or max-length mismatch.
-    Invalid,
-    /// No covering ROA exists — not filtered in practice (the paper's
-    /// rationale for skipping ROA creation).
-    NotFound,
-}
-
-/// A Route Origin Authorization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Roa {
-    /// Authorized prefix.
-    pub prefix: Ipv6Prefix,
-    /// Maximum announced length.
-    pub max_length: u8,
-    /// Authorized origin AS.
-    pub origin: Asn,
-}
-
-/// A validated ROA table.
-#[derive(Debug, Clone, Default)]
-pub struct RoaTable {
-    roas: Vec<Roa>,
-}
-
-impl RoaTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a ROA.
-    pub fn add(&mut self, roa: Roa) {
-        self.roas.push(roa);
-    }
-
-    /// RFC 6811 origin validation of an announcement.
-    pub fn validate(&self, prefix: &Ipv6Prefix, origin: Asn) -> RpkiValidity {
-        let covering: Vec<&Roa> = self
-            .roas
-            .iter()
-            .filter(|roa| roa.prefix.covers(prefix))
-            .collect();
-        if covering.is_empty() {
-            return RpkiValidity::NotFound;
-        }
-        if covering
-            .iter()
-            .any(|roa| roa.origin == origin && prefix.len() <= roa.max_length)
-        {
-            RpkiValidity::Valid
-        } else {
-            RpkiValidity::Invalid
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,75 +75,5 @@ mod tests {
         assert!(!reg.is_registered(&p("2001:db8::/33"), Asn(64501), t_create));
         // Unrelated prefix does not.
         assert!(!reg.is_registered(&p("2001:db8:8000::/33"), Asn(64500), t_create));
-    }
-
-    #[test]
-    fn rpki_not_found_without_roas() {
-        let table = RoaTable::new();
-        assert_eq!(
-            table.validate(&p("2001:db8::/32"), Asn(64500)),
-            RpkiValidity::NotFound
-        );
-    }
-
-    #[test]
-    fn rpki_valid_within_max_length() {
-        let mut table = RoaTable::new();
-        table.add(Roa {
-            prefix: p("2001:db8::/32"),
-            max_length: 48,
-            origin: Asn(64500),
-        });
-        assert_eq!(
-            table.validate(&p("2001:db8::/32"), Asn(64500)),
-            RpkiValidity::Valid
-        );
-        assert_eq!(
-            table.validate(&p("2001:db8:1234::/48"), Asn(64500)),
-            RpkiValidity::Valid
-        );
-    }
-
-    #[test]
-    fn rpki_invalid_on_origin_or_length_mismatch() {
-        let mut table = RoaTable::new();
-        table.add(Roa {
-            prefix: p("2001:db8::/32"),
-            max_length: 33,
-            origin: Asn(64500),
-        });
-        assert_eq!(
-            table.validate(&p("2001:db8::/32"), Asn(666)),
-            RpkiValidity::Invalid,
-            "wrong origin"
-        );
-        assert_eq!(
-            table.validate(&p("2001:db8:1234::/48"), Asn(64500)),
-            RpkiValidity::Invalid,
-            "too specific"
-        );
-    }
-
-    #[test]
-    fn multiple_roas_any_valid_wins() {
-        let mut table = RoaTable::new();
-        table.add(Roa {
-            prefix: p("2001:db8::/32"),
-            max_length: 32,
-            origin: Asn(1),
-        });
-        table.add(Roa {
-            prefix: p("2001:db8::/32"),
-            max_length: 48,
-            origin: Asn(2),
-        });
-        assert_eq!(
-            table.validate(&p("2001:db8:1::/48"), Asn(2)),
-            RpkiValidity::Valid
-        );
-        assert_eq!(
-            table.validate(&p("2001:db8:1::/48"), Asn(1)),
-            RpkiValidity::Invalid
-        );
     }
 }

@@ -11,7 +11,7 @@
 //!   collector (the "RIPEstat / looking glass" view of §3.2),
 //! * [`events`] — the timestamped announce/withdraw feed that BGP-reactive
 //!   scanners consume,
-//! * [`irr`] — route6 objects and RPKI ROA validation outcomes.
+//! * [`irr`] — route6 objects with creation times.
 //!
 //! This is the paper's control-plane substrate: telescope T1 originates and
 //! withdraws prefixes through a [`speaker::Speaker`], updates propagate hop

@@ -112,11 +112,6 @@ impl Speaker {
         id
     }
 
-    /// Relation of a peer.
-    pub fn peer_relation(&self, peer: PeerId) -> PeerRelation {
-        self.peers[peer as usize].relation
-    }
-
     /// True once the session with `peer` is Established.
     pub fn peer_established(&self, peer: PeerId) -> bool {
         self.peers[peer as usize].fsm.is_established()

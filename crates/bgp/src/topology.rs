@@ -40,11 +40,6 @@ impl Collector {
     pub fn events(&self) -> &[RouteEvent] {
         &self.events
     }
-
-    /// Events with index `>= from`, for polling subscribers.
-    pub fn events_since(&self, from: usize) -> &[RouteEvent] {
-        &self.events[from.min(self.events.len())..]
-    }
 }
 
 #[derive(Debug)]
@@ -470,20 +465,6 @@ mod tests {
         t.run_until(SimTime::from_secs(120));
         let table = t.global_table();
         assert_eq!(table, vec![p("2001:db8::/29")]);
-    }
-
-    #[test]
-    fn events_since_supports_polling() {
-        let mut t = topo();
-        t.announce(Asn(64500), p("2001:db8::/32"), SimTime::EPOCH);
-        t.run_until(SimTime::from_secs(120));
-        let n = t.collector().events().len();
-        assert!(n >= 1);
-        assert!(t.collector().events_since(n).is_empty());
-        assert_eq!(t.collector().events_since(0).len(), n);
-        t.announce(Asn(64500), p("2001:db8:8000::/33"), SimTime::from_secs(200));
-        t.run_until(SimTime::from_secs(400));
-        assert!(!t.collector().events_since(n).is_empty());
     }
 
     #[test]

@@ -114,9 +114,16 @@ USAGE:
 
 fn cmd_run(args: &[String]) -> Result<(), Error> {
     let flags = Flags::parse(args, &["seed", "scale", "pcap-dir", "json", "threads"])?;
+    let scale: f64 = flags.parsed("scale")?.unwrap_or(0.01);
+    // `inf` would abort on allocation; NaN, zero and negative scales
+    // would build a degenerate population and report it as a result.
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(Error::Usage(format!(
+            "--scale must be a finite number above 0, got {scale}"
+        )));
+    }
     let threads = flags.apply_threads()?;
     let seed: u64 = flags.parsed("seed")?.unwrap_or(20230824);
-    let scale: f64 = flags.parsed("scale")?.unwrap_or(0.01);
     eprintln!("running experiment seed={seed} scale={scale}…");
     let mut pipeline = Pipeline::simulate(ScenarioConfig::new(seed, scale));
     if let Some(n) = threads {
@@ -348,7 +355,17 @@ fn cmd_schedule(args: &[String]) -> Result<(), Error> {
     }
     let mut schedule = SplitSchedule::paper(covering, SimTime::EPOCH);
     if let Some(weeks) = flags.parsed::<u64>("weeks-baseline")? {
-        schedule.baseline = sixscope_types::SimDuration::weeks(weeks);
+        // The baseline and the cycles after it must fit the u64 clock.
+        let cycles = schedule.cycle_len.as_secs() * u64::from(schedule.cycles);
+        let secs = weeks
+            .checked_mul(7 * 86_400)
+            .filter(|secs| secs.checked_add(cycles).is_some())
+            .ok_or_else(|| {
+                Error::Usage(format!(
+                    "--weeks-baseline {weeks} overflows the simulated clock"
+                ))
+            })?;
+        schedule.baseline = sixscope_types::SimDuration::secs(secs);
     }
     println!(
         "baseline: {} with {} announced",

@@ -6,7 +6,7 @@ use crate::pipeline::{ConsumedFeed, FeedConsumer};
 use sixscope_analysis::classify::ScannerProfile;
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
 use sixscope_telescope::feed::hint_for_records;
-use sixscope_telescope::{Capture, ScanSession, SourceKey, TelescopeId, SESSION_TIMEOUT};
+use sixscope_telescope::{Capture, ScanSession, TelescopeId, SESSION_TIMEOUT};
 use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, PrefixTrie, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -73,7 +73,7 @@ pub struct Analyzed {
 
 impl Analyzed {
     /// Builds the corpus from a finished experiment — the batch path,
-    /// expressed as one-big-chunk streaming through [`Analyzed::stream`].
+    /// expressed as one-big-chunk streaming through `Analyzed::stream`.
     pub fn from_result(result: ExperimentResult) -> Analyzed {
         Self::stream(result, &StreamSettings::default())
     }
@@ -166,13 +166,6 @@ impl Analyzed {
         &self.sessions64[&id]
     }
 
-    /// All /128 sessions across all telescopes.
-    pub fn all_sessions128(&self) -> impl Iterator<Item = &ScanSession> {
-        TelescopeId::ALL
-            .into_iter()
-            .flat_map(|id| self.sessions128[&id].iter())
-    }
-
     /// Origin AS of a source address (routing-data join).
     pub fn asn_of(&self, src: Ipv6Addr) -> Option<Asn> {
         self.asn_by_subnet.lookup(src).map(|(_, asn)| *asn)
@@ -195,15 +188,6 @@ impl Analyzed {
         self.result.schedule.cycle_start(1)
     }
 
-    /// Sessions at one telescope restricted to the initial 12 weeks.
-    pub fn initial_sessions128(&self, id: TelescopeId) -> Vec<&ScanSession> {
-        let boundary = self.split_start();
-        self.sessions128[&id]
-            .iter()
-            .filter(|s| s.start < boundary)
-            .collect()
-    }
-
     /// T1 sessions during the split period (/128).
     pub fn t1_split_sessions(&self) -> Vec<&ScanSession> {
         let boundary = self.split_start();
@@ -222,17 +206,6 @@ impl Analyzed {
             &self.sessions128[&TelescopeId::T1][window.range.clone()],
             &window.profiles,
         )
-    }
-
-    /// Distinct /128 sources at one telescope over a time range (ascending).
-    pub fn sources128(&self, id: TelescopeId, from: SimTime, until: SimTime) -> Vec<SourceKey> {
-        let col = self.index.telescope(id);
-        let mut ids: Vec<u32> = col.src128[col.range(from, until)].to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter()
-            .map(|i| self.index.sources.key128(i))
-            .collect()
     }
 }
 
@@ -289,7 +262,12 @@ mod tests {
     #[test]
     fn split_period_partitions_sessions() {
         let a = analyzed();
-        let initial = a.initial_sessions128(TelescopeId::T1).len();
+        let boundary = a.split_start();
+        let initial = a
+            .sessions128(TelescopeId::T1)
+            .iter()
+            .filter(|s| s.start < boundary)
+            .count();
         let split = a.t1_split_sessions().len();
         assert_eq!(initial + split, a.sessions128(TelescopeId::T1).len());
         assert!(split > initial, "the split period is 32 of 44 weeks");

@@ -119,11 +119,6 @@ impl SourceTable {
         self.keys128[id as usize]
     }
 
-    /// The /64 source key of an id.
-    pub fn key64(&self, id: u32) -> SourceKey {
-        self.keys64[id as usize]
-    }
-
     /// Id of a /128 source key, if interned.
     pub fn id128(&self, key: &SourceKey) -> Option<u32> {
         self.lookup128.get(key)
@@ -270,11 +265,6 @@ impl IndexShard {
     /// True before the first packet.
     pub fn is_empty(&self) -> bool {
         self.ts.is_empty()
-    }
-
-    /// The distinct /128 and /64 sources seen so far.
-    pub fn source_counts(&self) -> (usize, usize) {
-        (self.sources128.len(), self.sources64.len())
     }
 
     /// Appends one contiguous chunk of `capture`'s packets.

@@ -1,8 +1,7 @@
 //! The one entry point — a streaming, bounded-memory analysis pipeline.
 //!
-//! [`Pipeline`] subsumes the older `Experiment` (simulated corpus),
-//! `Scenario::run_timed` (raw simulation) and `Ingest` (real pcap) entry
-//! points behind a single builder:
+//! [`Pipeline`] puts the simulated corpus, the real-pcap analysis and the
+//! shard-file gather behind a single builder:
 //!
 //! ```no_run
 //! use sixscope::{Pipeline, sim::ScenarioConfig};

@@ -1,7 +1,7 @@
 //! `sixscope serve` — the live telescope daemon.
 //!
 //! A long-running loop that follows one growing pcap through a
-//! [`TailFeed`] into the same [`FeedConsumer`] the batch pipeline uses,
+//! [`TailFeed`] into the same `FeedConsumer` the batch pipeline uses,
 //! and checkpoints the analysis as it goes:
 //!
 //! * **Snapshots** — every `--snapshot-every N` revealed records the

@@ -5,7 +5,7 @@
 //! packets: the telescope configuration, the ingest statistics and the
 //! capture itself. Nothing derived from the packets is stored: the gather
 //! concatenates each telescope's captures and builds sessions and index
-//! columns through [`Analyzed::stream`], the same feed consumer every
+//! columns through `Analyzed::stream`, the same feed consumer every
 //! other input goes through, so a coordinator can [`merge_experiment`] N
 //! files into the exact corpus a single process would have built. The
 //! format is sectioned (magic + version + section table), little-endian
@@ -734,7 +734,7 @@ pub fn write_experiment_shards(
 /// visibility) and replacing its captures with the shard contents. All
 /// four telescopes must be covered and each group's shards must arrive in
 /// capture order. Sessions and the index are built by
-/// [`Analyzed::stream`]; the corpus's `streaming` time is the read and
+/// `Analyzed::stream`; the corpus's `streaming` time is the read and
 /// decode of the files plus that feed.
 pub fn merge_experiment(
     mut result: ExperimentResult,

@@ -100,3 +100,47 @@ fn zero_snapshot_interval_and_removed_front_doors_exit_2() {
         "a rejected serve writes nothing"
     );
 }
+
+/// A scale that is not a finite number above zero is a usage error, not
+/// an allocation abort (`inf`) or a report over a degenerate population.
+#[test]
+fn non_positive_or_non_finite_scale_exits_2() {
+    for scale in ["inf", "NaN", "-1", "0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sixscope"))
+            .args(["run", "--scale", scale])
+            .output()
+            .expect("spawn sixscope run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--scale {scale}: {stderr}");
+        assert!(stderr.contains("--scale"), "--scale {scale}: {stderr}");
+        assert!(out.stdout.is_empty(), "--scale {scale} printed a report");
+    }
+}
+
+/// A baseline too long for the u64 clock is a usage error instead of an
+/// overflow panic (debug) or a wrapped plan (release).
+#[test]
+fn overflowing_weeks_baseline_exits_2() {
+    for weeks in ["99999999999999999", "30500568904943"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sixscope"))
+            .args(["schedule", "2001:db8::/32", "--weeks-baseline", weeks])
+            .output()
+            .expect("spawn sixscope schedule");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{weeks} weeks: {stderr}");
+        assert!(
+            stderr.contains("--weeks-baseline"),
+            "{weeks} weeks: {stderr}"
+        );
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_sixscope"))
+        .args(["schedule", "2001:db8::/32", "--weeks-baseline", "4"])
+        .output()
+        .expect("spawn sixscope schedule");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.starts_with("baseline: 28d with 2001:db8::/32"),
+        "{stdout}"
+    );
+}

@@ -241,7 +241,7 @@ impl RunEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::{ParsedPacket, Transport};
+    use crate::parse::{ParsedView, Transport};
 
     fn builder() -> PacketBuilder {
         PacketBuilder::new(
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn echo_request_parses_back() {
         let bytes = builder().icmpv6_echo_request(7, 3, b"ping");
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         assert_eq!(p.header.next_header, NextHeader::Icmpv6);
         match &p.transport {
             Transport::Icmpv6(h) => {
@@ -262,13 +262,13 @@ mod tests {
             }
             other => panic!("wrong transport {other:?}"),
         }
-        assert_eq!(&p.payload[..], b"ping");
+        assert_eq!(p.payload, b"ping");
     }
 
     #[test]
     fn tcp_syn_parses_back() {
         let bytes = builder().tcp_syn(55555, 443, 1, &[]);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         assert_eq!(p.dst_port(), Some(443));
         assert_eq!(p.src_port(), Some(55555));
         assert!(p.payload.is_empty());
@@ -277,15 +277,15 @@ mod tests {
     #[test]
     fn udp_parses_back_with_payload() {
         let bytes = builder().udp(40000, 33434, b"traceroute!");
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         assert_eq!(p.dst_port(), Some(33434));
-        assert_eq!(&p.payload[..], b"traceroute!");
+        assert_eq!(p.payload, b"traceroute!");
     }
 
     #[test]
     fn hop_limit_and_flow_label_pass_through() {
         let bytes = builder().hop_limit(3).flow_label(0x1234).udp(1, 2, &[]);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         assert_eq!(p.header.hop_limit, 3);
         assert_eq!(p.header.flow_label, 0x1234);
     }
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn payload_len_field_is_exact() {
         let bytes = builder().icmpv6_echo_request(1, 1, &[0u8; 100]);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         assert_eq!(p.header.payload_len as usize, bytes.len() - IPV6_HEADER_LEN);
     }
 }

@@ -57,11 +57,6 @@ impl Icmpv6Type {
             other => Icmpv6Type::Other(other),
         }
     }
-
-    /// True for error messages (type < 128).
-    pub fn is_error(self) -> bool {
-        self.value() < 128
-    }
 }
 
 /// A decoded ICMPv6 header. For echo messages the 4 message-body bytes are
@@ -196,8 +191,6 @@ mod tests {
     #[test]
     fn type_classification() {
         assert_eq!(Icmpv6Type::from_value(3), Icmpv6Type::TimeExceeded);
-        assert!(Icmpv6Type::TimeExceeded.is_error());
-        assert!(!Icmpv6Type::EchoRequest.is_error());
         assert_eq!(Icmpv6Type::from_value(135), Icmpv6Type::Other(135));
     }
 

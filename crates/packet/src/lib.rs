@@ -26,7 +26,7 @@ pub use builder::{PacketBuilder, RunEncoder};
 pub use error::{MalformedRecord, PacketError};
 pub use icmpv6::{Icmpv6Header, Icmpv6Type};
 pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
-pub use parse::{parse_run, ParsedPacket, ParsedView, Transport};
+pub use parse::{parse_run, ParsedView, Transport};
 pub use pcap::{
     MappedPcap, PcapRecord, PcapWriter, RecordView, SliceReader, SliceReaderState, ViewOutcome,
     MAX_RECORD_LEN,

@@ -1,11 +1,11 @@
 //! Whole-packet parsing — the telescope's first processing step.
 //!
 //! [`ParsedView`] decodes the IPv6 header and the transport header against
-//! a borrowed buffer without allocating; [`ParsedPacket`] is its owned
-//! promotion, keeping the upper-layer payload as a cheaply-cloneable
-//! [`bytes::Bytes`]. Payload bytes feed the tool-fingerprint clustering of
-//! §5.4. The ingest hot path parses views and promotes only the packets
-//! that survive telescope filtering (DESIGN.md §11).
+//! a borrowed buffer without allocating; the upper-layer payload stays a
+//! subslice of the input. Payload bytes feed the tool-fingerprint
+//! clustering of §5.4. The ingest hot path parses views and copies the
+//! payload only of the packets that survive telescope filtering
+//! (DESIGN.md §11).
 
 use crate::error::PacketError;
 use crate::icmpv6::Icmpv6Header;
@@ -13,8 +13,6 @@ use crate::ipv6::{ext, Ipv6Header, NextHeader, IPV6_HEADER_LEN};
 use crate::pcap::RecordView;
 use crate::tcp::TcpHeader;
 use crate::udp::UdpHeader;
-use bytes::Bytes;
-use sixscope_types::intern::hash_u128;
 
 /// Upper bound on chained extension headers (RFC-conformant packets use at
 /// most ~6; anything deeper is treated as damage, not walked forever).
@@ -33,38 +31,12 @@ pub enum Transport {
     Other(u8),
 }
 
-impl Transport {
-    /// Short protocol label used in reports ("ICMPv6" / "TCP" / "UDP").
-    pub fn protocol_name(&self) -> &'static str {
-        match self {
-            Transport::Icmpv6(_) => "ICMPv6",
-            Transport::Tcp(_) => "TCP",
-            Transport::Udp(_) => "UDP",
-            Transport::Other(_) => "Other",
-        }
-    }
-}
-
-/// A fully parsed IPv6 packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedPacket {
-    /// The IPv6 fixed header.
-    pub header: Ipv6Header,
-    /// The decoded transport header.
-    pub transport: Transport,
-    /// Upper-layer payload (after the transport header).
-    pub payload: Bytes,
-    /// Number of extension headers walked to reach the transport.
-    pub ext_headers: u8,
-}
-
 /// A parsed IPv6 packet borrowing its payload from the capture buffer.
 ///
-/// The zero-copy counterpart of [`ParsedPacket`]: headers are decoded into
-/// small owned structs (they are a few dozen bytes), but the upper-layer
-/// payload stays a subslice of the input. Promote with
-/// [`ParsedView::to_owned`] only when the packet outlives the buffer —
-/// e.g. telescope retention after filtering.
+/// Headers are decoded into small owned structs (they are a few dozen
+/// bytes), but the upper-layer payload stays a subslice of the input; a
+/// consumer that keeps the packet past the buffer copies the payload
+/// itself, as telescope retention does after filtering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedView<'a> {
     /// The IPv6 fixed header.
@@ -170,16 +142,6 @@ impl<'a> ParsedView<'a> {
         })
     }
 
-    /// Promotes the view to an owned [`ParsedPacket`], copying the payload.
-    pub fn to_owned(&self) -> ParsedPacket {
-        ParsedPacket {
-            header: self.header,
-            transport: self.transport.clone(),
-            payload: Bytes::copy_from_slice(self.payload),
-            ext_headers: self.ext_headers,
-        }
-    }
-
     /// Destination port, if the transport has ports.
     pub fn dst_port(&self) -> Option<u16> {
         match &self.transport {
@@ -196,15 +158,6 @@ impl<'a> ParsedView<'a> {
             Transport::Udp(h) => Some(h.src_port),
             _ => None,
         }
-    }
-
-    /// Precomputed 64-bit hash of the source address — the FxHash value
-    /// downstream source-keyed tables (sessionizer, intern table) derive
-    /// from this packet, carried on the view so batch consumers can
-    /// pre-touch buckets.
-    #[inline]
-    pub fn source_hash(&self) -> u64 {
-        hash_u128(u128::from(self.header.src))
     }
 }
 
@@ -226,32 +179,6 @@ pub fn parse_run<'a>(run: &[RecordView<'a>], out: &mut Vec<(usize, ParsedView<'a
     failed
 }
 
-impl ParsedPacket {
-    /// Parses raw IPv6 packet bytes into owned form — exactly
-    /// [`ParsedView::parse`] followed by [`ParsedView::to_owned`].
-    pub fn parse(buf: &[u8]) -> Result<ParsedPacket, PacketError> {
-        ParsedView::parse(buf).map(|v| v.to_owned())
-    }
-
-    /// Destination port, if the transport has ports.
-    pub fn dst_port(&self) -> Option<u16> {
-        match &self.transport {
-            Transport::Tcp(h) => Some(h.dst_port),
-            Transport::Udp(h) => Some(h.dst_port),
-            _ => None,
-        }
-    }
-
-    /// Source port, if the transport has ports.
-    pub fn src_port(&self) -> Option<u16> {
-        match &self.transport {
-            Transport::Tcp(h) => Some(h.src_port),
-            Transport::Udp(h) => Some(h.src_port),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,7 +198,7 @@ mod tests {
         // Claim 200 bytes of payload.
         bytes[4..6].copy_from_slice(&200u16.to_be_bytes());
         assert!(matches!(
-            ParsedPacket::parse(&bytes),
+            ParsedView::parse(&bytes),
             Err(PacketError::LengthMismatch { .. })
         ));
     }
@@ -280,8 +207,8 @@ mod tests {
     fn parse_ignores_link_padding() {
         let mut bytes = b().udp(1, 2, b"hi");
         bytes.extend_from_slice(&[0u8; 6]); // Ethernet-style padding
-        let p = ParsedPacket::parse(&bytes).unwrap();
-        assert_eq!(&p.payload[..], b"hi");
+        let p = ParsedView::parse(&bytes).unwrap();
+        assert_eq!(p.payload, b"hi");
     }
 
     #[test]
@@ -293,9 +220,9 @@ mod tests {
         hdr.payload_len = 4;
         hdr.encode(&mut bytes);
         bytes.extend_from_slice(&[1, 2, 3, 4]);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         assert_eq!(p.transport, Transport::Other(132));
-        assert_eq!(&p.payload[..], &[1, 2, 3, 4]);
+        assert_eq!(p.payload, &[1, 2, 3, 4]);
         assert_eq!(p.dst_port(), None);
     }
 
@@ -334,11 +261,11 @@ mod tests {
         // Hop-by-hop: next = TCP (6), length 0 (8 bytes total), PadN filler.
         let hbh = [6, 0, 1, 4, 0, 0, 0, 0];
         let bytes = ext_packet(0, &hbh, &tcp_segment(40_000, 443, b"zmap6-probe"));
-        let p = ParsedPacket::parse(&bytes).unwrap();
-        assert_eq!(p.transport.protocol_name(), "TCP");
+        let p = ParsedView::parse(&bytes).unwrap();
+        assert!(matches!(p.transport, Transport::Tcp(_)));
         assert_eq!(p.src_port(), Some(40_000));
         assert_eq!(p.dst_port(), Some(443));
-        assert_eq!(&p.payload[..], b"zmap6-probe");
+        assert_eq!(p.payload, b"zmap6-probe");
         assert_eq!(p.ext_headers, 1);
     }
 
@@ -356,10 +283,11 @@ mod tests {
             b"trace",
             &mut udp,
         );
-        let p = ParsedPacket::parse(&ext_packet(0, &chain, &udp)).unwrap();
-        assert_eq!(p.transport.protocol_name(), "UDP");
+        let bytes = ext_packet(0, &chain, &udp);
+        let p = ParsedView::parse(&bytes).unwrap();
+        assert!(matches!(p.transport, Transport::Udp(_)));
         assert_eq!(p.dst_port(), Some(33_434));
-        assert_eq!(&p.payload[..], b"trace");
+        assert_eq!(p.payload, b"trace");
         assert_eq!(p.ext_headers, 3);
     }
 
@@ -368,9 +296,10 @@ mod tests {
         // Fragment header with offset 0 (first fragment), next = ICMPv6.
         let frag = [58, 0, 0, 0, 0, 0, 0, 1];
         let inner = &b().icmpv6_echo_request(9, 1, b"frag")[40..];
-        let p = ParsedPacket::parse(&ext_packet(44, &frag, inner)).unwrap();
-        assert_eq!(p.transport.protocol_name(), "ICMPv6");
-        assert_eq!(&p.payload[..], b"frag");
+        let bytes = ext_packet(44, &frag, inner);
+        let p = ParsedView::parse(&bytes).unwrap();
+        assert!(matches!(p.transport, Transport::Icmpv6(_)));
+        assert_eq!(p.payload, b"frag");
         assert_eq!(p.ext_headers, 1);
     }
 
@@ -380,10 +309,11 @@ mod tests {
         // a mid-packet fragment, so no ports can be recovered.
         let frag = [6, 0, 0x00, 0x08, 0, 0, 0, 1];
         let body = [0xaa; 16];
-        let p = ParsedPacket::parse(&ext_packet(44, &frag, &body)).unwrap();
+        let bytes = ext_packet(44, &frag, &body);
+        let p = ParsedView::parse(&bytes).unwrap();
         assert_eq!(p.transport, Transport::Other(6));
         assert_eq!(p.dst_port(), None);
-        assert_eq!(&p.payload[..], &body[..]);
+        assert_eq!(p.payload, &body[..]);
     }
 
     #[test]
@@ -392,13 +322,13 @@ mod tests {
         let hbh = [6, 2, 1, 4, 0, 0, 0, 0];
         let bytes = ext_packet(0, &hbh, &[]);
         assert!(matches!(
-            ParsedPacket::parse(&bytes),
+            ParsedView::parse(&bytes),
             Err(PacketError::LengthMismatch { .. })
         ));
         // Chain cut off before 8 bytes of header exist.
         let bytes = ext_packet(0, &[6, 0, 0], &[]);
         assert!(matches!(
-            ParsedPacket::parse(&bytes),
+            ParsedView::parse(&bytes),
             Err(PacketError::Truncated { .. })
         ));
     }
@@ -412,18 +342,8 @@ mod tests {
         }
         let bytes = ext_packet(0, &chain, &[]);
         assert!(matches!(
-            ParsedPacket::parse(&bytes),
+            ParsedView::parse(&bytes),
             Err(PacketError::ExtensionChainTooLong(_))
         ));
-    }
-
-    #[test]
-    fn protocol_names() {
-        let p = ParsedPacket::parse(&b().icmpv6_echo_request(1, 1, &[])).unwrap();
-        assert_eq!(p.transport.protocol_name(), "ICMPv6");
-        let p = ParsedPacket::parse(&b().tcp_syn(1, 2, 3, &[])).unwrap();
-        assert_eq!(p.transport.protocol_name(), "TCP");
-        let p = ParsedPacket::parse(&b().udp(1, 2, &[])).unwrap();
-        assert_eq!(p.transport.protocol_name(), "UDP");
     }
 }

@@ -15,7 +15,7 @@
 //!   every prefix of the corpus and on a fixed damage catalog.
 
 use sixscope_packet::{
-    MalformedRecord, PacketBuilder, ParsedPacket, PcapRecord, PcapWriter, SliceReader, ViewOutcome,
+    MalformedRecord, PacketBuilder, ParsedView, PcapRecord, PcapWriter, SliceReader, ViewOutcome,
     MAX_RECORD_LEN,
 };
 use sixscope_types::{SimTime, Xoshiro256pp};
@@ -147,7 +147,7 @@ fn lockstep(buf: &[u8], s: &mut RunSummary) {
                 );
                 s.records += 1;
                 s.mix(rec.data.len() as u64);
-                match ParsedPacket::parse(rec.data) {
+                match ParsedView::parse(rec.data) {
                     Ok(p) => {
                         s.packets_parsed += 1;
                         s.mix(u64::from(p.ext_headers) << 32 | p.payload.len() as u64);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sixscope_packet::{
-    PacketBuilder, ParsedPacket, PcapRecord, PcapWriter, SliceReader, Transport, ViewOutcome,
+    PacketBuilder, ParsedView, PcapRecord, PcapWriter, SliceReader, Transport, ViewOutcome,
 };
 use sixscope_types::SimTime;
 use std::net::Ipv6Addr;
@@ -38,7 +38,7 @@ proptest! {
         let bytes = PacketBuilder::new(src, dst)
             .hop_limit(hop)
             .icmpv6_echo_request(id, seq, &payload);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         prop_assert_eq!(p.header.src, src);
         prop_assert_eq!(p.header.dst, dst);
         prop_assert_eq!(p.header.hop_limit, hop);
@@ -49,7 +49,7 @@ proptest! {
             }
             ref other => prop_assert!(false, "wrong transport {:?}", other),
         }
-        prop_assert_eq!(&p.payload[..], &payload[..]);
+        prop_assert_eq!(p.payload, &payload[..]);
         // Checksums must verify.
         let upper = &bytes[40..];
         prop_assert!(sixscope_packet::icmpv6::Icmpv6Header::verify_checksum(src, dst, upper));
@@ -62,10 +62,10 @@ proptest! {
         payload in arb_payload(),
     ) {
         let bytes = PacketBuilder::new(src, dst).tcp_syn(sp, dp, seq, &payload);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         prop_assert_eq!(p.src_port(), Some(sp));
         prop_assert_eq!(p.dst_port(), Some(dp));
-        prop_assert_eq!(&p.payload[..], &payload[..]);
+        prop_assert_eq!(p.payload, &payload[..]);
         let upper = &bytes[40..];
         prop_assert!(sixscope_packet::tcp::TcpHeader::verify_checksum(src, dst, upper));
     }
@@ -77,17 +77,17 @@ proptest! {
         payload in arb_payload(),
     ) {
         let bytes = PacketBuilder::new(src, dst).udp(sp, dp, &payload);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         prop_assert_eq!(p.src_port(), Some(sp));
         prop_assert_eq!(p.dst_port(), Some(dp));
-        prop_assert_eq!(&p.payload[..], &payload[..]);
+        prop_assert_eq!(p.payload, &payload[..]);
         let upper = &bytes[40..];
         prop_assert!(sixscope_packet::udp::UdpHeader::verify_checksum(src, dst, upper));
     }
 
     #[test]
     fn parse_never_panics_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = ParsedPacket::parse(&bytes);
+        let _ = ParsedView::parse(&bytes);
     }
 
     #[test]

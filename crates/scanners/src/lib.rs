@@ -13,7 +13,8 @@
 //!   fingerprints the analysis side knows (RIPE Atlas, Yarrp6, traceroute,
 //!   Htrace6, 6Seeks, 6Scan, CAIDA Ark),
 //! * [`scanner`] — the full scanner: source model (fixed, rotating within a
-//!   /64, distributed pool), BGP reactivity, probe emission,
+//!   /64, distributed pool), BGP reactivity, dynamic-TGA follow-ups around
+//!   responsive space, probe emission,
 //! * [`population`] — the calibrated population builder reproducing the
 //!   paper's marginal distributions at a configurable scale.
 //!
@@ -28,7 +29,6 @@ pub mod netsel;
 pub mod population;
 pub mod scanner;
 pub mod temporal;
-pub mod tga;
 pub mod tools;
 
 pub use address::AddressStrategy;
@@ -37,5 +37,4 @@ pub use netsel::NetworkStrategy;
 pub use population::{ExperimentLayout, PopulationSpec};
 pub use scanner::{Probe, ProbeKind, ScanContext, ScannerSpec, SourceModel};
 pub use temporal::TemporalModel;
-pub use tga::SpaceTree;
 pub use tools::{Payload, ProtocolMix, ToolProfile};

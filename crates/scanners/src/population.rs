@@ -88,12 +88,6 @@ pub struct PopulationSpec {
 }
 
 impl PopulationSpec {
-    /// The default reproduction scale: 4% of the study, ≈ 2M packets —
-    /// every share and ratio in the tables is scale-free.
-    pub fn default_scale(seed: u64) -> Self {
-        PopulationSpec { seed, scale: 0.04 }
-    }
-
     /// A tiny population for tests.
     pub fn tiny(seed: u64) -> Self {
         PopulationSpec { seed, scale: 0.004 }

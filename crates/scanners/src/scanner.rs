@@ -163,14 +163,6 @@ impl Probe {
             }
         }
     }
-
-    /// Like [`Probe::encode_into`], but through a [`RunEncoder`] that
-    /// amortizes the pseudo-header checksum prefix across a run of probes
-    /// from the same source. The bytes are identical.
-    pub fn encode_into_run(&self, enc: &mut RunEncoder, buf: &mut Vec<u8>) {
-        self.kind
-            .encode_run(enc, self.src, self.dst, &self.payload, buf);
-    }
 }
 
 /// A complete scanner specification.
@@ -541,7 +533,7 @@ impl ScanContext for StaticContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sixscope_packet::ParsedPacket;
+    use sixscope_packet::ParsedView;
 
     fn p(s: &str) -> Ipv6Prefix {
         s.parse().unwrap()
@@ -603,10 +595,10 @@ mod tests {
         let mut bytes = Vec::new();
         for probe in &probes {
             probe.encode_into(&mut bytes);
-            let parsed = ParsedPacket::parse(&bytes).expect("wire bytes parse");
+            let parsed = ParsedView::parse(&bytes).expect("wire bytes parse");
             assert_eq!(parsed.header.src, probe.src);
             assert_eq!(parsed.header.dst, probe.dst);
-            assert_eq!(&parsed.payload[..], &probe.payload[..]);
+            assert_eq!(parsed.payload, &probe.payload[..]);
         }
     }
 
@@ -625,7 +617,9 @@ mod tests {
         let mut run_buf = Vec::new();
         let mut ref_buf = Vec::new();
         for probe in &probes {
-            probe.encode_into_run(&mut enc, &mut run_buf);
+            probe
+                .kind
+                .encode_run(&mut enc, probe.src, probe.dst, &probe.payload, &mut run_buf);
             probe.encode_into(&mut ref_buf);
             assert_eq!(run_buf, ref_buf);
         }

@@ -143,16 +143,6 @@ pub struct ToolProfile {
 /// The common TCP scan ports, HTTP-weighted: port 80 appears in 87% of
 /// TCP sessions vs. 29% for 443 (Table 4), so knocks favor HTTP 2:1.
 pub const WEB_PORTS: [u16; 3] = [ports::HTTP, ports::HTTPS, ports::HTTP];
-/// Top-5 TCP ports of Table 4.
-pub const TOP_TCP_PORTS: [u16; 5] = [
-    ports::HTTP,
-    ports::HTTPS,
-    ports::FTP,
-    ports::HTTP_ALT,
-    ports::SSH,
-];
-/// Non-traceroute UDP ports of Table 4.
-pub const TOP_UDP_PORTS: [u16; 4] = [ports::DNS, ports::SNMP, ports::ISAKMP, ports::NTP];
 /// Per-service single-port lists so one prober sticks to one service.
 pub const UDP_SERVICE_PORTS: [[u16; 1]; 4] =
     [[ports::DNS], [ports::SNMP], [ports::ISAKMP], [ports::NTP]];

@@ -3,7 +3,7 @@
 //! and generation is deterministic per seed.
 
 use proptest::prelude::*;
-use sixscope_packet::ParsedPacket;
+use sixscope_packet::ParsedView;
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, GenScratch, NetworkStrategy, ProbeBatch, ScannerSpec, SourceModel,
@@ -78,7 +78,7 @@ proptest! {
         let mut wire = Vec::new();
         for probe in spec.generate(&ctx, &mut rng) {
             probe.encode_into(&mut wire);
-            let parsed = ParsedPacket::parse(&wire).unwrap();
+            let parsed = ParsedView::parse(&wire).unwrap();
             prop_assert_eq!(parsed.header.src, probe.src);
             prop_assert_eq!(parsed.header.dst, probe.dst);
         }

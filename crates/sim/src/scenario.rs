@@ -24,7 +24,7 @@ use crate::world::TumHitlist;
 use sixscope_bgp::irr::Route6Registry;
 use sixscope_bgp::topology::standard_topology;
 use sixscope_bgp::RouteEvent;
-use sixscope_packet::{ParsedPacket, RunEncoder};
+use sixscope_packet::{ParsedView, RunEncoder};
 use sixscope_scanners::population::Population;
 use sixscope_scanners::{
     ExperimentLayout, GenScratch, PopulationSpec, Probe, ProbeBatch, ProbeKind, ScanContext,
@@ -409,7 +409,7 @@ impl Scenario {
                         );
                         let recorded = captures[telescope as usize].ingest(ts, &fs.buf);
                         if recorded {
-                            if let Ok(parsed) = ParsedPacket::parse(&fs.buf) {
+                            if let Ok(parsed) = ParsedView::parse(&fs.buf) {
                                 if respond(&parsed).is_some() {
                                     t4_responses += 1;
                                 }
@@ -472,13 +472,6 @@ impl Scenario {
                 .merge_time_sorted(segs);
         }
         let merge_secs = stage_start.elapsed().as_secs_f64();
-        if std::env::var_os("SIXSCOPE_STAGE_DEBUG").is_some() {
-            eprintln!(
-                "fused={fused_secs:.3} gen_acc={:.3} del_acc={:.3} merge={merge_secs:.3}",
-                gen_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-                del_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            );
-        }
 
         // Prorate the fused wall time over the measured per-stage work so
         // the generate/deliver split stays meaningful for regression
@@ -615,7 +608,7 @@ impl Scenario {
                 let capture = captures.get_mut(&telescope).expect("telescope exists");
                 let recorded = capture.ingest(probe.ts, &buf);
                 if recorded && telescope == TelescopeId::T4 {
-                    if let Ok(parsed) = ParsedPacket::parse(&buf) {
+                    if let Ok(parsed) = ParsedView::parse(&buf) {
                         if respond(&parsed).is_some() {
                             t4_responses += 1;
                         }

@@ -112,11 +112,6 @@ impl Visibility {
             .and_then(|l| l.first())
             .map(|(from, _)| *from)
     }
-
-    /// All prefixes ever seen.
-    pub fn known_prefixes(&self) -> Vec<Ipv6Prefix> {
-        self.intervals.keys().copied().collect()
-    }
 }
 
 #[cfg(test)]

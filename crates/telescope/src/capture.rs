@@ -1,20 +1,17 @@
 //! The per-telescope packet store.
 //!
 //! [`Capture::ingest`] parses raw IPv6 bytes (as received off the simulated
-//! wire or read from a pcap) into compact [`CapturedPacket`] records, with an
-//! optional pcap tee so a capture can be exported for tcpdump/Wireshark.
+//! wire or read from a pcap) into compact [`CapturedPacket`] records.
 //! Analysis works exclusively on these records — the same structures a real
 //! deployment would fill from `tcpdump -y RAW`.
 
 use crate::config::{TelescopeConfig, TelescopeId};
 use bytes::Bytes;
 use sixscope_packet::{
-    MalformedRecord, PacketError, ParsedView, PcapRecord, PcapWriter, SliceReader, Transport,
-    ViewOutcome,
+    MalformedRecord, PacketError, ParsedView, SliceReader, Transport, ViewOutcome,
 };
 use sixscope_types::SimTime;
 use std::fmt;
-use std::io::Write;
 use std::net::Ipv6Addr;
 
 /// Statistics of one recoverable pcap ingest run
@@ -150,7 +147,6 @@ pub struct CapturedPacket {
 pub struct Capture {
     config: TelescopeConfig,
     packets: Vec<CapturedPacket>,
-    pcap: Option<PcapWriter<Box<dyn Write + Send + Sync>>>,
     /// Count of packets rejected by the capture filter.
     filtered: u64,
     /// Count of packets that failed to parse.
@@ -174,21 +170,9 @@ impl Capture {
         Capture {
             config,
             packets: Vec::new(),
-            pcap: None,
             filtered: 0,
             malformed: 0,
         }
-    }
-
-    /// Attaches a pcap tee; every ingested packet is also written there.
-    pub fn attach_pcap<W: Write + Send + Sync + 'static>(
-        &mut self,
-        writer: W,
-    ) -> Result<(), PacketError> {
-        self.pcap = Some(PcapWriter::new(
-            Box::new(writer) as Box<dyn Write + Send + Sync>
-        )?);
-        Ok(())
     }
 
     /// The telescope configuration.
@@ -202,7 +186,7 @@ impl Capture {
     /// values. Applies the same capture filter and counters as
     /// [`Capture::ingest`]; the caller guarantees the fields describe a
     /// well-formed packet (the fused-vs-reference equivalence tests pin
-    /// this). Requires no pcap tee, which needs raw bytes.
+    /// this).
     #[allow(clippy::too_many_arguments)]
     pub fn ingest_fields(
         &mut self,
@@ -214,10 +198,6 @@ impl Capture {
         dst_port: Option<u16>,
         payload: &[u8],
     ) -> bool {
-        debug_assert!(
-            self.pcap.is_none(),
-            "pcap tee requires raw bytes — use ingest"
-        );
         if !self.config.captures(dst) {
             self.filtered += 1;
             return false;
@@ -254,13 +234,6 @@ impl Capture {
             self.filtered += 1;
             return false;
         }
-        if let Some(pcap) = &mut self.pcap {
-            let _ = pcap.write_record(&PcapRecord {
-                ts,
-                ts_micros: 0,
-                data: raw.to_vec(),
-            });
-        }
         let protocol = match &parsed.transport {
             Transport::Icmpv6(_) => Protocol::Icmpv6,
             Transport::Tcp(_) => Protocol::Tcp,
@@ -291,8 +264,7 @@ impl Capture {
     /// file's counters are untrusted). The parallel delivery engine and
     /// the shard-file gather merge per-shard captures with this; the
     /// caller is responsible for shard order (contiguous time-sorted
-    /// shards keep the merged capture time-sorted). `other`'s pcap tee, if
-    /// any, is dropped — shard-local captures never attach one.
+    /// shards keep the merged capture time-sorted).
     pub fn absorb(&mut self, other: Capture) {
         debug_assert_eq!(
             self.config.id, other.config.id,
@@ -314,9 +286,7 @@ impl Capture {
 
     /// Reconstructs a capture from decoded shard-file parts. Packets must
     /// already be in stored (time-sorted) order; the counters restore the
-    /// filter/malformed tallies the original ingest recorded. No pcap tee
-    /// is attached — a restored capture is an analysis input, not a live
-    /// ingest target.
+    /// filter/malformed tallies the original ingest recorded.
     pub fn restore(
         config: TelescopeConfig,
         packets: Vec<CapturedPacket>,
@@ -326,7 +296,6 @@ impl Capture {
         Capture {
             config,
             packets,
-            pcap: None,
             filtered,
             malformed,
         }
@@ -519,7 +488,7 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sixscope_packet::PacketBuilder;
+    use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 
     fn t3_capture() -> Capture {
         Capture::new(TelescopeConfig::t3("2001:db8:3::/48".parse().unwrap()))
@@ -652,40 +621,6 @@ mod tests {
         let inside = format!("{}", productive.low_byte_address());
         assert!(!cap.ingest(SimTime::EPOCH, &probe(&inside)));
         assert!(cap.ingest(SimTime::EPOCH, &probe("2001:db8:2:200::1")));
-    }
-
-    #[test]
-    fn pcap_tee_round_trips() {
-        use std::sync::{Arc, Mutex};
-
-        /// Shared Vec so we can read what the tee wrote.
-        #[derive(Clone)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        let mut cap = t3_capture();
-        cap.attach_pcap(buf.clone()).unwrap();
-        let raw = probe("2001:db8:3::42");
-        cap.ingest(SimTime::from_secs(77), &raw);
-        let bytes = buf.0.lock().unwrap().clone();
-        let mut reader = SliceReader::new(&bytes).unwrap();
-        match reader.next() {
-            Some(ViewOutcome::Record(rec)) => {
-                assert_eq!(rec.ts.as_secs(), 77);
-                assert_eq!(rec.data, raw);
-            }
-            other => panic!("expected the teed record, got {other:?}"),
-        }
-        assert!(reader.next().is_none());
     }
 
     #[test]

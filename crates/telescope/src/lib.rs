@@ -6,8 +6,7 @@
 //! * [`config`] — T1 (BGP-controlled /32), T2 (partially productive /48 with
 //!   a DNS attractor), T3 (silent /48 inside a covering /29), T4 (reactive
 //!   /48 inside the same /29),
-//! * [`capture`] — the packet store each telescope fills (with optional
-//!   pcap tee),
+//! * [`capture`] — the packet store each telescope fills,
 //! * [`source`] — scan-source aggregation at /128, /64 and /48,
 //! * [`session`] — scan-session construction with the paper's 1-hour
 //!   inter-arrival timeout,

@@ -8,17 +8,17 @@
 //! Notably the paper observes that T4 — although responsive from *every*
 //! address — never appeared on the TUM aliased-prefix list.
 
-use sixscope_packet::{Icmpv6Header, Icmpv6Type, PacketBuilder, ParsedPacket, TcpFlags, Transport};
+use sixscope_packet::{Icmpv6Header, Icmpv6Type, PacketBuilder, ParsedView, TcpFlags, Transport};
 
 /// Builds the response the reactive telescope sends for `probe`, if any.
 ///
 /// Returns raw IPv6 bytes ready for the wire (source = probed address).
-pub fn respond(probe: &ParsedPacket) -> Option<Vec<u8>> {
+pub fn respond(probe: &ParsedView) -> Option<Vec<u8>> {
     // Respond from the probed address back to the prober.
     let builder = PacketBuilder::new(probe.header.dst, probe.header.src);
     match &probe.transport {
         Transport::Icmpv6(h) if h.icmp_type == Icmpv6Type::EchoRequest => {
-            Some(builder.icmpv6(h.echo_reply_for(), &probe.payload))
+            Some(builder.icmpv6(h.echo_reply_for(), probe.payload))
         }
         Transport::Icmpv6(_) => None,
         Transport::Tcp(h)
@@ -62,9 +62,9 @@ mod tests {
     #[test]
     fn echo_request_gets_echo_reply() {
         let probe = PacketBuilder::new(scanner(), target()).icmpv6_echo_request(9, 4, b"hello");
-        let parsed = ParsedPacket::parse(&probe).unwrap();
+        let parsed = ParsedView::parse(&probe).unwrap();
         let reply = respond(&parsed).expect("echo reply");
-        let reply = ParsedPacket::parse(&reply).unwrap();
+        let reply = ParsedView::parse(&reply).unwrap();
         assert_eq!(reply.header.src, target());
         assert_eq!(reply.header.dst, scanner());
         match reply.transport {
@@ -75,15 +75,15 @@ mod tests {
             }
             _ => panic!("not ICMPv6"),
         }
-        assert_eq!(&reply.payload[..], b"hello");
+        assert_eq!(reply.payload, b"hello");
     }
 
     #[test]
     fn syn_gets_syn_ack() {
         let probe = PacketBuilder::new(scanner(), target()).tcp_syn(55555, 443, 1000, &[]);
-        let parsed = ParsedPacket::parse(&probe).unwrap();
+        let parsed = ParsedView::parse(&probe).unwrap();
         let reply = respond(&parsed).expect("syn/ack");
-        let reply = ParsedPacket::parse(&reply).unwrap();
+        let reply = ParsedView::parse(&reply).unwrap();
         match reply.transport {
             Transport::Tcp(h) => {
                 assert!(h.flags.contains(TcpFlags::SYN));
@@ -99,9 +99,9 @@ mod tests {
     #[test]
     fn udp_gets_port_unreachable() {
         let probe = PacketBuilder::new(scanner(), target()).udp(40000, 33434, b"trace-payload");
-        let parsed = ParsedPacket::parse(&probe).unwrap();
+        let parsed = ParsedView::parse(&probe).unwrap();
         let reply = respond(&parsed).expect("unreachable");
-        let reply = ParsedPacket::parse(&reply).unwrap();
+        let reply = ParsedView::parse(&reply).unwrap();
         match reply.transport {
             Transport::Icmpv6(h) => {
                 assert_eq!(h.icmp_type, Icmpv6Type::DestUnreachable);
@@ -117,7 +117,7 @@ mod tests {
         let mut hdr = sixscope_packet::TcpHeader::syn(1, 2, 3);
         hdr.flags = TcpFlags::ACK;
         let probe = PacketBuilder::new(scanner(), target()).tcp(hdr, &[]);
-        assert!(respond(&ParsedPacket::parse(&probe).unwrap()).is_none());
+        assert!(respond(&ParsedView::parse(&probe).unwrap()).is_none());
         // An echo reply (e.g. backscatter) gets nothing.
         let reply_hdr = Icmpv6Header {
             icmp_type: Icmpv6Type::EchoReply,
@@ -126,13 +126,13 @@ mod tests {
             sequence: 0,
         };
         let probe = PacketBuilder::new(scanner(), target()).icmpv6(reply_hdr, &[]);
-        assert!(respond(&ParsedPacket::parse(&probe).unwrap()).is_none());
+        assert!(respond(&ParsedView::parse(&probe).unwrap()).is_none());
     }
 
     #[test]
     fn responses_are_deterministic() {
         let probe = PacketBuilder::new(scanner(), target()).tcp_syn(1, 2, 3, &[]);
-        let parsed = ParsedPacket::parse(&probe).unwrap();
+        let parsed = ParsedView::parse(&probe).unwrap();
         assert_eq!(respond(&parsed), respond(&parsed));
     }
 }

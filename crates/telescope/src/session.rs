@@ -149,8 +149,8 @@ pub struct IncrementalSessionizer {
     /// per-packet lookup is the sessionizer's hottest operation, and
     /// SipHash spent more cycles hashing the 17-byte key than the probe
     /// itself. Iteration order is only ever used by `retain` (an
-    /// order-independent eviction) and `ready` (a `min` fold), so the
-    /// hasher change cannot affect output (DESIGN.md §11).
+    /// order-independent eviction), so the hasher change cannot affect
+    /// output (DESIGN.md §11).
     open: HashMap<SourceKey, usize, FxBuildHasher>,
     sessions: Vec<ScanSession>,
     last_sweep: SimTime,
@@ -229,27 +229,10 @@ impl IncrementalSessionizer {
         self.sessions.is_empty()
     }
 
-    /// Current size of the open-session table.
-    pub fn open_sessions(&self) -> usize {
-        self.open.len()
-    }
-
     /// High-water mark of the open-session table — the live-memory bound
     /// of the streaming pipeline.
     pub fn peak_open(&self) -> usize {
         self.peak_open
-    }
-
-    /// Number of leading sessions that are final: only open sessions can
-    /// still extend, and sessions are in creation order, so everything
-    /// before the earliest open session will never change again. Streaming
-    /// consumers can flush up to this watermark.
-    pub fn ready(&self) -> usize {
-        self.open
-            .values()
-            .copied()
-            .min()
-            .unwrap_or(self.sessions.len())
     }
 
     /// Non-consuming view of all sessions so far (open and closed, in
@@ -480,24 +463,6 @@ mod tests {
             "open table grew to {} despite 30s gaps and a 10s timeout",
             inc.peak_open()
         );
-    }
-
-    #[test]
-    fn ready_watermark_finalizes_closed_prefix() {
-        let cap = capture_with(vec![
-            (0, "2001:db8:f00::1", "2001:db8:3::1"),
-            (10, "2001:db8:f00::2", "2001:db8:3::1"),
-            (20_000, "2001:db8:f00::2", "2001:db8:3::2"),
-        ]);
-        let mut inc = IncrementalSessionizer::paper(AggLevel::Addr128);
-        for (i, p) in cap.packets().iter().enumerate() {
-            inc.push(i as u32, p);
-        }
-        // Sessions 0 and 1 timed out; only the session created by the last
-        // packet can still extend.
-        assert_eq!(inc.len(), 3);
-        assert_eq!(inc.ready(), 2);
-        assert_eq!(inc.open_sessions(), 1);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! nibble index 0 being the *most significant* nibble (the leftmost hex digit
 //! of the canonical textual form).
 
-use std::net::Ipv6Addr;
-
 /// Returns nibble `i` (0 = most significant, 31 = least significant) of `addr`.
 ///
 /// # Panics
@@ -48,19 +46,10 @@ pub fn subnet_bits(addr: u128, start_len: u32, count: u32) -> u128 {
     shifted >> (128 - count)
 }
 
-/// Converts an [`Ipv6Addr`] to its 128-bit integer form.
-pub fn to_u128(addr: Ipv6Addr) -> u128 {
-    u128::from(addr)
-}
-
-/// Converts a 128-bit integer to an [`Ipv6Addr`].
-pub fn from_u128(bits: u128) -> Ipv6Addr {
-    Ipv6Addr::from(bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv6Addr;
 
     #[test]
     fn nibble_extracts_hex_digits_in_text_order() {
@@ -113,11 +102,5 @@ mod tests {
     #[should_panic]
     fn nibble_rejects_out_of_range_index() {
         nibble(0, 32);
-    }
-
-    #[test]
-    fn u128_round_trip() {
-        let a: Ipv6Addr = "2001:db8::cafe".parse().unwrap();
-        assert_eq!(from_u128(to_u128(a)), a);
     }
 }

@@ -99,15 +99,6 @@ impl Hasher for FxHasher {
 /// `RandomState` in `HashMap`/`HashSet` type parameters.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// Hashes one 128-bit word (an IPv6 address or prefix bits) directly —
-/// the one-shot form of [`FxHasher`] used by the ingest hot path.
-#[inline]
-pub fn hash_u128(v: u128) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u128(v);
-    h.finish()
-}
-
 /// An interned key: dense first-encounter id plus whether the insert
 /// created it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,19 +177,6 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> InternTable<K> {
         let mut keys = self.keys.clone();
         keys.sort_unstable();
         keys
-    }
-
-    /// Rebuilds a table by interning `keys` in iteration order — the
-    /// import dual of [`InternTable::keys`]/[`InternTable::sorted_keys`].
-    /// Ids land in iteration order, so feeding back an exported arena
-    /// reproduces the original id assignment exactly.
-    pub fn from_keys<I: IntoIterator<Item = K>>(keys: I) -> Self {
-        let iter = keys.into_iter();
-        let mut table = Self::with_capacity(iter.size_hint().0);
-        for key in iter {
-            table.insert(key);
-        }
-        table
     }
 
     #[inline]
@@ -299,13 +277,18 @@ mod tests {
 
     #[test]
     fn fxhash_is_deterministic_across_instances() {
-        assert_eq!(hash_u128(0x1234_5678), hash_u128(0x1234_5678));
+        let hash = |v: u128| {
+            let mut h = FxHasher::default();
+            h.write_u128(v);
+            h.finish()
+        };
+        assert_eq!(hash(0x1234_5678), hash(0x1234_5678));
         let mut a = FxHasher::default();
         a.write(b"sixscope");
         let mut b = FxHasher::default();
         b.write(b"sixscope");
         assert_eq!(a.finish(), b.finish());
-        assert_ne!(hash_u128(1), hash_u128(2));
+        assert_ne!(hash(1), hash(2));
     }
 
     #[test]
@@ -366,19 +349,6 @@ mod tests {
         // The table is still usable with its original ids.
         assert_eq!(t.get(&9), Some(0));
         assert_eq!(t.keys(), &[9, 3, 7]);
-    }
-
-    #[test]
-    fn from_keys_round_trips_the_arena() {
-        let mut t = InternTable::new();
-        for k in [42u64, 5, 17] {
-            t.insert(k);
-        }
-        let rebuilt = InternTable::from_keys(t.keys().iter().copied());
-        assert_eq!(rebuilt.keys(), t.keys());
-        for (id, k) in t.keys().iter().enumerate() {
-            assert_eq!(rebuilt.get(k), Some(id as u32));
-        }
     }
 
     #[test]

@@ -15,8 +15,6 @@ pub const HTTPS: u16 = 443;
 pub const FTP: u16 = 21;
 /// SSH.
 pub const SSH: u16 = 22;
-/// Telnet.
-pub const TELNET: u16 = 23;
 /// DNS.
 pub const DNS: u16 = 53;
 /// NTP.
@@ -25,8 +23,6 @@ pub const NTP: u16 = 123;
 pub const SNMP: u16 = 161;
 /// ISAKMP / IKE.
 pub const ISAKMP: u16 = 500;
-/// HTTP alternate.
-pub const HTTP_ALT: u16 = 8080;
 /// SMB.
 pub const SMB: u16 = 445;
 /// RDP.

@@ -111,15 +111,6 @@ impl Xoshiro256pp {
         }
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "invalid range");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -134,14 +125,6 @@ impl Xoshiro256pp {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
         &items[self.below(items.len() as u64) as usize]
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 
     /// Samples an index according to non-negative `weights`.
@@ -166,64 +149,6 @@ impl Xoshiro256pp {
         assert!(rate > 0.0, "rate must be positive");
         // Use 1 - f64() to avoid ln(0).
         -(1.0 - self.f64()).ln() / rate
-    }
-
-    /// Poisson variate by Knuth's method (adequate for the small means the
-    /// scanner schedulers use; means above ~30 fall back to a normal
-    /// approximation).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(mean >= 0.0, "mean must be non-negative");
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 30.0 {
-            let n = mean + self.normal() * mean.sqrt();
-            return n.max(0.0).round() as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
-    /// Standard normal variate via the Box–Muller transform.
-    pub fn normal(&mut self) -> f64 {
-        let u1 = 1.0 - self.f64();
-        let u2 = self.f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Pareto variate with scale `xm > 0` and shape `alpha > 0` — the
-    /// heavy-tailed distribution behind per-scanner packet volumes (a few
-    /// heavy hitters dominate packets, as in §4.2 of the paper).
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(
-            xm > 0.0 && alpha > 0.0,
-            "pareto parameters must be positive"
-        );
-        xm / (1.0 - self.f64()).powf(1.0 / alpha)
-    }
-
-    /// Zipf-distributed rank in `[0, n)` with exponent `s` (linear-scan
-    /// inversion; n stays small in our use — port and AS popularity).
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf over empty support");
-        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut x = self.f64() * norm;
-        for k in 1..=n {
-            let w = 1.0 / (k as f64).powf(s);
-            if x < w {
-                return k - 1;
-            }
-            x -= w;
-        }
-        n - 1
     }
 }
 
@@ -311,77 +236,5 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(0.5)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean was {mean}");
-    }
-
-    #[test]
-    fn poisson_small_and_large_means() {
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let n = 20_000;
-        let mean_small: f64 = (0..n).map(|_| rng.poisson(3.0) as f64).sum::<f64>() / n as f64;
-        assert!(
-            (mean_small - 3.0).abs() < 0.1,
-            "small mean was {mean_small}"
-        );
-        let mean_large: f64 = (0..n).map(|_| rng.poisson(100.0) as f64).sum::<f64>() / n as f64;
-        assert!(
-            (mean_large - 100.0).abs() < 1.0,
-            "large mean was {mean_large}"
-        );
-    }
-
-    #[test]
-    fn normal_has_zero_mean_unit_variance() {
-        let mut rng = Xoshiro256pp::seed_from_u64(6);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean was {mean}");
-        assert!((var - 1.0).abs() < 0.05, "variance was {var}");
-    }
-
-    #[test]
-    fn pareto_exceeds_scale_and_is_heavy_tailed() {
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
-        let xs: Vec<f64> = (0..10_000).map(|_| rng.pareto(1.0, 1.2)).collect();
-        assert!(xs.iter().all(|&x| x >= 1.0));
-        let max = xs.iter().cloned().fold(0.0, f64::max);
-        assert!(max > 50.0, "expected a heavy tail, max was {max}");
-    }
-
-    #[test]
-    fn zipf_rank_zero_dominates() {
-        let mut rng = Xoshiro256pp::seed_from_u64(8);
-        let mut counts = [0usize; 10];
-        for _ in 0..20_000 {
-            counts[rng.zipf(10, 1.2)] += 1;
-        }
-        assert!(counts[0] > counts[1]);
-        assert!(counts[1] > counts[5]);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_u64_inclusive_bounds() {
-        let mut rng = Xoshiro256pp::seed_from_u64(10);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..2000 {
-            let x = rng.range_u64(5, 8);
-            assert!((5..=8).contains(&x));
-            lo_seen |= x == 5;
-            hi_seen |= x == 8;
-        }
-        assert!(lo_seen && hi_seen);
     }
 }

@@ -46,10 +46,6 @@ impl SimDuration {
     pub const fn as_secs(self) -> u64 {
         self.0
     }
-    /// The duration in fractional hours.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3600.0
-    }
     /// Saturating scalar multiply.
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))

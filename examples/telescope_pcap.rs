@@ -4,8 +4,9 @@
 //!
 //! 1. scan traffic arrives as raw IPv6 packets (here: synthesized by a few
 //!    scanner models, exactly the bytes a NIC would deliver),
-//! 2. the capture is teed to a classic pcap file (`telescope.pcap`,
-//!    LINKTYPE_RAW — opens in Wireshark),
+//! 2. every packet the telescope retains is written to a classic pcap
+//!    file (`sixscope-telescope.pcap`, LINKTYPE_RAW — opens in Wireshark)
+//!    with [`PcapWriter`],
 //! 3. the pcap is read back into a fresh capture, sessionized with the
 //!    paper's 1-hour timeout, and every session is classified.
 //!
@@ -15,7 +16,7 @@
 
 use sixscope_analysis::classify::{addr_selection, profile_scanners};
 use sixscope_analysis::fingerprint::identify;
-use sixscope_packet::MappedPcap;
+use sixscope_packet::{MappedPcap, PcapRecord, PcapWriter};
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, NetworkStrategy, ScannerSpec, SourceModel, TemporalModel, ToolProfile,
@@ -87,25 +88,31 @@ fn main() {
         },
     ];
 
-    // --- 2. capture with a pcap tee ---
-    let pcap_path = std::env::temp_dir().join("sixscope-telescope.pcap");
-    let file = std::fs::File::create(&pcap_path).expect("create pcap");
-    let mut live = Capture::new(config.clone());
-    live.attach_pcap(file).expect("attach pcap tee");
-    let mut wire: Vec<(SimTime, Vec<u8>)> = Vec::new();
+    // --- 2. capture, writing every retained packet to a pcap file ---
+    let mut wire: Vec<PcapRecord> = Vec::new();
     let mut buf = Vec::new();
     for spec in &scanners {
         let mut stream = rng.split(&format!("scanner-{}", spec.id));
         for probe in spec.generate(&ctx, &mut stream) {
             probe.encode_into(&mut buf);
-            wire.push((probe.ts, buf.clone()));
+            wire.push(PcapRecord {
+                ts: probe.ts,
+                ts_micros: 0,
+                data: buf.clone(),
+            });
         }
     }
-    wire.sort_by_key(|(ts, _)| *ts);
-    for (ts, bytes) in &wire {
-        live.ingest(*ts, bytes);
+    wire.sort_by_key(|rec| rec.ts);
+    let pcap_path = std::env::temp_dir().join("sixscope-telescope.pcap");
+    let file = std::fs::File::create(&pcap_path).expect("create pcap");
+    let mut writer = PcapWriter::new(std::io::BufWriter::new(file)).expect("write pcap header");
+    let mut live = Capture::new(config.clone());
+    for rec in &wire {
+        if live.ingest(rec.ts, &rec.data) {
+            writer.write_record(rec).expect("write pcap record");
+        }
     }
-    drop(live); // flush the tee
+    writer.into_inner().expect("flush pcap");
     println!(
         "wrote {} packets to {} (classic pcap, LINKTYPE_RAW — try `tcpdump -r`)",
         wire.len(),

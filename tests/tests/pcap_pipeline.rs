@@ -112,6 +112,6 @@ fn pcap_files_are_self_describing() {
         assert_eq!(rec.ts, *ts);
         assert_eq!(rec.data, &data[..]);
         // Every record re-parses as a valid IPv6 packet.
-        sixscope_packet::ParsedPacket::parse(rec.data).unwrap();
+        sixscope_packet::ParsedView::parse(rec.data).unwrap();
     }
 }
