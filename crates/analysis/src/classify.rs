@@ -224,9 +224,13 @@ const MONOTONE_SHARE: f64 = 0.9;
 
 /// Classifies the address-selection strategy of one session (§5.3).
 ///
-/// `prefix_len` is the telescope's fixed prefix length; IID bits and the
-/// bits between the prefix and the IID feed the NIST frequency test.
-pub fn addr_selection(session: &ScanSession, capture: &Capture, prefix_len: u8) -> AddrSelection {
+/// A session is structured when at least half its targets have a
+/// structured RFC 7707 type, or when at least 90 % of its consecutive
+/// target pairs are non-decreasing (an iterative traversal). Otherwise a
+/// session of at least [`NIST_MIN_PACKETS`] targets is random when the 64
+/// IID bits of its targets pass the NIST frequency test. Every other
+/// session is unknown.
+pub fn addr_selection(session: &ScanSession, capture: &Capture) -> AddrSelection {
     let targets: Vec<u128> = session
         .packets(capture)
         .map(|p| u128::from(p.dst))
@@ -249,8 +253,7 @@ pub fn addr_selection(session: &ScanSession, capture: &Capture, prefix_len: u8) 
             return AddrSelection::Structured;
         }
     }
-    // Randomness test: NIST frequency over the IID bits (and the subnet
-    // bits when the telescope prefix leaves room).
+    // Randomness test: NIST frequency over the IID bits.
     if targets.len() >= NIST_MIN_PACKETS {
         let mut iid_bits = BitSequence::new();
         for t in &targets {
@@ -262,7 +265,6 @@ pub fn addr_selection(session: &ScanSession, capture: &Capture, prefix_len: u8) 
         // A scanner may iterate subnets structurally but fill IIDs randomly
         // — the paper still calls the *session* random only if the IID part
         // passes, so a failing IID test falls through.
-        let _ = prefix_len;
     }
     AddrSelection::Unknown
 }
@@ -434,7 +436,7 @@ mod tests {
             .collect();
         let (cap, sessions) = capture_with_targets(&targets);
         assert_eq!(
-            addr_selection(&sessions[0], &cap, 32),
+            addr_selection(&sessions[0], &cap),
             AddrSelection::Structured
         );
     }
@@ -447,10 +449,7 @@ mod tests {
             .map(|_| Ipv6Addr::from(base | rng.next_u64() as u128))
             .collect();
         let (cap, sessions) = capture_with_targets(&targets);
-        assert_eq!(
-            addr_selection(&sessions[0], &cap, 32),
-            AddrSelection::Random
-        );
+        assert_eq!(addr_selection(&sessions[0], &cap), AddrSelection::Random);
     }
 
     #[test]
@@ -463,10 +462,7 @@ mod tests {
             .collect();
         let (cap, sessions) = capture_with_targets(&targets);
         // Random draws are unsorted with overwhelming probability.
-        assert_eq!(
-            addr_selection(&sessions[0], &cap, 32),
-            AddrSelection::Unknown
-        );
+        assert_eq!(addr_selection(&sessions[0], &cap), AddrSelection::Unknown);
     }
 
     #[test]
@@ -482,7 +478,7 @@ mod tests {
             .collect();
         let (cap, sessions) = capture_with_targets(&targets);
         assert_eq!(
-            addr_selection(&sessions[0], &cap, 32),
+            addr_selection(&sessions[0], &cap),
             AddrSelection::Structured
         );
     }

@@ -1,10 +1,14 @@
 //! The analyzed corpus: experiment output plus pre-computed sessions, the
 //! columnar corpus index and metadata join helpers.
+//!
+//! Every finished input reaches this module as time-sorted captures.
+//! `Analyzed::stream` sessionizes them through the feed consumer, then
+//! builds the [`CorpusIndex`] once, from the captures and their sessions.
 
 use crate::index::CorpusIndex;
-use crate::pipeline::{ConsumedFeed, FeedConsumer};
+use crate::pipeline::FeedConsumer;
 use sixscope_analysis::classify::ScannerProfile;
-use sixscope_sim::{CompiledVisibility, ExperimentResult};
+use sixscope_sim::ExperimentResult;
 use sixscope_telescope::feed::hint_for_records;
 use sixscope_telescope::{Capture, ScanSession, TelescopeId, SESSION_TIMEOUT};
 use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, PrefixTrie, SimDuration, SimTime};
@@ -15,15 +19,14 @@ use std::time::Instant;
 /// Wall-clock seconds of the analysis stages that built an [`Analyzed`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalysisTimings {
-    /// The phase that produced the per-telescope sessions and index
-    /// shards, end to end: the chunked feeds (sessionizer pushes plus
-    /// index-shard appends, wall-clock of the parallel stage), plus, for
-    /// a shard merge, the read and decode of the files before them.
+    /// The phase that produced the per-telescope sessions, end to end:
+    /// the chunked feeds (wall-clock of the parallel stage), plus, for
+    /// pcap and shard input, the read of the files before them.
     pub streaming: f64,
     /// Time spent pushing packets into the incremental sessionizers
     /// (summed across the per-telescope jobs).
     pub sessionize: f64,
-    /// The index shard-merge and finalize ([`CorpusIndex::from_shards`]).
+    /// The index build ([`CorpusIndex::build`]).
     pub index_build: f64,
 }
 
@@ -79,58 +82,39 @@ impl Analyzed {
     }
 
     /// Builds the corpus by feeding each capture in `chunk_records` steps
-    /// into a [`FeedConsumer`] (incremental sessionizers at /128 and /64
-    /// plus an index-shard accumulator), then merging the shards into the
-    /// [`CorpusIndex`] — the same consumer the pcap and live paths use.
-    /// Simulated captures and the time-ordered captures a shard gather
-    /// concatenates both come through here.
+    /// into a [`FeedConsumer`] (incremental sessionizers at /128 and /64),
+    /// then building the [`CorpusIndex`] from the captures and their
+    /// sessions — the one corpus build behind every finished input:
+    /// simulated captures, sorted pcap reads and shard gathers.
     ///
     /// The four per-telescope feeds are independent pure functions of
     /// their capture, so they run on worker threads (`SIXSCOPE_THREADS`
     /// caps them; 1 forces serial); results are keyed by telescope, so
     /// scheduling cannot affect output, and chunk boundaries are invisible
     /// (DESIGN.md §10) — any `chunk_records` yields byte-identical output.
+    /// The timings record the feeds as `streaming`, their summed pushes as
+    /// `sessionize` and the index build as `index_build`.
     pub(crate) fn stream(result: ExperimentResult, settings: &StreamSettings) -> Analyzed {
         let threads = num_threads(settings.threads);
         let stream_start = Instant::now();
-        let compiled = CompiledVisibility::compile(&result.visibility);
         let fed = map_indexed(threads, &TelescopeId::ALL, |_, id| {
             let capture = &result.captures[id];
             FeedConsumer::new(hint_for_records(capture.len() as u64), settings)
-                .consume_capture(capture, &compiled)
+                .consume_capture(capture)
         });
         let streaming = stream_start.elapsed().as_secs_f64();
-        let fed = TelescopeId::ALL.into_iter().zip(fed).collect();
-        Self::gather(result, fed, threads, streaming)
-    }
-
-    /// The one gather every corpus goes through: merges the per-telescope
-    /// sessions and index shards (telescopes absent from `fed` are empty)
-    /// into the [`CorpusIndex`] and builds the AS join trie. `streaming`
-    /// is the caller's wall-clock for producing `fed`; the gather times
-    /// the index build itself, sums the sessionize times and takes the
-    /// largest open-session peak.
-    pub(crate) fn gather(
-        result: ExperimentResult,
-        mut fed: BTreeMap<TelescopeId, ConsumedFeed>,
-        threads: usize,
-        streaming: f64,
-    ) -> Analyzed {
         let mut sessions128 = BTreeMap::new();
         let mut sessions64 = BTreeMap::new();
-        let mut shards = BTreeMap::new();
         let mut sessionize = 0.0;
         let mut peak_open_sessions = 0;
-        for id in TelescopeId::ALL {
-            let feed = fed.remove(&id).unwrap_or_default();
+        for (id, feed) in TelescopeId::ALL.into_iter().zip(fed) {
             sessions128.insert(id, feed.sessions128);
             sessions64.insert(id, feed.sessions64);
-            shards.insert(id, feed.shard);
             sessionize += feed.sessionize;
             peak_open_sessions = peak_open_sessions.max(feed.peak);
         }
         let index_start = Instant::now();
-        let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
+        let index = CorpusIndex::build_with_threads(&result, &sessions128, &sessions64, threads);
         let index_build = index_start.elapsed().as_secs_f64();
         let mut asn_by_subnet = PrefixTrie::new();
         for scanner in &result.population.scanners {

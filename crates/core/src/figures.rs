@@ -71,7 +71,7 @@ pub fn fig4(a: &Analyzed) -> Vec<GrowthCurve> {
     for id in TelescopeId::ALL {
         let col = idx.telescope(id);
         for i in 0..col.len() {
-            *per_week.entry(col.week[i] as u64).or_default() += 1;
+            *per_week.entry(col.ts[i].week()).or_default() += 1;
             let src = col.src128[i];
             if first128[src as usize] == UNSEEN {
                 let bucket = (col.ts[i].as_secs() / week_secs) as u32;
@@ -198,7 +198,7 @@ fn daily_activity(a: &Analyzed, member: &[bool]) -> Vec<ActivityBubble> {
         for i in 0..col.len() {
             let src = col.src128[i];
             if member[src as usize] {
-                *counts.entry((src, id, col.day[i] as u64)).or_default() += 1;
+                *counts.entry((src, id, col.ts[i].day())).or_default() += 1;
             }
         }
     }
@@ -544,7 +544,7 @@ pub fn fig16b(a: &Analyzed) -> OverlapShares {
         let mut m: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); idx.sources.len128()];
         let col = idx.telescope(id);
         for i in 0..col.len() {
-            m[col.src128[i] as usize].insert(col.day[i] as u64);
+            m[col.src128[i] as usize].insert(col.ts[i].day());
         }
         m
     };

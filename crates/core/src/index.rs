@@ -4,11 +4,13 @@
 //! The report layer used to re-derive the same per-packet facts — source
 //! keys, RFC 7707 address class, port label, week/day bucket, AS metadata —
 //! once per table and once per figure, walking every capture up to twenty
-//! times. [`CorpusIndex::build`] walks each capture exactly once (in
-//! parallel per telescope through [`map_indexed`]) and materializes dense
-//! columns plus a handful of session-level caches; the consumers in
-//! [`crate::tables`] and [`crate::figures`] then reduce over integer
-//! columns.
+//! times. [`CorpusIndex::build`] runs once per corpus, over the finished
+//! captures and their sessions: it walks each capture twice (in parallel
+//! per telescope through [`map_indexed`]), once to intern its sources and
+//! once to fill the packet columns, and materializes a handful of
+//! session-level caches; the consumers in [`crate::tables`] and
+//! [`crate::figures`] then reduce over integer columns. Every column is a
+//! fact of the captured packet alone — none consults a routing view.
 //!
 //! # Determinism obligations
 //!
@@ -25,7 +27,8 @@ use sixscope_analysis::classify::{
     addr_selection, profile_scanners, AddrSelection, ScannerProfile,
 };
 use sixscope_analysis::heavy::{heavy_hitters_from_counts, HeavyHitter, HEAVY_HITTER_SHARE};
-use sixscope_sim::{CompiledVisibility, ExperimentResult};
+use sixscope_scanners::population::Population;
+use sixscope_sim::ExperimentResult;
 use sixscope_telescope::{AggLevel, Capture, Protocol, ScanSession, SourceKey, TelescopeId};
 use sixscope_types::ports::PortLabel;
 use sixscope_types::{
@@ -34,7 +37,7 @@ use sixscope_types::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-/// Sentinel id for "no value" (unresolved AS, unrouted destination, …).
+/// Sentinel id for "no value" (unresolved AS, absent country metadata).
 pub const NO_ID: u32 = u32::MAX;
 
 /// Protocol code of [`Protocol::Icmpv6`].
@@ -151,9 +154,10 @@ impl SourceTable {
 }
 
 /// Dense per-packet columns of one telescope's capture, index-aligned with
-/// [`Capture::packets`] — finalized from an [`IndexShard`]. The capture is
-/// time-sorted, so `ts` is non-decreasing and any `[from, until)` window is
-/// a `partition_point` slice.
+/// [`Capture::packets`]. The capture is time-sorted, so `ts` is
+/// non-decreasing and any `[from, until)` window is a `partition_point`
+/// slice. Week and day buckets are not stored: `ts[i].week()` and
+/// `ts[i].day()` derive them.
 #[derive(Debug, Clone)]
 pub struct PacketColumns {
     /// Arrival time (non-decreasing).
@@ -169,22 +173,54 @@ pub struct PacketColumns {
     /// Classified destination-port code ([`encode_port`]; [`PORT_NONE`]
     /// for ICMPv6/other or missing ports).
     pub port: Vec<u32>,
-    /// Zero-based week bucket of the arrival time.
-    pub week: Vec<u32>,
-    /// Zero-based day bucket of the arrival time.
-    pub day: Vec<u32>,
     /// Destination address bits. Lets per-session consumers (Fig. 14/17)
     /// assemble target-bit sequences straight from the column instead of
     /// re-walking the capture's packet structs.
     pub dst: Vec<u128>,
-    /// Announced-prefix id covering the destination at arrival time
-    /// (longest match through [`CompiledVisibility`]; `NO_ID` when
-    /// unrouted). Ids index [`PacketColumns::prefixes`].
-    pub prefix: Vec<u32>,
-    prefixes: Vec<Ipv6Prefix>,
 }
 
 impl PacketColumns {
+    /// Derives the columns of one capture, resolving sources against the
+    /// final interned table — the only code that writes packet columns.
+    ///
+    /// # Panics
+    /// Panics when the capture's packet times decrease: the corpus index
+    /// requires time-sorted captures (simulated and shard-gathered ones are
+    /// by construction; pcap input is sorted when read).
+    fn build(capture: &Capture, sources: &SourceTable) -> PacketColumns {
+        let n = capture.len();
+        let mut cols = PacketColumns {
+            ts: Vec::with_capacity(n),
+            src128: Vec::with_capacity(n),
+            src64: Vec::with_capacity(n),
+            class: Vec::with_capacity(n),
+            proto: Vec::with_capacity(n),
+            port: Vec::with_capacity(n),
+            dst: Vec::with_capacity(n),
+        };
+        for p in capture.packets() {
+            assert!(
+                cols.ts.last().is_none_or(|&t| t <= p.ts),
+                "corpus index requires non-decreasing packet times"
+            );
+            cols.ts.push(p.ts);
+            let k128 = SourceKey::new(p.src, AggLevel::Addr128);
+            let k64 = SourceKey::new(p.src, AggLevel::Subnet64);
+            cols.src128
+                .push(sources.id128(&k128).expect("every packet source interned"));
+            cols.src64.push(sources.id64(&k64).expect("interned /64"));
+            cols.class.push(classify(p.dst).code());
+            cols.proto.push(proto_code(p.protocol));
+            cols.port.push(match (p.protocol, p.dst_port) {
+                (Protocol::Tcp, Some(port)) => encode_port(PortLabel::classify_tcp(port)),
+                (Protocol::Udp, Some(port)) => encode_port(PortLabel::classify_udp(port)),
+                _ => PORT_NONE,
+            });
+            cols.dst.push(u128::from(p.dst));
+        }
+        cols
+    }
+
     /// Number of packets.
     pub fn len(&self) -> usize {
         self.ts.len()
@@ -211,152 +247,18 @@ impl PacketColumns {
     pub fn range_from(&self, from: SimTime) -> Range<usize> {
         self.ts.partition_point(|&t| t < from)..self.ts.len()
     }
-
-    /// The interned announced prefixes (id = index).
-    pub fn prefixes(&self) -> &[Ipv6Prefix] {
-        &self.prefixes
-    }
 }
 
-/// Append-only partial packet columns of one telescope — the mergeable
-/// unit of the streaming pipeline (DESIGN.md §10).
-///
-/// A shard accumulates exactly the per-packet facts [`PacketColumns`]
-/// stores, except that source addresses stay raw (`u128`): global source
-/// ids cannot be assigned until every chunk has been seen. The streaming
-/// pipeline appends one chunk at a time with [`IndexShard::push_range`] —
-/// the only code that writes index columns — and finally
-/// [`CorpusIndex::from_shards`] interns the union of the shard source sets
-/// and resolves the raw columns to ids, producing the same columns
-/// whatever the chunking.
-#[derive(Debug, Clone, Default)]
-pub struct IndexShard {
-    /// Shard-local source interning. Arena order is first-encounter; the
-    /// merge sorts the union, so final ids still land in ascending key
-    /// order exactly as the old `BTreeSet` union assigned them.
-    sources128: InternTable<SourceKey>,
-    sources64: InternTable<SourceKey>,
-    ts: Vec<SimTime>,
-    /// Raw source address per packet (resolved to ids at merge time).
-    src: Vec<u128>,
-    class: Vec<u8>,
-    proto: Vec<u8>,
-    port: Vec<u32>,
-    week: Vec<u32>,
-    day: Vec<u32>,
-    dst: Vec<u128>,
-    prefix: Vec<u32>,
-    /// Shard-local announced-prefix interning (first-encounter order; only
-    /// the id→prefix direction is consumed).
-    prefix_ids: InternTable<Ipv6Prefix>,
-}
-
-impl IndexShard {
-    /// An empty shard.
-    pub fn new() -> Self {
-        IndexShard::default()
+/// The /128 and /64 source keys of one capture, interned in
+/// first-encounter order.
+fn intern_sources(capture: &Capture) -> (InternTable<SourceKey>, InternTable<SourceKey>) {
+    let mut keys128 = InternTable::new();
+    let mut keys64 = InternTable::new();
+    for p in capture.packets() {
+        keys128.insert(SourceKey::new(p.src, AggLevel::Addr128));
+        keys64.insert(SourceKey::new(p.src, AggLevel::Subnet64));
     }
-
-    /// Number of packets appended so far.
-    pub fn len(&self) -> usize {
-        self.ts.len()
-    }
-
-    /// True before the first packet.
-    pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
-    }
-
-    /// Appends one contiguous chunk of `capture`'s packets.
-    ///
-    /// # Panics
-    /// Panics when the chunk's packets are not in non-decreasing time order
-    /// relative to what the shard already holds: the corpus index requires
-    /// time-sorted captures (simulated captures are by construction;
-    /// replayed ones must be sorted first).
-    pub fn push_range(
-        &mut self,
-        capture: &Capture,
-        range: Range<usize>,
-        visibility: &CompiledVisibility,
-    ) {
-        let packets = &capture.packets()[range];
-        // Every column grows by the chunk up front, so a one-chunk feed
-        // allocates each column once, at its final size.
-        let n = packets.len();
-        self.ts.reserve(n);
-        self.src.reserve(n);
-        self.class.reserve(n);
-        self.proto.reserve(n);
-        self.port.reserve(n);
-        self.week.reserve(n);
-        self.day.reserve(n);
-        self.dst.reserve(n);
-        self.prefix.reserve(n);
-        // Packets are non-decreasing in time (asserted below), so the
-        // epoch lookup rides a monotone cursor instead of a binary search
-        // per packet.
-        let epoch_cursor = std::cell::Cell::new(0);
-        for p in packets {
-            assert!(
-                self.ts.last().is_none_or(|&t| t <= p.ts),
-                "index shard requires non-decreasing packet times"
-            );
-            self.ts.push(p.ts);
-            self.sources128
-                .insert(SourceKey::new(p.src, AggLevel::Addr128));
-            self.sources64
-                .insert(SourceKey::new(p.src, AggLevel::Subnet64));
-            // (InternTable::insert is idempotent, like the set insert it
-            // replaced — one hash probe instead of an ordered-tree walk.)
-            self.src.push(u128::from(p.src));
-            self.class.push(classify(p.dst).code());
-            self.proto.push(proto_code(p.protocol));
-            let port = match (p.protocol, p.dst_port) {
-                (Protocol::Tcp, Some(port)) => encode_port(PortLabel::classify_tcp(port)),
-                (Protocol::Udp, Some(port)) => encode_port(PortLabel::classify_udp(port)),
-                _ => PORT_NONE,
-            };
-            self.port.push(port);
-            self.week.push(p.ts.week() as u32);
-            self.day.push(p.ts.day() as u32);
-            self.dst.push(u128::from(p.dst));
-            let prefix = match visibility.lpm_cached(p.dst, p.ts, &epoch_cursor) {
-                Some(pre) => self.prefix_ids.insert(pre).id,
-                None => NO_ID,
-            };
-            self.prefix.push(prefix);
-        }
-    }
-
-    /// Resolves the raw source column against the final interned source
-    /// table, consuming the shard into finished [`PacketColumns`].
-    fn finalize(self, sources: &SourceTable) -> PacketColumns {
-        let mut src128 = Vec::with_capacity(self.src.len());
-        let mut src64 = Vec::with_capacity(self.src.len());
-        for &raw in &self.src {
-            let addr = std::net::Ipv6Addr::from(raw);
-            let k128 = SourceKey::new(addr, AggLevel::Addr128);
-            let k64 = SourceKey::new(addr, AggLevel::Subnet64);
-            // O(1) hash lookups against the final table — this loop runs
-            // twice per packet and used to binary-search a sorted vector.
-            src128.push(sources.id128(&k128).expect("every packet source interned"));
-            src64.push(sources.id64(&k64).expect("interned /64"));
-        }
-        PacketColumns {
-            ts: self.ts,
-            src128,
-            src64,
-            class: self.class,
-            proto: self.proto,
-            port: self.port,
-            week: self.week,
-            day: self.day,
-            dst: self.dst,
-            prefix: self.prefix,
-            prefixes: self.prefix_ids.into_keys(),
-        }
-    }
+    (keys128, keys64)
 }
 
 /// Dense per-session columns, index-aligned with the session vector they
@@ -480,76 +382,45 @@ impl CorpusIndex {
     /// lists (per telescope, or contiguous [`chunk_ranges`] shards), so the
     /// index — and everything derived from it — is identical at any
     /// `SIXSCOPE_THREADS`.
+    ///
+    /// # Panics
+    /// Panics when a capture's packet times decrease.
     pub fn build(
         result: &ExperimentResult,
         sessions128: &BTreeMap<TelescopeId, Vec<ScanSession>>,
         sessions64: &BTreeMap<TelescopeId, Vec<ScanSession>>,
     ) -> CorpusIndex {
-        let threads = num_threads(None);
-        // Batch is one-big-chunk streaming: build one shard per telescope
-        // in a single push, then merge. One code path, byte-identical
-        // output either way (DESIGN.md §10).
-        let compiled = CompiledVisibility::compile(&result.visibility);
-        let built = map_indexed(threads, &TelescopeId::ALL, |_, id| {
-            let capture = &result.captures[id];
-            let mut shard = IndexShard::new();
-            shard.push_range(capture, 0..capture.len(), &compiled);
-            shard
-        });
-        let shards: BTreeMap<TelescopeId, IndexShard> =
-            TelescopeId::ALL.into_iter().zip(built).collect();
-        Self::from_shards(result, shards, sessions128, sessions64, threads)
+        Self::build_with_threads(result, sessions128, sessions64, num_threads(None))
     }
 
-    /// Assembles the index from per-telescope [`IndexShard`]s the streaming
-    /// pipeline accumulated. Every telescope must have a shard (empty is
-    /// fine) whose length matches its capture in `result`.
-    ///
-    /// The merge is deterministic: the source universe is the union of the
-    /// shard key sets (an intern-table union *sorted* before id
-    /// assignment, so ids land in ascending key order exactly as the old
-    /// `BTreeSet` union assigned them), raw source columns resolve to ids
-    /// by O(1) hash lookup, and all downstream stages reduce over those
-    /// columns through order-preserving [`map_indexed`].
-    pub fn from_shards(
+    /// [`CorpusIndex::build`] on `threads` workers.
+    pub(crate) fn build_with_threads(
         result: &ExperimentResult,
-        shards: BTreeMap<TelescopeId, IndexShard>,
         sessions128: &BTreeMap<TelescopeId, Vec<ScanSession>>,
         sessions64: &BTreeMap<TelescopeId, Vec<ScanSession>>,
         threads: usize,
     ) -> CorpusIndex {
-        // Stage A: the source universe (union of shard key sets), then
-        // per-source metadata.
+        // Stage A: the source universe — the union of every capture's
+        // interned sources, sorted before id assignment so ids land in
+        // ascending key order — then per-source metadata.
+        let interned = map_indexed(threads, &TelescopeId::ALL, |_, id| {
+            intern_sources(&result.captures[id])
+        });
         let mut all128: InternTable<SourceKey> = InternTable::new();
         let mut all64: InternTable<SourceKey> = InternTable::new();
-        for id in TelescopeId::ALL {
-            let shard = shards.get(&id).expect("a shard per telescope");
-            assert_eq!(
-                shard.len(),
-                result.captures[&id].len(),
-                "shard/capture length mismatch at {id}"
-            );
-            all128.absorb(&shard.sources128);
-            all64.absorb(&shard.sources64);
+        for (keys128, keys64) in &interned {
+            all128.absorb(keys128);
+            all64.absorb(keys64);
         }
-        let sources = Self::build_source_table(result, all128, all64);
+        drop(interned);
+        let sources = Self::build_source_table(&result.population, all128, all64);
 
-        // Stage B: finalize per-telescope packet columns (resolve the raw
-        // source columns against the final table). `map_indexed` hands out
-        // references, so each shard is moved through a take-once cell.
-        let cells: Vec<(TelescopeId, std::sync::Mutex<Option<IndexShard>>)> = shards
-            .into_iter()
-            .map(|(id, shard)| (id, std::sync::Mutex::new(Some(shard))))
-            .collect();
-        let built = map_indexed(threads, &cells, |_, (id, cell)| {
-            let shard = cell
-                .lock()
-                .expect("no panics while holding the cell")
-                .take()
-                .expect("each shard finalized exactly once");
-            (*id, shard.finalize(&sources))
+        // Stage B: per-telescope packet columns straight from the captures.
+        let built = map_indexed(threads, &TelescopeId::ALL, |_, id| {
+            PacketColumns::build(&result.captures[id], &sources)
         });
-        let packets: BTreeMap<TelescopeId, PacketColumns> = built.into_iter().collect();
+        let packets: BTreeMap<TelescopeId, PacketColumns> =
+            TelescopeId::ALL.into_iter().zip(built).collect();
 
         // Stage C: session columns (four telescopes × two levels).
         let jobs: Vec<(TelescopeId, AggLevel)> = TelescopeId::ALL
@@ -590,10 +461,9 @@ impl CorpusIndex {
             .collect();
         let built = map_indexed(threads, &sel_jobs, |_, (id, r)| {
             let capture = &result.captures[id];
-            let prefix_len = capture.config().prefix.len();
             sessions128[id][r.clone()]
                 .iter()
-                .map(|s| addr_selection(s, capture, prefix_len))
+                .map(|s| addr_selection(s, capture))
                 .collect::<Vec<AddrSelection>>()
         });
         let mut addr_sel: BTreeMap<TelescopeId, Vec<AddrSelection>> = TelescopeId::ALL
@@ -699,13 +569,15 @@ impl CorpusIndex {
         }
     }
 
+    /// Assigns the final source ids (ascending key order) and resolves the
+    /// per-source AS and country metadata against `population`.
     fn build_source_table(
-        result: &ExperimentResult,
+        population: &Population,
         all128: InternTable<SourceKey>,
         all64: InternTable<SourceKey>,
     ) -> SourceTable {
         let mut asn_by_subnet: PrefixTrie<u32> = PrefixTrie::new();
-        for scanner in &result.population.scanners {
+        for scanner in &population.scanners {
             asn_by_subnet.insert(scanner.source.subnet(), scanner.asn.get());
         }
         // Deterministic final id assignment: ascending key order, exactly
@@ -729,7 +601,7 @@ impl CorpusIndex {
             let addr = key.prefix.network();
             let asn = asn_by_subnet.lookup(addr).map(|(_, &a)| a);
             asn128.push(asn.unwrap_or(NO_ID));
-            let info = asn.and_then(|a| result.population.as_info(sixscope_types::Asn(a)));
+            let info = asn.and_then(|a| population.as_info(sixscope_types::Asn(a)));
             match info {
                 Some(info) => {
                     info_asn128.push(info.asn.get());
@@ -856,7 +728,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "non-decreasing packet times")]
-    fn push_range_panics_on_out_of_order_chunks() {
+    fn column_build_panics_on_out_of_order_packets() {
         let packet = |t: u64| sixscope_telescope::CapturedPacket {
             ts: SimTime::from_secs(t),
             telescope: TelescopeId::T1,
@@ -873,12 +745,15 @@ mod tests {
             0,
             0,
         );
-        let compiled = CompiledVisibility::compile(&sixscope_sim::Visibility::from_events(&[]));
-        let mut shard = IndexShard::new();
-        shard.push_range(&capture, 0..2, &compiled);
-        assert_eq!(shard.len(), 2);
-        // The next chunk starts before the shard's last packet.
-        shard.push_range(&capture, 2..3, &compiled);
+        let (keys128, keys64) = intern_sources(&capture);
+        let population = Population {
+            scanners: Vec::new(),
+            ases: Vec::new(),
+            rdns: BTreeMap::new(),
+        };
+        let sources = CorpusIndex::build_source_table(&population, keys128, keys64);
+        // The third packet arrives before the second.
+        PacketColumns::build(&capture, &sources);
     }
 
     #[test]

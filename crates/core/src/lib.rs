@@ -11,8 +11,7 @@
 //!   /32→/48 splitting), productive T2, silent T3, reactive T4 — against a
 //!   calibrated scanner ecosystem, entirely in-process and deterministic
 //!   from one seed; `Pipeline::from_pcaps(paths)` streams *real* captures
-//!   through the same analysis in bounded memory, with per-record damage
-//!   recovery;
+//!   through the same analysis, with per-record damage recovery;
 //! * [`Analyzed`] holds the captures with pre-computed scan sessions at
 //!   /128 and /64 source aggregation, plus the columnar [`CorpusIndex`]
 //!   every table and figure reduces over;

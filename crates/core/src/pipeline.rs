@@ -1,4 +1,4 @@
-//! The one entry point — a streaming, bounded-memory analysis pipeline.
+//! The one entry point — a chunked, streaming analysis pipeline.
 //!
 //! [`Pipeline`] puts the simulated corpus, the real-pcap analysis and the
 //! shard-file gather behind a single builder:
@@ -13,34 +13,33 @@
 //! let report = sixscope::render::render_table2(&sixscope::tables::table2(&analyzed));
 //! ```
 //!
-//! The pcap path is zero-copy and streams: each file is `mmap(2)`'d (with
-//! a buffered-read fallback) and walked in chunks of
-//! [`Pipeline::chunk_records`] borrowed record views, each chunk fed
-//! straight into the incremental sessionizers and an
-//! [`crate::index::IndexShard`] accumulator. Record bytes are never copied
-//! out of the mapping — packets promote their payload to owned bytes only
-//! when retained by the capture filter — so heap memory stays
-//! O(chunk views + live sessions + columns) while the mapping's pages are
-//! file-backed and evictable. Chunk boundaries are invisible (DESIGN.md
-//! §10): any `chunk_records` and any thread count produce byte-identical
-//! tables and figures.
+//! Every finished input becomes time-sorted captures first: the
+//! simulator's, the shard files' (joined per telescope in seam order) or
+//! the pcaps' (one passive telescope, stably sorted by time when the files
+//! were disordered). The pcap read is zero-copy: each file is `mmap(2)`'d
+//! (with a buffered-read fallback) and walked in chunks of
+//! [`Pipeline::chunk_records`] borrowed record views, and packets promote
+//! their payload to owned bytes only when retained by the capture filter.
+//! The captures then stream through the incremental sessionizers in
+//! `chunk_records` steps, and [`crate::CorpusIndex::build`] derives the
+//! index columns once, from the finished captures. Chunk boundaries are
+//! invisible (DESIGN.md §10): any `chunk_records` and any thread count
+//! produce byte-identical tables and figures.
 
 use crate::corpus::{Analyzed, StreamSettings};
-use crate::index::IndexShard;
 use crate::ingest::passive_config;
 use crate::shardfile::{gather_shards, write_shard, TelescopeShard};
 use crate::Error;
 use sixscope_scanners::population::Population;
 use sixscope_scanners::ExperimentLayout;
 use sixscope_sim::{
-    CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, ScenarioTimings, TumHitlist,
-    Visibility,
+    ExperimentResult, Scenario, ScenarioConfig, ScenarioTimings, TumHitlist, Visibility,
 };
 use sixscope_telescope::{
     AggLevel, Capture, Feed, IncrementalSessionizer, IngestStats, PcapFeed, ScanSession,
     SplitSchedule, TelescopeConfig, TelescopeId, SESSION_TIMEOUT,
 };
-use sixscope_types::{num_threads, Ipv6Prefix, SimDuration, SimTime};
+use sixscope_types::{Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -150,9 +149,9 @@ impl Pipeline {
         self
     }
 
-    /// Streaming chunk size in pcap records (and, for the simulated and
-    /// shard paths, in packets per feed chunk). Bounds live memory on the
-    /// pcap path; output bytes never depend on it. Defaults to unchunked.
+    /// Streaming chunk size: pcap records per read step, and packets per
+    /// sessionizer feed step on every path. Output bytes never depend on
+    /// it. Defaults to unchunked.
     pub fn chunk_records(mut self, records: usize) -> Pipeline {
         self.chunk_records = records.max(1);
         self
@@ -191,8 +190,21 @@ impl Pipeline {
                     file_stats: Vec::new(),
                 })
             }
-            Source::Pcaps { paths, prefix } => stream_pcaps(&paths, prefix, &settings),
-            Source::Shards(paths) => stream_shards(&paths, &settings),
+            Source::Pcaps { paths, prefix } => {
+                let read_start = Instant::now();
+                let input = read_pcaps(&paths, prefix, self.chunk_records)?;
+                Ok(analyze_input(input, read_start, &settings))
+            }
+            Source::Shards(paths) => {
+                if paths.is_empty() {
+                    return Err(Error::Usage(
+                        "merge requires at least one .sixshard file".into(),
+                    ));
+                }
+                let read_start = Instant::now();
+                let input = gather_shards(&paths)?;
+                Ok(analyze_input(input, read_start, &settings))
+            }
         }
     }
 
@@ -207,69 +219,62 @@ impl Pipeline {
                 "shard export requires a pcap source (Pipeline::from_pcaps)".into(),
             ));
         };
-        let mut feed = PcapFeed::new(
-            Capture::new(passive_config(prefix)),
-            paths,
-            self.chunk_records,
-        );
-        while !feed.next_chunk()?.end_of_feed {}
-        let (mut capture, stats, file_stats) = feed.finish();
-        // The format stores packets in time order: the same stable sort
-        // the in-process path applies to disordered input.
-        if !capture.is_time_sorted() {
-            capture.sort_by_time();
-        }
-        let shard = TelescopeShard { capture, stats };
+        let input = read_pcaps(&paths, prefix, self.chunk_records)?;
+        let (_, capture) = input
+            .captures
+            .into_iter()
+            .next()
+            .expect("a pcap read fills one telescope");
+        let shard = TelescopeShard {
+            capture,
+            stats: input.stats,
+        };
         write_shard(out.as_ref(), &shard)?;
         Ok(ShardOutput {
             packets: shard.capture.len(),
             stats: shard.stats,
-            file_stats,
+            file_stats: input.file_stats,
         })
     }
 }
 
-/// One telescope's fully ingested pcap state, fed straight to the gather.
-struct IngestedTelescope {
-    capture: Capture,
-    feed: ConsumedFeed,
-    stats: IngestStats,
-    file_stats: Vec<(String, IngestStats)>,
+/// A finished input read into time-sorted captures, one per telescope it
+/// covers, with its recovery statistics summed over all files and listed
+/// per file (in input order) — what the pcap reader and the shard gather
+/// hand to the analysis.
+pub(crate) struct FinishedInput {
+    pub captures: BTreeMap<TelescopeId, Capture>,
+    pub stats: IngestStats,
+    pub file_stats: Vec<(String, IngestStats)>,
 }
 
 /// The stateful half of a feed-driven ingest: incremental sessionizers at
-/// /128 and /64 plus an [`IndexShard`] accumulator, fed one
-/// [`sixscope_telescope::FeedChunk`] at a time.
+/// /128 and /64, fed one [`sixscope_telescope::FeedChunk`] at a time.
 ///
-/// The consumer is the only code that turns a packet range into sessions
-/// and index columns, for every input — a [`Feed`] over batch pcaps or a
-/// live tail, or a finished simulated or shard-gathered capture
-/// ([`FeedConsumer::consume_capture`]). If the input ever
-/// delivers packets out of time order (live feeds admit in-horizon
-/// disorder; finite feeds simply reflect their files) the incremental
-/// state is abandoned and [`FeedConsumer::finish`] falls back to sort +
-/// re-feed — the bounded-memory property is lost but the output contract
-/// (byte-identical to batch) is kept. A snapshotting caller checks
-/// [`FeedConsumer::is_sorted`] and reads either the live state or a
-/// batch sessionization of the capture.
+/// The consumer is the only code that turns a packet range into sessions,
+/// for every input — a finished capture ([`FeedConsumer::consume_capture`])
+/// or the live tail of [`crate::serve`]. If a live feed ever delivers
+/// packets out of time order (it admits in-horizon disorder) the
+/// incremental state is abandoned and [`FeedConsumer::finish`] falls back
+/// to sort + re-feed — the open-session bound is lost but the output
+/// contract (byte-identical to batch) is kept. A snapshotting caller checks
+/// [`FeedConsumer::is_sorted`] and reads either the live state or a batch
+/// sessionization of the capture.
 pub(crate) struct FeedConsumer {
     s128: IncrementalSessionizer,
     s64: IncrementalSessionizer,
-    shard: IndexShard,
     sessionize: f64,
     sorted: bool,
     sources_hint: usize,
     settings: StreamSettings,
 }
 
-/// One telescope's sessions and index shard: what a drained
-/// [`FeedConsumer`] hands to [`Analyzed::gather`]. The default is an empty
-/// telescope.
-#[derive(Debug, Default)]
+/// One telescope's sessions: what a drained [`FeedConsumer`] hands to the
+/// corpus build.
+#[derive(Debug)]
 pub(crate) struct ConsumedFeed {
     pub sessions128: Vec<ScanSession>,
     pub sessions64: Vec<ScanSession>,
-    pub shard: IndexShard,
     pub sessionize: f64,
     pub peak: usize,
 }
@@ -287,7 +292,6 @@ impl FeedConsumer {
                 settings.session_timeout,
                 sources_hint,
             ),
-            shard: IndexShard::new(),
             sessionize: 0.0,
             sorted: true,
             sources_hint,
@@ -306,7 +310,8 @@ impl FeedConsumer {
         self.s128.peak_open().max(self.s64.peak_open())
     }
 
-    /// Open + closed session counts at /128 and /64 (snapshot statistics).
+    /// Open + closed session counts at /128 and /64. Only meaningful while
+    /// [`FeedConsumer::is_sorted`].
     pub(crate) fn session_counts(&self) -> (usize, usize) {
         (self.s128.sessions().len(), self.s64.sessions().len())
     }
@@ -319,12 +324,7 @@ impl FeedConsumer {
 
     /// Feeds the capture packets `range` (one feed chunk) into the
     /// incremental state.
-    pub(crate) fn consume(
-        &mut self,
-        capture: &Capture,
-        range: Range<usize>,
-        compiled: &CompiledVisibility,
-    ) {
+    pub(crate) fn consume(&mut self, capture: &Capture, range: Range<usize>) {
         if range.is_empty() || !self.sorted {
             return;
         }
@@ -347,39 +347,30 @@ impl FeedConsumer {
             self.s64.push(idx, p);
         }
         self.sessionize += push_start.elapsed().as_secs_f64();
-        self.shard.push_range(capture, range, compiled);
     }
 
     /// Closes the consumer. If disorder was seen, sorts the capture and
     /// re-feeds it through a fresh consumer — chunk boundaries are
     /// invisible (DESIGN.md §10), so this equals the batch path byte for
     /// byte.
-    pub(crate) fn finish(
-        self,
-        capture: &mut Capture,
-        compiled: &CompiledVisibility,
-    ) -> ConsumedFeed {
+    pub(crate) fn finish(self, capture: &mut Capture) -> ConsumedFeed {
         if self.sorted {
             return self.finish_in_order();
         }
         capture.sort_by_time();
-        FeedConsumer::new(self.sources_hint, &self.settings).consume_capture(capture, compiled)
+        FeedConsumer::new(self.sources_hint, &self.settings).consume_capture(capture)
     }
 
     /// Feeds a whole, time-sorted capture through this fresh consumer in
-    /// `chunk_records` steps and closes it — the one loop behind the
-    /// simulated and shard-gathered corpus build ([`Analyzed::stream`]) and
-    /// the disorder fallback of [`FeedConsumer::finish`]. A zero chunk size
-    /// feeds one packet per step, as [`Pipeline::chunk_records`] clamps it.
-    pub(crate) fn consume_capture(
-        mut self,
-        capture: &Capture,
-        compiled: &CompiledVisibility,
-    ) -> ConsumedFeed {
+    /// `chunk_records` steps and closes it — the one loop behind every
+    /// finished input's corpus build (`Analyzed::stream`) and the disorder
+    /// fallback of [`FeedConsumer::finish`]. A zero chunk size feeds one
+    /// packet per step, as [`Pipeline::chunk_records`] clamps it.
+    pub(crate) fn consume_capture(mut self, capture: &Capture) -> ConsumedFeed {
         let step = self.settings.chunk_records.max(1);
         for start in (0..capture.len()).step_by(step) {
             let end = start.saturating_add(step).min(capture.len());
-            self.consume(capture, start..end, compiled);
+            self.consume(capture, start..end);
         }
         self.finish_in_order()
     }
@@ -392,109 +383,67 @@ impl FeedConsumer {
         ConsumedFeed {
             sessions128: self.s128.finish(),
             sessions64: self.s64.finish(),
-            shard: self.shard,
             sessionize: self.sessionize,
             peak,
         }
     }
 }
 
-/// The streaming pcap ingest, now phrased over [`PcapFeed`]: the feed maps
-/// each file (buffered fallback included) and appends borrowed record
-/// views to the capture; the [`FeedConsumer`] sessionizes and indexes each
-/// chunk before the next one is cut, so the only per-record heap traffic
-/// is the retained packets themselves.
-fn ingest_pcaps(
+/// Reads pcap files into one passive telescope's capture: drains a
+/// [`PcapFeed`] (which maps each file and appends its records' borrowed
+/// views in `chunk_records` steps), then stably sorts the capture by time
+/// if the files were disordered.
+fn read_pcaps(
     paths: &[PathBuf],
     prefix: Ipv6Prefix,
-    settings: &StreamSettings,
-) -> Result<IngestedTelescope, Error> {
-    let visibility = Visibility::from_events(&[]);
-    let compiled = CompiledVisibility::compile(&visibility);
+    chunk_records: usize,
+) -> Result<FinishedInput, Error> {
     let mut feed = PcapFeed::new(
         Capture::new(passive_config(prefix)),
         paths.iter().cloned(),
-        settings.chunk_records,
+        chunk_records,
     );
-    let mut consumer = FeedConsumer::new(feed.sources_hint(), settings);
-    loop {
-        let chunk = feed.next_chunk()?;
-        consumer.consume(feed.capture(), chunk.range.clone(), &compiled);
-        if chunk.end_of_feed {
-            break;
-        }
-    }
+    while !feed.next_chunk()?.end_of_feed {}
     let (mut capture, stats, file_stats) = feed.finish();
-    let feed = consumer.finish(&mut capture, &compiled);
-    Ok(IngestedTelescope {
-        capture,
-        feed,
+    if !capture.is_time_sorted() {
+        capture.sort_by_time();
+    }
+    Ok(FinishedInput {
+        captures: BTreeMap::from([(capture.config().id, capture)]),
         stats,
         file_stats,
     })
 }
 
-/// The in-process pcap path: ingest into one telescope, then hand its
-/// consumed feed to [`Analyzed::gather`], which fills in the absent
-/// telescopes empty.
-fn stream_pcaps(
-    paths: &[PathBuf],
-    prefix: Ipv6Prefix,
+/// The tail every read input shares: wraps its captures into an
+/// experiment result and streams them through [`Analyzed::stream`]. The
+/// `streaming` stage is the read since `read_start` plus that feed.
+fn analyze_input(
+    input: FinishedInput,
+    read_start: Instant,
     settings: &StreamSettings,
-) -> Result<PipelineOutput, Error> {
-    let ingest_start = Instant::now();
-    let ing = ingest_pcaps(paths, prefix, settings)?;
-    let ingest = ingest_start.elapsed().as_secs_f64();
-    let id = ing.capture.config().id;
-    let result = gathered_result(
-        BTreeMap::from([(id, ing.capture)]),
-        Visibility::from_events(&[]),
-    );
-    let fed = BTreeMap::from([(id, ing.feed)]);
-    Ok(PipelineOutput {
-        analyzed: Analyzed::gather(result, fed, num_threads(settings.threads), ingest),
-        sim: ScenarioTimings::default(),
-        stats: ing.stats,
-        file_stats: ing.file_stats,
-    })
-}
-
-/// The gather side of federated sharding: reads every `.sixshard` file,
-/// joins each telescope's shards into one capture, and streams the
-/// captures through [`Analyzed::stream`] like a simulated experiment. The
-/// `streaming` stage is the read and decode of the files plus that feed.
-fn stream_shards(paths: &[PathBuf], settings: &StreamSettings) -> Result<PipelineOutput, Error> {
-    if paths.is_empty() {
-        return Err(Error::Usage(
-            "merge requires at least one .sixshard file".into(),
-        ));
-    }
-    let read_start = Instant::now();
-    let gathered = gather_shards(paths)?;
+) -> PipelineOutput {
     let read = read_start.elapsed().as_secs_f64();
-    let result = gathered_result(gathered.captures, Visibility::from_events(&[]));
-    let mut analyzed = Analyzed::stream(result, settings);
+    let mut analyzed = Analyzed::stream(gathered_result(input.captures), settings);
     analyzed.timings.streaming += read;
-    Ok(PipelineOutput {
+    PipelineOutput {
         analyzed,
         sim: ScenarioTimings::default(),
-        stats: gathered.stats,
-        file_stats: gathered.file_stats,
-    })
+        stats: input.stats,
+        file_stats: input.file_stats,
+    }
 }
 
 /// Wraps gathered captures into the [`ExperimentResult`] shape the
 /// analysis layer consumes: telescopes without a capture get an empty one,
 /// and all simulation-only metadata (events, population, hitlist) is
 /// empty.
-pub(crate) fn gathered_result(
-    mut present: BTreeMap<TelescopeId, Capture>,
-    visibility: Visibility,
-) -> ExperimentResult {
+fn gathered_result(mut present: BTreeMap<TelescopeId, Capture>) -> ExperimentResult {
     let mut layout = ExperimentLayout::default_plan();
     layout.start = SimTime::EPOCH + SimDuration::days(1);
     let schedule = SplitSchedule::paper(layout.t1, layout.start);
     layout.end = schedule.end();
+    let visibility = Visibility::from_events(&[]);
     let hitlist = TumHitlist::build(&[], &visibility);
     let mut captures = BTreeMap::new();
     for id in TelescopeId::ALL {

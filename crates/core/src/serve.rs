@@ -30,7 +30,6 @@ use crate::json::Json;
 use crate::pipeline::FeedConsumer;
 use crate::{render, tables, Error};
 use sixscope_analysis::classify::{addr_selection, AddrSelection, ScannerProfiler};
-use sixscope_sim::{CompiledVisibility, Visibility};
 use sixscope_telescope::{
     AggLevel, Capture, Feed, IngestStats, ScanSession, Sessionizer, TailFeed, TelescopeId,
     SESSION_TIMEOUT,
@@ -190,8 +189,14 @@ struct Checkpoint<'a> {
     event: &'a str,
     snapshot: usize,
     packets: usize,
+    /// /128 and /64 session counts of the state the checkpoint's report
+    /// was rendered from.
     sessions128: usize,
     sessions64: usize,
+    /// High-water mark of the incremental sessionizers' open-session
+    /// tables. After out-of-order input it holds at the mark reached
+    /// before the disorder, until the final checkpoint reports the sorted
+    /// re-feed's.
     peak_open: usize,
     late: u64,
     stats: &'a IngestStats,
@@ -286,8 +291,7 @@ impl ReportMemo {
         match self.selections.get(&i) {
             Some(&(seen, selection)) if seen == count => selection,
             _ => {
-                let prefix_len = capture.config().prefix.len();
-                let selection = addr_selection(&sessions[i], capture, prefix_len);
+                let selection = addr_selection(&sessions[i], capture);
                 self.selections.insert(i, (count, selection));
                 selection
             }
@@ -414,11 +418,12 @@ pub fn tables_report(analyzed: &Analyzed, json: bool) -> String {
     out
 }
 
-/// A mid-stream checkpoint. In-order input renders straight from the
-/// borrowed capture and live /128 sessions, through the memos. Disorder
-/// drops the memos, then sessionizes the borrowed capture at /128 (all
-/// the report reads) in stable time order — the batch fallback, applied
-/// to the prefix seen so far, without copying a packet.
+/// A mid-stream checkpoint: the report, and the /128 and /64 session
+/// counts of the state it was rendered from. In-order input renders
+/// straight from the borrowed capture and live /128 sessions, through the
+/// memos. Disorder drops the memos, then sessionizes the borrowed capture
+/// at /128 and /64 in stable time order — the batch fallback, applied to
+/// the prefix seen so far, without copying a packet.
 fn checkpoint_report(
     capture: &Capture,
     consumer: &FeedConsumer,
@@ -426,17 +431,23 @@ fn checkpoint_report(
     stats: &IngestStats,
     settings: &StreamSettings,
     json: bool,
-) -> String {
+) -> (String, (usize, usize)) {
     if consumer.is_sorted() {
-        return render_report(capture, consumer.sessions128(), stats, json, memo);
+        let report = render_report(capture, consumer.sessions128(), stats, json, memo);
+        return (report, consumer.session_counts());
     }
     *memo = ReportMemo::default();
-    let sessions = Sessionizer {
-        level: AggLevel::Addr128,
-        timeout: settings.session_timeout,
-    }
-    .sessionize(capture);
-    render_report(capture, &sessions, stats, json, memo)
+    let sessionize = |level| {
+        Sessionizer {
+            level,
+            timeout: settings.session_timeout,
+        }
+        .sessionize(capture)
+    };
+    let sessions = sessionize(AggLevel::Addr128);
+    let sessions64 = sessionize(AggLevel::Subnet64).len();
+    let report = render_report(capture, &sessions, stats, json, memo);
+    (report, (sessions.len(), sessions64))
 }
 
 /// Runs the daemon to completion (feed drained, or SIGTERM/SIGINT). A
@@ -454,8 +465,6 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
         session_timeout: SESSION_TIMEOUT,
         threads: opts.threads,
     };
-    let visibility = Visibility::from_events(&[]);
-    let compiled = CompiledVisibility::compile(&visibility);
     let mut feed = TailFeed::new(
         Capture::new(passive_config(opts.prefix)),
         &opts.source,
@@ -475,7 +484,7 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
             break;
         }
         let chunk = feed.next_chunk()?;
-        consumer.consume(feed.capture(), chunk.range.clone(), &compiled);
+        consumer.consume(feed.capture(), chunk.range.clone());
         revealed += chunk.range.len() as u64;
         if chunk.end_of_feed {
             break;
@@ -483,7 +492,7 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
         while next_snapshot.is_some_and(|at| revealed >= at) {
             seq += 1;
             let stats = feed.stats();
-            let report = checkpoint_report(
+            let (report, (sessions128, sessions64)) = checkpoint_report(
                 feed.capture(),
                 &consumer,
                 &mut memo,
@@ -492,7 +501,6 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
                 opts.json,
             );
             write_snapshot(&opts.out_dir, seq, &report)?;
-            let (sessions128, sessions64) = consumer.session_counts();
             status.emit(
                 &Checkpoint {
                     event: "snapshot",
@@ -522,7 +530,7 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
         // The fallback below re-sessionizes a sorted capture.
         memo = ReportMemo::default();
     }
-    let done = consumer.finish(&mut capture, &compiled);
+    let done = consumer.finish(&mut capture);
     seq += 1;
     let report = render_report(&capture, &done.sessions128, &stats, opts.json, &mut memo);
     let latest = write_snapshot(&opts.out_dir, seq, &report)?;

@@ -4,13 +4,12 @@
 //! One shard file carries what one worker read from one telescope's
 //! packets: the telescope configuration, the ingest statistics and the
 //! capture itself. Nothing derived from the packets is stored: the gather
-//! concatenates each telescope's captures and builds sessions and index
-//! columns through `Analyzed::stream`, the same feed consumer every
-//! other input goes through, so a coordinator can [`merge_experiment`] N
-//! files into the exact corpus a single process would have built. The
-//! format is sectioned (magic + version + section table), little-endian
-//! throughout, and canonical: encoding a shard twice yields identical
-//! bytes.
+//! concatenates each telescope's captures and analyzes them through
+//! `Analyzed::stream`, like every other finished input, so a coordinator
+//! can [`merge_experiment`] N files into the exact corpus a single process
+//! would have built. The format is sectioned (magic + version + section
+//! table), little-endian throughout, and canonical: encoding a shard twice
+//! yields identical bytes.
 //!
 //! Shard files are **untrusted input**, like pcaps. Every length prefix is
 //! bounds-checked against the bytes actually present before anything is
@@ -23,6 +22,7 @@
 use crate::corpus::{Analyzed, StreamSettings};
 use crate::error::Error;
 use crate::index::proto_code;
+use crate::pipeline::FinishedInput;
 use sixscope_packet::MAX_RECORD_LEN;
 use sixscope_sim::ExperimentResult;
 use sixscope_telescope::{
@@ -602,18 +602,9 @@ pub fn write_shard<P: AsRef<Path>>(path: P, shard: &TelescopeShard) -> Result<()
 // ---------------------------------------------------------------------------
 // Scatter / gather
 
-/// Every telescope covered by a set of shard files, gathered: one
-/// concatenated capture per telescope, plus the ingest statistics summed
-/// over all files and listed per file (in path order).
-pub(crate) struct GatheredShards {
-    pub captures: BTreeMap<TelescopeId, Capture>,
-    pub stats: IngestStats,
-    pub file_stats: Vec<(String, IngestStats)>,
-}
-
 /// Reads shard files, groups them by telescope in path order and joins
 /// each group with [`merge_group`].
-pub(crate) fn gather_shards(paths: &[PathBuf]) -> Result<GatheredShards, Error> {
+pub(crate) fn gather_shards(paths: &[PathBuf]) -> Result<FinishedInput, Error> {
     let mut groups: BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>> = BTreeMap::new();
     let mut stats = IngestStats::default();
     let mut file_stats = Vec::with_capacity(paths.len());
@@ -631,7 +622,7 @@ pub(crate) fn gather_shards(paths: &[PathBuf]) -> Result<GatheredShards, Error> 
     for (id, group) in groups {
         captures.insert(id, merge_group(group)?);
     }
-    Ok(GatheredShards {
+    Ok(FinishedInput {
         captures,
         stats,
         file_stats,

@@ -15,6 +15,7 @@ use sixscope_telescope::{Protocol, SourceKey, TelescopeId};
 use sixscope_types::ports::PortLabel;
 use sixscope_types::{Ipv6Prefix, NetworkType};
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::Ipv6Addr;
 
 /// The §4 data-corpus overview: totals for a time range.
 #[derive(Debug, Clone, PartialEq)]
@@ -713,46 +714,19 @@ pub fn headline(a: &Analyzed) -> Headline {
     let schedule = &a.result.schedule;
     let boundary = a.split_start();
 
-    // Split side vs. companion packets during the split period. Each
-    // packet's announced prefix is pre-resolved; a prefix inside one /33
-    // decides the side directly. Packets whose longest match is NOT inside
-    // either /33 (withdraw gaps route them via the covering prefix) fall
-    // back to the raw containment check on the destination.
+    // Split side vs. companion packets during the split period: the /33
+    // half of T1's /32 that holds each packet's destination.
     let companion = schedule.companion();
     let split_side = schedule.split_side();
     let col = idx.telescope(TelescopeId::T1);
-    let sides: Vec<u8> = col
-        .prefixes()
-        .iter()
-        .map(|p| {
-            if companion.covers(p) {
-                1
-            } else if split_side.covers(p) {
-                2
-            } else {
-                0
-            }
-        })
-        .collect();
     let mut companion_packets = 0u64;
     let mut split_packets = 0u64;
-    let t1_packets = a.capture(TelescopeId::T1).packets();
-    for i in col.range_from(boundary) {
-        let side = match col.prefix[i] {
-            NO_ID => 0,
-            pid => sides[pid as usize],
-        };
-        match side {
-            1 => companion_packets += 1,
-            2 => split_packets += 1,
-            _ => {
-                let dst = t1_packets[i].dst;
-                if companion.contains(dst) {
-                    companion_packets += 1;
-                } else if split_side.contains(dst) {
-                    split_packets += 1;
-                }
-            }
+    for &dst in &col.dst[col.range_from(boundary)] {
+        let dst = Ipv6Addr::from(dst);
+        if companion.contains(dst) {
+            companion_packets += 1;
+        } else if split_side.contains(dst) {
+            split_packets += 1;
         }
     }
 

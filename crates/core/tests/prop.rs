@@ -8,6 +8,8 @@
 
 use proptest::prelude::*;
 use sixscope::analysis::addrtype::{self, AddressType};
+use sixscope::analysis::stats::percent_change;
+use sixscope::bgp::{RouteEvent, RouteEventKind};
 use sixscope::scanners::population::Population;
 use sixscope::scanners::{ExperimentLayout, PopulationSpec};
 use sixscope::sim::{ExperimentResult, TumHitlist, Visibility};
@@ -15,7 +17,7 @@ use sixscope::tables;
 use sixscope::telescope::{
     Bytes, Capture, CapturedPacket, Protocol, SplitSchedule, TelescopeConfig, TelescopeId,
 };
-use sixscope::types::{Ipv6Prefix, SimDuration, SimTime};
+use sixscope::types::{Asn, Ipv6Prefix, SimDuration, SimTime};
 use sixscope::Analyzed;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
@@ -140,6 +142,69 @@ fn build_result(raws: &[RawPacket]) -> ExperimentResult {
         dropped_unrouted: 0,
         truncated_probes: 0,
     }
+}
+
+/// A T1-only corpus whose routing view is a random announcement timeline
+/// over the split schedule's prefixes (the /32, both /33s and every split
+/// below them). `packets` are `(prefix pick, address bits, seconds)`, each
+/// destination drawn inside its picked prefix; `events` are `(seconds,
+/// prefix pick, announce?)`.
+fn routed_t1_result(
+    packets: &[(usize, u128, u64)],
+    events: &[(u64, usize, bool)],
+) -> ExperimentResult {
+    let mut result = build_result(&[]);
+    let schedule = &result.schedule;
+    let prefixes: Vec<Ipv6Prefix> = (0..=schedule.cycles)
+        .flat_map(|c| schedule.announced_set(c))
+        .chain([
+            schedule.covering,
+            schedule.companion(),
+            schedule.split_side(),
+        ])
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let mut events: Vec<RouteEvent> = events
+        .iter()
+        .map(|&(secs, pick, announce)| RouteEvent {
+            ts: SimTime::from_secs(secs),
+            prefix: prefixes[pick % prefixes.len()],
+            kind: if announce {
+                RouteEventKind::Announce {
+                    origin_as: Asn(64500),
+                    as_path: vec![Asn(64500)],
+                }
+            } else {
+                RouteEventKind::Withdraw
+            },
+        })
+        .collect();
+    events.sort_by_key(|e| e.ts);
+    let mut list: Vec<CapturedPacket> = packets
+        .iter()
+        .map(|&(pick, bits, secs)| CapturedPacket {
+            ts: SimTime::from_secs(secs),
+            telescope: TelescopeId::T1,
+            src: "2a0a::1".parse().unwrap(),
+            dst: prefixes[pick % prefixes.len()].nth_address(bits),
+            protocol: Protocol::Icmpv6,
+            src_port: None,
+            dst_port: None,
+            payload: Bytes::new(),
+        })
+        .collect();
+    list.sort_by_key(|p| p.ts);
+    let t1 = result
+        .captures
+        .get_mut(&TelescopeId::T1)
+        .expect("every telescope");
+    for p in list {
+        t1.push(p);
+    }
+    result.visibility = Visibility::from_events(&events);
+    result.events = events;
+    result
 }
 
 proptest! {
@@ -311,5 +376,39 @@ proptest! {
                 sixscope::serve::tables_report(&direct, json)
             );
         }
+    }
+
+    /// The §7.1 headline's split-vs-companion packet growth is a count by
+    /// destination half over the split period, whatever the routing view
+    /// announced when each packet arrived.
+    #[test]
+    fn headline_split_vs_companion_counts_destination_halves(
+        packets in proptest::collection::vec(
+            (any::<usize>(), any::<u128>(), 0..SimDuration::weeks(44).as_secs()),
+            0..80,
+        ),
+        events in proptest::collection::vec(
+            (0..SimDuration::weeks(44).as_secs(), any::<usize>(), any::<bool>()),
+            0..24,
+        ),
+    ) {
+        let a = Analyzed::from_result(routed_t1_result(&packets, &events));
+        let schedule = &a.result.schedule;
+        let boundary = schedule.cycle_start(1);
+        let mut companion = 0u64;
+        let mut split = 0u64;
+        for p in a.capture(TelescopeId::T1).packets() {
+            if p.ts >= boundary {
+                if schedule.companion().contains(p.dst) {
+                    companion += 1;
+                } else if schedule.split_side().contains(p.dst) {
+                    split += 1;
+                }
+            }
+        }
+        prop_assert_eq!(
+            tables::headline(&a).split_vs_companion_packets_pct.to_bits(),
+            percent_change(companion as f64, split as f64).to_bits()
+        );
     }
 }

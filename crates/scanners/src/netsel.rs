@@ -44,21 +44,15 @@ pub enum NetworkStrategy {
 }
 
 impl NetworkStrategy {
-    /// Selects the prefixes this session will probe. `session_index`
-    /// provides the alternation state for [`NetworkStrategy::Alternating`].
+    /// Selects the prefixes this session will probe.
     ///
     /// [`NetworkStrategy::FixedTargets`] and
     /// [`NetworkStrategy::CoveringRandom`] do not select announced
     /// prefixes; they return their own scope.
-    pub fn select(
-        &self,
-        announced: &[Ipv6Prefix],
-        session_index: u64,
-        rng: &mut Xoshiro256pp,
-    ) -> Vec<Ipv6Prefix> {
+    pub fn select(&self, announced: &[Ipv6Prefix], rng: &mut Xoshiro256pp) -> Vec<Ipv6Prefix> {
         let mut out = Vec::new();
         let mut weights = Vec::new();
-        self.select_into(announced, session_index, rng, &mut weights, &mut out);
+        self.select_into(announced, rng, &mut weights, &mut out);
         out
     }
 
@@ -68,7 +62,6 @@ impl NetworkStrategy {
     pub fn select_into(
         &self,
         announced: &[Ipv6Prefix],
-        session_index: u64,
         rng: &mut Xoshiro256pp,
         weights: &mut Vec<f64>,
         out: &mut Vec<Ipv6Prefix>,
@@ -108,23 +101,16 @@ impl NetworkStrategy {
                 }
             }
             NetworkStrategy::Alternating => {
-                let _ = session_index;
                 // The announced set grows by one prefix per cycle, so its
                 // size parity flips every announcement period — a clean
                 // "changes behavior between periods" signal.
                 if announced.len() % 2 == 0 {
-                    NetworkStrategy::AllAnnounced.select_into(
-                        announced,
-                        session_index,
-                        rng,
-                        weights,
-                        out,
-                    )
+                    NetworkStrategy::AllAnnounced.select_into(announced, rng, weights, out)
                 } else {
                     NetworkStrategy::PinnedPrefix {
                         salt: set_hash(announced, 1),
                     }
-                    .select_into(announced, session_index, rng, weights, out)
+                    .select_into(announced, rng, weights, out)
                 }
             }
             NetworkStrategy::FixedTargets(_) => {}
@@ -167,8 +153,8 @@ mod tests {
     #[test]
     fn single_prefix_picks_exactly_one() {
         let mut r = rng();
-        for i in 0..20 {
-            let sel = NetworkStrategy::SinglePrefix.select(&announced(), i, &mut r);
+        for _ in 0..20 {
+            let sel = NetworkStrategy::SinglePrefix.select(&announced(), &mut r);
             assert_eq!(sel.len(), 1);
             assert!(announced().contains(&sel[0]));
         }
@@ -176,7 +162,7 @@ mod tests {
 
     #[test]
     fn all_announced_returns_everything() {
-        let sel = NetworkStrategy::AllAnnounced.select(&announced(), 0, &mut rng());
+        let sel = NetworkStrategy::AllAnnounced.select(&announced(), &mut rng());
         assert_eq!(sel, announced());
     }
 
@@ -185,8 +171,7 @@ mod tests {
         let mut r = rng();
         let mut hits = [0u32; 3];
         for _ in 0..3000 {
-            let sel =
-                NetworkStrategy::SizeProportional { draws: 1 }.select(&announced(), 0, &mut r);
+            let sel = NetworkStrategy::SizeProportional { draws: 1 }.select(&announced(), &mut r);
             let idx = announced().iter().position(|p| *p == sel[0]).unwrap();
             hits[idx] += 1;
         }
@@ -200,8 +185,8 @@ mod tests {
     fn alternating_is_stable_within_a_period_and_varies_across() {
         let mut r = rng();
         // Within one announced set the behavior is fixed.
-        let a = NetworkStrategy::Alternating.select(&announced(), 0, &mut r);
-        let b = NetworkStrategy::Alternating.select(&announced(), 5, &mut r);
+        let a = NetworkStrategy::Alternating.select(&announced(), &mut r);
+        let b = NetworkStrategy::Alternating.select(&announced(), &mut r);
         assert_eq!(a.len(), b.len());
         // Across many different sets, both modes occur.
         let base: Ipv6Prefix = p("2001:db8::/32");
@@ -215,7 +200,7 @@ mod tests {
             set.push(lo);
             set.push(hi);
             current = hi;
-            let sel = NetworkStrategy::Alternating.select(&set, 0, &mut r);
+            let sel = NetworkStrategy::Alternating.select(&set, &mut r);
             if sel.len() == set.len() {
                 saw_all = true;
             } else if sel.len() == 1 {
@@ -229,13 +214,13 @@ mod tests {
     fn pinned_prefix_is_deterministic_per_period() {
         let mut r = rng();
         let strat = NetworkStrategy::PinnedPrefix { salt: 99 };
-        let a = strat.select(&announced(), 0, &mut r);
-        let b = strat.select(&announced(), 7, &mut r);
+        let a = strat.select(&announced(), &mut r);
+        let b = strat.select(&announced(), &mut r);
         assert_eq!(a, b);
         assert_eq!(a.len(), 1);
         // Different salts spread across prefixes.
         let picks: std::collections::BTreeSet<Ipv6Prefix> = (0..32u64)
-            .map(|salt| NetworkStrategy::PinnedPrefix { salt }.select(&announced(), 0, &mut r)[0])
+            .map(|salt| NetworkStrategy::PinnedPrefix { salt }.select(&announced(), &mut r)[0])
             .collect();
         assert!(picks.len() > 1, "all salts pinned the same prefix");
     }
@@ -243,27 +228,23 @@ mod tests {
     #[test]
     fn empty_announcement_view() {
         let mut r = rng();
-        assert!(NetworkStrategy::SinglePrefix
-            .select(&[], 0, &mut r)
-            .is_empty());
-        assert!(NetworkStrategy::AllAnnounced
-            .select(&[], 0, &mut r)
-            .is_empty());
+        assert!(NetworkStrategy::SinglePrefix.select(&[], &mut r).is_empty());
+        assert!(NetworkStrategy::AllAnnounced.select(&[], &mut r).is_empty());
         assert!(NetworkStrategy::SizeProportional { draws: 3 }
-            .select(&[], 0, &mut r)
+            .select(&[], &mut r)
             .is_empty());
     }
 
     #[test]
     fn covering_random_ignores_announcements() {
         let covering = p("2001:db8::/29");
-        let sel = NetworkStrategy::CoveringRandom(covering).select(&announced(), 0, &mut rng());
+        let sel = NetworkStrategy::CoveringRandom(covering).select(&announced(), &mut rng());
         assert_eq!(sel, vec![covering]);
     }
 
     #[test]
     fn fixed_targets_select_no_prefixes() {
         let strat = NetworkStrategy::FixedTargets(vec!["2001:db8::1".parse().unwrap()]);
-        assert!(strat.select(&announced(), 0, &mut rng()).is_empty());
+        assert!(strat.select(&announced(), &mut rng()).is_empty());
     }
 }

@@ -211,15 +211,8 @@ impl ScannerSpec {
         starts.sort_unstable();
         let mut probes = Vec::new();
         let mut probe_counter: u64 = 0;
-        for (session_index, &start) in starts.iter().enumerate() {
-            self.emit_session(
-                ctx,
-                rng,
-                start,
-                session_index as u64,
-                &mut probe_counter,
-                &mut probes,
-            );
+        for &start in &starts {
+            self.emit_session(ctx, rng, start, &mut probe_counter, &mut probes);
         }
         probes.sort_by_key(|p| p.ts);
         probes
@@ -253,16 +246,8 @@ impl ScannerSpec {
         self.tool.mix.weights_into(&mut scratch.mix_weights);
         let mut probe_counter: u64 = 0;
         let starts = std::mem::take(&mut scratch.starts);
-        for (session_index, &start) in starts.iter().enumerate() {
-            self.emit_session_into(
-                ctx,
-                rng,
-                start,
-                session_index as u64,
-                &mut probe_counter,
-                scratch,
-                out,
-            );
+        for &start in &starts {
+            self.emit_session_into(ctx, rng, start, &mut probe_counter, scratch, out);
         }
         scratch.starts = starts;
     }
@@ -272,7 +257,6 @@ impl ScannerSpec {
         ctx: &dyn ScanContext,
         rng: &mut Xoshiro256pp,
         start: SimTime,
-        session_index: u64,
         probe_counter: &mut u64,
         out: &mut Vec<Probe>,
     ) {
@@ -287,7 +271,7 @@ impl ScannerSpec {
             strategy => {
                 let announced = ctx.announced_at(start);
                 let hitlist = ctx.hitlist(start);
-                for prefix in strategy.select(announced, session_index, rng) {
+                for prefix in strategy.select(announced, rng) {
                     targets.extend(self.address.generate(
                         prefix,
                         self.packets_per_prefix,
@@ -324,12 +308,12 @@ impl ScannerSpec {
         // below the 1 h session timeout so one emission stays one session.
         let mean_gap = (1.0 / self.pps.max(1e-6)).min(1800.0);
         let mut t = start;
-        let session_src = self.current_src(rng, false);
+        let session_src = self.current_src(rng);
         for dst in targets {
             let src = match &self.source {
                 SourceModel::RotatingIid {
                     per_probe: true, ..
-                } => self.current_src(rng, true),
+                } => self.current_src(rng),
                 _ => session_src,
             };
             let n = *probe_counter;
@@ -351,13 +335,11 @@ impl ScannerSpec {
     /// Scratch-backed twin of [`ScannerSpec::emit_session`]: the same RNG
     /// draws in the same order, with every intermediate vector recycled and
     /// payload bytes written straight into the batch arena.
-    #[allow(clippy::too_many_arguments)]
     fn emit_session_into(
         &self,
         ctx: &dyn ScanContext,
         rng: &mut Xoshiro256pp,
         start: SimTime,
-        session_index: u64,
         probe_counter: &mut u64,
         scratch: &mut GenScratch,
         out: &mut ProbeBatch,
@@ -382,7 +364,7 @@ impl ScannerSpec {
             strategy => {
                 let announced = ctx.announced_at(start);
                 let hitlist = ctx.hitlist(start);
-                strategy.select_into(announced, session_index, rng, weights, prefixes);
+                strategy.select_into(announced, rng, weights, prefixes);
                 for &prefix in prefixes.iter() {
                     self.address.generate_into(
                         prefix,
@@ -426,12 +408,12 @@ impl ScannerSpec {
         // below the 1 h session timeout so one emission stays one session.
         let mean_gap = (1.0 / self.pps.max(1e-6)).min(1800.0);
         let mut t = start;
-        let session_src = self.current_src(rng, false);
+        let session_src = self.current_src(rng);
         for &dst in targets.iter() {
             let src = match &self.source {
                 SourceModel::RotatingIid {
                     per_probe: true, ..
-                } => self.current_src(rng, true),
+                } => self.current_src(rng),
                 _ => session_src,
             };
             let n = *probe_counter;
@@ -444,7 +426,7 @@ impl ScannerSpec {
         }
     }
 
-    fn current_src(&self, rng: &mut Xoshiro256pp, _fresh: bool) -> Ipv6Addr {
+    fn current_src(&self, rng: &mut Xoshiro256pp) -> Ipv6Addr {
         match &self.source {
             SourceModel::Fixed(addr) => *addr,
             SourceModel::RotatingIid { subnet, .. } => {

@@ -220,7 +220,6 @@ proptest! {
     #[test]
     fn selection_subset_of_announced(
         prefixes in proptest::collection::vec(arb_prefix(), 1..12),
-        session_index in any::<u64>(),
         salt in any::<u64>(),
         seed in any::<u64>(),
     ) {
@@ -232,7 +231,7 @@ proptest! {
             NetworkStrategy::SizeProportional { draws: 3 },
             NetworkStrategy::Alternating,
         ] {
-            for sel in strategy.select(&prefixes, session_index, &mut rng) {
+            for sel in strategy.select(&prefixes, &mut rng) {
                 prop_assert!(prefixes.contains(&sel), "{strategy:?} selected {sel}");
             }
         }

@@ -131,17 +131,6 @@ impl CompiledVisibility {
         idx.checked_sub(1)
     }
 
-    /// [`CompiledVisibility::lpm`] with a burst cursor.
-    pub fn lpm_cached(
-        &self,
-        addr: Ipv6Addr,
-        t: SimTime,
-        cursor: &Cell<usize>,
-    ) -> Option<Ipv6Prefix> {
-        let e = self.epoch_cached(t, cursor)?;
-        self.lpm_in_epoch(e, addr)
-    }
-
     /// [`CompiledVisibility::announced_at`] with a burst cursor.
     pub fn announced_at_cached(&self, t: SimTime, cursor: &Cell<usize>) -> &[Ipv6Prefix] {
         match self.epoch_cached(t, cursor) {
@@ -253,7 +242,6 @@ mod tests {
             withdraw(1200, "2001:db8::/32"),
         ]);
         let compiled = CompiledVisibility::compile(&vis);
-        let addr: Ipv6Addr = "2001:db8:1234::1".parse().unwrap();
         // Forward sweep, a time regression mid-burst, then forward again.
         let times = [
             0u64, 99, 100, 450, 499, 500, 950, 120, 900, 1199, 1200, 9000,
@@ -261,11 +249,6 @@ mod tests {
         let cursor = Cell::new(0);
         for ts in times {
             let t = SimTime::from_secs(ts);
-            assert_eq!(
-                compiled.lpm_cached(addr, t, &cursor),
-                compiled.lpm(addr, t),
-                "lpm diverged at t={ts}"
-            );
             assert_eq!(
                 compiled.announced_at_cached(t, &cursor),
                 compiled.announced_at(t),

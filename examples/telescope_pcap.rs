@@ -134,7 +134,7 @@ fn main() {
     let profiles = profile_scanners(&sessions);
     for profile in &profiles {
         let first_session = &sessions[profile.session_indices[0]];
-        let selection = addr_selection(first_session, &offline, 48);
+        let selection = addr_selection(first_session, &offline);
         let payload = first_session
             .packets(&offline)
             .find(|p| !p.payload.is_empty())

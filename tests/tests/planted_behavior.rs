@@ -80,7 +80,7 @@ fn planted_periodic_random_scanner_is_recovered() {
     assert_eq!(profiles.len(), 1);
     assert_eq!(profiles[0].temporal, TemporalClass::Periodic);
     for s in &sessions {
-        assert_eq!(addr_selection(s, &capture, 32), AddrSelection::Random);
+        assert_eq!(addr_selection(s, &capture), AddrSelection::Random);
     }
 }
 
@@ -99,7 +99,7 @@ fn planted_one_off_structured_scanner_is_recovered() {
     assert_eq!(profiles[0].temporal, TemporalClass::OneOff);
     assert_eq!(sessions.len(), 1);
     assert_eq!(
-        addr_selection(&sessions[0], &capture, 32),
+        addr_selection(&sessions[0], &capture),
         AddrSelection::Structured
     );
 }

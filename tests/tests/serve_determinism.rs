@@ -8,6 +8,7 @@ mod common;
 
 use common::ScratchDir;
 use sixscope::serve::{self, ServeOptions};
+use sixscope::telescope::TelescopeId;
 use sixscope::Pipeline;
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 use sixscope_types::{Ipv6Prefix, SimTime, Xoshiro256pp};
@@ -219,14 +220,15 @@ fn status_field(line: &str, key: &str) -> u64 {
 /// chunk sizes {7, 4096} × {text, json}. Every numbered mid-run snapshot
 /// must equal `analysis_report` from a batch run over the pcap truncated
 /// to the packets its status line reports (every record is admitted, so
-/// packets and records coincide).
+/// packets and records coincide), and the line's `sessions_128` and
+/// `sessions_64` must equal that batch run's session counts.
 #[cfg(unix)]
 fn assert_snapshots_equal_batch_prefixes(name: &str, records: &[PcapRecord]) {
     use std::os::unix::io::AsRawFd;
     let dir = ScratchDir::new(name);
     let pcap = dir.join("capture.pcap");
     std::fs::write(&pcap, pcap_image(records)).unwrap();
-    let mut expected: HashMap<(usize, bool), String> = HashMap::new();
+    let mut expected: HashMap<(usize, bool), (String, u64, u64)> = HashMap::new();
     for json in [false, true] {
         for (threads, chunk) in [(1, 7), (8, 7), (1, 4096), (8, 4096)] {
             let run = format!("json={json} threads={threads} chunk={chunk}");
@@ -254,17 +256,32 @@ fn assert_snapshots_equal_batch_prefixes(name: &str, records: &[PcapRecord]) {
             for line in lines.lines() {
                 let seq = status_field(line, "snapshot");
                 let packets = status_field(line, "packets") as usize;
-                let want = expected.entry((packets, json)).or_insert_with(|| {
-                    let prefix = dir.join(format!("prefix-{packets}.pcap"));
-                    std::fs::write(&prefix, pcap_image(&records[..packets])).unwrap();
-                    let batch = Pipeline::from_pcaps([&prefix]).run_detailed().unwrap();
-                    serve::analysis_report(&batch.analyzed, &batch.stats, json)
-                });
+                let (want, want128, want64) =
+                    expected.entry((packets, json)).or_insert_with(|| {
+                        let prefix = dir.join(format!("prefix-{packets}.pcap"));
+                        std::fs::write(&prefix, pcap_image(&records[..packets])).unwrap();
+                        let batch = Pipeline::from_pcaps([&prefix]).run_detailed().unwrap();
+                        let a = &batch.analyzed;
+                        (
+                            serve::analysis_report(a, &batch.stats, json),
+                            a.sessions128(TelescopeId::T1).len() as u64,
+                            a.sessions64(TelescopeId::T1).len() as u64,
+                        )
+                    });
                 let got =
                     std::fs::read_to_string(out.join(format!("snapshot-{seq:06}.md"))).unwrap();
                 assert!(
                     got == *want,
                     "{run}: snapshot {seq} ({packets} packets) differs from batch over that prefix"
+                );
+                assert_eq!(
+                    (
+                        status_field(line, "sessions_128"),
+                        status_field(line, "sessions_64")
+                    ),
+                    (*want128, *want64),
+                    "{run}: status line {seq} ({packets} packets) session counts differ from \
+                     batch over that prefix"
                 );
                 checked += 1;
             }
