@@ -12,18 +12,28 @@
 //!   sequence (the reference code's DFT is also applied to fixed-size
 //!   blocks; thresholding constants follow the revised 0.95·n/2 form);
 //! * bits are stored packed, 64 per `u64` word, MSB first. Frequency is a
-//!   popcount, runs counting is an XOR against the shifted word, cusum
+//!   popcount, runs counting is an XOR against the shifted word, and cusum
 //!   walks the words through a per-byte prefix-extreme table without
-//!   allocating, and the spectral test runs a real-input split FFT over
-//!   per-transform buffers, with twiddles from one read-only table per
-//!   transform size shared across a batch ([`Twiddles`]). The statistics
-//!   they feed into the p-value formulas (bit counts, run counts, peak
-//!   partial sums, below-threshold bin counts) are integers, so the packed
-//!   kernels reproduce the scalar [`mod@reference`] p-values bit for bit —
-//!   which the property tests in `tests/prop.rs` pin.
+//!   allocating. The statistics these feed into the p-value formulas (bit
+//!   counts, run counts, peak partial sums) are integers, so the packed
+//!   kernels reproduce the scalar `&[bool]` oracle's p-values bit for bit
+//!   (the oracle lives with the tests, in `tests/nist_oracle`);
+//! * the spectral test evaluates the DFT one output residue class at a
+//!   time ([`SpectralColumns`]): each class is a cache-sized FFT whose
+//!   input comes from byte-table lookups on a column transpose of the
+//!   bits, so its memory is bounded at any sequence length and the classes
+//!   of one sequence are independent jobs. Its statistic, the number of
+//!   bins below the threshold, is *certified*: a runtime bound on every
+//!   bin's rounding error decides most bins, a compensated direct
+//!   evaluation decides the rest, and a bin that stays within that
+//!   evaluation's own bound is counted as undecided instead of being
+//!   guessed. The count, and so the p-value, therefore does not depend on
+//!   the transform's algorithm, operation order or thread count.
 
 use crate::special::{erfc, normal_cdf};
 use serde::{Deserialize, Serialize};
+use std::f64::consts::SQRT_2;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The tests the paper applies (Appendix B).
@@ -74,9 +84,16 @@ pub struct NistOutcome {
 
 impl NistOutcome {
     /// Success at the paper's significance level (p ≥ 0.01 means the
-    /// sequence is consistent with randomness).
+    /// sequence is consistent with randomness). False when undecided.
     pub fn passes(&self) -> bool {
         self.p_value >= 0.01
+    }
+
+    /// False when the spectral test could not certify its bin count (one
+    /// bin's magnitude is within rounding of the threshold); `p_value` is
+    /// then NaN, and the outcome is neither a pass nor a fail.
+    pub fn decided(&self) -> bool {
+        !self.p_value.is_nan()
     }
 }
 
@@ -135,9 +152,16 @@ impl BitSequence {
         (self.words[i / 64] >> (63 - i % 64)) & 1 == 1
     }
 
-    /// Unpacks to a `bool` vector (for the [`mod@reference`] kernels/tests).
+    /// Unpacks to a `bool` vector, one entry per bit.
     pub fn to_bools(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.bit(i)).collect()
+    }
+
+    /// The spectral test's view of this sequence, its largest power-of-two
+    /// prefix as residue-class columns, or `None` below 16 bits: for
+    /// batches that run the test as class jobs.
+    pub fn spectral_columns(&self) -> Option<SpectralColumns> {
+        SpectralColumns::new(&self.words, self.len)
     }
 
     /// Runs one test, building any twiddle table it needs for this call.
@@ -237,86 +261,552 @@ fn runs_p(words: &[u64], len: usize) -> f64 {
     erfc(num / den)
 }
 
-/// SP 800-22 §2.6 — discrete Fourier transform (spectral).
-///
-/// The ±1 samples are real, so the largest power-of-two prefix `n2` is
-/// packed even/odd into a complex array of length `n2/2`, transformed once,
-/// and the first `n2/2` bins of the full DFT reconstructed — half the
-/// butterflies of the complex transform the [`reference`] kernel runs. The
-/// p-value depends only on the *count* of bins below the (irrational)
-/// threshold, so the ~1e-12 relative drift this reordering introduces in
-/// the magnitudes never reaches the p-value bits.
+/// SP 800-22 §2.6 — discrete Fourier transform (spectral), on the largest
+/// power-of-two prefix: 0 below 16 bits, NaN when the bin count stays
+/// undecided (see [`SpectralColumns`]).
 fn fft_p(words: &[u64], len: usize, twiddles: &Twiddles) -> f64 {
-    if len < 16 {
-        return 0.0;
+    match SpectralColumns::new(words, len) {
+        None => 0.0,
+        Some(cols) => cols.p_value(cols.count(0..cols.classes(), twiddles)),
     }
-    let n2 = 1usize << (usize::BITS - 1 - len.leading_zeros());
-    let m = n2 / 2;
-    // The ping-pong buffers belong to this one transform and are freed on
-    // return; only the twiddle table outlives it.
-    let (mut re, mut im) = even_odd_samples(words, n2);
-    let (mut re2, mut im2) = (vec![0.0; m], vec![0.0; m]);
-    let table = twiddles.table(m);
-    let in_first = stockham_fft(&mut re, &mut im, &mut re2, &mut im2, table);
-    let n = n2 as f64;
-    let threshold = ((1.0 / 0.05f64).ln() * n).sqrt();
-    let (re, im) = if in_first { (&re, &im) } else { (&re2, &im2) };
-    let n1 = if wide_lanes_available() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `wide_lanes_available` checked for AVX support.
-        unsafe {
-            spectral_count_avx(re, im, table, threshold)
+}
+
+/// Unit roundoff of `f64`.
+const U: f64 = f64::EPSILON / 2.0;
+
+/// Largest residue-class transform, in points. Two workers' class buffers
+/// (32 B a point each) and the shared stage table (16 B a point) then stay
+/// at 160 MiB at any sequence length.
+const MAX_CLASS_SIZE: usize = 1 << 21;
+
+/// Bound on `|ŵ − w|` for every stage-table twiddle of every table size up
+/// to [`MAX_CLASS_SIZE`]: the reconstruction recurrence drifts for up to 31
+/// steps between resynchronizations. A unit test measures it against
+/// `sin_cos`.
+const STAGE_TWIDDLE_ERR: f64 = 64.0 * U;
+
+/// Bound on `|ŵ − w|` for [`root`]: `TAU` is within 0.4u of 2π and the
+/// product `τ·(e/n)` (`e/n` exact) adds u, so the angle is off by at most
+/// 1.4u·2π < 9u; `sin_cos` adds at most one ulp (u) to each part, and
+/// √2·10u < 16u.
+const ROOT_ERR: f64 = 16.0 * U;
+
+/// Bound on a byte-table entry's error: eight roots, and seven rounded
+/// additions per part of terms of modulus at most 1.
+const TABLE_ERR: f64 = 8.0 * ROOT_ERR + SQRT_2 * 8.0 * 7.01 * U;
+
+/// Bound on the relative error of a class input `ω_n^{ar}·c̃_a` given `c̃_a`:
+/// the twiddle is a product of two roots, then one complex product.
+const INPUT_REL_ERR: f64 = 2.0 * ROOT_ERR + 6.0 * U;
+
+/// Points of class transform a spectral job should cover at least: small
+/// sequences run several classes per job, large ones one.
+const JOB_POINTS: usize = 1 << 15;
+
+/// The class count `F` for an `n`-bit transform (`n = 2^l ≥ 16`).
+///
+/// Classes of `2^13` points while `F` grows from 8 to 32 (`l` = 16 to 18),
+/// then `F = 32` up to `2^22` bits. Past that, `F` doubles every second
+/// doubling of `n`, so table lookups (`F/8` a point) and class length
+/// share the growth, and never lets a class exceed [`MAX_CLASS_SIZE`].
+fn class_count(n: usize) -> usize {
+    let l = n.trailing_zeros();
+    let shared = l.saturating_sub(13).clamp(3, 5) + l.saturating_sub(21) / 2;
+    1 << shared
+        .max(l.saturating_sub(MAX_CLASS_SIZE.trailing_zeros()))
+        .min(l - 1)
+}
+
+/// `ω_n^e = e^{-2πie/n}` as `(re, im)`, for `e < n` (`n` a power of two).
+fn root(e: usize, n: usize) -> (f64, f64) {
+    let (s, c) = (-std::f64::consts::TAU * (e as f64 / n as f64)).sin_cos();
+    (c, s)
+}
+
+/// The spectral test's bin count over some residue classes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpectralCount {
+    /// Bins proven to lie below the threshold (`|X_k| < T`, `k < n/2`).
+    pub below: usize,
+    /// Bins the transform's error bound could not decide, so a compensated
+    /// direct evaluation re-decided them (whatever the outcome).
+    pub rechecked: usize,
+    /// Rechecked bins that stayed within the direct evaluation's own error
+    /// bound of the threshold.
+    pub undecided: usize,
+}
+
+impl std::ops::AddAssign for SpectralCount {
+    fn add_assign(&mut self, other: SpectralCount) {
+        self.below += other.below;
+        self.rechecked += other.rechecked;
+        self.undecided += other.undecided;
+    }
+}
+
+/// The spectral test on one sequence, evaluated one output residue class
+/// at a time.
+///
+/// For the largest power-of-two prefix `x_0 … x_{n−1}` (bits as ±1) and `F`
+/// classes of `M = n/F` points, write `j = a + bM` and `k = Fq + r`. Then
+/// `X[Fq + r] = Σ_a ω_M^{aq} · ω_n^{ar} · c_r[a]`, with
+/// `c_r[a] = Σ_b x_{a+bM} ω_F^{br}`: class `r` is one `M`-point FFT.
+/// `c_r[a]` is `F/8` lookups in byte tables that depend only on `(F, r)`
+/// ([`Twiddles`]), indexed by column `a` of the `F × M` bit matrix whose
+/// row `b` holds bits `bM … bM + M − 1`; this type stores that matrix
+/// column by column, `F/8` bytes per column. The samples are real, so
+/// `|X[n − k]| = |X[k]|` and classes `0 … F/2` cover every bin `k < n/2`:
+/// `q < M/2` for `r ∈ {0, F/2}` and every `q` otherwise.
+///
+/// `N1 = #{k < n/2 : |X_k| < T}` is certified per class: a runtime bound
+/// on every bin's rounding error (Higham, *Accuracy and Stability of
+/// Numerical Algorithms*, ch. 24, from the class input's 2-norm, plus the
+/// table, twiddle-product and stage-table twiddle errors) decides the bins
+/// farther than it from `T`; a double-double direct evaluation re-decides
+/// the rest, and a bin within that evaluation's own bound of `T` is
+/// counted as undecided.
+#[derive(Debug)]
+pub struct SpectralColumns {
+    n: usize,
+    f: usize,
+    /// Column `a`'s byte `g` at `a·F/8 + g`; its bit `7 − i` is row `8g + i`.
+    cols: Vec<u8>,
+}
+
+impl SpectralColumns {
+    /// The columns of a packed sequence's largest power-of-two prefix, or
+    /// `None` below 16 bits.
+    fn new(words: &[u64], len: usize) -> Option<Self> {
+        (len >= 16).then(|| {
+            let n = 1usize << len.ilog2();
+            Self::with_classes(words, n, class_count(n))
+        })
+    }
+
+    /// The first `n` bits as `f` classes (`f` a power of two, `8 ≤ f ≤ n/2`).
+    fn with_classes(words: &[u64], n: usize, f: usize) -> Self {
+        let (m, g) = (n / f, f / 8);
+        let mut cols = vec![0u8; n / 8];
+        if m % 64 == 0 {
+            // Rows start on word boundaries: transpose 8 rows × 8 columns
+            // at a time.
+            let row_words = m / 64;
+            for grp in 0..g {
+                for w in 0..row_words {
+                    let rows: [u64; 8] =
+                        std::array::from_fn(|i| words[(8 * grp + i) * row_words + w]);
+                    for t in 0..8 {
+                        let block = rows.iter().enumerate().fold(0u64, |x, (i, row)| {
+                            x | ((row >> (56 - 8 * t)) & 0xff) << (56 - 8 * i)
+                        });
+                        let block = transpose8(block);
+                        for j in 0..8 {
+                            cols[(64 * w + 8 * t + j) * g + grp] = (block >> (56 - 8 * j)) as u8;
+                        }
+                    }
+                }
+            }
+        } else {
+            for b in 0..f {
+                for a in 0..m {
+                    let i = b * m + a;
+                    if (words[i / 64] >> (63 - i % 64)) & 1 == 1 {
+                        cols[a * g + b / 8] |= 0x80 >> (b % 8);
+                    }
+                }
+            }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!()
+        SpectralColumns { n, f, cols }
+    }
+
+    /// Number of residue classes the test evaluates, `F/2 + 1`.
+    pub fn classes(&self) -> usize {
+        self.f / 2 + 1
+    }
+
+    /// Points per class transform, `M = n/F`.
+    pub fn class_size(&self) -> usize {
+        self.n / self.f
+    }
+
+    /// The classes in consecutive blocks of at least 2^15 points
+    /// (one class each for large sequences): the unit of work a batch hands
+    /// out.
+    pub fn class_blocks(&self) -> impl Iterator<Item = Range<usize>> {
+        let (classes, per) = (self.classes(), (JOB_POINTS / self.class_size()).max(1));
+        (0..classes)
+            .step_by(per)
+            .map(move |r| r..(r + per).min(classes))
+    }
+
+    /// Certified count of the bins `k < n/2` of `classes` below the
+    /// test's threshold `T = √(ln 20 · n)`. Allocates the class buffers for
+    /// this call (32 B per class point) and frees them on return.
+    pub fn count(&self, classes: Range<usize>, twiddles: &Twiddles) -> SpectralCount {
+        self.count_below(classes, twiddles, self.threshold())
+    }
+
+    /// The spectral p-value from the count over every class, NaN when any
+    /// bin is undecided.
+    pub fn p_value(&self, count: SpectralCount) -> f64 {
+        if count.undecided > 0 {
+            return f64::NAN;
+        }
+        let n = self.n as f64;
+        let n0 = 0.95 * (self.n / 2) as f64;
+        let d = (count.below as f64 - n0) / (n * 0.95 * 0.05 / 4.0).sqrt();
+        erfc(d.abs() / SQRT_2)
+    }
+
+    fn threshold(&self) -> f64 {
+        ((1.0 / 0.05f64).ln() * self.n as f64).sqrt()
+    }
+
+    /// [`Self::count`] against any threshold `t`.
+    fn count_below(&self, classes: Range<usize>, twiddles: &Twiddles, t: f64) -> SpectralCount {
+        let mut bufs = ClassBuffers::new(self.class_size());
+        let mut count = SpectralCount::default();
+        for r in classes {
+            let (re, im, bound) = self.class_spectrum(r, twiddles, &mut bufs);
+            // Bins k = Fq + r < n/2; the other half of classes 0 and F/2
+            // mirrors their first half.
+            let bins = if r == 0 || 2 * r == self.f {
+                re.len() / 2
+            } else {
+                re.len()
+            };
+            count += self.decide(r, &re[..bins], &im[..bins], bound, t);
+        }
+        count
+    }
+
+    /// Class `r`'s bins `X̂[Fq + r]`, `q < M`, and a bound on each one's
+    /// error.
+    fn class_spectrum<'a>(
+        &self,
+        r: usize,
+        twiddles: &Twiddles,
+        bufs: &'a mut ClassBuffers,
+    ) -> (&'a [f64], &'a [f64], f64) {
+        let m = self.class_size();
+        let table = twiddles.class_tables(self.f).class(r);
+        let sumsq = self.class_input(r, table, &mut bufs.re, &mut bufs.im);
+        let in_first = {
+            let ClassBuffers { re, im, re2, im2 } = &mut *bufs;
+            stockham_fft(re, im, re2, im2, twiddles.table(m))
+        };
+        let bufs: &'a ClassBuffers = bufs;
+        let (re, im) = if in_first {
+            (&bufs.re, &bufs.im)
+        } else {
+            (&bufs.re2, &bufs.im2)
+        };
+        (re, im, class_bound(m, self.f / 8, sumsq))
+    }
+
+    /// Writes class `r`'s transform input `ω_n^{ar} · c_r[a]` into `re`/`im`
+    /// and returns its sum of squares.
+    fn class_input(&self, r: usize, table: &[ByteTable], re: &mut [f64], im: &mut [f64]) -> f64 {
+        match table.len() {
+            1 => self.class_input_by::<1>(r, table, re, im),
+            2 => self.class_input_by::<2>(r, table, re, im),
+            4 => self.class_input_by::<4>(r, table, re, im),
+            _ => self.class_input_by::<8>(r, table, re, im),
+        }
+    }
+
+    /// [`Self::class_input`], summing `c_r[a]`'s lookups `K` groups at a
+    /// time as a tree (any order keeps the `γ_{F/8−1}` bound).
+    #[inline(always)]
+    fn class_input_by<const K: usize>(
+        &self,
+        r: usize,
+        table: &[ByteTable],
+        re: &mut [f64],
+        im: &mut [f64],
+    ) -> f64 {
+        let (n, g) = (self.n, table.len());
+        // ω_n^{ar} = ω_n^{r·span·h} · ω_n^{r·l} for a = span·h + l.
+        let span = 1usize << re.len().trailing_zeros().div_ceil(2);
+        let low: Vec<(f64, f64)> = (0..span).map(|l| root(r * l % n, n)).collect();
+        let mut sumsq = 0.0;
+        let rows = re
+            .chunks_mut(span)
+            .zip(im.chunks_mut(span))
+            .zip(self.cols.chunks(span * g));
+        for (h, ((re, im), cols)) in rows.enumerate() {
+            let (hr, hi) = root(r * span * h % n, n);
+            for (((re, im), col), &(lr, li)) in
+                re.iter_mut().zip(im).zip(cols.chunks_exact(g)).zip(&low)
+            {
+                let (mut cr, mut ci) = (0.0, 0.0);
+                for (tables, bytes) in table.chunks_exact(K).zip(col.chunks_exact(K)) {
+                    let tables: &[ByteTable; K] = tables.try_into().expect("K groups");
+                    let mut v: [[f64; 2]; K] =
+                        std::array::from_fn(|i| tables[i][bytes[i] as usize]);
+                    let mut w = K;
+                    while w > 1 {
+                        w /= 2;
+                        for i in 0..w {
+                            v[i] = [v[i][0] + v[i + w][0], v[i][1] + v[i + w][1]];
+                        }
+                    }
+                    cr += v[0][0];
+                    ci += v[0][1];
+                }
+                let (wr, wi) = (hr * lr - hi * li, hr * li + hi * lr);
+                let (yr, yi) = (wr * cr - wi * ci, wr * ci + wi * cr);
+                *re = yr;
+                *im = yi;
+                sumsq += yr * yr + yi * yi;
+            }
+        }
+        sumsq
+    }
+
+    /// Counts class `r`'s computed bins (`X̂[Fq + r]` for `q < re.len()`)
+    /// below `t`, re-deciding those within `bound` of it.
+    fn decide(&self, r: usize, re: &[f64], im: &[f64], bound: f64, t: f64) -> SpectralCount {
+        let (lo2, hi2) = cutoffs(t, bound);
+        let (mut below, mut near) = (0usize, 0usize);
+        for (&x, &y) in re.iter().zip(im) {
+            let m2 = x * x + y * y;
+            below += usize::from(m2 < lo2);
+            near += usize::from(m2 <= hi2);
+        }
+        let mut count = SpectralCount {
+            below,
+            ..SpectralCount::default()
+        };
+        if near > below {
+            let qs: Vec<usize> = (0..re.len())
+                .filter(|&q| (lo2..=hi2).contains(&(re[q] * re[q] + im[q] * im[q])))
+                .collect();
+            count += self.recheck(r, &qs, t);
+        }
+        count
+    }
+
+    /// Re-decides bins `k = Fq + r`, `q ∈ qs`, by evaluating
+    /// `X_k = Σ_a ω_n^{ak} c_r[a]` in double-double arithmetic, with every
+    /// root of unity from [`dd_root`].
+    fn recheck(&self, r: usize, qs: &[usize], t: f64) -> SpectralCount {
+        let (n, f, m, g) = (self.n, self.f, self.class_size(), self.f / 8);
+        let class_roots: Vec<Cdd> = (0..f).map(|b| dd_root(b * r % f, f)).collect();
+        // ω_n^e = ω_n^{span·(e / span)} · ω_n^{e % span}.
+        let span = 1usize << n.trailing_zeros().div_ceil(2);
+        let low: Vec<Cdd> = (0..span).map(|e| dd_root(e, n)).collect();
+        let high: Vec<Cdd> = (0..n / span).map(|h| dd_root(h * span, n)).collect();
+        let mut sums = vec![CDD_ZERO; qs.len()];
+        for (a, col) in self.cols.chunks(g).enumerate() {
+            let mut c = CDD_ZERO;
+            for (b, w) in class_roots.iter().enumerate() {
+                let w = if (col[b / 8] >> (7 - b % 8)) & 1 == 1 {
+                    *w
+                } else {
+                    cdd_neg(*w)
+                };
+                c = cdd_add(c, w);
+            }
+            for (sum, &q) in sums.iter_mut().zip(qs) {
+                let e = a * (f * q + r) % n;
+                *sum = cdd_add(*sum, cdd_mul(cdd_mul(high[e / span], low[e % span]), c));
+            }
+        }
+        // Error of each sum: the roots and their products (n terms of
+        // modulus ≤ 1, error ≤ 2^-96 each), and the double-double
+        // roundings of F- and M-term sums.
+        let err = n as f64 * (2f64.powi(-90) + (f + m) as f64 * 2f64.powi(-100));
+        let t2 = (t * t, t.mul_add(t, -(t * t)));
+        let mut count = SpectralCount {
+            rechecked: qs.len(),
+            ..SpectralCount::default()
+        };
+        for (re, im) in sums {
+            let mag2 = dd_add(dd_mul(re, re), dd_mul(im, im));
+            let d = dd_add(mag2, dd_neg(t2));
+            let margin =
+                ((2.0 * mag2.0.sqrt() + err) * err + (mag2.0 + t2.0) * 2f64.powi(-96)) * 1.01;
+            if d.0 + d.1 < -margin {
+                count.below += 1;
+            } else if d.0 + d.1 <= margin {
+                count.undecided += 1;
+            }
+        }
+        count
+    }
+}
+
+/// Transposes an 8 × 8 bit matrix held row-major, MSB first (row 0 in the
+/// top byte, column 0 in each byte's top bit).
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Bound on every bin of one class transform: Higham's FFT bound (ch. 24)
+/// for `log2 M` radix-2 levels, each with twiddle error
+/// [`STAGE_TWIDDLE_ERR`] and at most 8u of rounding (the radix-4 stages
+/// count as two levels), from the input's 2-norm; plus the input's own
+/// error, in 1-norm: [`INPUT_REL_ERR`] relative to `|c̃_a|`, and `F/8` table
+/// errors and `F/8 − 1` rounded additions of terms of modulus ≤ 8 per
+/// `c̃_a`.
+fn class_bound(m: usize, g: usize, sumsq: f64) -> f64 {
+    // M terms of two products and a sum each.
+    let norm = (sumsq * (1.0 + 2.02 * (2 * m + 2) as f64 * U)).sqrt();
+    let levels = m.trailing_zeros() as i32;
+    let fft = (1.0 + 8.0 * U + STAGE_TWIDDLE_ERR).powi(levels) - 1.0;
+    let sum_err = g as f64 * TABLE_ERR + SQRT_2 * 1.01 * U * (g - 1) as f64 * 8.0 * g as f64;
+    let sqrt_m = (m as f64).sqrt();
+    // ‖c̃‖₁ ≤ √M·‖c̃‖₂, and ‖c̃‖₂ exceeds ‖ŷ‖₂ by less than the slack.
+    (sqrt_m * norm * (fft + INPUT_REL_ERR) + m as f64 * sum_err) * (1.0 + 1e-6)
+}
+
+/// Squared-magnitude cut-offs for threshold `t` and bin error bound `b`: a
+/// computed `|X̂|²` below the first proves `|X| < t`, one above the second
+/// proves `|X| ≥ t`. The 4u factors absorb the rounding of `|X̂|²` and of
+/// these products.
+fn cutoffs(t: f64, b: f64) -> (f64, f64) {
+    let lo = if b < t {
+        let lo = (t - b) * (1.0 - 4.0 * U);
+        lo * lo * (1.0 - 4.0 * U)
     } else {
-        spectral_count(re, im, table, threshold)
+        0.0
     };
-    let n1 = n1 as f64;
-    let n0 = 0.95 * m as f64;
-    let d = (n1 - n0) / (n * 0.95 * 0.05 / 4.0).sqrt();
-    erfc(d.abs() / std::f64::consts::SQRT_2)
+    let hi = (t + b) * (1.0 + 4.0 * U);
+    (lo, hi * hi * (1.0 + 4.0 * U))
 }
 
-/// Splits the first `n2` bits into ±1 samples, even positions into the
-/// first vector, odd into the second (`n2` is a power of two ≥ 16, so
-/// pairs never straddle a word).
-fn even_odd_samples(words: &[u64], n2: usize) -> (Vec<f64>, Vec<f64>) {
-    let m = n2 / 2;
-    let (mut re, mut im) = (Vec::with_capacity(m), Vec::with_capacity(m));
-    for &w in &words[..n2 / 64] {
-        for j in 0..32 {
-            re.push(pm1(w >> (63 - 2 * j)));
-            im.push(pm1(w >> (62 - 2 * j)));
+/// One job's class transform buffers: the input and the ping-pong half.
+struct ClassBuffers {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    re2: Vec<f64>,
+    im2: Vec<f64>,
+}
+
+impl ClassBuffers {
+    fn new(m: usize) -> Self {
+        ClassBuffers {
+            re: vec![0.0; m],
+            im: vec![0.0; m],
+            re2: vec![0.0; m],
+            im2: vec![0.0; m],
         }
     }
-    let rem = n2 % 64;
-    if rem > 0 {
-        let w = words[n2 / 64];
-        for j in 0..rem / 2 {
-            re.push(pm1(w >> (63 - 2 * j)));
-            im.push(pm1(w >> (62 - 2 * j)));
-        }
-    }
-    (re, im)
 }
 
-fn pm1(bit: u64) -> f64 {
-    if bit & 1 == 1 {
-        1.0
-    } else {
-        -1.0
-    }
+/// A double-double value `hi + lo` (`|lo| ≤ ulp(hi)/2`), about 106
+/// significant bits.
+type Dd = (f64, f64);
+/// A complex double-double `(re, im)`.
+type Cdd = (Dd, Dd);
+
+const CDD_ZERO: Cdd = ((0.0, 0.0), (0.0, 0.0));
+
+fn two_sum(a: f64, b: f64) -> Dd {
+    let s = a + b;
+    let v = s - a;
+    (s, (a - (s - v)) + (b - v))
 }
 
-/// Spectral-test twiddles for a batch of sequences: one read-only stage
-/// table per transform size, built on first use and shared by every thread
-/// that borrows the batch. Dropping it frees every table, so the spectral
-/// test's memory is the in-flight transforms' buffers plus one table per
-/// size the batch has met.
+fn fast_two_sum(a: f64, b: f64) -> Dd {
+    let s = a + b;
+    (s, b - (s - a))
+}
+
+fn dd_add(a: Dd, b: Dd) -> Dd {
+    let (s, e) = two_sum(a.0, b.0);
+    let (t, f) = two_sum(a.1, b.1);
+    let (s, e) = fast_two_sum(s, e + t);
+    fast_two_sum(s, e + f)
+}
+
+fn dd_neg(a: Dd) -> Dd {
+    (-a.0, -a.1)
+}
+
+fn dd_mul(a: Dd, b: Dd) -> Dd {
+    let p = a.0 * b.0;
+    fast_two_sum(p, a.0.mul_add(b.0, -p) + (a.0 * b.1 + a.1 * b.0))
+}
+
+fn dd_div(a: Dd, b: f64) -> Dd {
+    let q = a.0 / b;
+    let p = q * b;
+    // a.0 − p is exact (Sterbenz), and the remainder is one ulp or so.
+    let rem = ((a.0 - p) - q.mul_add(b, -p)) + a.1;
+    fast_two_sum(q, rem / b)
+}
+
+fn cdd_add(a: Cdd, b: Cdd) -> Cdd {
+    (dd_add(a.0, b.0), dd_add(a.1, b.1))
+}
+
+fn cdd_neg(a: Cdd) -> Cdd {
+    (dd_neg(a.0), dd_neg(a.1))
+}
+
+fn cdd_mul(a: Cdd, b: Cdd) -> Cdd {
+    (
+        dd_add(dd_mul(a.0, b.0), dd_neg(dd_mul(a.1, b.1))),
+        dd_add(dd_mul(a.0, b.1), dd_mul(a.1, b.0)),
+    )
+}
+
+/// `ω_n^e` in double-double (`n` a power of two): the angle is reduced to
+/// `[0, π/4]` exactly, by octant, then evaluated by Taylor series.
+fn dd_root(e: usize, n: usize) -> Cdd {
+    const FRAC_PI_4: Dd = (std::f64::consts::FRAC_PI_4, 3.061616997868383e-17);
+    // 2πe/n = (π/4)·(octant + rest/n).
+    let e8 = (e & (n - 1)) * 8;
+    let (octant, rest) = (e8 / n, e8 % n);
+    let x = if octant % 2 == 0 { rest } else { n - rest };
+    let (c, s) = dd_sin_cos(dd_mul(FRAC_PI_4, (x as f64 / n as f64, 0.0)));
+    // cos and sin of the angle within its quadrant.
+    let (c, s) = if octant % 2 == 0 { (c, s) } else { (s, c) };
+    let (c, s) = match octant / 2 {
+        0 => (c, s),
+        1 => (dd_neg(s), c),
+        2 => (dd_neg(c), dd_neg(s)),
+        _ => (s, dd_neg(c)),
+    };
+    (c, dd_neg(s))
+}
+
+/// `(cos a, sin a)` for `0 ≤ a ≤ π/4`, by Horner-form Taylor series to
+/// `a^29` (truncation below 1e-35).
+fn dd_sin_cos(a: Dd) -> (Dd, Dd) {
+    let a2 = dd_mul(a, a);
+    let (mut c, mut s) = ((1.0, 0.0), (1.0, 0.0));
+    for k in (1..=14).rev() {
+        let k = f64::from(k);
+        c = dd_add(
+            (1.0, 0.0),
+            dd_neg(dd_div(dd_mul(a2, c), (2.0 * k - 1.0) * 2.0 * k)),
+        );
+        s = dd_add(
+            (1.0, 0.0),
+            dd_neg(dd_div(dd_mul(a2, s), 2.0 * k * (2.0 * k + 1.0))),
+        );
+    }
+    (c, dd_mul(a, s))
+}
+
+/// Spectral-test tables for a batch of sequences: the FFT stage table of
+/// each class size, and the byte tables of each class count `F`, built on
+/// first use and shared by every thread that borrows the batch. Dropping
+/// it frees every table, so the spectral test's memory is the in-flight
+/// jobs' class buffers and the sequences' columns plus one table of each
+/// kind per size the batch has met.
 #[derive(Debug)]
 pub struct Twiddles {
     tables: [OnceLock<StageTable>; usize::BITS as usize],
+    classes: [OnceLock<ClassTables>; usize::BITS as usize],
 }
 
 impl Twiddles {
@@ -324,13 +814,19 @@ impl Twiddles {
     pub fn new() -> Self {
         Twiddles {
             tables: [const { OnceLock::new() }; usize::BITS as usize],
+            classes: [const { OnceLock::new() }; usize::BITS as usize],
         }
     }
 
-    /// The table for transform size `m` (a power of two).
+    /// The stage table for transform size `m` (a power of two).
     fn table(&self, m: usize) -> &StageTable {
         assert!(m.is_power_of_two(), "FFT length {m} is not a power of two");
         self.tables[m.trailing_zeros() as usize].get_or_init(|| StageTable::new(m))
+    }
+
+    /// The byte tables for `f` classes.
+    fn class_tables(&self, f: usize) -> &ClassTables {
+        self.classes[f.trailing_zeros() as usize].get_or_init(|| ClassTables::new(f))
     }
 }
 
@@ -340,27 +836,64 @@ impl Default for Twiddles {
     }
 }
 
+/// The byte tables of `F` classes: for class `r ≤ F/2`, byte group `g` and
+/// byte `β`, `Σ_{i<8} ±ω_F^{(8g+i)r}` with `+` where bit `7 − i` of `β` is
+/// set. `F/8` groups of 256 entries per class, 16 B an entry.
+#[derive(Debug)]
+struct ClassTables {
+    per_class: usize,
+    groups: Vec<ByteTable>,
+}
+
+/// One byte group's 256 entries `[re, im]`.
+type ByteTable = [[f64; 2]; 256];
+
+impl ClassTables {
+    fn new(f: usize) -> Self {
+        let per_class = f / 8;
+        let mut groups = Vec::with_capacity((f / 2 + 1) * per_class);
+        for r in 0..=f / 2 {
+            for grp in 0..per_class {
+                let w: [(f64, f64); 8] = std::array::from_fn(|i| root((8 * grp + i) * r % f, f));
+                groups.push(std::array::from_fn(|byte| {
+                    let (mut re, mut im) = (0.0, 0.0);
+                    for (i, &(c, s)) in w.iter().enumerate() {
+                        if (byte >> (7 - i)) & 1 == 1 {
+                            re += c;
+                            im += s;
+                        } else {
+                            re -= c;
+                            im -= s;
+                        }
+                    }
+                    [re, im]
+                }));
+            }
+        }
+        ClassTables { per_class, groups }
+    }
+
+    fn class(&self, r: usize) -> &[ByteTable] {
+        &self.groups[r * self.per_class..(r + 1) * self.per_class]
+    }
+}
+
 /// Twiddle factors of one transform size `m`: the per-stage factors
 /// `e^{-2πip/len}` for `len = 2, 4, …, m`, packed contiguously (`m - 1`
 /// entries; the table for length `len` starts at `len/2 - 1`).
 ///
-/// Every entry comes from size `m`'s *reconstruction recurrence*: the
+/// Every entry comes from size `m`'s reconstruction recurrence: the
 /// factors `r[k] = e^{-2πik/2m}`, `k < m`, generated by repeated
 /// multiplication with `w = e^{-2πi/2m}` and resynchronized against
 /// `sin_cos` at every multiple of 32. The length-`m` stage holds the even
 /// entries `r[2j]`, and each smaller stage every other entry of the next
-/// larger one. The spectral test needs the whole of `r` to rebuild the
-/// real-input spectrum; it regenerates the odd entries on the fly as
-/// `r[2j+1] = r[2j]·w` ([`StageTable::recon_pairs`]), which is exactly the
-/// recurrence step that produced them (32 is even, so no odd `k` is a
-/// resynchronization point). So the table fixes every twiddle bit of the
-/// transform and of the reconstruction without storing `r`.
+/// larger one. This construction fixes the bits of [`fft_in_place`], whose
+/// callers compare its floats; the spectral test only needs the entries'
+/// error bound, [`STAGE_TWIDDLE_ERR`].
 #[derive(Debug)]
 struct StageTable {
     re: Vec<f64>,
     im: Vec<f64>,
-    /// The recurrence step `w = e^{-2πi/2m}` as `(re, im)`.
-    step: (f64, f64),
 }
 
 impl StageTable {
@@ -368,11 +901,9 @@ impl StageTable {
         let ang = -std::f64::consts::TAU / (2 * m) as f64;
         let (w_im, w_re) = ang.sin_cos();
         let stages = m.saturating_sub(1);
-        let step = (w_re, w_im);
         let mut t = StageTable {
             re: vec![0.0; stages],
             im: vec![0.0; stages],
-            step,
         };
         if m < 2 {
             return t;
@@ -389,7 +920,7 @@ impl StageTable {
                     top_re[j / 2] = cur_re;
                     top_im[j / 2] = cur_im;
                 }
-                (cur_re, cur_im) = rotate((cur_re, cur_im), step);
+                (cur_re, cur_im) = (cur_re * w_re - cur_im * w_im, cur_re * w_im + cur_im * w_re);
             }
             k = end;
         }
@@ -415,27 +946,10 @@ impl StageTable {
         let off = len / 2 - 1;
         (&self.re[off..off + len / 2], &self.im[off..off + len / 2])
     }
-
-    /// The reconstruction factors `r[k]`, `k < m`, in pairs
-    /// `(r[2j], r[2j+1])`: the stored length-`m` stage entry `j` and one
-    /// recurrence step from it (`m ≥ 2`).
-    fn recon_pairs(&self) -> impl Iterator<Item = ((f64, f64), (f64, f64))> + '_ {
-        let (re, im) = self.stage(self.re.len() + 1);
-        re.iter()
-            .zip(im)
-            .map(|(&c, &s)| ((c, s), rotate((c, s), self.step)))
-    }
 }
 
-/// One step of a reconstruction recurrence, `z·w`, on `(re, im)` pairs.
-/// The table build and [`StageTable::recon_pairs`] both step through it,
-/// so they perform the same floating-point operations.
-#[inline(always)]
-fn rotate((re, im): (f64, f64), (w_re, w_im): (f64, f64)) -> (f64, f64) {
-    (re * w_re - im * w_im, re * w_im + im * w_re)
-}
-
-/// Iterative radix-2 FFT (length must be a power of two).
+/// Stockham autosort FFT (radix 4, with one radix-2 stage for odd powers
+/// of two), in place for a power-of-two length.
 ///
 /// Builds its twiddle table and ping-pong buffer on every call.
 pub fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
@@ -511,40 +1025,6 @@ fn stockham_fft<'a>(
         s *= 4;
     }
     in_x
-}
-
-/// Reconstructs the first `n2/2` bins of the full real-input DFT from the
-/// half-size transform `Z` and counts magnitudes below `threshold`:
-/// `X[k] = E[k] + r[k] · O[k]` with `E[k] = (Z[k] + conj(Z[m-k]))/2`,
-/// `O[k] = (Z[k] - conj(Z[m-k]))/(2i)` and `r[k] = e^{-2πik/n2}`, rebuilt
-/// from size `m`'s stage table ([`StageTable::recon_pairs`]).
-#[inline(always)]
-fn spectral_count(re: &[f64], im: &[f64], table: &StageTable, t: f64) -> usize {
-    let m = re.len();
-    let below = |k: usize, (c, s): (f64, f64)| -> usize {
-        let mk = (m - k) & (m - 1);
-        let (zr, zi) = (re[k], im[k]);
-        let (yr, yi) = (re[mk], -im[mk]);
-        let (er, ei) = ((zr + yr) / 2.0, (zi + yi) / 2.0);
-        let (or, oi) = ((zi - yi) / 2.0, -(zr - yr) / 2.0);
-        let xr = er + c * or - s * oi;
-        let xi = ei + c * oi + s * or;
-        usize::from((xr * xr + xi * xi).sqrt() < t)
-    };
-    let mut n1 = 0usize;
-    for (j, (even, odd)) in table.recon_pairs().enumerate() {
-        n1 += below(2 * j, even);
-        n1 += below(2 * j + 1, odd);
-    }
-    n1
-}
-
-/// [`spectral_count`] compiled with 256-bit lanes; same operations, same
-/// results (see [`wide_lanes_available`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn spectral_count_avx(re: &[f64], im: &[f64], table: &StageTable, t: f64) -> usize {
-    spectral_count(re, im, table, t)
 }
 
 /// Whether 256-bit float lanes are available at runtime. AVX widens the
@@ -928,160 +1408,17 @@ fn cusum_p(words: &[u64], len: usize, backward: bool) -> f64 {
     p.clamp(0.0, 1.0)
 }
 
-/// The scalar `Vec<bool>` kernels the packed implementations replaced,
-/// retained verbatim as the ground truth for property tests and the
-/// `kernels` criterion group.
-pub mod reference {
-    use crate::special::{erfc, normal_cdf};
-
-    /// SP 800-22 §2.1 — frequency (monobit).
-    pub fn frequency_p(bits: &[bool]) -> f64 {
-        let n = bits.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let s: i64 = bits.iter().map(|&b| if b { 1i64 } else { -1 }).sum();
-        let s_obs = (s.abs() as f64) / (n as f64).sqrt();
-        erfc(s_obs / std::f64::consts::SQRT_2)
-    }
-
-    /// SP 800-22 §2.3 — runs.
-    pub fn runs_p(bits: &[bool]) -> f64 {
-        let n = bits.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let pi = bits.iter().filter(|&&b| b).count() as f64 / n as f64;
-        // Prerequisite frequency check.
-        if (pi - 0.5).abs() >= 2.0 / (n as f64).sqrt() {
-            return 0.0;
-        }
-        let v_obs = 1 + bits.windows(2).filter(|w| w[0] != w[1]).count();
-        let n = n as f64;
-        let num = (v_obs as f64 - 2.0 * n * pi * (1.0 - pi)).abs();
-        let den = 2.0 * (2.0 * n).sqrt() * pi * (1.0 - pi);
-        erfc(num / den)
-    }
-
-    /// SP 800-22 §2.6 — discrete Fourier transform (spectral).
-    pub fn fft_p(bits: &[bool]) -> f64 {
-        // Use the largest power-of-two prefix (see module docs).
-        let n = bits.len();
-        if n < 16 {
-            return 0.0;
-        }
-        let n2 = 1usize << (usize::BITS - 1 - n.leading_zeros());
-        let mut re: Vec<f64> = bits[..n2]
-            .iter()
-            .map(|&b| if b { 1.0 } else { -1.0 })
-            .collect();
-        let mut im = vec![0.0f64; n2];
-        fft_in_place(&mut re, &mut im);
-        let n = n2 as f64;
-        let threshold = ((1.0 / 0.05f64).ln() * n).sqrt();
-        let half = n2 / 2;
-        let n1 = (0..half)
-            .filter(|&k| (re[k] * re[k] + im[k] * im[k]).sqrt() < threshold)
-            .count() as f64;
-        let n0 = 0.95 * half as f64;
-        let d = (n1 - n0) / (n * 0.95 * 0.05 / 4.0).sqrt();
-        erfc(d.abs() / std::f64::consts::SQRT_2)
-    }
-
-    /// Iterative radix-2 FFT with the per-block twiddle recurrence
-    /// (length must be a power of two).
-    pub fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
-        let n = re.len();
-        debug_assert!(n.is_power_of_two());
-        // Bit-reversal permutation.
-        let mut j = 0usize;
-        for i in 1..n {
-            let mut bit = n >> 1;
-            while j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-            if i < j {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-        let mut len = 2;
-        while len <= n {
-            let ang = -std::f64::consts::TAU / len as f64;
-            let (w_re, w_im) = (ang.cos(), ang.sin());
-            let mut i = 0;
-            while i < n {
-                let (mut cur_re, mut cur_im) = (1.0f64, 0.0f64);
-                for k in 0..len / 2 {
-                    let (u_re, u_im) = (re[i + k], im[i + k]);
-                    let (v_re, v_im) = (
-                        re[i + k + len / 2] * cur_re - im[i + k + len / 2] * cur_im,
-                        re[i + k + len / 2] * cur_im + im[i + k + len / 2] * cur_re,
-                    );
-                    re[i + k] = u_re + v_re;
-                    im[i + k] = u_im + v_im;
-                    re[i + k + len / 2] = u_re - v_re;
-                    im[i + k + len / 2] = u_im - v_im;
-                    let next_re = cur_re * w_re - cur_im * w_im;
-                    cur_im = cur_re * w_im + cur_im * w_re;
-                    cur_re = next_re;
-                }
-                i += len;
-            }
-            len <<= 1;
-        }
-    }
-
-    /// SP 800-22 §2.13 — cumulative sums.
-    pub fn cusum_p(bits: &[bool], backward: bool) -> f64 {
-        let n = bits.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let xs: Vec<f64> = if backward {
-            bits.iter()
-                .rev()
-                .map(|&b| if b { 1.0 } else { -1.0 })
-                .collect()
-        } else {
-            bits.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect()
-        };
-        let mut sum = 0.0f64;
-        let mut z: f64 = 0.0;
-        for x in xs {
-            sum += x;
-            z = z.max(sum.abs());
-        }
-        if z == 0.0 {
-            return 0.0;
-        }
-        let n = n as f64;
-        let sqrt_n = n.sqrt();
-        let mut p = 1.0;
-        let k_lo = (((-n / z) + 1.0) / 4.0).floor() as i64;
-        let k_hi = (((n / z) - 1.0) / 4.0).floor() as i64;
-        for k in k_lo..=k_hi {
-            let k = k as f64;
-            p -=
-                normal_cdf((4.0 * k + 1.0) * z / sqrt_n) - normal_cdf((4.0 * k - 1.0) * z / sqrt_n);
-        }
-        let k_lo = (((-n / z) - 3.0) / 4.0).floor() as i64;
-        let k_hi = (((n / z) - 1.0) / 4.0).floor() as i64;
-        for k in k_lo..=k_hi {
-            let k = k as f64;
-            p +=
-                normal_cdf((4.0 * k + 3.0) * z / sqrt_n) - normal_cdf((4.0 * k + 1.0) * z / sqrt_n);
-        }
-        p.clamp(0.0, 1.0)
-    }
-}
+/// The scalar `&[bool]` oracle, shared with `tests/prop.rs` and the
+/// `kernels` bench.
+#[cfg(test)]
+#[path = "../tests/nist_oracle/mod.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sixscope_types::Xoshiro256pp;
+    use std::collections::BTreeSet;
 
     fn from_bits(s: &str) -> BitSequence {
         let mut seq = BitSequence::new();
@@ -1089,6 +1426,57 @@ mod tests {
             seq.push_bits(if c == '1' { 1 } else { 0 }, 1);
         }
         seq
+    }
+
+    fn from_fn(len: usize, mut bit: impl FnMut(usize) -> bool) -> BitSequence {
+        let mut seq = BitSequence::new();
+        for i in 0..len {
+            seq.push_bits(u128::from(bit(i)), 1);
+        }
+        seq
+    }
+
+    /// Sequences whose spectra have exact zeros, huge peaks and integer
+    /// bins, next to a random one: constant, low-byte counter IIDs,
+    /// alternating, and period-2^k patterns.
+    fn test_sequences(len: usize, seed: u64) -> Vec<(&'static str, BitSequence)> {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let random: Vec<bool> = (0..len).map(|_| rng.next_u64() & 1 == 1).collect();
+        let pattern: Vec<bool> = (0..32).map(|_| rng.next_u64() & 1 == 1).collect();
+        vec![
+            ("random", from_fn(len, |i| random[i])),
+            ("ones", from_fn(len, |_| true)),
+            ("zeros", from_fn(len, |_| false)),
+            (
+                "low-byte",
+                from_fn(len, |i| ((i / 64 % 200 + 1) >> (63 - i % 64)) & 1 == 1),
+            ),
+            ("alternating", from_fn(len, |i| i % 2 == 0)),
+            ("period-8", from_fn(len, |i| pattern[i % 8])),
+            ("period-32", from_fn(len, |i| pattern[i % 32])),
+        ]
+    }
+
+    /// The DFT of the first `n` bits as ±1 samples, in double-double: a
+    /// direct sum over a table of every root of unity.
+    fn dd_dft(seq: &BitSequence, n: usize) -> Vec<Cdd> {
+        let roots: Vec<Cdd> = (0..n).map(|e| dd_root(e, n)).collect();
+        (0..n)
+            .map(|k| {
+                (0..n).fold(CDD_ZERO, |sum, j| {
+                    let w = roots[j * k % n];
+                    cdd_add(sum, if seq.bit(j) { w } else { cdd_neg(w) })
+                })
+            })
+            .collect()
+    }
+
+    fn dd_abs2(x: Cdd) -> Dd {
+        dd_add(dd_mul(x.0, x.0), dd_mul(x.1, x.1))
+    }
+
+    fn dd_abs(x: Cdd) -> f64 {
+        dd_abs2(x).0.sqrt()
     }
 
     #[test]
@@ -1260,35 +1648,226 @@ mod tests {
     #[test]
     fn spectral_matches_reference_at_fig17_sizes() {
         // Fig. 17's sessions have at least 100 packets of 32 or 64 bits, so
-        // its half-transforms start at 2^10 points; these lengths reach
-        // 2^11 to 2^15 points (odd and even log2), cross many 32-entry
-        // resynchronization blocks, and end mid-word.
-        let mut rng = Xoshiro256pp::seed_from_u64(17);
-        for len in [
-            (1usize << 12) + 37,
-            (1 << 13) + 61,
-            (1 << 15) + 3,
-            (1 << 16) + 101,
-            (1 << 17) - 45,
-        ] {
-            let mut seq = BitSequence::new();
-            while seq.len() + 64 <= len {
-                seq.push_bits(rng.next_u64() as u128, 64);
+        // its transforms start at 2^11 bits. Lengths on both sides of every
+        // change of the class count up to 2^18 bits, each ending mid-word,
+        // random and structured.
+        let mut checked = BTreeSet::new();
+        for l in 11..=18u32 {
+            let len = (1usize << l) + 37 + 8 * l as usize;
+            for (name, seq) in test_sequences(len, u64::from(l)) {
+                let n = 1usize << l;
+                checked.insert(class_count(n));
+                assert_eq!(
+                    seq.run(NistTest::Fft).p_value.to_bits(),
+                    reference::fft_p(&seq.to_bools()).clamp(0.0, 1.0).to_bits(),
+                    "fft, {name}, len {len}"
+                );
             }
-            let tail = (len - seq.len()) as u32;
-            seq.push_bits(rng.next_u64() as u128, tail);
-            assert_eq!(seq.len(), len);
-            assert_eq!(
-                seq.run(NistTest::Fft).p_value.to_bits(),
-                reference::fft_p(&seq.to_bools()).clamp(0.0, 1.0).to_bits(),
-                "fft, len {len}"
+        }
+        assert_eq!(checked.len(), 3, "class counts covered: {checked:?}");
+    }
+
+    #[test]
+    fn class_count_changes_inside_the_reference_sizes_and_caps_the_class() {
+        let count = |l: u32| class_count(1 << l);
+        for l in 4..=48 {
+            let m = (1usize << l) / count(l);
+            assert!(
+                count(l) >= 8 && (2..=MAX_CLASS_SIZE).contains(&m),
+                "2^{l} bits"
             );
+            // Up to 2^22 bits, every change of F is one the reference
+            // comparison above crosses (2^11 … 2^18).
+            if l > 4 && l <= 22 && count(l) != count(l - 1) {
+                assert!((12..=18).contains(&l), "F changes at 2^{l} bits");
+            }
         }
     }
 
-    /// Size `m`'s twiddles with every reconstruction factor `r[k]` stored
-    /// and each stage factor `e^{-2πip/len}` read as `r[p·2m/len]`.
-    fn stored_twiddles(m: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+    #[test]
+    fn transpose8_swaps_rows_and_columns() {
+        let mut rng = Xoshiro256pp::seed_from_u64(8);
+        let bit = |x: u64, row: usize, col: usize| (x >> (63 - 8 * row - col)) & 1;
+        for _ in 0..64 {
+            let x = rng.next_u64();
+            let t = transpose8(x);
+            for row in 0..8 {
+                for col in 0..8 {
+                    assert_eq!(bit(t, row, col), bit(x, col, row));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn columns_hold_the_bit_matrix() {
+        // Both transposes: word-aligned rows (M ≥ 64) and the bitwise one.
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let seq = from_fn(1 << 12, |_| rng.next_u64() & 1 == 1);
+        for (n, f) in [
+            (1usize << 12, 8usize),
+            (1 << 12, 64),
+            (1 << 9, 16),
+            (256, 64),
+        ] {
+            let cols = SpectralColumns::with_classes(seq.words(), n, f);
+            let (m, g) = (n / f, f / 8);
+            for b in 0..f {
+                for a in 0..m {
+                    let got = (cols.cols[a * g + b / 8] >> (7 - b % 8)) & 1 == 1;
+                    assert_eq!(got, seq.bit(b * m + a), "n {n}, F {f}, row {b}, col {a}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dd_roots_are_accurate() {
+        // ω_8 = (1 − i)/√2, to double-double precision.
+        const FRAC_1_SQRT_2: Dd = (std::f64::consts::FRAC_1_SQRT_2, -4.833646656726457e-17);
+        let (c, s) = dd_root(1, 8);
+        for (got, want) in [(c, FRAC_1_SQRT_2), (dd_neg(s), FRAC_1_SQRT_2)] {
+            let diff = dd_add(got, dd_neg(want));
+            assert!((diff.0 + diff.1).abs() < 1e-31, "{got:?} vs {want:?}");
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        for _ in 0..200 {
+            let n = 1usize << (3 + rng.next_u64() % 27);
+            let (a, b) = ((rng.next_u64() as usize) % n, (rng.next_u64() as usize) % n);
+            let (wa, wb, wab) = (dd_root(a, n), dd_root(b, n), dd_root((a + b) % n, n));
+            // On the unit circle, multiplicative, and next to sin_cos.
+            let norm = dd_add(dd_mul(wa.0, wa.0), dd_mul(wa.1, wa.1));
+            assert!((norm.0 - 1.0 + norm.1).abs() < 2f64.powi(-100), "{a}/{n}");
+            let prod = cdd_add(cdd_mul(wa, wb), cdd_neg(wab));
+            assert!(
+                (prod.0 .0.abs() + prod.1 .0.abs()) < 2f64.powi(-99),
+                "{a}+{b}/{n}"
+            );
+            let (c, s) = root(a, n);
+            assert!((wa.0 .0 - c).hypot(wa.1 .0 - s) <= ROOT_ERR, "{a}/{n}");
+        }
+    }
+
+    #[test]
+    fn class_bins_lie_within_the_runtime_bound() {
+        // Every class count that fits the size, on random and structured
+        // inputs: each computed bin against a double-double direct DFT.
+        let twiddles = Twiddles::new();
+        for l in [4u32, 7, 9] {
+            let n = 1usize << l;
+            for (name, seq) in test_sequences(n + 13, u64::from(l)) {
+                let dft = dd_dft(&seq, n);
+                for f in (3..l).map(|k| 1usize << k).filter(|&f| f <= 64) {
+                    let cols = SpectralColumns::with_classes(seq.words(), n, f);
+                    let mut bufs = ClassBuffers::new(n / f);
+                    for r in 0..cols.classes() {
+                        let (re, im, bound) = cols.class_spectrum(r, &twiddles, &mut bufs);
+                        assert!(bound > 0.0 && bound < 1e-9 * n as f64);
+                        for q in 0..n / f {
+                            let x = dft[f * q + r];
+                            let err = dd_abs(cdd_add(x, cdd_neg(((re[q], 0.0), (im[q], 0.0)))));
+                            assert!(
+                                err <= bound,
+                                "{name}, n {n}, F {f}, bin {}: error {err:e} > bound {bound:e}",
+                                f * q + r
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bound_stays_far_below_the_threshold_at_2_23_bits() {
+        // The worst case over all inputs: |c_r[a]| ≤ F, so ‖ŷ‖₂² ≤ M·F².
+        let n = 1usize << 23;
+        let (f, m) = (class_count(n), n / class_count(n));
+        let worst = (m * f * f) as f64 * (1.0 + INPUT_REL_ERR).powi(2);
+        let bound = class_bound(m, f / 8, worst);
+        let t = ((1.0 / 0.05f64).ln() * n as f64).sqrt();
+        assert!(bound < 1e-9 * t, "bound {bound:e} vs threshold {t}");
+    }
+
+    #[test]
+    fn stage_twiddle_error_constant_holds_up_to_the_largest_class() {
+        // Against sin_cos of the rounded angle, whose own error is at most
+        // 1.5u·π in the angle and one ulp per part: 8.1u in modulus.
+        let reference_err = 9.0 * U;
+        let mut m = 2;
+        while m <= MAX_CLASS_SIZE {
+            let table = StageTable::new(m);
+            let mut worst = 0.0f64;
+            let mut len = 2;
+            while len <= m {
+                let (tr, ti) = table.stage(len);
+                for p in 0..len / 2 {
+                    let (s, c) = (-std::f64::consts::TAU * (p as f64 / len as f64)).sin_cos();
+                    worst = worst.max((tr[p] - c).hypot(ti[p] - s));
+                }
+                len *= 2;
+            }
+            assert!(
+                worst + reference_err <= STAGE_TWIDDLE_ERR,
+                "m = {m}: {:.1}u",
+                worst / U
+            );
+            m *= 2;
+        }
+    }
+
+    #[test]
+    fn threshold_at_a_bin_magnitude_is_rechecked_or_left_undecided() {
+        let twiddles = Twiddles::new();
+        let n = 1usize << 10;
+        let mut rng = Xoshiro256pp::seed_from_u64(23);
+        let seq = from_fn(n, |_| rng.next_u64() & 1 == 1);
+        let cols = SpectralColumns::new(seq.words(), n).unwrap();
+        let all = 0..cols.classes();
+        let dft = dd_dft(&seq, n);
+        // A computed bin's magnitude: the transform's bound cannot tell it
+        // from the threshold, the direct evaluation can.
+        for k in [1usize, 77, 300] {
+            let t = dd_abs(dft[k]);
+            let t2 = (t * t, t.mul_add(t, -(t * t)));
+            let want = dft[..n / 2].iter().filter(|&&x| {
+                let d = dd_add(dd_abs2(x), dd_neg(t2));
+                d.0 + d.1 < 0.0
+            });
+            let count = cols.count_below(all.clone(), &twiddles, t);
+            assert_eq!(count.undecided, 0, "bin {k}");
+            assert!(count.rechecked >= 1, "bin {k}: nothing rechecked");
+            assert_eq!(count.below, want.count(), "bin {k}");
+        }
+        // Integer bins: X_0 = Σ ±1 exactly, and every other bin of a
+        // constant sequence is exactly 0. A threshold at such a magnitude
+        // stays undecided.
+        let x0 = seq
+            .words()
+            .iter()
+            .map(|w| w.count_ones() as i64)
+            .sum::<i64>()
+            * 2
+            - n as i64;
+        assert_ne!(x0, 0);
+        let count = cols.count_below(all.clone(), &twiddles, x0.abs() as f64);
+        assert_eq!(count.undecided, 1, "X_0 = {x0}");
+        let outcome = NistOutcome {
+            test: NistTest::Fft,
+            p_value: cols.p_value(count),
+        };
+        assert!(!outcome.decided() && !outcome.passes(), "{outcome:?}");
+        let ones = from_fn(n, |_| true);
+        let ones = SpectralColumns::new(ones.words(), n).unwrap();
+        let count = ones.count_below(all.clone(), &twiddles, n as f64);
+        assert_eq!((count.below, count.undecided), (n / 2 - 1, 1));
+        let count = ones.count_below(all, &twiddles, 0.0);
+        assert_eq!((count.below, count.undecided), (0, n / 2 - 1));
+    }
+
+    /// Size `m`'s stage twiddles, each factor `e^{-2πip/len}` read from the
+    /// stored reconstruction recurrence as `r[p·2m/len]`.
+    fn stored_stage_twiddles(m: usize) -> (Vec<f64>, Vec<f64>) {
         let ang = -std::f64::consts::TAU / (2 * m) as f64;
         let (w_im, w_re) = ang.sin_cos();
         let (mut recon_re, mut recon_im) = (vec![0.0; m], vec![0.0; m]);
@@ -1315,7 +1894,7 @@ mod tests {
             }
             len *= 2;
         }
-        (stage_re, stage_im, recon_re, recon_im)
+        (stage_re, stage_im)
     }
 
     #[test]
@@ -1324,22 +1903,9 @@ mod tests {
         for log2 in 0..=15 {
             let m = 1usize << log2;
             let table = StageTable::new(m);
-            let (stage_re, stage_im, recon_re, recon_im) = stored_twiddles(m);
+            let (stage_re, stage_im) = stored_stage_twiddles(m);
             assert_eq!(bits(&table.re), bits(&stage_re), "stage re, m = {m}");
             assert_eq!(bits(&table.im), bits(&stage_im), "stage im, m = {m}");
-            if m < 2 {
-                continue;
-            }
-            // The reconstruction factors spectral_count rebuilds.
-            let (mut got_re, mut got_im) = (Vec::new(), Vec::new());
-            for (even, odd) in table.recon_pairs() {
-                for (c, s) in [even, odd] {
-                    got_re.push(c);
-                    got_im.push(s);
-                }
-            }
-            assert_eq!(bits(&got_re), bits(&recon_re), "recon re, m = {m}");
-            assert_eq!(bits(&got_im), bits(&recon_im), "recon im, m = {m}");
         }
     }
 
@@ -1369,6 +1935,7 @@ mod tests {
 
     #[test]
     fn fft_matches_reference_fft() {
+        let pm1 = |x: u64| if x & 1 == 1 { 1.0 } else { -1.0 };
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let mut re: Vec<f64> = (0..256).map(|_| pm1(rng.next_u64())).collect();
         let mut im: Vec<f64> = (0..256).map(|_| pm1(rng.next_u64())).collect();

@@ -10,9 +10,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sixscope_analysis::autocorr::{self, PeriodDetector};
 use sixscope_analysis::dbscan::{dbscan, dbscan_indexed};
-use sixscope_analysis::nist::{self, BitSequence, NistTest, Twiddles};
+use sixscope_analysis::nist::{BitSequence, NistTest, Twiddles};
+use sixscope_analysis::special::{erfc, normal_cdf};
 use sixscope_types::{SimTime, Xoshiro256pp};
 use std::hint::black_box;
+
+/// The NIST `&[bool]` oracle the analysis crate's tests use.
+#[path = "../../analysis/tests/nist_oracle/mod.rs"]
+mod nist_oracle;
 
 /// A random bit sequence about as long as a large Fig. 17 IID train.
 fn random_bits(n: usize, seed: u64) -> BitSequence {
@@ -30,11 +35,11 @@ fn bench_nist(c: &mut Criterion) {
     // Packed and reference kernels agree bit-for-bit.
     for outcome in seq.run_all() {
         let want = match outcome.test {
-            NistTest::Frequency => nist::reference::frequency_p(&bits),
-            NistTest::Runs => nist::reference::runs_p(&bits),
-            NistTest::Fft => nist::reference::fft_p(&bits),
-            NistTest::CusumForward => nist::reference::cusum_p(&bits, false),
-            NistTest::CusumBackward => nist::reference::cusum_p(&bits, true),
+            NistTest::Frequency => nist_oracle::frequency_p(&bits),
+            NistTest::Runs => nist_oracle::runs_p(&bits),
+            NistTest::Fft => nist_oracle::fft_p(&bits),
+            NistTest::CusumForward => nist_oracle::cusum_p(&bits, false),
+            NistTest::CusumBackward => nist_oracle::cusum_p(&bits, true),
         };
         assert_eq!(
             outcome.p_value.to_bits(),
@@ -51,11 +56,11 @@ fn bench_nist(c: &mut Criterion) {
     });
     c.bench_function("kernels_nist_reference", |b| {
         b.iter(|| {
-            black_box(nist::reference::frequency_p(&bits));
-            black_box(nist::reference::runs_p(&bits));
-            black_box(nist::reference::fft_p(&bits));
-            black_box(nist::reference::cusum_p(&bits, false));
-            black_box(nist::reference::cusum_p(&bits, true));
+            black_box(nist_oracle::frequency_p(&bits));
+            black_box(nist_oracle::runs_p(&bits));
+            black_box(nist_oracle::fft_p(&bits));
+            black_box(nist_oracle::cusum_p(&bits, false));
+            black_box(nist_oracle::cusum_p(&bits, true));
         })
     });
 }

@@ -696,21 +696,38 @@ fn fig17_item(a: &Analyzed) -> Item {
     )
     .unwrap();
     let rate = |iid: bool| {
-        let (p, f) = f17
+        let (p, f, u) = f17
             .iter()
             .filter(|c| c.iid_part == iid)
-            .fold((0u64, 0u64), |(p, f), c| (p + c.pass, f + c.fail));
-        (p, f, p as f64 / (p + f).max(1) as f64)
+            .fold((0u64, 0u64, 0u64), |(p, f, u), c| {
+                (p + c.pass, f + c.fail, u + c.undecided)
+            });
+        (p, f, u, p as f64 / (p + f).max(1) as f64)
     };
-    let (ip, if_, irate) = rate(true);
-    let (sp, sf, srate) = rate(false);
+    // Printed only when non-zero, so a fully decided figure keeps its text.
+    let undecided = |u: u64| {
+        if u > 0 {
+            format!(", undecided {u}")
+        } else {
+            String::new()
+        }
+    };
+    let (ip, if_, iu, irate) = rate(true);
+    let (sp, sf, su, srate) = rate(false);
     writeln!(
         out,
-        "IID    : pass {ip}, fail {if_} ({:.0}%)",
+        "IID    : pass {ip}, fail {if_}{} ({:.0}%)",
+        undecided(iu),
         irate * 100.0
     )
     .unwrap();
-    writeln!(out, "subnet : pass {sp}, fail {sf} ({:.0}%)", srate * 100.0).unwrap();
+    writeln!(
+        out,
+        "subnet : pass {sp}, fail {sf}{} ({:.0}%)",
+        undecided(su),
+        srate * 100.0
+    )
+    .unwrap();
     writeln!(out, "```").unwrap();
     let rows = vec![row(
         "Fig. 17",

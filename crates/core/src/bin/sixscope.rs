@@ -63,8 +63,8 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 sixscope — IPv6 network-telescope measurement toolkit
 
-Every subcommand accepts --threads N (worker-thread cap; output bytes
-never depend on it).
+Every subcommand accepts --threads N (worker-thread cap, 1 to 256; output
+bytes never depend on it).
 
 USAGE:
     sixscope run [--seed N] [--scale F] [--pcap-dir DIR] [--json]

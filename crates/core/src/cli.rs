@@ -11,7 +11,7 @@
 use crate::json::Json;
 use crate::Error;
 use sixscope_telescope::IngestStats;
-use sixscope_types::THREADS_ENV;
+use sixscope_types::{MAX_THREADS, THREADS_ENV};
 
 /// Flags that take no value: present means `true`.
 const VALUELESS: &[&str] = &["json"];
@@ -112,14 +112,18 @@ impl Flags {
     }
 
     /// The `--threads` cap, if given. [`Flags::apply_threads`] also mirrors
-    /// it into the `SIXSCOPE_THREADS` environment variable. Zero is
-    /// rejected here rather than silently clamped downstream, so the flag's
-    /// semantics match the builder's.
+    /// it into the `SIXSCOPE_THREADS` environment variable. Zero and counts
+    /// above [`MAX_THREADS`] are rejected here rather than silently clamped
+    /// by `num_threads`, so the flag never means something other than what
+    /// it says.
     pub fn threads(&self) -> Result<Option<usize>, Error> {
         match self.parsed("threads")? {
             Some(0) => Err(Error::Usage(
                 "--threads must be at least 1 (0 workers cannot make progress)".into(),
             )),
+            Some(n) if n > MAX_THREADS => Err(Error::Usage(format!(
+                "--threads must be at most {MAX_THREADS}, got {n}"
+            ))),
             other => Ok(other),
         }
     }
@@ -193,6 +197,19 @@ mod tests {
         assert!(err.to_string().contains("--threads"), "{err}");
         let err = f.apply_threads().unwrap_err();
         assert_eq!(err.exit_code(), 2);
+    }
+
+    #[test]
+    fn threads_above_the_cap_are_a_usage_error() {
+        let max = MAX_THREADS.to_string();
+        let f = Flags::parse(&argv(&["--threads", &max]), &["threads"]).unwrap();
+        assert_eq!(f.threads().unwrap(), Some(MAX_THREADS));
+        for n in [(MAX_THREADS + 1).to_string(), "100000".to_string()] {
+            let f = Flags::parse(&argv(&["--threads", &n]), &["threads"]).unwrap();
+            let err = f.threads().unwrap_err();
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains("at most"), "{err}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::corpus::Analyzed;
 use crate::index::{ProfiledWindow, NO_ID};
 use sixscope_analysis::classify::{AddrSelection, TemporalClass};
 use sixscope_analysis::intersect::{TelescopeSet, UpSet};
-use sixscope_analysis::nist::{BitSequence, NistTest, Twiddles};
+use sixscope_analysis::nist::{BitSequence, NistOutcome, NistTest, SpectralCount, Twiddles};
 use sixscope_analysis::stats::bucket_counts;
 use sixscope_telescope::{ScanSession, SourceKey, TelescopeId};
 use sixscope_types::{map_indexed, nibble, num_threads, Ipv6Prefix, SimDuration, SimTime};
@@ -596,23 +596,32 @@ pub struct NistFigureCell {
     pub pass: u64,
     /// Sessions failing.
     pub fail: u64,
+    /// Sessions whose spectral bin count stayed undecided (neither pass
+    /// nor fail; always 0 for the other tests).
+    pub undecided: u64,
 }
 
 /// Fig. 17: NIST test outcomes for T1 sessions with ≥ 100 packets, testing
 /// the subnet bits (32 bits after the /32) and the IID separately.
 ///
-/// Each (session, address part) sequence is one job. The jobs run largest
-/// spectral transform first, handed out one at a time by
-/// [`map_indexed`]'s shared cursor, so the longest sessions' transforms
-/// start at once on different workers instead of queueing behind each
-/// other. Every job frees its FFT buffers when it ends; the workers share
-/// one [`Twiddles`] set, freed when the figure is done. Cell counts are
-/// sums over jobs, so they are identical at any thread count and in any
-/// job order.
+/// Every (session, address part) sequence is first assembled from the
+/// destination column, put through the four word-level tests, and
+/// transposed into its spectral columns (one job per sequence, longest
+/// first; the packed bits are freed when the job ends). The spectral test
+/// then runs as (sequence, class block) jobs ([`SpectralColumns`]), the
+/// largest class transforms first, handed out one at a time by
+/// [`map_indexed`]'s shared cursor, so both workers share the longest
+/// sequence instead of one worker carrying it. Each job allocates its
+/// class buffers and frees them when it ends; the workers share one
+/// [`Twiddles`] set, freed when the figure is done. Cell counts and the
+/// certified bin counts are sums over jobs, so they are identical at any
+/// thread count and in any job order.
+///
+/// [`SpectralColumns`]: sixscope_analysis::nist::SpectralColumns
 pub fn fig17(a: &Analyzed) -> Vec<NistFigureCell> {
     let (sessions, profiles) = a.t1_split_profiles();
     let dst = &a.index.telescope(TelescopeId::T1).dst;
-    let mut jobs: Vec<(usize, bool, TemporalClass)> = profiles
+    let mut seqs: Vec<(usize, bool, TemporalClass)> = profiles
         .iter()
         .flat_map(|p| {
             p.session_indices
@@ -621,15 +630,20 @@ pub fn fig17(a: &Analyzed) -> Vec<NistFigureCell> {
                 .flat_map(move |&idx| [(idx, true, p.temporal), (idx, false, p.temporal)])
         })
         .collect();
-    // The spectral test transforms the largest power-of-two prefix of the
-    // sequence: 64 bits per packet for the IID, 32 for the subnet.
-    jobs.sort_by_key(|&(idx, is_iid, _)| {
-        let bits = sessions[idx].packet_count() * if is_iid { 64 } else { 32 };
-        std::cmp::Reverse(bits.ilog2())
-    });
+    // 64 bits per packet for the IID, 32 for the subnet.
+    let bits = |&(idx, is_iid, _): &(usize, bool, TemporalClass)| {
+        sessions[idx].packet_count() * if is_iid { 64 } else { 32 }
+    };
+    seqs.sort_by_key(|seq| std::cmp::Reverse(bits(seq)));
+    let threads = num_threads(None);
     let twiddles = Twiddles::new();
-    let outcomes = map_indexed(num_threads(None), &jobs, |_, &(idx, is_iid, _)| {
-        // Assemble the bit sequence from the destination column.
+    let word_tests = [
+        NistTest::Frequency,
+        NistTest::Runs,
+        NistTest::CusumForward,
+        NistTest::CusumBackward,
+    ];
+    let prepared = map_indexed(threads, &seqs, |_, &(idx, is_iid, _)| {
         let mut seq = BitSequence::new();
         for &pi in &sessions[idx].packet_indices {
             let bits = dst[pi as usize];
@@ -640,28 +654,59 @@ pub fn fig17(a: &Analyzed) -> Vec<NistFigureCell> {
                 seq.push_bits((bits >> 64) & 0xffff_ffff, 32);
             }
         }
-        seq.run_all_with(&twiddles)
+        let outcomes = word_tests.map(|test| seq.run_with(test, &twiddles));
+        (outcomes, seq.spectral_columns())
     });
-    let mut cells: BTreeMap<(NistTest, bool, TemporalClass), (u64, u64)> = BTreeMap::new();
-    for (&(_, is_iid, temporal), job) in jobs.iter().zip(outcomes) {
-        for outcome in job {
+    let mut jobs: Vec<(usize, std::ops::Range<usize>)> = prepared
+        .iter()
+        .enumerate()
+        .filter_map(|(i, (_, cols))| Some((i, cols.as_ref()?)))
+        .flat_map(|(i, cols)| cols.class_blocks().map(move |block| (i, block)))
+        .collect();
+    // Largest class transforms first: points times log2 of the class size.
+    jobs.sort_by_key(|(i, block)| {
+        let cols = prepared[*i].1.as_ref().expect("jobs have columns");
+        let m = cols.class_size();
+        std::cmp::Reverse(block.len() * m * m.ilog2() as usize)
+    });
+    let counts = map_indexed(threads, &jobs, |_, (i, block)| {
+        let cols = prepared[*i].1.as_ref().expect("jobs have columns");
+        cols.count(block.clone(), &twiddles)
+    });
+    let mut spectral = vec![SpectralCount::default(); seqs.len()];
+    for ((i, _), count) in jobs.iter().zip(counts) {
+        spectral[*i] += count;
+    }
+    let mut cells: BTreeMap<(NistTest, bool, TemporalClass), [u64; 3]> = BTreeMap::new();
+    for ((&(_, is_iid, temporal), (outcomes, cols)), count) in
+        seqs.iter().zip(&prepared).zip(spectral)
+    {
+        let fft = NistOutcome {
+            test: NistTest::Fft,
+            p_value: cols.as_ref().map_or(0.0, |cols| cols.p_value(count)),
+        };
+        for outcome in outcomes.iter().chain([&fft]) {
             let cell = cells.entry((outcome.test, is_iid, temporal)).or_default();
-            if outcome.passes() {
-                cell.0 += 1;
+            // [pass, fail, undecided]
+            cell[if !outcome.decided() {
+                2
+            } else if outcome.passes() {
+                0
             } else {
-                cell.1 += 1;
-            }
+                1
+            }] += 1;
         }
     }
     cells
         .into_iter()
         .map(
-            |((test, iid_part, temporal), (pass, fail))| NistFigureCell {
+            |((test, iid_part, temporal), [pass, fail, undecided])| NistFigureCell {
                 test,
                 iid_part,
                 temporal,
                 pass,
                 fail,
+                undecided,
             },
         )
         .collect()

@@ -142,8 +142,9 @@ impl Pipeline {
     }
 
     /// Worker thread cap. Defaults to the `SIXSCOPE_THREADS` environment
-    /// variable, then to the machine's parallelism; output bytes never
-    /// depend on it.
+    /// variable, then to the machine's parallelism; every source is clamped
+    /// to `1..=`[`MAX_THREADS`](sixscope_types::MAX_THREADS). Output bytes
+    /// never depend on it.
     pub fn threads(mut self, threads: usize) -> Pipeline {
         self.threads = Some(threads);
         self

@@ -117,6 +117,21 @@ fn non_positive_or_non_finite_scale_exits_2() {
     }
 }
 
+/// A worker count above the cap is a usage error, reported before any
+/// work (and before any worker thread) starts.
+#[test]
+fn threads_above_the_cap_exit_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sixscope"))
+        .args(["run", "--scale", "0.002", "--threads", "100000"])
+        .output()
+        .expect("spawn sixscope run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--threads must be at most"), "{stderr}");
+    assert!(!stderr.contains("running experiment"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a rejected run printed a report");
+}
+
 /// A baseline too long for the u64 clock is a usage error instead of an
 /// overflow panic (debug) or a wrapped plan (release).
 #[test]

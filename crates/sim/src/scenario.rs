@@ -78,7 +78,9 @@ pub struct ScenarioConfig {
     /// Worker threads for generation and delivery. `None` defers to the
     /// `SIXSCOPE_THREADS` environment variable, then to
     /// [`std::thread::available_parallelism`]; `Some(1)` forces the serial
-    /// path. Output is byte-identical at any setting.
+    /// path, and any count is clamped to
+    /// [`MAX_THREADS`](sixscope_types::MAX_THREADS). Output is
+    /// byte-identical at any setting.
     pub threads: Option<usize>,
 }
 

@@ -30,7 +30,7 @@ pub use addr::{iid, nibble, set_nibble, subnet_bits};
 pub use asn::{AsInfo, Asn, CountryCode, NetworkType};
 pub use error::TypeError;
 pub use intern::{FxBuildHasher, FxHasher, InternTable};
-pub use parallel::{chunk_ranges, map_indexed, num_threads, THREADS_ENV};
+pub use parallel::{chunk_ranges, map_indexed, num_threads, MAX_THREADS, THREADS_ENV};
 pub use prefix::Ipv6Prefix;
 pub use rng::{SplitMix64, Xoshiro256pp};
 pub use time::{SimDuration, SimTime};

@@ -13,25 +13,27 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "SIXSCOPE_THREADS";
 
+/// Largest worker-thread count [`num_threads`] returns. Work is split by
+/// the thread count (`chunk_ranges(sessions, threads)` in the index build,
+/// `chunk_ranges(probes, threads)` in the simulator) and [`map_indexed`]
+/// starts one OS thread per worker, so an unbounded count would start one
+/// thread per session or probe shard.
+pub const MAX_THREADS: usize = 256;
+
 /// Resolves the worker-thread count.
 ///
 /// Priority: an explicit `requested` value, then the `SIXSCOPE_THREADS`
-/// environment variable, then [`std::thread::available_parallelism`].
-/// The result is always at least 1; 1 means "run serially".
+/// environment variable (ignored unless it parses as a count of at least
+/// 1), then [`std::thread::available_parallelism`]. Whichever source wins,
+/// the result is clamped to `1..=`[`MAX_THREADS`]; 1 means "run serially".
 pub fn num_threads(requested: Option<usize>) -> usize {
-    if let Some(n) = requested {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    requested
+        .or_else(|| {
+            let n: usize = std::env::var(THREADS_ENV).ok()?.trim().parse().ok()?;
+            (n >= 1).then_some(n)
+        })
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .clamp(1, MAX_THREADS)
 }
 
 /// Order-preserving parallel map: returns `f(0, &items[0]), f(1, &items[1]),
@@ -115,6 +117,17 @@ mod tests {
     fn num_threads_explicit_wins() {
         assert_eq!(num_threads(Some(3)), 3);
         assert_eq!(num_threads(Some(0)), 1, "zero clamps to serial");
+    }
+
+    #[test]
+    fn num_threads_is_capped() {
+        // Resolving a count starts no thread, so huge requests are safe to
+        // ask for here.
+        assert_eq!(num_threads(Some(MAX_THREADS)), MAX_THREADS);
+        assert_eq!(num_threads(Some(MAX_THREADS + 1)), MAX_THREADS);
+        assert_eq!(num_threads(Some(100_000)), MAX_THREADS);
+        assert_eq!(num_threads(Some(usize::MAX)), MAX_THREADS);
+        assert!((1..=MAX_THREADS).contains(&num_threads(None)));
     }
 
     #[test]
