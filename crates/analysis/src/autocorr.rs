@@ -143,94 +143,11 @@ impl PeriodDetector {
     }
 }
 
-/// The pre-FFT detector retained verbatim: same fast path, but the general
-/// path re-evaluates the ACF as O(n) scans per candidate lag. Ground truth
-/// for the property tests and the `kernels` criterion group.
-pub mod reference {
-    use super::{Period, PeriodDetector};
-    use sixscope_types::{SimDuration, SimTime};
-
-    /// Detects a stable period in session start times, or `None`.
-    pub fn detect(det: &PeriodDetector, starts: &[SimTime]) -> Option<Period> {
-        if starts.len() < det.min_sessions {
-            return None;
-        }
-        let mut times: Vec<u64> = starts.iter().map(|t| t.as_secs()).collect();
-        times.sort_unstable();
-        let t0 = times[0];
-        let span = times[times.len() - 1] - t0;
-        if span == 0 {
-            return None;
-        }
-        let gaps: Vec<f64> = times.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
-        let mut sorted_gaps = gaps.clone();
-        sorted_gaps.sort_by(|a, b| a.partial_cmp(b).expect("gaps are finite"));
-        let median = sorted_gaps[sorted_gaps.len() / 2];
-        if median > 0.0 && gaps.len() >= 2 {
-            let consistent = gaps
-                .iter()
-                .filter(|&&g| {
-                    let k = (g / median).round().max(1.0);
-                    (g - k * median).abs() <= 0.2 * median
-                })
-                .count();
-            let share = consistent as f64 / gaps.len() as f64;
-            if share >= 0.7 {
-                return Some(Period {
-                    period: SimDuration::secs(median.round() as u64),
-                    score: share,
-                });
-            }
-        }
-        // General path: binary activity series + autocorrelation.
-        let bucket = det.bucket.as_secs().max(1);
-        let n_buckets = (span / bucket + 1) as usize;
-        if n_buckets < 8 {
-            return None;
-        }
-        let mut series = vec![0.0f64; n_buckets];
-        for t in &times {
-            series[((t - t0) / bucket) as usize] = 1.0;
-        }
-        let mean = series.iter().sum::<f64>() / n_buckets as f64;
-        for v in &mut series {
-            *v -= mean;
-        }
-        let denom: f64 = series.iter().map(|v| v * v).sum();
-        if denom == 0.0 {
-            return None;
-        }
-        let max_lag = n_buckets / 2;
-        let acf = |lag: usize| -> f64 {
-            let num: f64 = (0..n_buckets - lag)
-                .map(|i| series[i] * series[i + lag])
-                .sum();
-            num / denom
-        };
-        // Find the best local-max lag.
-        let mut best: Option<(usize, f64)> = None;
-        for lag in 2..max_lag {
-            let c = acf(lag);
-            if c >= det.min_score
-                && c > acf(lag - 1)
-                && c >= acf(lag + 1)
-                && best.is_none_or(|(_, bc)| c > bc)
-            {
-                best = Some((lag, c));
-            }
-        }
-        let (lag, score) = best?;
-        // Validate: the doubled lag must also correlate (a repeating
-        // pattern, not a one-off coincidence).
-        if 2 * lag < max_lag && acf(2 * lag) < det.min_score * 0.5 {
-            return None;
-        }
-        Some(Period {
-            period: SimDuration::secs(lag as u64 * bucket),
-            score,
-        })
-    }
-}
+/// The O(n·lag) ACF scan, shared with `tests/prop.rs` and the `kernels`
+/// bench.
+#[cfg(test)]
+#[path = "../tests/autocorr_oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -303,6 +220,35 @@ mod tests {
         let starts: Vec<SimTime> = (0..30).map(|i| SimTime::from_secs(i * 3600)).collect();
         let p = det.detect(&starts).expect("period");
         assert_eq!(p.period, SimDuration::hours(1));
+    }
+
+    #[test]
+    fn decisions_match_the_scan_oracle() {
+        // Alternating 4 h / 7 h gaps defeat the inter-arrival fast path,
+        // so that train is decided by the ACF; the others take the fast
+        // path or an early exit.
+        let alternating: Vec<SimTime> = (0..40).flat_map(|i| [t(i * 11), t(i * 11 + 4)]).collect();
+        let det = PeriodDetector::default();
+        assert_eq!(
+            det.detect(&alternating).map(|p| p.period),
+            Some(SimDuration::hours(11))
+        );
+        let trains: [Vec<SimTime>; 5] = [
+            alternating,
+            (0..20).map(|d| t(d * 24)).collect(),
+            [0u64, 3, 50, 51, 200, 310, 311, 700, 1100, 1111]
+                .map(t)
+                .to_vec(),
+            vec![t(0), t(24)],
+            vec![t(5); 10],
+        ];
+        for starts in &trains {
+            assert_eq!(
+                det.detect(starts).map(|p| p.period),
+                oracle::detect(&det, starts).map(|p| p.period),
+                "{starts:?}"
+            );
+        }
     }
 
     #[test]

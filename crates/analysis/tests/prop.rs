@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sixscope_analysis::addrtype::{classify, AddressType};
-use sixscope_analysis::autocorr::{self, PeriodDetector};
+use sixscope_analysis::autocorr::{Period, PeriodDetector};
 use sixscope_analysis::classify::{
     profile_scanners, ScannerProfile, ScannerProfiler, TemporalClass,
 };
@@ -18,6 +18,7 @@ use sixscope_telescope::{AggLevel, ScanSession, SourceKey, TelescopeId};
 use sixscope_types::SimTime;
 use std::net::Ipv6Addr;
 
+mod autocorr_oracle;
 mod nist_oracle;
 
 proptest! {
@@ -102,7 +103,7 @@ proptest! {
             .collect();
         let det = PeriodDetector::default();
         let fast = det.detect(&starts);
-        let slow = autocorr::reference::detect(&det, &starts);
+        let slow = autocorr_oracle::detect(&det, &starts);
         prop_assert_eq!(fast.is_some(), slow.is_some());
         if let (Some(f), Some(s)) = (fast, slow) {
             prop_assert_eq!(f.period, s.period);

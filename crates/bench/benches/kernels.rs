@@ -8,7 +8,7 @@
 //! than timing the wrong kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sixscope_analysis::autocorr::{self, PeriodDetector};
+use sixscope_analysis::autocorr::{Period, PeriodDetector};
 use sixscope_analysis::dbscan::{dbscan, dbscan_indexed};
 use sixscope_analysis::nist::{BitSequence, NistTest, Twiddles};
 use sixscope_analysis::special::{erfc, normal_cdf};
@@ -18,6 +18,10 @@ use std::hint::black_box;
 /// The NIST `&[bool]` oracle the analysis crate's tests use.
 #[path = "../../analysis/tests/nist_oracle/mod.rs"]
 mod nist_oracle;
+
+/// The O(n·lag) period-detector oracle the analysis crate's tests use.
+#[path = "../../analysis/tests/autocorr_oracle/mod.rs"]
+mod autocorr_oracle;
 
 /// A random bit sequence about as long as a large Fig. 17 IID train.
 fn random_bits(n: usize, seed: u64) -> BitSequence {
@@ -85,7 +89,7 @@ fn bench_autocorr(c: &mut Criterion) {
     let det = PeriodDetector::default();
     let starts = periodic_starts(140);
     let fast = det.detect(&starts);
-    let slow = autocorr::reference::detect(&det, &starts);
+    let slow = autocorr_oracle::detect(&det, &starts);
     assert_eq!(
         fast.as_ref().map(|p| p.period),
         slow.as_ref().map(|p| p.period)
@@ -95,7 +99,7 @@ fn bench_autocorr(c: &mut Criterion) {
         b.iter(|| black_box(det.detect(&starts)))
     });
     c.bench_function("kernels_autocorr_reference", |b| {
-        b.iter(|| black_box(autocorr::reference::detect(&det, &starts)))
+        b.iter(|| black_box(autocorr_oracle::detect(&det, &starts)))
     });
 }
 

@@ -1,6 +1,5 @@
-//! Simulation-half benchmarks: batched columnar probe generation vs the
-//! retained per-probe reference path, and the fused generate+deliver
-//! scenario run vs the staged one. The `simulate` group backs the CI
+//! Simulation-half benchmarks: batched columnar probe generation and the
+//! fused generate+deliver scenario run. The `simulate` group backs the CI
 //! bench-smoke gate for the hot half of `repro`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -43,36 +42,24 @@ fn gen_fixture() -> (
 
 fn bench_probe_generation(c: &mut Criterion) {
     let (scanners, streams, ctx) = gen_fixture();
-    // Probe count for throughput: one reference pass.
-    let total: u64 = scanners
-        .iter()
-        .zip(&streams)
-        .map(|(spec, stream)| spec.generate(&ctx, &mut stream.clone()).len() as u64)
-        .sum();
+    let mut scratch = GenScratch::new();
+    let mut batch = ProbeBatch::new();
+    let mut generate_all = || {
+        let mut n = 0usize;
+        for (spec, stream) in scanners.iter().zip(&streams) {
+            spec.generate_into(&ctx, &mut stream.clone(), &mut scratch, &mut batch);
+            batch.sort_by_ts();
+            n += batch.len();
+        }
+        n
+    };
+    // Probe count for throughput: one untimed pass.
+    let total = generate_all() as u64;
     let mut group = c.benchmark_group("simulate");
     group.sample_size(10);
     group.throughput(Throughput::Elements(total));
     group.bench_function("probe_gen_batched", |b| {
-        let mut scratch = GenScratch::new();
-        let mut batch = ProbeBatch::new();
-        b.iter(|| {
-            let mut n = 0usize;
-            for (spec, stream) in scanners.iter().zip(&streams) {
-                spec.generate_into(&ctx, &mut stream.clone(), &mut scratch, &mut batch);
-                batch.sort_by_ts();
-                n += batch.len();
-            }
-            black_box(n)
-        })
-    });
-    group.bench_function("probe_gen_reference", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for (spec, stream) in scanners.iter().zip(&streams) {
-                n += spec.generate(&ctx, &mut stream.clone()).len();
-            }
-            black_box(n)
-        })
+        b.iter(|| black_box(generate_all()))
     });
     group.finish();
 }
@@ -83,13 +70,6 @@ fn bench_scenario_runs(c: &mut Criterion) {
     group.bench_function("fused_run", |b| {
         b.iter(|| {
             let (result, _) = Scenario::new(ScenarioConfig::new(SEED, BENCH_SCALE)).run_timed();
-            black_box(result.total_packets())
-        })
-    });
-    group.bench_function("staged_run", |b| {
-        b.iter(|| {
-            let (result, _) =
-                Scenario::new(ScenarioConfig::new(SEED, BENCH_SCALE)).run_reference_timed();
             black_box(result.total_packets())
         })
     });

@@ -10,8 +10,7 @@
 //! * [`topology`] — a simulated AS graph with per-link delays and a route
 //!   collector (the "RIPEstat / looking glass" view of §3.2),
 //! * [`events`] — the timestamped announce/withdraw feed that BGP-reactive
-//!   scanners consume,
-//! * [`irr`] — route6 objects with creation times.
+//!   scanners consume.
 //!
 //! This is the paper's control-plane substrate: telescope T1 originates and
 //! withdraws prefixes through a [`speaker::Speaker`], updates propagate hop
@@ -23,7 +22,6 @@ pub mod attrs;
 pub mod error;
 pub mod events;
 pub mod fsm;
-pub mod irr;
 pub mod message;
 pub mod nlri;
 pub mod rib;

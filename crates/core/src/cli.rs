@@ -5,8 +5,9 @@
 //! is positional. Every subcommand parses through [`Flags::parse`] with an
 //! explicit allow-list, so unknown flags fail the same way everywhere
 //! (`unknown flag --x (expected one of: …)`), missing values fail the same
-//! way everywhere (`flag --x needs a value`), and `--threads N` is
-//! accepted uniformly.
+//! way everywhere (`flag --x needs a value`), a flag given twice fails
+//! rather than one value silently winning, and `--threads N` is accepted
+//! uniformly.
 
 use crate::json::Json;
 use crate::Error;
@@ -49,8 +50,8 @@ pub struct Flags {
 
 impl Flags {
     /// Parses `args` against an allow-list of flag names (without the
-    /// leading `--`). Unknown flags and flags missing their value are
-    /// [`Error::Usage`].
+    /// leading `--`). Unknown flags, flags missing their value and flags
+    /// given more than once are [`Error::Usage`].
     pub fn parse(args: &[String], allowed: &[&str]) -> Result<Flags, Error> {
         let mut pairs = Vec::new();
         let mut positional = Vec::new();
@@ -66,6 +67,9 @@ impl Flags {
                             .collect::<Vec<_>>()
                             .join(", ")
                     )));
+                }
+                if pairs.iter().any(|(n, _)| n == name) {
+                    return Err(Error::Usage(format!("flag --{name} given more than once")));
                 }
                 if VALUELESS.contains(&name) {
                     pairs.push((name.to_string(), "true".to_string()));
@@ -187,6 +191,24 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("--bogus"), "{msg}");
         assert!(msg.contains("--seed"), "{msg}");
+    }
+
+    #[test]
+    fn repeated_flags_are_usage_errors() {
+        for args in [
+            &["--threads", "2", "--threads", "0"][..],
+            &["--scale", "0.01", "x", "--scale", "inf"],
+            &["--json", "--json"],
+        ] {
+            let err = Flags::parse(&argv(args), &["threads", "scale", "json"]).unwrap_err();
+            assert_eq!(err.exit_code(), 2);
+            let flag = args[0];
+            assert!(
+                err.to_string()
+                    .contains(&format!("{flag} given more than once")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

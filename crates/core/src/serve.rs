@@ -17,7 +17,8 @@
 //!   previous checkpoint for every source that opened no new session, so
 //!   its cost follows the sessions, not the whole capture.
 //! * **Shutdown** — SIGTERM/SIGINT set a flag; the loop notices, flushes
-//!   a final checkpoint, and exits cleanly (exit code 0).
+//!   a final checkpoint, and exits cleanly (exit code 0). The previous
+//!   handlers are restored when [`serve`] returns.
 //!
 //! The final checkpoint over a finished pcap is byte-identical to batch
 //! `sixscope analyze` over the same file: the daemon's incremental state
@@ -105,12 +106,14 @@ static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 #[cfg(unix)]
 mod signal_sys {
     //! Minimal libc-free signal binding, same pattern as the packet
-    //! crate's `mmap_sys`: declare the symbols we need directly.
+    //! crate's `mmap_sys`: declare the symbols we need directly. Handlers
+    //! pass as raw values so `SIG_DFL` (0) and `SIG_IGN` (1) round-trip.
     pub const SIGINT: i32 = 2;
     pub const SIGTERM: i32 = 15;
-    pub type Handler = extern "C" fn(i32);
+    /// `signal`'s error return.
+    pub const SIG_ERR: usize = usize::MAX;
     extern "C" {
-        pub fn signal(signum: i32, handler: Handler) -> usize;
+        pub fn signal(signum: i32, handler: usize) -> usize;
     }
 }
 
@@ -119,13 +122,40 @@ extern "C" fn on_signal(_sig: i32) {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-fn install_signal_handlers() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
+/// Routes SIGINT and SIGTERM to the shutdown flag while it lives, and puts
+/// the previous dispositions back when dropped, so a library caller's
+/// Ctrl-C works again once [`serve`] returns (on error paths too).
+struct SignalGuard {
     #[cfg(unix)]
-    // SAFETY: `on_signal` only touches an atomic, which is async-signal-safe.
-    unsafe {
-        signal_sys::signal(signal_sys::SIGINT, on_signal);
-        signal_sys::signal(signal_sys::SIGTERM, on_signal);
+    previous: [(i32, usize); 2],
+}
+
+impl SignalGuard {
+    fn install() -> SignalGuard {
+        SHUTDOWN.store(false, Ordering::SeqCst);
+        #[cfg(unix)]
+        let previous = [signal_sys::SIGINT, signal_sys::SIGTERM].map(|sig| {
+            let handler = on_signal as extern "C" fn(i32) as usize;
+            // SAFETY: `on_signal` only touches an atomic, which is
+            // async-signal-safe.
+            (sig, unsafe { signal_sys::signal(sig, handler) })
+        });
+        SignalGuard {
+            #[cfg(unix)]
+            previous,
+        }
+    }
+}
+
+impl Drop for SignalGuard {
+    fn drop(&mut self) {
+        #[cfg(unix)]
+        for &(sig, handler) in &self.previous {
+            if handler != signal_sys::SIG_ERR {
+                // SAFETY: restores a disposition `signal` itself returned.
+                unsafe { signal_sys::signal(sig, handler) };
+            }
+        }
     }
 }
 
@@ -458,7 +488,7 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
             "--snapshot-every must be at least 1 record".into(),
         ));
     }
-    install_signal_handlers();
+    let _signals = SignalGuard::install();
     let mut status = StatusSink::new(opts.status_fd);
     let settings = StreamSettings {
         chunk_records: opts.chunk_records,

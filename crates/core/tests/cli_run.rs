@@ -132,6 +132,21 @@ fn threads_above_the_cap_exit_2() {
     assert!(out.stdout.is_empty(), "a rejected run printed a report");
 }
 
+/// A flag given twice is a usage error naming the flag, reported before
+/// the run starts, rather than the first value silently winning.
+#[test]
+fn repeated_flag_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sixscope"))
+        .args(["run", "--scale", "0.01", "--scale", "0.02"])
+        .output()
+        .expect("spawn sixscope run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--scale given more than once"), "{stderr}");
+    assert!(!stderr.contains("running experiment"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a rejected run printed a report");
+}
+
 /// A baseline too long for the u64 clock is a usage error instead of an
 /// overflow panic (debug) or a wrapped plan (release).
 #[test]

@@ -106,7 +106,8 @@ impl ProbeBatch {
         &self.arena[start..self.payload_end[row] as usize]
     }
 
-    /// Materializes `row` as an owned [`Probe`] (reference/test path).
+    /// Materializes `row` as an owned [`Probe`] (for
+    /// [`crate::ScannerSpec::generate`]).
     pub fn probe(&self, row: usize) -> Probe {
         Probe {
             ts: self.ts(row),
@@ -117,8 +118,8 @@ impl ProbeBatch {
         }
     }
 
-    /// Computes the time-sorted row order (stable, matching the reference
-    /// path's `sort_by_key` over emission order). Ties break by row index,
+    /// Computes the time-sorted row order (stable: the order a
+    /// `sort_by_key` over emission order gives). Ties break by row index,
     /// which makes an unstable sort's result identical to a stable sort —
     /// without the stable sort's temp-buffer allocation. When timestamp
     /// and row index pack into one u64 (always, unless a run simulates

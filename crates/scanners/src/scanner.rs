@@ -144,8 +144,8 @@ pub struct Probe {
 }
 
 impl Probe {
-    /// Encodes the probe into `buf`, clearing it first. The delivery loop
-    /// reuses one scratch buffer per shard instead of allocating per probe.
+    /// Encodes the probe into `buf`, clearing it first, so a caller can
+    /// reuse one scratch buffer instead of allocating per probe.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
         let builder = PacketBuilder::new(self.src, self.dst);
@@ -196,34 +196,27 @@ pub struct ScannerSpec {
 impl ScannerSpec {
     /// Generates every probe this scanner sends during the experiment.
     ///
-    /// Probes are returned sorted by time. Determinism: the caller passes a
-    /// per-scanner RNG stream (usually `master.split(&format!("scanner-{id}"))`).
+    /// Probes are returned sorted by time (stable: equal times keep
+    /// emission order). Determinism: the caller passes a per-scanner RNG
+    /// stream (usually `master.split(&format!("scanner-{id}"))`). This
+    /// collects [`ScannerSpec::generate_into`]'s batch; the simulator uses
+    /// the batch directly.
     pub fn generate(&self, ctx: &dyn ScanContext, rng: &mut Xoshiro256pp) -> Vec<Probe> {
-        let mut starts = self.temporal.session_starts(rng);
-        if let Some(reactive) = &self.reactive {
-            for (ts, _prefix) in ctx.announce_events() {
-                if rng.bool(reactive.probability) {
-                    starts.push(*ts + reactive.delay);
-                }
-            }
-        }
-        starts.retain(|t| *t < ctx.horizon());
-        starts.sort_unstable();
-        let mut probes = Vec::new();
-        let mut probe_counter: u64 = 0;
-        for &start in &starts {
-            self.emit_session(ctx, rng, start, &mut probe_counter, &mut probes);
-        }
-        probes.sort_by_key(|p| p.ts);
-        probes
+        let mut batch = ProbeBatch::new();
+        self.generate_into(ctx, rng, &mut GenScratch::new(), &mut batch);
+        batch.sort_by_ts();
+        batch
+            .sorted()
+            .iter()
+            .map(|&row| batch.probe(row as usize))
+            .collect()
     }
 
-    /// Batched variant of [`ScannerSpec::generate`]: emits the same probe
-    /// stream (same RNG draws, same values) into a columnar [`ProbeBatch`],
+    /// Emits every probe this scanner sends into a columnar [`ProbeBatch`],
     /// reusing `scratch` buffers so a warmed-up shard allocates nothing.
     ///
     /// The batch is left in emission order; call [`ProbeBatch::sort_by_ts`]
-    /// for the time order [`ScannerSpec::generate`] returns.
+    /// for time order.
     pub fn generate_into(
         &self,
         ctx: &dyn ScanContext,
@@ -252,89 +245,10 @@ impl ScannerSpec {
         scratch.starts = starts;
     }
 
-    fn emit_session(
-        &self,
-        ctx: &dyn ScanContext,
-        rng: &mut Xoshiro256pp,
-        start: SimTime,
-        probe_counter: &mut u64,
-        out: &mut Vec<Probe>,
-    ) {
-        // Resolve this session's targets.
-        let mut targets: Vec<Ipv6Addr> = Vec::new();
-        match &self.network {
-            NetworkStrategy::FixedTargets(addrs) => {
-                for _ in 0..self.packets_per_prefix.max(1) {
-                    targets.extend_from_slice(addrs);
-                }
-            }
-            strategy => {
-                let announced = ctx.announced_at(start);
-                let hitlist = ctx.hitlist(start);
-                for prefix in strategy.select(announced, rng) {
-                    targets.extend(self.address.generate(
-                        prefix,
-                        self.packets_per_prefix,
-                        rng,
-                        hitlist,
-                    ));
-                }
-            }
-        }
-        if targets.is_empty() {
-            return;
-        }
-        // Dynamic-TGA feedback: concentrate on the /48s of responders.
-        if let Some(followups) = self.tga_followups {
-            let mut regions: Vec<Ipv6Prefix> = targets
-                .iter()
-                .filter(|&&t| ctx.responds(t))
-                .map(|&t| Ipv6Prefix::new(t, 48).expect("48 is valid"))
-                .collect();
-            regions.sort();
-            regions.dedup();
-            for region in regions.iter().take(8) {
-                // Refinement probes use dense low-byte exploration of the
-                // responsive region regardless of the seeding strategy.
-                targets.extend(AddressStrategy::LowByte { max: followups }.generate(
-                    *region,
-                    followups,
-                    rng,
-                    &[],
-                ));
-            }
-        }
-        // Emit probes spaced at the scanner's rate. Gaps are capped well
-        // below the 1 h session timeout so one emission stays one session.
-        let mean_gap = (1.0 / self.pps.max(1e-6)).min(1800.0);
-        let mut t = start;
-        let session_src = self.current_src(rng);
-        for dst in targets {
-            let src = match &self.source {
-                SourceModel::RotatingIid {
-                    per_probe: true, ..
-                } => self.current_src(rng),
-                _ => session_src,
-            };
-            let n = *probe_counter;
-            *probe_counter += 1;
-            let payload = self.tool.payload.bytes(n, rng);
-            let kind = self.make_kind(n, rng);
-            out.push(Probe {
-                ts: t,
-                src,
-                dst,
-                kind,
-                payload,
-            });
-            let gap = rng.exponential(1.0 / mean_gap.max(1e-9)).min(3000.0);
-            t += SimDuration::secs(gap.max(0.0) as u64);
-        }
-    }
-
-    /// Scratch-backed twin of [`ScannerSpec::emit_session`]: the same RNG
-    /// draws in the same order, with every intermediate vector recycled and
-    /// payload bytes written straight into the batch arena.
+    /// Emits one session's probes: targets, then TGA follow-ups, then one
+    /// probe per target (source, payload, kind, gap — in that RNG draw
+    /// order), with every intermediate vector recycled and payload bytes
+    /// written straight into the batch arena.
     fn emit_session_into(
         &self,
         ctx: &dyn ScanContext,
@@ -435,28 +349,11 @@ impl ScannerSpec {
         }
     }
 
-    fn make_kind(&self, n: u64, rng: &mut Xoshiro256pp) -> ProbeKind {
-        let ephemeral = 32_768 + (rng.next_u32() % 28_000) as u16;
-        let template = self.tool.mix.draw(rng);
-        self.kind_from_template(n, ephemeral, template, rng)
-    }
-
-    /// [`ScannerSpec::make_kind`] with the protocol-mix weight column
-    /// precomputed once per burst.
+    /// The transport of probe `n`: an ephemeral port draw, then the
+    /// protocol-mix draw (weight column precomputed once per burst).
     fn make_kind_with(&self, n: u64, rng: &mut Xoshiro256pp, mix_weights: &[f64]) -> ProbeKind {
         let ephemeral = 32_768 + (rng.next_u32() % 28_000) as u16;
-        let template = self.tool.mix.draw_with(mix_weights, rng);
-        self.kind_from_template(n, ephemeral, template, rng)
-    }
-
-    fn kind_from_template(
-        &self,
-        n: u64,
-        ephemeral: u16,
-        template: ProbeKindTemplate,
-        rng: &mut Xoshiro256pp,
-    ) -> ProbeKind {
-        match template {
+        match self.tool.mix.draw_with(mix_weights, rng) {
             ProbeKindTemplate::Icmp => ProbeKind::Icmp {
                 ident: (self.id & 0xffff) as u16,
                 seq: (n & 0xffff) as u16,
@@ -511,6 +408,11 @@ impl ScanContext for StaticContext {
         self.end
     }
 }
+
+/// The per-probe generator, shared with `tests/prop.rs`.
+#[cfg(test)]
+#[path = "../tests/probe_oracle/mod.rs"]
+mod probe_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -626,14 +528,11 @@ mod tests {
             jitter: SimDuration::hours(1),
             until: SimTime::EPOCH + SimDuration::weeks(40),
         };
-        let reference = spec.generate(&context, &mut rng());
-        let mut batch = ProbeBatch::new();
-        let mut scratch = GenScratch::new();
-        spec.generate_into(&context, &mut rng(), &mut scratch, &mut batch);
-        batch.sort_by_ts();
-        assert_eq!(batch.len(), reference.len());
-        for (pos, &row) in batch.sorted().iter().enumerate() {
-            assert_eq!(batch.probe(row as usize), reference[pos], "row {pos}");
+        let reference = probe_oracle::generate(&spec, &context, &mut rng());
+        let batched = spec.generate(&context, &mut rng());
+        assert_eq!(batched.len(), reference.len());
+        for (pos, (got, want)) in batched.iter().zip(&reference).enumerate() {
+            assert_eq!(got, want, "row {pos}");
         }
     }
 

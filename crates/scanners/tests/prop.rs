@@ -1,15 +1,19 @@
 //! Property tests for the scanner models: targets stay inside their scope,
 //! probes always encode to parseable wire bytes, schedules respect bounds,
-//! and generation is deterministic per seed.
+//! generation is deterministic per seed, and the batched generator equals
+//! the per-probe oracle.
 
 use proptest::prelude::*;
 use sixscope_packet::ParsedView;
-use sixscope_scanners::scanner::StaticContext;
+use sixscope_scanners::scanner::{Reactivity, StaticContext};
+use sixscope_scanners::tools::ProbeKindTemplate;
 use sixscope_scanners::{
-    AddressStrategy, GenScratch, NetworkStrategy, ProbeBatch, ScannerSpec, SourceModel,
+    AddressStrategy, NetworkStrategy, Probe, ProbeKind, ScanContext, ScannerSpec, SourceModel,
     TemporalModel, ToolProfile,
 };
 use sixscope_types::{Asn, Ipv6Prefix, SimDuration, SimTime, Xoshiro256pp};
+
+mod probe_oracle;
 
 fn arb_strategy() -> impl Strategy<Value = AddressStrategy> {
     prop_oneof![
@@ -24,6 +28,71 @@ fn arb_strategy() -> impl Strategy<Value = AddressStrategy> {
         Just(AddressStrategy::RandomFull),
         (1u8..24).prop_map(|stride_bits| AddressStrategy::SortedTraversal { stride_bits }),
         (33u8..64).prop_map(|sub_len| AddressStrategy::SequentialSubnets { sub_len }),
+    ]
+}
+
+fn arb_network() -> impl Strategy<Value = NetworkStrategy> {
+    prop_oneof![
+        Just(NetworkStrategy::SinglePrefix),
+        any::<u64>().prop_map(|salt| NetworkStrategy::PinnedPrefix { salt }),
+        Just(NetworkStrategy::AllAnnounced),
+        (1u32..4).prop_map(|draws| NetworkStrategy::SizeProportional { draws }),
+        Just(NetworkStrategy::Alternating),
+        Just(NetworkStrategy::FixedTargets(vec![
+            "2001:db8:4200::1".parse().unwrap(),
+            "2001:db8::53".parse().unwrap(),
+        ])),
+        Just(NetworkStrategy::CoveringRandom(
+            "2001:db8::/32".parse().unwrap()
+        )),
+    ]
+}
+
+/// Fixed, rotating per probe, and rotating per session.
+fn arb_source() -> impl Strategy<Value = SourceModel> {
+    prop_oneof![
+        Just(SourceModel::Fixed("2a0a::1".parse().unwrap())),
+        any::<bool>().prop_map(|per_probe| SourceModel::RotatingIid {
+            subnet: "2a0a::/64".parse().unwrap(),
+            per_probe,
+        }),
+    ]
+}
+
+fn arb_temporal(until: SimTime) -> impl Strategy<Value = TemporalModel> {
+    prop_oneof![
+        (100u64..3_000_000).prop_map(|at| TemporalModel::OneOff {
+            at: SimTime::from_secs(at)
+        }),
+        (1u64..8, 0u64..60).prop_map(move |(days, jitter)| TemporalModel::Periodic {
+            start: SimTime::from_secs(100),
+            period: SimDuration::days(days),
+            jitter: SimDuration::mins(jitter),
+            until,
+        }),
+        (1u64..8, 2u32..8).prop_map(move |(days, max_sessions)| {
+            TemporalModel::Intermittent {
+                start: SimTime::from_secs(100),
+                until,
+                mean_gap: SimDuration::days(days),
+                max_sessions,
+            }
+        }),
+    ]
+}
+
+/// Tools whose payload and transport draws differ: counters, random bytes,
+/// empty and fixed payloads; ICMP, TCP port lists, UDP services and
+/// traceroute.
+fn arb_tool() -> impl Strategy<Value = ToolProfile> {
+    prop_oneof![
+        Just(ToolProfile::yarrp6()),
+        Just(ToolProfile::caida_ark()),
+        Just(ToolProfile::random_bytes()),
+        Just(ToolProfile::web_syn()),
+        Just(ToolProfile::traceroute()),
+        (0usize..4).prop_map(ToolProfile::udp_services),
+        Just(ToolProfile::dns_blaster()),
     ]
 }
 
@@ -84,12 +153,19 @@ proptest! {
         }
     }
 
-    /// The batched columnar generation path emits exactly the reference
-    /// per-probe stream for any address strategy and seed — including
+    /// The batched columnar generation path emits exactly the per-probe
+    /// oracle's stream for every taxonomy axis and seed — including
     /// reactive session triggers and announce events at split-cycle
     /// boundaries, which both perturb the RNG draw sequence.
     #[test]
-    fn batched_generation_equals_reference(seed in any::<u64>(), strategy in arb_strategy()) {
+    fn batched_generation_equals_reference(
+        seed in any::<u64>(),
+        address in arb_strategy(),
+        network in arb_network(),
+        source in arb_source(),
+        temporal in arb_temporal(SimTime::EPOCH + SimDuration::weeks(6)),
+        tool in arb_tool(),
+    ) {
         let split_a: Ipv6Prefix = "2001:db8::/33".parse().unwrap();
         let split_b: Ipv6Prefix = "2001:db8:8000::/33".parse().unwrap();
         let ctx = StaticContext {
@@ -105,36 +181,26 @@ proptest! {
         };
         let spec = ScannerSpec {
             id: 7,
-            source: SourceModel::RotatingIid {
-                subnet: "2a0a::/64".parse().unwrap(),
-                per_probe: true,
-            },
+            source,
             asn: Asn(64502),
-            temporal: TemporalModel::Periodic {
-                start: SimTime::from_secs(100),
-                period: SimDuration::days(5),
-                jitter: SimDuration::mins(30),
-                until: ctx.end,
-            },
-            network: NetworkStrategy::Alternating,
-            address: strategy,
-            tool: ToolProfile::yarrp6(),
+            temporal,
+            network,
+            address,
+            tool,
             packets_per_prefix: 8,
             pps: 2.0,
-            reactive: Some(sixscope_scanners::scanner::Reactivity {
+            reactive: Some(Reactivity {
                 delay: SimDuration::mins(5),
                 probability: 0.5,
             }),
             tga_followups: Some(4),
         };
-        let reference = spec.generate(&ctx, &mut Xoshiro256pp::seed_from_u64(seed));
-        let mut batch = ProbeBatch::new();
-        let mut scratch = GenScratch::new();
-        spec.generate_into(&ctx, &mut Xoshiro256pp::seed_from_u64(seed), &mut scratch, &mut batch);
-        batch.sort_by_ts();
-        prop_assert_eq!(batch.len(), reference.len());
-        for (pos, &row) in batch.sorted().iter().enumerate() {
-            prop_assert_eq!(&batch.probe(row as usize), &reference[pos], "position {}", pos);
+        let reference =
+            probe_oracle::generate(&spec, &ctx, &mut Xoshiro256pp::seed_from_u64(seed));
+        let batched = spec.generate(&ctx, &mut Xoshiro256pp::seed_from_u64(seed));
+        prop_assert_eq!(batched.len(), reference.len());
+        for (pos, (got, want)) in batched.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(got, want, "position {}", pos);
         }
     }
 
@@ -204,7 +270,7 @@ proptest! {
             tool: ToolProfile::random_bytes(),
             packets_per_prefix: 10,
             pps: 1.0,
-            reactive: Some(sixscope_scanners::scanner::Reactivity {
+            reactive: Some(Reactivity {
                 delay: SimDuration::mins(10),
                 probability: 0.5,
             }),

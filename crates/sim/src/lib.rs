@@ -23,6 +23,6 @@ pub mod visibility;
 pub mod world;
 
 pub use compiled::CompiledVisibility;
-pub use scenario::{ExperimentResult, IrrPolicy, Scenario, ScenarioConfig, ScenarioTimings};
+pub use scenario::{ExperimentResult, Scenario, ScenarioConfig, ScenarioTimings};
 pub use visibility::Visibility;
 pub use world::TumHitlist;

@@ -308,8 +308,8 @@ impl Capture {
     /// [`Capture::absorb`] concatenation cannot apply. The merge key is
     /// `(ts, segment index, position)` packed into a `u128`, matching the
     /// order a global stable sort by timestamp over the segment-ordered
-    /// concatenation would produce — which is exactly the staged reference
-    /// path's order. Counters add up as in [`Capture::absorb`].
+    /// concatenation would produce (the order of the staged oracle in the
+    /// simulator's tests). Counters add up as in [`Capture::absorb`].
     pub fn merge_time_sorted(&mut self, segments: Vec<Capture>) {
         let mut total = 0usize;
         for seg in &segments {

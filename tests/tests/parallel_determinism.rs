@@ -1,11 +1,17 @@
 //! The parallel-determinism contract (DESIGN.md §6): the experiment's
-//! output is byte-identical at any worker-thread count. Generation fans
-//! scanners out to workers and delivery shards the probe list, but the
-//! merged captures, drop counters and T4 responses must not move by a
-//! single bit between `threads = 1`, `2` and `8`.
+//! output is byte-identical at any worker-thread count. Workers generate
+//! and deliver one scanner at a time into per-scanner capture segments,
+//! but the merged captures, drop counters and T4 responses must not move
+//! by a single bit between `threads = 1`, `2` and `8`, and must equal the
+//! serial staged oracle's.
 
-use sixscope_sim::{ExperimentResult, Scenario, ScenarioConfig};
+use sixscope_sim::{
+    CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, TumHitlist, Visibility,
+};
 use sixscope_telescope::TelescopeId;
+
+#[path = "../../crates/sim/tests/staged_oracle/mod.rs"]
+mod staged_oracle;
 
 fn run_with(threads: usize) -> ExperimentResult {
     let mut config = ScenarioConfig::new(20_230_824, 0.008);
@@ -13,27 +19,15 @@ fn run_with(threads: usize) -> ExperimentResult {
     Scenario::new(config).run()
 }
 
-/// The fused generate+deliver path at any thread count reproduces the
-/// staged per-probe reference path bit-for-bit: same captures, same
-/// counters. This is the cross-path half of the contract — the
-/// cross-thread half is below.
+/// The fused engine at any thread count reproduces the serial staged
+/// oracle bit-for-bit: same captures, same counters. This is the
+/// cross-path half of the contract — the cross-thread half is below.
 #[test]
 fn fused_path_matches_staged_reference_at_any_thread_count() {
-    let mut config = ScenarioConfig::new(20_230_824, 0.008);
-    config.threads = Some(1);
-    let (reference, _) = Scenario::new(config).run_reference_timed();
+    let staged = staged_oracle::run(&ScenarioConfig::new(20_230_824, 0.008));
     for threads in [1, 2, 8] {
         let fused = run_with(threads);
-        for id in TelescopeId::ALL {
-            assert_eq!(
-                fused.capture(id).packets(),
-                reference.capture(id).packets(),
-                "{id:?} fused capture diverged from staged reference at {threads} threads"
-            );
-        }
-        assert_eq!(fused.dropped_unrouted, reference.dropped_unrouted);
-        assert_eq!(fused.t4_responses, reference.t4_responses);
-        assert_eq!(fused.truncated_probes, reference.truncated_probes);
+        staged_oracle::assert_same(&fused, &staged, &format!("{threads} threads"));
     }
 }
 
