@@ -17,7 +17,7 @@
 //!   (Table 7),
 //! * [`heavy`] — heavy-hitter detection (>10% of a telescope's packets),
 //! * [`intersect`] — UpSet-style cross-telescope intersections (Fig. 8),
-//! * [`stats`] — CDFs, rank curves and correlation helpers.
+//! * [`stats`] — time-bucket series and percentage changes.
 
 pub mod addrtype;
 pub mod autocorr;

@@ -1,7 +1,7 @@
 //! Property tests for the analysis toolkit: NIST p-value sanity, DBSCAN
-//! label validity and determinism, address-classifier totality, statistics
-//! invariants, tool matching, and packed-kernel equivalence against the
-//! retained naive references.
+//! label validity and determinism, address-classifier totality, the
+//! percentage-change round trip, tool matching, and packed-kernel
+//! equivalence against the retained naive references.
 
 use proptest::prelude::*;
 use sixscope_analysis::addrtype::{classify, AddressType};
@@ -13,7 +13,7 @@ use sixscope_analysis::dbscan::{cluster_count, dbscan, dbscan_indexed, Assignmen
 use sixscope_analysis::fingerprint::{identify, match_tool, KnownTool, ToolMatch};
 use sixscope_analysis::nist::{BitSequence, NistTest};
 use sixscope_analysis::special::{erfc, normal_cdf};
-use sixscope_analysis::stats::{ecdf, percent_change, rank_descending};
+use sixscope_analysis::stats::percent_change;
 use sixscope_telescope::{AggLevel, ScanSession, SourceKey, TelescopeId};
 use sixscope_types::SimTime;
 use std::net::Ipv6Addr;
@@ -200,27 +200,6 @@ proptest! {
         let v = normal_cdf(x);
         prop_assert!((0.0..=1.0).contains(&v));
         prop_assert!((normal_cdf(x) + normal_cdf(-x) - 1.0).abs() < 1e-6);
-    }
-
-    /// ecdf ends at exactly 1 and is monotone in both coordinates.
-    #[test]
-    fn ecdf_invariants(values in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-        let pts = ecdf(values.clone());
-        prop_assert_eq!(pts.len(), values.len());
-        prop_assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
-        prop_assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-    }
-
-    /// rank_descending is a sorted permutation.
-    #[test]
-    fn rank_descending_permutes(values in proptest::collection::vec(any::<u64>(), 0..100)) {
-        let ranked = rank_descending(values.clone());
-        prop_assert!(ranked.windows(2).all(|w| w[0] >= w[1]));
-        let mut a = values;
-        let mut b = ranked;
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     /// percent_change round-trips: applying the change recovers `after`.

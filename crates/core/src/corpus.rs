@@ -2,16 +2,16 @@
 //! columnar corpus index and metadata join helpers.
 //!
 //! Every finished input reaches this module as time-sorted captures.
-//! `Analyzed::stream` sessionizes them through the feed consumer, then
-//! builds the [`CorpusIndex`] once, from the captures and their sessions.
+//! `Analyzed::stream` sessionizes them at /128 through the feed consumer,
+//! derives the /64 sessions from the /128 ones, then builds the
+//! [`CorpusIndex`] once, from the captures and their sessions.
 
 use crate::index::CorpusIndex;
 use crate::pipeline::FeedConsumer;
 use sixscope_analysis::classify::ScannerProfile;
 use sixscope_sim::ExperimentResult;
-use sixscope_telescope::feed::hint_for_records;
-use sixscope_telescope::{Capture, ScanSession, TelescopeId, SESSION_TIMEOUT};
-use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, PrefixTrie, SimDuration, SimTime};
+use sixscope_telescope::{Capture, ScanSession, TelescopeId};
+use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, PrefixTrie, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::time::Instant;
@@ -23,23 +23,21 @@ pub struct AnalysisTimings {
     /// the chunked feeds (wall-clock of the parallel stage), plus, for
     /// pcap and shard input, the read of the files before them.
     pub streaming: f64,
-    /// Time spent pushing packets into the incremental sessionizers
-    /// (summed across the per-telescope jobs).
+    /// Time spent pushing packets into the incremental /128 sessionizers
+    /// and deriving the /64 sessions from theirs (summed across the
+    /// per-telescope jobs).
     pub sessionize: f64,
     /// The index build ([`CorpusIndex::build`]).
     pub index_build: f64,
 }
 
-/// Chunking and eviction knobs of the streaming analysis;
+/// Chunking and threading knobs of the streaming analysis;
 /// [`crate::Pipeline`] fills this from its builder methods. The defaults
-/// reproduce the batch behavior (one big chunk, the paper's 1-hour
-/// timeout).
+/// reproduce the batch behavior (one big chunk).
 #[derive(Clone, Copy)]
 pub(crate) struct StreamSettings {
     /// Packets fed per chunk.
     pub chunk_records: usize,
-    /// Session idle timeout (the eviction horizon).
-    pub session_timeout: SimDuration,
     /// Worker threads (`None` defers to `SIXSCOPE_THREADS`).
     pub threads: Option<usize>,
 }
@@ -48,7 +46,6 @@ impl Default for StreamSettings {
     fn default() -> Self {
         StreamSettings {
             chunk_records: usize::MAX,
-            session_timeout: SESSION_TIMEOUT,
             threads: None,
         }
     }
@@ -60,7 +57,8 @@ pub struct Analyzed {
     pub result: ExperimentResult,
     /// Scan sessions at /128 aggregation, per telescope.
     pub sessions128: BTreeMap<TelescopeId, Vec<ScanSession>>,
-    /// Scan sessions at /64 aggregation, per telescope.
+    /// Scan sessions at /64 aggregation, per telescope (derived from the
+    /// /128 sessions).
     pub sessions64: BTreeMap<TelescopeId, Vec<ScanSession>>,
     /// The columnar corpus index the tables and figures reduce over.
     pub index: CorpusIndex,
@@ -68,7 +66,8 @@ pub struct Analyzed {
     pub timings: AnalysisTimings,
     /// High-water mark of the incremental sessionizers' open-session
     /// tables — the live-memory bound of the streaming analysis (maximum
-    /// over all telescopes and both aggregation levels).
+    /// over all telescopes; the /128 table bounds both aggregation
+    /// levels).
     pub peak_open_sessions: usize,
     /// Source /64-subnet → origin AS (the IP-to-AS join of the study).
     asn_by_subnet: PrefixTrie<Asn>,
@@ -82,25 +81,25 @@ impl Analyzed {
     }
 
     /// Builds the corpus by feeding each capture in `chunk_records` steps
-    /// into a [`FeedConsumer`] (incremental sessionizers at /128 and /64),
-    /// then building the [`CorpusIndex`] from the captures and their
-    /// sessions — the one corpus build behind every finished input:
-    /// simulated captures, sorted pcap reads and shard gathers.
+    /// into a [`FeedConsumer`] (an incremental /128 sessionizer, whose
+    /// sessions the /64 ones are derived from), then building the
+    /// [`CorpusIndex`] from the captures and their sessions — the one
+    /// corpus build behind every finished input: simulated captures,
+    /// sorted pcap reads and shard gathers.
     ///
     /// The four per-telescope feeds are independent pure functions of
     /// their capture, so they run on worker threads (`SIXSCOPE_THREADS`
     /// caps them; 1 forces serial); results are keyed by telescope, so
     /// scheduling cannot affect output, and chunk boundaries are invisible
     /// (DESIGN.md §10) — any `chunk_records` yields byte-identical output.
-    /// The timings record the feeds as `streaming`, their summed pushes as
-    /// `sessionize` and the index build as `index_build`.
+    /// The timings record the feeds as `streaming`, their summed pushes
+    /// and /64 derivations as `sessionize` and the index build as
+    /// `index_build`.
     pub(crate) fn stream(result: ExperimentResult, settings: &StreamSettings) -> Analyzed {
         let threads = num_threads(settings.threads);
         let stream_start = Instant::now();
         let fed = map_indexed(threads, &TelescopeId::ALL, |_, id| {
-            let capture = &result.captures[id];
-            FeedConsumer::new(hint_for_records(capture.len() as u64), settings)
-                .consume_capture(capture)
+            FeedConsumer::new(settings).consume_capture(&result.captures[id])
         });
         let streaming = stream_start.elapsed().as_secs_f64();
         let mut sessions128 = BTreeMap::new();

@@ -136,8 +136,8 @@ pub fn fig4(a: &Analyzed) -> Vec<GrowthCurve> {
 }
 
 /// Cumulative count of items by first-seen week bucket (`u32::MAX` marks
-/// never-seen entries). Point-for-point what `cumulative_distinct` produced
-/// from the corresponding first-occurrence event stream.
+/// never-seen entries): one point per bucket in which a new item appears,
+/// at the bucket's start, holding the number of items seen so far.
 fn first_seen_curve(firsts: impl Iterator<Item = u32>, week_secs: u64) -> Vec<(SimTime, u64)> {
     let mut per_bucket: BTreeMap<u64, u64> = BTreeMap::new();
     for b in firsts {

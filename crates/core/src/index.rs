@@ -6,17 +6,19 @@
 //! once per table and once per figure, walking every capture up to twenty
 //! times. [`CorpusIndex::build`] runs once per corpus, over the finished
 //! captures and their sessions: it walks each capture twice (in parallel
-//! per telescope through [`map_indexed`]), once to intern its sources and
-//! once to fill the packet columns, and materializes a handful of
+//! per telescope through [`map_indexed`]), once to give its sources local
+//! ids and once to fill the packet columns, and materializes a handful of
 //! session-level caches; the consumers in [`crate::tables`] and
-//! [`crate::figures`] then reduce over integer columns. Every column is a
-//! fact of the captured packet alone — none consults a routing view.
+//! [`crate::figures`] then reduce over integer columns. Every /64 fact
+//! comes from the /128 one: a /64 id is looked up by /128 id, and a
+//! session's source id is its first packet's. Every column is a fact of
+//! the captured packet alone — none consults a routing view.
 //!
 //! # Determinism obligations
 //!
 //! The byte-identical-output contract of DESIGN.md §6 extends to this
-//! layer (§7): every column is a pure function of its capture, interning
-//! assigns ids in ascending key order (so iterating ids ≡ iterating a
+//! layer (§7): every column is a pure function of its capture, source ids
+//! are assigned in ascending key order (so iterating ids ≡ iterating a
 //! `BTreeMap` keyed by the underlying value), and all parallel stages go
 //! through the order-preserving [`map_indexed`] over deterministic job
 //! lists. Captures are time-sorted by construction, which makes every time
@@ -32,10 +34,12 @@ use sixscope_sim::ExperimentResult;
 use sixscope_telescope::{AggLevel, Capture, Protocol, ScanSession, SourceKey, TelescopeId};
 use sixscope_types::ports::PortLabel;
 use sixscope_types::{
-    chunk_ranges, map_indexed, num_threads, InternTable, Ipv6Prefix, PrefixTrie, SimTime,
+    chunk_ranges, map_indexed, num_threads, FxBuildHasher, Ipv6Prefix, PrefixTrie, SimTime,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::net::Ipv6Addr;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Sentinel id for "no value" (unresolved AS, absent country metadata).
 pub const NO_ID: u32 = u32::MAX;
@@ -85,16 +89,12 @@ pub fn decode_port(code: u32) -> Option<PortLabel> {
 /// telescope, with per-source metadata resolved once.
 ///
 /// Ids are assigned in ascending [`SourceKey`] order, so walking ids
-/// `0..len` visits sources exactly as a `BTreeSet<SourceKey>` would.
+/// `0..len` visits sources exactly as a `BTreeSet<SourceKey>` would, and a
+/// key's id is its position in the sorted key list.
 #[derive(Debug, Clone)]
 pub struct SourceTable {
     keys128: Vec<SourceKey>,
     keys64: Vec<SourceKey>,
-    /// Hash lookup key → sorted id. Built by inserting the sorted key
-    /// vectors in order, so arena ids coincide with sorted ids and a `get`
-    /// is O(1) instead of a binary search per packet.
-    lookup128: InternTable<SourceKey>,
-    lookup64: InternTable<SourceKey>,
     /// Origin AS per /128 source via the routing-data join (`NO_ID` when
     /// the source's subnet has no mapping).
     asn128: Vec<u32>,
@@ -122,14 +122,9 @@ impl SourceTable {
         self.keys128[id as usize]
     }
 
-    /// Id of a /128 source key, if interned.
+    /// Id of a /128 source key, if interned (a binary search).
     pub fn id128(&self, key: &SourceKey) -> Option<u32> {
-        self.lookup128.get(key)
-    }
-
-    /// Id of a /64 source key, if interned.
-    pub fn id64(&self, key: &SourceKey) -> Option<u32> {
-        self.lookup64.get(key)
+        self.keys128.binary_search(key).ok().map(|id| id as u32)
     }
 
     /// Origin AS number of a /128 source id (`NO_ID` when unresolved).
@@ -180,19 +175,20 @@ pub struct PacketColumns {
 }
 
 impl PacketColumns {
-    /// Derives the columns of one capture, resolving sources against the
-    /// final interned table — the only code that writes packet columns.
+    /// Derives the columns of one capture from its final /128 id column
+    /// and the /128 → /64 id map — the only code that writes packet
+    /// columns.
     ///
     /// # Panics
     /// Panics when the capture's packet times decrease: the corpus index
     /// requires time-sorted captures (simulated and shard-gathered ones are
     /// by construction; pcap input is sorted when read).
-    fn build(capture: &Capture, sources: &SourceTable) -> PacketColumns {
+    fn build(capture: &Capture, src128: Vec<u32>, up64: &[u32]) -> PacketColumns {
         let n = capture.len();
         let mut cols = PacketColumns {
             ts: Vec::with_capacity(n),
-            src128: Vec::with_capacity(n),
-            src64: Vec::with_capacity(n),
+            src64: src128.iter().map(|&id| up64[id as usize]).collect(),
+            src128,
             class: Vec::with_capacity(n),
             proto: Vec::with_capacity(n),
             port: Vec::with_capacity(n),
@@ -204,11 +200,6 @@ impl PacketColumns {
                 "corpus index requires non-decreasing packet times"
             );
             cols.ts.push(p.ts);
-            let k128 = SourceKey::new(p.src, AggLevel::Addr128);
-            let k64 = SourceKey::new(p.src, AggLevel::Subnet64);
-            cols.src128
-                .push(sources.id128(&k128).expect("every packet source interned"));
-            cols.src64.push(sources.id64(&k64).expect("interned /64"));
             cols.class.push(classify(p.dst).code());
             cols.proto.push(proto_code(p.protocol));
             cols.port.push(match (p.protocol, p.dst_port) {
@@ -249,16 +240,23 @@ impl PacketColumns {
     }
 }
 
-/// The /128 and /64 source keys of one capture, interned in
-/// first-encounter order.
-fn intern_sources(capture: &Capture) -> (InternTable<SourceKey>, InternTable<SourceKey>) {
-    let mut keys128 = InternTable::new();
-    let mut keys64 = InternTable::new();
-    for p in capture.packets() {
-        keys128.insert(SourceKey::new(p.src, AggLevel::Addr128));
-        keys64.insert(SourceKey::new(p.src, AggLevel::Subnet64));
-    }
-    (keys128, keys64)
+/// One capture's source addresses in first-encounter order, and each
+/// packet's index into that list (its local id): one hash operation per
+/// packet. The map's iteration order never reaches an id.
+fn local_sources(capture: &Capture) -> (Vec<Ipv6Addr>, Vec<u32>) {
+    let mut ids: HashMap<Ipv6Addr, u32, FxBuildHasher> = HashMap::default();
+    let mut addrs = Vec::new();
+    let column = capture
+        .packets()
+        .iter()
+        .map(|p| {
+            *ids.entry(p.src).or_insert_with(|| {
+                addrs.push(p.src);
+                addrs.len() as u32 - 1
+            })
+        })
+        .collect();
+    (addrs, column)
 }
 
 /// Dense per-session columns, index-aligned with the session vector they
@@ -278,13 +276,10 @@ pub struct SessionColumns {
 }
 
 impl SessionColumns {
-    /// Derives the columns for one telescope's session list.
-    pub fn build(
-        sessions: &[ScanSession],
-        level: AggLevel,
-        sources: &SourceTable,
-        packets: &PacketColumns,
-    ) -> SessionColumns {
+    /// Derives the columns for one telescope's session list. A session's
+    /// source id is its first packet's entry in `src`, the packet column
+    /// at the sessions' aggregation level.
+    fn build(sessions: &[ScanSession], src: &[u32], packets: &PacketColumns) -> SessionColumns {
         let mut cols = SessionColumns {
             start: Vec::with_capacity(sessions.len()),
             source: Vec::with_capacity(sessions.len()),
@@ -293,11 +288,7 @@ impl SessionColumns {
         };
         for s in sessions {
             cols.start.push(s.start);
-            let id = match level {
-                AggLevel::Addr128 => sources.id128(&s.source).expect("session source interned"),
-                _ => sources.id64(&s.source).expect("interned /64"),
-            };
-            cols.source.push(id);
+            cols.source.push(src[s.packet_indices[0] as usize]);
             cols.packets.push(s.packet_indices.len() as u32);
             let mut mask = 0u8;
             for &pi in &s.packet_indices {
@@ -400,24 +391,42 @@ impl CorpusIndex {
         sessions64: &BTreeMap<TelescopeId, Vec<ScanSession>>,
         threads: usize,
     ) -> CorpusIndex {
-        // Stage A: the source universe — the union of every capture's
-        // interned sources, sorted before id assignment so ids land in
-        // ascending key order — then per-source metadata.
-        let interned = map_indexed(threads, &TelescopeId::ALL, |_, id| {
-            intern_sources(&result.captures[id])
+        // Stage A: the source universe. Each capture's walk gives its
+        // sources local ids and fills a local id column; the union of the
+        // local sources, sorted, fixes the final ids in ascending key
+        // order; then per-source metadata.
+        let local = map_indexed(threads, &TelescopeId::ALL, |_, id| {
+            local_sources(&result.captures[id])
         });
-        let mut all128: InternTable<SourceKey> = InternTable::new();
-        let mut all64: InternTable<SourceKey> = InternTable::new();
-        for (keys128, keys64) in &interned {
-            all128.absorb(keys128);
-            all64.absorb(keys64);
-        }
-        drop(interned);
-        let sources = Self::build_source_table(&result.population, all128, all64);
+        let mut addrs: Vec<Ipv6Addr> = local
+            .iter()
+            .flat_map(|(addrs, _)| addrs.iter().copied())
+            .collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let (sources, up64) = Self::build_source_table(&result.population, addrs);
 
-        // Stage B: per-telescope packet columns straight from the captures.
-        let built = map_indexed(threads, &TelescopeId::ALL, |_, id| {
-            PacketColumns::build(&result.captures[id], &sources)
+        // Stage B: per-telescope packet columns. Each job takes its
+        // telescope's local column, remaps it to final ids in place and
+        // reads the /64 column off it.
+        let local: Vec<Mutex<(Vec<Ipv6Addr>, Vec<u32>)>> =
+            local.into_iter().map(Mutex::new).collect();
+        let built = map_indexed(threads, &TelescopeId::ALL, |i, id| {
+            let mut slot = local[i]
+                .lock()
+                .expect("each slot is taken once, by its job");
+            let (addrs, mut src128) = std::mem::take(&mut *slot);
+            let remap: Vec<u32> = addrs
+                .iter()
+                .map(|&addr| {
+                    let key = SourceKey::new(addr, AggLevel::Addr128);
+                    sources.id128(&key).expect("every source in the union")
+                })
+                .collect();
+            for src in &mut src128 {
+                *src = remap[*src as usize];
+            }
+            PacketColumns::build(&result.captures[id], src128, &up64)
         });
         let packets: BTreeMap<TelescopeId, PacketColumns> =
             TelescopeId::ALL.into_iter().zip(built).collect();
@@ -428,11 +437,11 @@ impl CorpusIndex {
             .flat_map(|id| [(id, AggLevel::Addr128), (id, AggLevel::Subnet64)])
             .collect();
         let built = map_indexed(threads, &jobs, |_, &(id, level)| {
-            let sessions = match level {
-                AggLevel::Addr128 => &sessions128[&id],
-                _ => &sessions64[&id],
-            };
-            SessionColumns::build(sessions, level, &sources, &packets[&id])
+            let cols = &packets[&id];
+            match level {
+                AggLevel::Addr128 => SessionColumns::build(&sessions128[&id], &cols.src128, cols),
+                _ => SessionColumns::build(&sessions64[&id], &cols.src64, cols),
+            }
         });
         let mut sess128: BTreeMap<TelescopeId, SessionColumns> = BTreeMap::new();
         let mut sess64: BTreeMap<TelescopeId, SessionColumns> = BTreeMap::new();
@@ -569,30 +578,34 @@ impl CorpusIndex {
         }
     }
 
-    /// Assigns the final source ids (ascending key order) and resolves the
-    /// per-source AS and country metadata against `population`.
+    /// Assigns the final source ids (ascending key order) to `addrs`,
+    /// sorted and distinct, and resolves the per-source AS and country
+    /// metadata against `population`. Also returns each /128 id's /64 id:
+    /// masking keeps sorted /128 keys sorted, so one walk lists the /64
+    /// keys in ascending order (DESIGN.md §7, stage A).
     fn build_source_table(
         population: &Population,
-        all128: InternTable<SourceKey>,
-        all64: InternTable<SourceKey>,
-    ) -> SourceTable {
+        addrs: Vec<Ipv6Addr>,
+    ) -> (SourceTable, Vec<u32>) {
         let mut asn_by_subnet: PrefixTrie<u32> = PrefixTrie::new();
         for scanner in &population.scanners {
             asn_by_subnet.insert(scanner.source.subnet(), scanner.asn.get());
         }
-        // Deterministic final id assignment: ascending key order, exactly
-        // the order a `BTreeSet` union would have yielded (DESIGN.md §11).
-        let (keys128, _) = all128.sorted_remap();
-        let (keys64, _) = all64.sorted_remap();
-        // Re-intern the sorted keys so hash lookups return sorted ids.
-        let mut lookup128 = InternTable::with_capacity(keys128.len());
-        for &k in &keys128 {
-            lookup128.insert(k);
-        }
-        let mut lookup64 = InternTable::with_capacity(keys64.len());
-        for &k in &keys64 {
-            lookup64.insert(k);
-        }
+        let keys128: Vec<SourceKey> = addrs
+            .into_iter()
+            .map(|addr| SourceKey::new(addr, AggLevel::Addr128))
+            .collect();
+        let mut keys64: Vec<SourceKey> = Vec::new();
+        let up64: Vec<u32> = keys128
+            .iter()
+            .map(|key| {
+                let key64 = SourceKey::new(key.prefix.network(), AggLevel::Subnet64);
+                if keys64.last() != Some(&key64) {
+                    keys64.push(key64);
+                }
+                keys64.len() as u32 - 1
+            })
+            .collect();
         let mut asn128 = Vec::with_capacity(keys128.len());
         let mut info_asn128 = Vec::with_capacity(keys128.len());
         let mut country_names = Vec::with_capacity(keys128.len());
@@ -623,16 +636,15 @@ impl CorpusIndex {
                 None => NO_ID,
             })
             .collect();
-        SourceTable {
+        let table = SourceTable {
             keys128,
             keys64,
-            lookup128,
-            lookup64,
             asn128,
             info_asn128,
             country128,
             countries,
-        }
+        };
+        (table, up64)
     }
 
     /// One telescope's packet columns.
@@ -745,15 +757,15 @@ mod tests {
             0,
             0,
         );
-        let (keys128, keys64) = intern_sources(&capture);
+        let (addrs, src128) = local_sources(&capture);
         let population = Population {
             scanners: Vec::new(),
             ases: Vec::new(),
             rdns: BTreeMap::new(),
         };
-        let sources = CorpusIndex::build_source_table(&population, keys128, keys64);
+        let (_, up64) = CorpusIndex::build_source_table(&population, addrs);
         // The third packet arrives before the second.
-        PacketColumns::build(&capture, &sources);
+        PacketColumns::build(&capture, src128, &up64);
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! (with a buffered-read fallback) and walked in chunks of
 //! [`Pipeline::chunk_records`] borrowed record views, and packets promote
 //! their payload to owned bytes only when retained by the capture filter.
-//! The captures then stream through the incremental sessionizers in
-//! `chunk_records` steps, and [`crate::CorpusIndex::build`] derives the
-//! index columns once, from the finished captures. Chunk boundaries are
-//! invisible (DESIGN.md §10): any `chunk_records` and any thread count
-//! produce byte-identical tables and figures.
+//! The captures then stream through one incremental /128 sessionizer
+//! each in `chunk_records` steps, the /64 sessions are derived from the
+//! /128 ones, and [`crate::CorpusIndex::build`] derives the index columns
+//! once, from the finished captures. Sessions use the paper's 1-hour
+//! timeout ([`sixscope_telescope::SESSION_TIMEOUT`]). Chunk boundaries
+//! are invisible (DESIGN.md §10): any `chunk_records` and any thread
+//! count produce byte-identical tables and figures.
 
 use crate::corpus::{Analyzed, StreamSettings};
 use crate::ingest::passive_config;
@@ -37,7 +39,7 @@ use sixscope_sim::{
 };
 use sixscope_telescope::{
     AggLevel, Capture, Feed, IncrementalSessionizer, IngestStats, PcapFeed, ScanSession,
-    SplitSchedule, TelescopeConfig, TelescopeId, SESSION_TIMEOUT,
+    Sessionizer, SplitSchedule, TelescopeConfig, TelescopeId,
 };
 use sixscope_types::{Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -63,7 +65,6 @@ pub struct Pipeline {
     source: Source,
     threads: Option<usize>,
     chunk_records: usize,
-    session_timeout: SimDuration,
 }
 
 /// Everything a [`Pipeline::run_detailed`] call produced beyond the corpus.
@@ -113,8 +114,8 @@ impl Pipeline {
     /// must be given in capture order; their captures are concatenated
     /// and sessionized and indexed exactly as a simulated capture is, so
     /// the merged corpus is byte-identical to a single-process run over
-    /// the concatenated packets, and [`Pipeline::session_timeout`],
-    /// [`Pipeline::chunk_records`] and [`Pipeline::threads`] apply.
+    /// the concatenated packets, and [`Pipeline::chunk_records`] and
+    /// [`Pipeline::threads`] apply.
     pub fn from_shards<I, P>(paths: I) -> Pipeline
     where
         I: IntoIterator<Item = P>,
@@ -128,7 +129,6 @@ impl Pipeline {
             source,
             threads: None,
             chunk_records: usize::MAX,
-            session_timeout: SESSION_TIMEOUT,
         }
     }
 
@@ -158,13 +158,6 @@ impl Pipeline {
         self
     }
 
-    /// Session idle timeout — the eviction horizon of the incremental
-    /// sessionizer's open-session table. Defaults to the paper's 1 hour.
-    pub fn session_timeout(mut self, timeout: SimDuration) -> Pipeline {
-        self.session_timeout = timeout;
-        self
-    }
-
     /// Runs the pipeline and returns the analyzed corpus.
     pub fn run(self) -> Result<Analyzed, Error> {
         self.run_detailed().map(|out| out.analyzed)
@@ -175,7 +168,6 @@ impl Pipeline {
     pub fn run_detailed(self) -> Result<PipelineOutput, Error> {
         let settings = StreamSettings {
             chunk_records: self.chunk_records,
-            session_timeout: self.session_timeout,
             threads: self.threads,
         };
         match self.source {
@@ -249,8 +241,10 @@ pub(crate) struct FinishedInput {
     pub file_stats: Vec<(String, IngestStats)>,
 }
 
-/// The stateful half of a feed-driven ingest: incremental sessionizers at
-/// /128 and /64, fed one [`sixscope_telescope::FeedChunk`] at a time.
+/// The stateful half of a feed-driven ingest: one incremental /128
+/// sessionizer, fed one [`sixscope_telescope::FeedChunk`] at a time. The
+/// /64 sessions and their count are derived from its sessions
+/// ([`Sessionizer::derive`]) when asked for.
 ///
 /// The consumer is the only code that turns a packet range into sessions,
 /// for every input — a finished capture ([`FeedConsumer::consume_capture`])
@@ -263,10 +257,8 @@ pub(crate) struct FinishedInput {
 /// sessionization of the capture.
 pub(crate) struct FeedConsumer {
     s128: IncrementalSessionizer,
-    s64: IncrementalSessionizer,
     sessionize: f64,
     sorted: bool,
-    sources_hint: usize,
     settings: StreamSettings,
 }
 
@@ -281,21 +273,11 @@ pub(crate) struct ConsumedFeed {
 }
 
 impl FeedConsumer {
-    pub(crate) fn new(sources_hint: usize, settings: &StreamSettings) -> FeedConsumer {
+    pub(crate) fn new(settings: &StreamSettings) -> FeedConsumer {
         FeedConsumer {
-            s128: IncrementalSessionizer::with_capacity(
-                AggLevel::Addr128,
-                settings.session_timeout,
-                sources_hint,
-            ),
-            s64: IncrementalSessionizer::with_capacity(
-                AggLevel::Subnet64,
-                settings.session_timeout,
-                sources_hint,
-            ),
+            s128: IncrementalSessionizer::paper(AggLevel::Addr128),
             sessionize: 0.0,
             sorted: true,
-            sources_hint,
             settings: *settings,
         }
     }
@@ -306,15 +288,19 @@ impl FeedConsumer {
         self.sorted
     }
 
-    /// High-water mark of the open-session tables.
+    /// High-water mark of the open-session table. A /64 source is open
+    /// only while the /128 source of its latest packet is, so this bounds
+    /// both aggregation levels.
     pub(crate) fn peak_open(&self) -> usize {
-        self.s128.peak_open().max(self.s64.peak_open())
+        self.s128.peak_open()
     }
 
     /// Open + closed session counts at /128 and /64. Only meaningful while
     /// [`FeedConsumer::is_sorted`].
     pub(crate) fn session_counts(&self) -> (usize, usize) {
-        (self.s128.sessions().len(), self.s64.sessions().len())
+        let sessions = self.s128.sessions();
+        let derived64 = Sessionizer::paper(AggLevel::Subnet64).derive(sessions);
+        (sessions.len(), derived64.len())
     }
 
     /// The live /128 sessions (open and closed, in creation order). Only
@@ -343,9 +329,7 @@ impl FeedConsumer {
         }
         let push_start = Instant::now();
         for (i, p) in packets[range.clone()].iter().enumerate() {
-            let idx = (range.start + i) as u32;
-            self.s128.push(idx, p);
-            self.s64.push(idx, p);
+            self.s128.push((range.start + i) as u32, p);
         }
         self.sessionize += push_start.elapsed().as_secs_f64();
     }
@@ -359,7 +343,7 @@ impl FeedConsumer {
             return self.finish_in_order();
         }
         capture.sort_by_time();
-        FeedConsumer::new(self.sources_hint, &self.settings).consume_capture(capture)
+        FeedConsumer::new(&self.settings).consume_capture(capture)
     }
 
     /// Feeds a whole, time-sorted capture through this fresh consumer in
@@ -377,15 +361,19 @@ impl FeedConsumer {
     }
 
     /// Closes the consumer without a fallback path, for input whose source
-    /// guarantees time order.
+    /// guarantees time order, and derives the /64 sessions (timed with the
+    /// pushes as `sessionize`).
     fn finish_in_order(self) -> ConsumedFeed {
         debug_assert!(self.sorted, "in-order finish over a disordered feed");
-        let peak = self.peak_open();
+        let derive_start = Instant::now();
+        let sessions64 = Sessionizer::paper(AggLevel::Subnet64)
+            .derive(self.s128.sessions())
+            .collect();
         ConsumedFeed {
+            sessionize: self.sessionize + derive_start.elapsed().as_secs_f64(),
+            peak: self.s128.peak_open(),
             sessions128: self.s128.finish(),
-            sessions64: self.s64.finish(),
-            sessionize: self.sessionize,
-            peak,
+            sessions64,
         }
     }
 }

@@ -223,8 +223,8 @@ struct Checkpoint<'a> {
     /// was rendered from.
     sessions128: usize,
     sessions64: usize,
-    /// High-water mark of the incremental sessionizers' open-session
-    /// tables. After out-of-order input it holds at the mark reached
+    /// High-water mark of the incremental sessionizer's open-session
+    /// table. After out-of-order input it holds at the mark reached
     /// before the disorder, until the final checkpoint reports the sorted
     /// re-feed's.
     peak_open: usize,
@@ -452,14 +452,14 @@ pub fn tables_report(analyzed: &Analyzed, json: bool) -> String {
 /// counts of the state it was rendered from. In-order input renders
 /// straight from the borrowed capture and live /128 sessions, through the
 /// memos. Disorder drops the memos, then sessionizes the borrowed capture
-/// at /128 and /64 in stable time order — the batch fallback, applied to
-/// the prefix seen so far, without copying a packet.
+/// at /128 in stable time order — the batch fallback, applied to the
+/// prefix seen so far, without copying a packet — and derives the /64
+/// count from those sessions.
 fn checkpoint_report(
     capture: &Capture,
     consumer: &FeedConsumer,
     memo: &mut ReportMemo,
     stats: &IngestStats,
-    settings: &StreamSettings,
     json: bool,
 ) -> (String, (usize, usize)) {
     if consumer.is_sorted() {
@@ -467,15 +467,10 @@ fn checkpoint_report(
         return (report, consumer.session_counts());
     }
     *memo = ReportMemo::default();
-    let sessionize = |level| {
-        Sessionizer {
-            level,
-            timeout: settings.session_timeout,
-        }
-        .sessionize(capture)
-    };
-    let sessions = sessionize(AggLevel::Addr128);
-    let sessions64 = sessionize(AggLevel::Subnet64).len();
+    let sessions = Sessionizer::paper(AggLevel::Addr128).sessionize(capture);
+    let sessions64 = Sessionizer::paper(AggLevel::Subnet64)
+        .derive(&sessions)
+        .len();
     let report = render_report(capture, &sessions, stats, json, memo);
     (report, (sessions.len(), sessions64))
 }
@@ -492,18 +487,17 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
     let mut status = StatusSink::new(opts.status_fd);
     let settings = StreamSettings {
         chunk_records: opts.chunk_records,
-        session_timeout: SESSION_TIMEOUT,
         threads: opts.threads,
     };
     let mut feed = TailFeed::new(
         Capture::new(passive_config(opts.prefix)),
         &opts.source,
         settings.chunk_records,
-        settings.session_timeout,
+        SESSION_TIMEOUT,
     )
     .poll_interval(Duration::from_millis(opts.poll_ms))
     .quiesce_after(Duration::from_millis(opts.quiesce_ms));
-    let mut consumer = FeedConsumer::new(feed.sources_hint(), &settings);
+    let mut consumer = FeedConsumer::new(&settings);
     let mut memo = ReportMemo::default();
 
     let mut revealed: u64 = 0;
@@ -522,14 +516,8 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
         while next_snapshot.is_some_and(|at| revealed >= at) {
             seq += 1;
             let stats = feed.stats();
-            let (report, (sessions128, sessions64)) = checkpoint_report(
-                feed.capture(),
-                &consumer,
-                &mut memo,
-                &stats,
-                &settings,
-                opts.json,
-            );
+            let (report, (sessions128, sessions64)) =
+                checkpoint_report(feed.capture(), &consumer, &mut memo, &stats, opts.json);
             write_snapshot(&opts.out_dir, seq, &report)?;
             status.emit(
                 &Checkpoint {

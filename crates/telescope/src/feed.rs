@@ -116,12 +116,6 @@ pub trait Feed {
     /// Pulls the next chunk. Live feeds may block briefly (bounded
     /// re-poll backoff) before reporting an empty, non-final chunk.
     fn next_chunk(&mut self) -> Result<FeedChunk, FeedError>;
-
-    /// Sizing hint for the consumer's open-session tables (an estimate of
-    /// distinct concurrently-live sources). Capacity never affects output.
-    fn sources_hint(&self) -> usize {
-        16
-    }
 }
 
 /// Watermark tracking plus late-data accounting for live feeds.
@@ -174,19 +168,6 @@ impl LateFilter {
     }
 }
 
-/// Open-session table sizing for a feed of about `records` records:
-/// distinct concurrently-live sources are a small fraction of records.
-/// Capacity never affects output.
-pub fn hint_for_records(records: u64) -> usize {
-    (records / 8).clamp(16, 1 << 16) as usize
-}
-
-/// [`hint_for_records`] for `bytes` of pcap: a record is at least 56 bytes
-/// (a 16-byte record header plus a 40-byte IPv6 header).
-fn hint_for_pcap_bytes(bytes: u64) -> usize {
-    hint_for_records(bytes / 56)
-}
-
 /// One open file of a [`PcapFeed`].
 struct OpenPcap {
     display: String,
@@ -211,7 +192,6 @@ pub struct PcapFeed {
     file_stats: Vec<(String, IngestStats)>,
     chunk_records: usize,
     watermark: SimTime,
-    hint: usize,
 }
 
 impl PcapFeed {
@@ -222,15 +202,8 @@ impl PcapFeed {
         I: IntoIterator<Item = P>,
         P: Into<PathBuf>,
     {
-        let paths: Vec<PathBuf> = paths.into_iter().map(Into::into).collect();
-        let input_bytes: u64 = paths
-            .iter()
-            .filter_map(|p| std::fs::metadata(p).ok())
-            .map(|m| m.len())
-            .sum();
-        let hint = hint_for_pcap_bytes(input_bytes);
         PcapFeed {
-            paths,
+            paths: paths.into_iter().map(Into::into).collect(),
             next_path: 0,
             current: None,
             capture,
@@ -239,7 +212,6 @@ impl PcapFeed {
             file_stats: Vec::new(),
             chunk_records: chunk_records.max(1),
             watermark: SimTime::EPOCH,
-            hint,
         }
     }
 
@@ -296,10 +268,6 @@ impl Feed for PcapFeed {
         let mut stats = self.total.clone();
         stats.absorb(&self.current_stats);
         stats
-    }
-
-    fn sources_hint(&self) -> usize {
-        self.hint
     }
 
     fn next_chunk(&mut self) -> Result<FeedChunk, FeedError> {
@@ -528,12 +496,6 @@ impl Feed for TailFeed {
         self.stats.clone()
     }
 
-    fn sources_hint(&self) -> usize {
-        // The file is still growing; size the table from what is already
-        // on disk, mapped or not.
-        hint_for_pcap_bytes(std::fs::metadata(&self.path).map_or(0, |m| m.len()))
-    }
-
     fn next_chunk(&mut self) -> Result<FeedChunk, FeedError> {
         let before = self.capture.len();
         if self.finished {
@@ -730,24 +692,6 @@ mod tests {
         assert_eq!(capture.len(), reference.len());
         assert_eq!(stats, ref_stats, "quiesce accounts the tail like batch");
         assert!(stats.truncated_tail);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn tail_feed_sizes_from_the_file_before_the_first_pull() {
-        // 200 records of 69 bytes: a 13 KiB file, past the 7 KiB the floor
-        // of 16 covers.
-        let times: Vec<u64> = (0..200).collect();
-        let path = temp_file("hint.pcap", &pcap_with(&times));
-        let finite = PcapFeed::new(default_capture(), [&path], 64);
-        let live = TailFeed::new(
-            default_capture(),
-            &path,
-            64,
-            crate::session::SESSION_TIMEOUT,
-        );
-        assert!(finite.sources_hint() > 16);
-        assert_eq!(live.sources_hint(), finite.sources_hint());
         std::fs::remove_file(&path).ok();
     }
 

@@ -9,7 +9,8 @@
 //! * [`capture`] — the packet store each telescope fills,
 //! * [`source`] — scan-source aggregation at /128, /64 and /48,
 //! * [`session`] — scan-session construction with the paper's 1-hour
-//!   inter-arrival timeout,
+//!   inter-arrival timeout, and the derivation of /64 sessions from /128
+//!   ones,
 //! * [`feed`] — the unified chunked input surface ([`Feed`]) over finished
 //!   pcaps and growing capture files,
 //! * [`reactive`] — T4's responder (echo replies, SYN/ACKs, port

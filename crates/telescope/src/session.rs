@@ -5,6 +5,9 @@
 //! The paper adopts T = 1 hour from Richter et al. and Zhao et al. — long
 //! enough for scanners traversing huge subnets, short enough not to glue
 //! unrelated campaigns — and deliberately applies no minimum packet count.
+//!
+//! Coarser levels take no second pass over the packets:
+//! [`Sessionizer::derive`] builds the /64 sessions from the /128 ones.
 
 use crate::capture::{Capture, CapturedPacket, Protocol};
 use crate::config::TelescopeId;
@@ -126,6 +129,93 @@ impl Sessionizer {
         }
         inc.finish()
     }
+
+    /// Derives this level's sessions from `fine`: the sessions of the same
+    /// packets at a finer level (/128 for a /64 target), built with the
+    /// same timeout and listed in creation order, as
+    /// [`Sessionizer::sessionize`] and [`IncrementalSessionizer::sessions`]
+    /// list them.
+    ///
+    /// Consecutive packets of a fine session are less than the timeout
+    /// apart, so every session here is a union of fine sessions, and a gap
+    /// of at least the timeout in one source's packets can only fall
+    /// between the running maximum `end` of its fine sessions, taken in
+    /// creation order, and the next one's `start` (DESIGN.md §10,
+    /// "Derivation soundness"). The walk keeps, per source at this level,
+    /// the open session and that maximum: one hash operation per fine
+    /// session.
+    ///
+    /// Sessions come out in creation order (by first packet), each with its
+    /// first member's `start`, the running maximum as `end`, and its
+    /// members' packet indices in ascending order. Ascending is time order
+    /// only over a time-sorted capture, so a caller that keeps the sessions
+    /// derives them from one; [`ExactSizeIterator::len`] gives the count
+    /// without copying a packet index.
+    pub fn derive<'a>(
+        &self,
+        fine: &'a [ScanSession],
+    ) -> impl ExactSizeIterator<Item = ScanSession> + 'a {
+        /// One session of this level: its first and last member, the
+        /// running maximum end and the members' packet count.
+        struct Group {
+            first: u32,
+            last: u32,
+            end: SimTime,
+            packets: usize,
+        }
+        const NONE: u32 = u32::MAX;
+        let level = self.level;
+        let mut open: HashMap<SourceKey, u32, FxBuildHasher> = HashMap::default();
+        let mut groups: Vec<Group> = Vec::new();
+        // The member after each fine session in its group (NONE at the tail).
+        let mut next = vec![NONE; fine.len()];
+        for (i, s) in fine.iter().enumerate() {
+            debug_assert!(
+                s.source.prefix.len() >= level.bits(),
+                "fine sessions are finer"
+            );
+            let i = i as u32;
+            let group = open
+                .entry(SourceKey::new(s.source.prefix.network(), level))
+                .or_insert(NONE);
+            match groups.get_mut(*group as usize) {
+                Some(g) if s.start.since(g.end) < self.timeout => {
+                    next[g.last as usize] = i;
+                    g.last = i;
+                    g.end = g.end.max(s.end);
+                    g.packets += s.packet_count();
+                }
+                _ => {
+                    *group = groups.len() as u32;
+                    groups.push(Group {
+                        first: i,
+                        last: i,
+                        end: s.end,
+                        packets: s.packet_count(),
+                    });
+                }
+            }
+        }
+        groups.into_iter().map(move |g| {
+            let head = &fine[g.first as usize];
+            let mut packet_indices = Vec::with_capacity(g.packets);
+            let mut member = g.first;
+            while member != NONE {
+                packet_indices.extend_from_slice(&fine[member as usize].packet_indices);
+                member = next[member as usize];
+            }
+            if g.first != g.last {
+                packet_indices.sort_unstable();
+            }
+            ScanSession {
+                source: SourceKey::new(head.source.prefix.network(), level),
+                telescope: head.telescope,
+                start: head.start,
+                end: g.end,
+                packet_indices,
+            }
+        })
+    }
 }
 
 /// Incremental sessionizer: the rolling-session-table core of the streaming
@@ -163,9 +253,11 @@ impl IncrementalSessionizer {
         Self::with_capacity(level, timeout, 0)
     }
 
-    /// An empty session table pre-sized for roughly `sources` concurrently
-    /// open sources — chunked feeds size this from chunk statistics to
-    /// avoid rehash churn while the table warms up.
+    /// An empty session table pre-sized for `sources` concurrently open
+    /// sources. Capacity never affects output; the table holds at most the
+    /// sources active within one timeout, so [`IncrementalSessionizer::new`]
+    /// suits every input, and a larger table only makes each eviction
+    /// sweep walk more empty slots.
     pub fn with_capacity(level: AggLevel, timeout: SimDuration, sources: usize) -> Self {
         IncrementalSessionizer {
             level,

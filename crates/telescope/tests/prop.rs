@@ -1,10 +1,11 @@
-//! Property tests: sessionizer invariants and split-schedule algebra.
+//! Property tests: sessionizer invariants, the derivation of coarser
+//! sessions from /128 ones, and split-schedule algebra.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use sixscope_telescope::{
-    AggLevel, Capture, CapturedPacket, IncrementalSessionizer, Protocol, Sessionizer, SourceKey,
-    SplitSchedule, TelescopeConfig, TelescopeId,
+    AggLevel, Capture, CapturedPacket, IncrementalSessionizer, Protocol, ScanSession, Sessionizer,
+    SourceKey, SplitSchedule, TelescopeConfig, TelescopeId,
 };
 use sixscope_types::{Ipv6Prefix, SimDuration, SimTime};
 use std::net::Ipv6Addr;
@@ -28,7 +29,79 @@ fn capture_from(packets: Vec<(u64, u64)>) -> Capture {
     cap
 }
 
+/// A time-sorted capture whose packets fall near multiples of `timeout`
+/// (`k·T + d`, `d` in 0..3, so gaps of T−1, T and T+1 and same-second
+/// packets are common) or, for one in four, anywhere in the first 12 T.
+/// Sources
+/// come from two /48s × two /64s × three /128s, so /64 sources rotate
+/// addresses and /48 sources span subnets.
+fn lattice_capture(timeout: u64, spec: Vec<(u64, u64, u8, u64, u64)>) -> Capture {
+    let mut packets: Vec<(u64, Ipv6Addr)> = spec
+        .into_iter()
+        .map(|(k, d, free, offset, src)| {
+            let ts = if free == 0 {
+                offset % (12 * timeout)
+            } else {
+                k * timeout + d
+            };
+            let (p48, p64, iid) = (src / 6, src / 3 % 2, src % 3 + 1);
+            let bits =
+                (0x2001_0db8_u128 << 96) | (p48 as u128) << 80 | (p64 as u128) << 64 | iid as u128;
+            (ts, Ipv6Addr::from(bits))
+        })
+        .collect();
+    packets.sort_by_key(|&(ts, _)| ts);
+    let mut cap = Capture::new(TelescopeConfig::t3("2001:db8:3::/48".parse().unwrap()));
+    for (ts, src) in packets {
+        cap.push(CapturedPacket {
+            ts: SimTime::from_secs(ts),
+            telescope: TelescopeId::T3,
+            src,
+            dst: "2001:db8:3::1".parse().unwrap(),
+            protocol: Protocol::Icmpv6,
+            src_port: None,
+            dst_port: None,
+            payload: Bytes::new(),
+        });
+    }
+    cap
+}
+
 proptest! {
+    /// Sessions derived from the /128 ones equal direct sessionization at
+    /// /64 and /48, element for element, at any timeout; and after every
+    /// packet, the /64 count derived from the incremental /128 state
+    /// equals the incremental /64 count (what a serve checkpoint reports).
+    #[test]
+    fn derived_sessions_equal_direct_sessionization(
+        timeout in 1u64..40,
+        spec in proptest::collection::vec(
+            (0u64..12, 0u64..3, 0u8..4, any::<u64>(), 0u64..12),
+            0..150,
+        ),
+    ) {
+        let cap = lattice_capture(timeout, spec);
+        let timeout = SimDuration::secs(timeout);
+        let fine = Sessionizer { level: AggLevel::Addr128, timeout }.sessionize(&cap);
+        for level in [AggLevel::Subnet64, AggLevel::Prefix48] {
+            let coarse = Sessionizer { level, timeout };
+            let derived: Vec<ScanSession> = coarse.derive(&fine).collect();
+            prop_assert_eq!(derived, coarse.sessionize(&cap), "at {}", level);
+        }
+        let subnet64 = Sessionizer { level: AggLevel::Subnet64, timeout };
+        let mut inc128 = IncrementalSessionizer::new(AggLevel::Addr128, timeout);
+        let mut inc64 = IncrementalSessionizer::new(AggLevel::Subnet64, timeout);
+        for (i, p) in cap.packets().iter().enumerate() {
+            inc128.push(i as u32, p);
+            inc64.push(i as u32, p);
+            prop_assert_eq!(
+                subnet64.derive(inc128.sessions()).len(),
+                inc64.len(),
+                "after packet {}", i
+            );
+        }
+    }
+
     /// Sessions partition the packets: every packet index appears in
     /// exactly one session.
     #[test]

@@ -9,6 +9,8 @@
 //! * [`rng::Xoshiro256pp`] — deterministic, splittable PRNG,
 //! * [`parallel::map_indexed`] — order-preserving fork-join map behind the
 //!   parallel execution engine (byte-identical at any thread count),
+//! * [`intern::FxHasher`] — the deterministic hasher of the hot-path hash
+//!   maps,
 //! * [`asn::Asn`] and network metadata used to label scan sources.
 //!
 //! Everything here is `std`-only and deterministic; the simulation and the
@@ -29,7 +31,7 @@ pub mod trie;
 pub use addr::{iid, nibble, set_nibble, subnet_bits};
 pub use asn::{AsInfo, Asn, CountryCode, NetworkType};
 pub use error::TypeError;
-pub use intern::{FxBuildHasher, FxHasher, InternTable};
+pub use intern::{FxBuildHasher, FxHasher};
 pub use parallel::{chunk_ranges, map_indexed, num_threads, MAX_THREADS, THREADS_ENV};
 pub use prefix::Ipv6Prefix;
 pub use rng::{SplitMix64, Xoshiro256pp};

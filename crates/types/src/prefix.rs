@@ -177,18 +177,6 @@ impl Ipv6Prefix {
         let host_mask = !Self::mask(self.len);
         Ipv6Addr::from(self.bits | (n & host_mask))
     }
-
-    /// Common covering prefix of two prefixes (their longest shared ancestor).
-    pub fn common_ancestor(&self, other: &Ipv6Prefix) -> Ipv6Prefix {
-        let max_len = self.len.min(other.len) as u32;
-        let diff = self.bits ^ other.bits;
-        let common = if diff == 0 { 128 } else { diff.leading_zeros() };
-        let len = common.min(max_len) as u8;
-        Ipv6Prefix {
-            bits: self.bits & Self::mask(len),
-            len,
-        }
-    }
 }
 
 /// Iterator over fixed-length subnets of a prefix, in address order.
@@ -399,23 +387,6 @@ mod tests {
             p126.nth_address(4),
             "2001:db8::".parse::<Ipv6Addr>().unwrap()
         );
-    }
-
-    #[test]
-    fn common_ancestor_of_split_halves_is_parent() {
-        let pre = p("2001:db8::/32");
-        let (lo, hi) = pre.split().unwrap();
-        assert_eq!(lo.common_ancestor(&hi), pre);
-        assert_eq!(lo.common_ancestor(&lo), lo);
-    }
-
-    #[test]
-    fn common_ancestor_of_disjoint_prefixes() {
-        let a = p("2001:db8::/48");
-        let b = p("2001:db9::/48");
-        let anc = a.common_ancestor(&b);
-        assert!(anc.covers(&a) && anc.covers(&b));
-        assert_eq!(anc.len(), 31);
     }
 
     #[test]

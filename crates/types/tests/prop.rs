@@ -44,21 +44,6 @@ proptest! {
     }
 
     #[test]
-    fn common_ancestor_covers_both(a in arb_prefix(), b in arb_prefix()) {
-        let anc = a.common_ancestor(&b);
-        prop_assert!(anc.covers(&a));
-        prop_assert!(anc.covers(&b));
-        // Maximality: one more bit would stop covering one of them
-        // (unless a covers b or vice versa — then anc equals the shorter).
-        if anc.len() < a.len().min(b.len()) {
-            let (lo, hi) = anc.split().unwrap();
-            let lo_both = lo.covers(&a) && lo.covers(&b);
-            let hi_both = hi.covers(&a) && hi.covers(&b);
-            prop_assert!(!lo_both && !hi_both);
-        }
-    }
-
-    #[test]
     fn trie_lookup_matches_linear_scan(
         entries in proptest::collection::vec((any::<u128>(), 0u8..=64), 1..40),
         probe in any::<u128>(),

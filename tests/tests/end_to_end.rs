@@ -6,7 +6,7 @@
 use sixscope::sim::ScenarioConfig;
 use sixscope::{figures, tables, Analyzed, Pipeline};
 use sixscope_analysis::classify::TemporalClass;
-use sixscope_telescope::TelescopeId;
+use sixscope_telescope::{AggLevel, Sessionizer, TelescopeId};
 use std::sync::OnceLock;
 
 fn run(seed: u64, scale: f64) -> Analyzed {
@@ -103,6 +103,27 @@ fn address_rotation_shows_only_at_t2() {
     let col = |id: TelescopeId| t.a.iter().find(|c| c.telescope == id).unwrap();
     let ratio = |id| col(id).sources128 as f64 / col(id).sources64.max(1) as f64;
     assert!(ratio(TelescopeId::T2) > ratio(TelescopeId::T1));
+}
+
+#[test]
+fn derived_sixty_four_sessions_equal_direct_sessionization() {
+    // The corpus's /64 sessions are derived from its /128 ones; they must
+    // equal a direct /64 pass over every capture. T2's rotating sources
+    // make the two levels differ.
+    for seed in [20230824, 7] {
+        let a = run(seed, 0.004);
+        for id in TelescopeId::ALL {
+            let direct = Sessionizer::paper(AggLevel::Subnet64).sessionize(a.capture(id));
+            assert!(
+                a.sessions64(id) == direct,
+                "seed {seed}, {id:?}: derived /64 sessions differ from a direct /64 pass"
+            );
+        }
+        assert!(
+            a.sessions64(TelescopeId::T2).len() < a.sessions128(TelescopeId::T2).len(),
+            "seed {seed}: T2's /64 sessions must merge rotating /128 sources"
+        );
+    }
 }
 
 #[test]

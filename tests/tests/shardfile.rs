@@ -26,7 +26,7 @@ use sixscope::shardfile::{decode_shard, encode_shard, write_shard, ShardError, T
 use sixscope::{Pipeline, PipelineOutput};
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 use sixscope_telescope::{Capture, TelescopeId};
-use sixscope_types::{SimDuration, SimTime, Xoshiro256pp};
+use sixscope_types::{SimTime, Xoshiro256pp};
 use std::path::PathBuf;
 
 const MUTATIONS: usize = 12_000;
@@ -297,9 +297,12 @@ fn merge_sessionizes_with_the_pipelines_session_timeout() {
         "2a0a::bad:2".parse().unwrap(),
         "2001:db8:3::7".parse().unwrap(),
     );
-    // Gaps of 15 to 50 minutes (longer than 10 min, shorter than 1 h) and
-    // a few shorter ones, with a session that straddles the file seam.
-    let times = [0u64, 120, 1_020, 2_820, 5_820, 6_000, 8_700, 11_700, 11_760];
+    // Gaps of 1.5 to 5 hours and a few below the 1-hour timeout, with a
+    // /64 session (both sources share 2a0a::/64) that straddles the file
+    // seam.
+    let times = [
+        0u64, 720, 6_120, 16_920, 34_920, 36_000, 52_200, 70_200, 70_560,
+    ];
     let records: Vec<(u64, Vec<u8>)> = times
         .iter()
         .enumerate()
@@ -317,15 +320,8 @@ fn merge_sessionizes_with_the_pipelines_session_timeout() {
         // timeout.
         Pipeline::from_pcaps([pcap]).to_shard(shard).unwrap();
     }
-    let ten = SimDuration::mins(10);
-    let merged = Pipeline::from_shards(&shards)
-        .session_timeout(ten)
-        .run_detailed()
-        .unwrap();
-    let direct = Pipeline::from_pcaps(&pcaps)
-        .session_timeout(ten)
-        .run_detailed()
-        .unwrap();
+    let merged = Pipeline::from_shards(&shards).run_detailed().unwrap();
+    let direct = Pipeline::from_pcaps(&pcaps).run_detailed().unwrap();
     let (m, d) = (&merged.analyzed, &direct.analyzed);
     assert_eq!(
         m.sessions128(TelescopeId::T1),
@@ -338,10 +334,17 @@ fn merge_sessionizes_with_the_pipelines_session_timeout() {
             analysis_report(d, &direct.stats, json)
         );
     }
-    // The gaps split sessions at 10 minutes but not at the 1 h default.
-    let hourly = Pipeline::from_shards(&shards).run().unwrap();
+    // The gaps split the /128 sources into 8 sessions and the shared /64
+    // into 6, one of which holds the last packet of the first file and the
+    // first of the second.
+    let sessions64 = m.sessions64(TelescopeId::T1);
+    assert_eq!(
+        (m.sessions128(TelescopeId::T1).len(), sessions64.len()),
+        (8, 6),
+        "the fixture must straddle the timeout at both levels"
+    );
     assert!(
-        hourly.sessions128(TelescopeId::T1).len() < m.sessions128(TelescopeId::T1).len(),
-        "the fixture must tell the two timeouts apart"
+        sessions64.iter().any(|s| s.packet_indices == [4, 5]),
+        "a /64 session must straddle the file seam"
     );
 }
