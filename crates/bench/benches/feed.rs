@@ -1,13 +1,13 @@
 //! Feed-abstraction benchmarks: the unified [`Feed`] pull loop against
-//! the raw zero-copy reader it wraps. The trait adds per-chunk dispatch
-//! and watermark tracking; the target is to stay within a few percent of
-//! the direct `SliceReader` path.
+//! the raw zero-copy reader it wraps. The trait adds per-chunk dispatch;
+//! the target is to stay within a few percent of the direct `SliceReader`
+//! path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sixscope::ingest::passive_config;
-use sixscope::packet::{PacketBuilder, PcapRecord, PcapWriter, SliceReader, ViewOutcome};
+use sixscope::packet::{SliceReader, ViewOutcome};
 use sixscope_bench::bench_corpus;
-use sixscope_telescope::{Capture, Feed, IngestStats, PcapFeed, Protocol, TelescopeId};
+use sixscope_telescope::{Capture, Feed, IngestStats, PcapFeed, TelescopeId};
 use sixscope_types::Ipv6Prefix;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -17,33 +17,8 @@ use std::path::PathBuf;
 fn pcap_image() -> (Vec<u8>, usize) {
     let a = bench_corpus();
     let capture = a.capture(TelescopeId::T1);
-    let mut writer = PcapWriter::new(Vec::new()).expect("pcap header");
-    for p in capture.packets() {
-        let builder = PacketBuilder::new(p.src, p.dst);
-        let data = match p.protocol {
-            Protocol::Icmpv6 => builder.icmpv6_echo_request(0, 0, &p.payload),
-            Protocol::Tcp => builder.tcp_syn(
-                p.src_port.unwrap_or(0),
-                p.dst_port.unwrap_or(0),
-                0,
-                &p.payload,
-            ),
-            Protocol::Udp | Protocol::Other => {
-                builder.udp(p.src_port.unwrap_or(0), p.dst_port.unwrap_or(0), &p.payload)
-            }
-        };
-        writer
-            .write_record(&PcapRecord {
-                ts: p.ts,
-                ts_micros: 0,
-                data,
-            })
-            .expect("write bench record");
-    }
-    (
-        writer.into_inner().expect("flush bench pcap"),
-        capture.len(),
-    )
+    let image = capture.write_pcap(Vec::new()).expect("write bench pcap");
+    (image, capture.len())
 }
 
 fn passive() -> Capture {

@@ -3,11 +3,9 @@
 //! records/sec — the single-core target for `view_parse` is ≥1M pkt/s.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sixscope::packet::{
-    parse_run, PacketBuilder, PcapRecord, PcapWriter, SliceReader, ViewOutcome,
-};
+use sixscope::packet::{parse_run, SliceReader, ViewOutcome};
 use sixscope_bench::bench_corpus;
-use sixscope_telescope::{Protocol, TelescopeId};
+use sixscope_telescope::TelescopeId;
 use std::hint::black_box;
 
 /// Renders the bench corpus's T1 capture into an in-memory classic pcap
@@ -15,33 +13,8 @@ use std::hint::black_box;
 fn pcap_image() -> (Vec<u8>, usize) {
     let a = bench_corpus();
     let capture = a.capture(TelescopeId::T1);
-    let mut writer = PcapWriter::new(Vec::new()).expect("pcap header");
-    for p in capture.packets() {
-        let builder = PacketBuilder::new(p.src, p.dst);
-        let data = match p.protocol {
-            Protocol::Icmpv6 => builder.icmpv6_echo_request(0, 0, &p.payload),
-            Protocol::Tcp => builder.tcp_syn(
-                p.src_port.unwrap_or(0),
-                p.dst_port.unwrap_or(0),
-                0,
-                &p.payload,
-            ),
-            Protocol::Udp | Protocol::Other => {
-                builder.udp(p.src_port.unwrap_or(0), p.dst_port.unwrap_or(0), &p.payload)
-            }
-        };
-        writer
-            .write_record(&PcapRecord {
-                ts: p.ts,
-                ts_micros: 0,
-                data,
-            })
-            .expect("write bench record");
-    }
-    (
-        writer.into_inner().expect("flush bench pcap"),
-        capture.len(),
-    )
+    let image = capture.write_pcap(Vec::new()).expect("write bench pcap");
+    (image, capture.len())
 }
 
 fn bench_ingest(c: &mut Criterion) {

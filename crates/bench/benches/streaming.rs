@@ -33,38 +33,12 @@ fn bench_incremental_sessionizer(c: &mut Criterion) {
 /// Writes the bench corpus's T1 capture to a temp pcap once, then times
 /// the full streaming pipeline over it at different chunk sizes.
 fn bench_chunked_pipeline(c: &mut Criterion) {
-    use sixscope::packet::{PacketBuilder, PcapRecord, PcapWriter};
-    use sixscope_telescope::Protocol;
-
     let a = bench_corpus();
     let capture = a.capture(TelescopeId::T1);
     let path: PathBuf =
         std::env::temp_dir().join(format!("sixscope-bench-stream-{}.pcap", std::process::id()));
     let file = std::fs::File::create(&path).expect("create bench pcap");
-    let mut writer = PcapWriter::new(file).expect("pcap header");
-    for p in capture.packets() {
-        let builder = PacketBuilder::new(p.src, p.dst);
-        let data = match p.protocol {
-            Protocol::Icmpv6 => builder.icmpv6_echo_request(0, 0, &p.payload),
-            Protocol::Tcp => builder.tcp_syn(
-                p.src_port.unwrap_or(0),
-                p.dst_port.unwrap_or(0),
-                0,
-                &p.payload,
-            ),
-            Protocol::Udp | Protocol::Other => {
-                builder.udp(p.src_port.unwrap_or(0), p.dst_port.unwrap_or(0), &p.payload)
-            }
-        };
-        writer
-            .write_record(&PcapRecord {
-                ts: p.ts,
-                ts_micros: 0,
-                data,
-            })
-            .expect("write bench record");
-    }
-    writer.into_inner().expect("flush bench pcap");
+    capture.write_pcap(file).expect("write bench pcap");
 
     let mut group = c.benchmark_group("streaming_pipeline");
     group.sample_size(10);

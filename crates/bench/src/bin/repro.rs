@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper and writes
 //! EXPERIMENTS.md with paper-vs-measured comparisons.
 //!
-//! Usage: `cargo run -p sixscope-bench --bin repro --release [-- [scale] [--timing] [--chunk N]]`
+//! Usage: `cargo run -p sixscope-bench --bin repro --release [-- [scale] [--timing] [--shards K]]`
 //!
 //! With `--timing`, prints a per-stage wall-clock breakdown (generate,
 //! deliver, streaming, sessionize, index build, tables, figures) plus the
@@ -31,23 +31,11 @@ fn fail(err: &sixscope::Error) -> ! {
 fn main() {
     let mut scale = sixscope_bench::SCALE;
     let mut timing = false;
-    let mut chunk: Option<usize> = None;
     let mut shards: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--timing" {
             timing = true;
-        } else if arg == "--chunk" {
-            // Streaming chunk size — output must be byte-identical at any
-            // value (the CI equivalence check drives this).
-            let value = args.next().unwrap_or_default();
-            match value.parse() {
-                Ok(0) | Err(_) => {
-                    eprintln!("invalid --chunk value {value:?} (need a record count ≥ 1)");
-                    std::process::exit(2);
-                }
-                Ok(n) => chunk = Some(n),
-            }
         } else if arg == "--shards" {
             // Scatter the corpus over K shard files per telescope and
             // gather them back — output must be byte-identical to the
@@ -70,7 +58,7 @@ fn main() {
             }
             scale = s;
         } else {
-            eprintln!("usage: repro [scale] [--timing] [--chunk N] [--shards K]");
+            eprintln!("usage: repro [scale] [--timing] [--shards K]");
             std::process::exit(2);
         }
     }
@@ -93,11 +81,9 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         (analyzed, sim)
     } else {
-        let mut pipeline = Pipeline::simulate(ScenarioConfig::new(SEED, scale));
-        if let Some(n) = chunk {
-            pipeline = pipeline.chunk_records(n);
-        }
-        let out = pipeline.run_detailed().expect("simulated runs cannot fail");
+        let out = Pipeline::simulate(ScenarioConfig::new(SEED, scale))
+            .run_detailed()
+            .expect("simulated runs cannot fail");
         (out.analyzed, out.sim)
     };
     eprintln!(

@@ -21,7 +21,7 @@ use sixscope::serve::{self, ServeOptions};
 use sixscope::sim::ScenarioConfig;
 use sixscope::{Error, Pipeline, PipelineOutput};
 use sixscope_analysis::addrtype;
-use sixscope_telescope::{Capture, SplitSchedule, TelescopeId};
+use sixscope_telescope::{SplitSchedule, TelescopeId};
 use sixscope_types::{Ipv6Prefix, SimTime};
 use std::net::Ipv6Addr;
 use std::process::ExitCode;
@@ -138,7 +138,17 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
         for id in TelescopeId::ALL {
             // Re-encode the summarized capture to a pcap for inspection.
             let path = format!("{dir}/{id}.pcap");
-            write_capture_pcap(analyzed.capture(id), &path)?;
+            let file = std::fs::File::create(&path).map_err(|source| Error::Io {
+                path: path.clone(),
+                source,
+            })?;
+            analyzed
+                .capture(id)
+                .write_pcap(file)
+                .map_err(|source| Error::Pcap {
+                    path: path.clone(),
+                    source,
+                })?;
             eprintln!("wrote {path}");
         }
     }
@@ -161,14 +171,13 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
             "json",
         ],
     )?;
-    let threads = flags.apply_threads()?;
+    flags.apply_threads()?;
     let [path] = flags.positional() else {
         return Err(Error::Usage(
             "usage: sixscope serve <capture.pcap> [--out DIR]".into(),
         ));
     };
     let mut opts = ServeOptions::pcap(path, flags.get("out").unwrap_or("serve-out"));
-    opts.threads = threads;
     if let Some(n) = flags.chunk()? {
         opts.chunk_records = n;
     }
@@ -198,46 +207,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
             summary.status_write_errors
         );
     }
-    Ok(())
-}
-
-/// Rebuilds raw packets from capture summaries and writes a pcap.
-fn write_capture_pcap(capture: &Capture, path: &str) -> Result<(), Error> {
-    use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
-    use sixscope_telescope::Protocol;
-    let io_err = |source| Error::Io {
-        path: path.to_string(),
-        source,
-    };
-    let pcap_err = |source| Error::Pcap {
-        path: path.to_string(),
-        source,
-    };
-    let file = std::fs::File::create(path).map_err(io_err)?;
-    let mut writer = PcapWriter::new(file).map_err(pcap_err)?;
-    for p in capture.packets() {
-        let builder = PacketBuilder::new(p.src, p.dst);
-        let bytes = match p.protocol {
-            Protocol::Icmpv6 => builder.icmpv6_echo_request(0, 0, &p.payload),
-            Protocol::Tcp => builder.tcp_syn(
-                p.src_port.unwrap_or(0),
-                p.dst_port.unwrap_or(0),
-                0,
-                &p.payload,
-            ),
-            Protocol::Udp | Protocol::Other => {
-                builder.udp(p.src_port.unwrap_or(0), p.dst_port.unwrap_or(0), &p.payload)
-            }
-        };
-        writer
-            .write_record(&PcapRecord {
-                ts: p.ts,
-                ts_micros: 0,
-                data: bytes,
-            })
-            .map_err(pcap_err)?;
-    }
-    writer.into_inner().map_err(pcap_err)?;
     Ok(())
 }
 

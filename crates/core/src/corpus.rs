@@ -2,16 +2,18 @@
 //! columnar corpus index and metadata join helpers.
 //!
 //! Every finished input reaches this module as time-sorted captures.
-//! `Analyzed::stream` sessionizes them at /128 through the feed consumer,
-//! derives the /64 sessions from the /128 ones, then builds the
-//! [`CorpusIndex`] once, from the captures and their sessions.
+//! `Analyzed::stream` sessionizes each one at /128 through the feed
+//! consumer in one pass, derives the /64 sessions from the /128 ones,
+//! then builds the [`CorpusIndex`] once, from the captures and their
+//! sessions. The index's source table holds the study's one IP-to-AS
+//! join, which [`Analyzed::as_info_of`] reads.
 
-use crate::index::CorpusIndex;
+use crate::index::{CorpusIndex, NO_ID};
 use crate::pipeline::FeedConsumer;
 use sixscope_analysis::classify::ScannerProfile;
 use sixscope_sim::ExperimentResult;
-use sixscope_telescope::{Capture, ScanSession, TelescopeId};
-use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, PrefixTrie, SimTime};
+use sixscope_telescope::{AggLevel, Capture, ScanSession, SourceKey, TelescopeId};
+use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::time::Instant;
@@ -20,8 +22,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalysisTimings {
     /// The phase that produced the per-telescope sessions, end to end:
-    /// the chunked feeds (wall-clock of the parallel stage), plus, for
-    /// pcap and shard input, the read of the files before them.
+    /// the feeds (wall-clock of the parallel stage), plus, for pcap and
+    /// shard input, the read of the files before them.
     pub streaming: f64,
     /// Time spent pushing packets into the incremental /128 sessionizers
     /// and deriving the /64 sessions from theirs (summed across the
@@ -29,26 +31,6 @@ pub struct AnalysisTimings {
     pub sessionize: f64,
     /// The index build ([`CorpusIndex::build`]).
     pub index_build: f64,
-}
-
-/// Chunking and threading knobs of the streaming analysis;
-/// [`crate::Pipeline`] fills this from its builder methods. The defaults
-/// reproduce the batch behavior (one big chunk).
-#[derive(Clone, Copy)]
-pub(crate) struct StreamSettings {
-    /// Packets fed per chunk.
-    pub chunk_records: usize,
-    /// Worker threads (`None` defers to `SIXSCOPE_THREADS`).
-    pub threads: Option<usize>,
-}
-
-impl Default for StreamSettings {
-    fn default() -> Self {
-        StreamSettings {
-            chunk_records: usize::MAX,
-            threads: None,
-        }
-    }
 }
 
 /// Experiment output with sessions, scanner profiles and metadata joins.
@@ -69,37 +51,33 @@ pub struct Analyzed {
     /// over all telescopes; the /128 table bounds both aggregation
     /// levels).
     pub peak_open_sessions: usize,
-    /// Source /64-subnet → origin AS (the IP-to-AS join of the study).
-    asn_by_subnet: PrefixTrie<Asn>,
 }
 
 impl Analyzed {
-    /// Builds the corpus from a finished experiment — the batch path,
-    /// expressed as one-big-chunk streaming through `Analyzed::stream`.
+    /// Builds the corpus from a finished experiment through
+    /// `Analyzed::stream`.
     pub fn from_result(result: ExperimentResult) -> Analyzed {
-        Self::stream(result, &StreamSettings::default())
+        Self::stream(result, None)
     }
 
-    /// Builds the corpus by feeding each capture in `chunk_records` steps
-    /// into a [`FeedConsumer`] (an incremental /128 sessionizer, whose
-    /// sessions the /64 ones are derived from), then building the
-    /// [`CorpusIndex`] from the captures and their sessions — the one
-    /// corpus build behind every finished input: simulated captures,
-    /// sorted pcap reads and shard gathers.
+    /// Builds the corpus by feeding each capture, in one pass, into a
+    /// [`FeedConsumer`] (an incremental /128 sessionizer, whose sessions
+    /// the /64 ones are derived from), then building the [`CorpusIndex`]
+    /// from the captures and their sessions — the one corpus build behind
+    /// every finished input: simulated captures, sorted pcap reads and
+    /// shard gathers.
     ///
     /// The four per-telescope feeds are independent pure functions of
-    /// their capture, so they run on worker threads (`SIXSCOPE_THREADS`
-    /// caps them; 1 forces serial); results are keyed by telescope, so
-    /// scheduling cannot affect output, and chunk boundaries are invisible
-    /// (DESIGN.md §10) — any `chunk_records` yields byte-identical output.
-    /// The timings record the feeds as `streaming`, their summed pushes
-    /// and /64 derivations as `sessionize` and the index build as
-    /// `index_build`.
-    pub(crate) fn stream(result: ExperimentResult, settings: &StreamSettings) -> Analyzed {
-        let threads = num_threads(settings.threads);
+    /// their capture, so they run on up to `threads` workers (`None`
+    /// defers to `SIXSCOPE_THREADS`; 1 forces serial); results are keyed
+    /// by telescope, so scheduling cannot affect output. The timings
+    /// record the feeds as `streaming`, their summed pushes and /64
+    /// derivations as `sessionize` and the index build as `index_build`.
+    pub(crate) fn stream(result: ExperimentResult, threads: Option<usize>) -> Analyzed {
+        let threads = num_threads(threads);
         let stream_start = Instant::now();
         let fed = map_indexed(threads, &TelescopeId::ALL, |_, id| {
-            FeedConsumer::new(settings).consume_capture(&result.captures[id])
+            FeedConsumer::new().consume_capture(&result.captures[id])
         });
         let streaming = stream_start.elapsed().as_secs_f64();
         let mut sessions128 = BTreeMap::new();
@@ -115,10 +93,6 @@ impl Analyzed {
         let index_start = Instant::now();
         let index = CorpusIndex::build_with_threads(&result, &sessions128, &sessions64, threads);
         let index_build = index_start.elapsed().as_secs_f64();
-        let mut asn_by_subnet = PrefixTrie::new();
-        for scanner in &result.population.scanners {
-            asn_by_subnet.insert(scanner.source.subnet(), scanner.asn);
-        }
         Analyzed {
             result,
             sessions128,
@@ -130,7 +104,6 @@ impl Analyzed {
                 index_build,
             },
             peak_open_sessions,
-            asn_by_subnet,
         }
     }
 
@@ -149,15 +122,16 @@ impl Analyzed {
         &self.sessions64[&id]
     }
 
-    /// Origin AS of a source address (routing-data join).
-    pub fn asn_of(&self, src: Ipv6Addr) -> Option<Asn> {
-        self.asn_by_subnet.lookup(src).map(|(_, asn)| *asn)
-    }
-
-    /// AS metadata of a source address.
+    /// AS metadata of a captured /128 source, read off the index's
+    /// source table (the study's IP-to-AS join). `None` when no capture
+    /// holds `src` or its AS has no metadata.
     pub fn as_info_of(&self, src: Ipv6Addr) -> Option<&AsInfo> {
-        self.asn_of(src)
-            .and_then(|asn| self.result.population.as_info(asn))
+        let sources = &self.index.sources;
+        let id = sources.id128(&SourceKey::new(src, AggLevel::Addr128))?;
+        match sources.info_asn(id) {
+            NO_ID => None,
+            asn => self.result.population.as_info(Asn(asn)),
+        }
     }
 
     /// Reverse DNS of a source address, if registered.
@@ -169,15 +143,6 @@ impl Analyzed {
     /// period (start of cycle 1).
     pub fn split_start(&self) -> SimTime {
         self.result.schedule.cycle_start(1)
-    }
-
-    /// T1 sessions during the split period (/128).
-    pub fn t1_split_sessions(&self) -> Vec<&ScanSession> {
-        let boundary = self.split_start();
-        self.sessions128[&TelescopeId::T1]
-            .iter()
-            .filter(|s| s.start >= boundary)
-            .collect()
     }
 
     /// Temporal scanner profiles of the T1 split period. The profiles are
@@ -216,10 +181,16 @@ mod tests {
     #[test]
     fn asn_join_resolves_all_captured_sources() {
         let a = analyzed();
+        let sources = &a.index.sources;
         for id in TelescopeId::ALL {
             for p in a.capture(id).packets() {
-                assert!(
-                    a.asn_of(p.src).is_some(),
+                let key = SourceKey::new(p.src, AggLevel::Addr128);
+                let source = sources
+                    .id128(&key)
+                    .expect("every captured source is indexed");
+                assert_ne!(
+                    sources.asn(source),
+                    NO_ID,
                     "source {} has no AS mapping",
                     p.src
                 );
@@ -246,13 +217,13 @@ mod tests {
     fn split_period_partitions_sessions() {
         let a = analyzed();
         let boundary = a.split_start();
-        let initial = a
-            .sessions128(TelescopeId::T1)
-            .iter()
-            .filter(|s| s.start < boundary)
-            .count();
-        let split = a.t1_split_sessions().len();
-        assert_eq!(initial + split, a.sessions128(TelescopeId::T1).len());
+        let t1 = a.sessions128(TelescopeId::T1);
+        let initial = t1.iter().filter(|s| s.start < boundary).count();
+        let split = t1.iter().filter(|s| s.start >= boundary).count();
+        assert_eq!(initial + split, t1.len());
+        // The index's split window is exactly the sessions from the split
+        // start on.
+        assert_eq!(a.t1_split_profiles().0.len(), split);
         assert!(split > initial, "the split period is 32 of 44 weeks");
     }
 

@@ -840,10 +840,16 @@ mod tests {
 
     #[test]
     fn fig15_t1_split_cells_nonempty() {
-        let cells = fig15(analyzed());
+        let a = analyzed();
+        let cells = fig15(a);
         assert!(!cells.is_empty());
         let total: u64 = cells.iter().map(|c| c.sessions).sum();
-        assert_eq!(total, analyzed().t1_split_sessions().len() as u64);
+        let boundary = a.split_start();
+        let split = a
+            .sessions128(TelescopeId::T1)
+            .iter()
+            .filter(|s| s.start >= boundary);
+        assert_eq!(total, split.count() as u64);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The one entry point — a chunked, streaming analysis pipeline.
+//! The one entry point — a streaming analysis pipeline.
 //!
 //! [`Pipeline`] puts the simulated corpus, the real-pcap analysis and the
 //! shard-file gather behind a single builder:
@@ -20,15 +20,15 @@
 //! (with a buffered-read fallback) and walked in chunks of
 //! [`Pipeline::chunk_records`] borrowed record views, and packets promote
 //! their payload to owned bytes only when retained by the capture filter.
-//! The captures then stream through one incremental /128 sessionizer
-//! each in `chunk_records` steps, the /64 sessions are derived from the
-//! /128 ones, and [`crate::CorpusIndex::build`] derives the index columns
-//! once, from the finished captures. Sessions use the paper's 1-hour
-//! timeout ([`sixscope_telescope::SESSION_TIMEOUT`]). Chunk boundaries
-//! are invisible (DESIGN.md §10): any `chunk_records` and any thread
-//! count produce byte-identical tables and figures.
+//! Each finished capture then goes through one incremental /128
+//! sessionizer in one pass, the /64 sessions are derived from the /128
+//! ones, and [`crate::CorpusIndex::build`] derives the index columns once,
+//! from the finished captures. Sessions use the paper's 1-hour timeout
+//! ([`sixscope_telescope::SESSION_TIMEOUT`]). Read chunks are invisible
+//! (DESIGN.md §10): any `chunk_records` and any thread count produce
+//! byte-identical tables and figures.
 
-use crate::corpus::{Analyzed, StreamSettings};
+use crate::corpus::Analyzed;
 use crate::ingest::passive_config;
 use crate::shardfile::{gather_shards, write_shard, TelescopeShard};
 use crate::Error;
@@ -114,8 +114,7 @@ impl Pipeline {
     /// must be given in capture order; their captures are concatenated
     /// and sessionized and indexed exactly as a simulated capture is, so
     /// the merged corpus is byte-identical to a single-process run over
-    /// the concatenated packets, and [`Pipeline::chunk_records`] and
-    /// [`Pipeline::threads`] apply.
+    /// the concatenated packets, and [`Pipeline::threads`] applies.
     pub fn from_shards<I, P>(paths: I) -> Pipeline
     where
         I: IntoIterator<Item = P>,
@@ -150,9 +149,9 @@ impl Pipeline {
         self
     }
 
-    /// Streaming chunk size: pcap records per read step, and packets per
-    /// sessionizer feed step on every path. Output bytes never depend on
-    /// it. Defaults to unchunked.
+    /// Pcap records per read step (no effect on simulated or shard
+    /// input, whose captures are already in memory). Output bytes never
+    /// depend on it. Defaults to reading each file in one step.
     pub fn chunk_records(mut self, records: usize) -> Pipeline {
         self.chunk_records = records.max(1);
         self
@@ -166,10 +165,6 @@ impl Pipeline {
     /// Runs the pipeline and additionally returns stage timings and (for
     /// the pcap path) recovery statistics.
     pub fn run_detailed(self) -> Result<PipelineOutput, Error> {
-        let settings = StreamSettings {
-            chunk_records: self.chunk_records,
-            threads: self.threads,
-        };
         match self.source {
             Source::Simulate(mut config) => {
                 if self.threads.is_some() {
@@ -177,7 +172,7 @@ impl Pipeline {
                 }
                 let (result, sim) = Scenario::new(config).run_timed();
                 Ok(PipelineOutput {
-                    analyzed: Analyzed::stream(result, &settings),
+                    analyzed: Analyzed::stream(result, self.threads),
                     sim,
                     stats: IngestStats::default(),
                     file_stats: Vec::new(),
@@ -186,7 +181,7 @@ impl Pipeline {
             Source::Pcaps { paths, prefix } => {
                 let read_start = Instant::now();
                 let input = read_pcaps(&paths, prefix, self.chunk_records)?;
-                Ok(analyze_input(input, read_start, &settings))
+                Ok(analyze_input(input, read_start, self.threads))
             }
             Source::Shards(paths) => {
                 if paths.is_empty() {
@@ -196,7 +191,7 @@ impl Pipeline {
                 }
                 let read_start = Instant::now();
                 let input = gather_shards(&paths)?;
-                Ok(analyze_input(input, read_start, &settings))
+                Ok(analyze_input(input, read_start, self.threads))
             }
         }
     }
@@ -242,8 +237,9 @@ pub(crate) struct FinishedInput {
 }
 
 /// The stateful half of a feed-driven ingest: one incremental /128
-/// sessionizer, fed one [`sixscope_telescope::FeedChunk`] at a time. The
-/// /64 sessions and their count are derived from its sessions
+/// sessionizer, fed a packet range at a time — a whole finished capture,
+/// or one [`sixscope_telescope::FeedChunk`] of the live tail. The /64
+/// sessions and their count are derived from its sessions
 /// ([`Sessionizer::derive`]) when asked for.
 ///
 /// The consumer is the only code that turns a packet range into sessions,
@@ -259,7 +255,6 @@ pub(crate) struct FeedConsumer {
     s128: IncrementalSessionizer,
     sessionize: f64,
     sorted: bool,
-    settings: StreamSettings,
 }
 
 /// One telescope's sessions: what a drained [`FeedConsumer`] hands to the
@@ -273,12 +268,11 @@ pub(crate) struct ConsumedFeed {
 }
 
 impl FeedConsumer {
-    pub(crate) fn new(settings: &StreamSettings) -> FeedConsumer {
+    pub(crate) fn new() -> FeedConsumer {
         FeedConsumer {
             s128: IncrementalSessionizer::paper(AggLevel::Addr128),
             sessionize: 0.0,
             sorted: true,
-            settings: *settings,
         }
     }
 
@@ -309,8 +303,8 @@ impl FeedConsumer {
         self.s128.sessions()
     }
 
-    /// Feeds the capture packets `range` (one feed chunk) into the
-    /// incremental state.
+    /// Feeds the capture packets `range` (a live feed chunk, or a whole
+    /// finished capture) into the incremental state.
     pub(crate) fn consume(&mut self, capture: &Capture, range: Range<usize>) {
         if range.is_empty() || !self.sorted {
             return;
@@ -335,28 +329,23 @@ impl FeedConsumer {
     }
 
     /// Closes the consumer. If disorder was seen, sorts the capture and
-    /// re-feeds it through a fresh consumer — chunk boundaries are
-    /// invisible (DESIGN.md §10), so this equals the batch path byte for
-    /// byte.
+    /// re-feeds it through a fresh consumer in one pass — chunk boundaries
+    /// are invisible (DESIGN.md §10), so this equals the batch path byte
+    /// for byte.
     pub(crate) fn finish(self, capture: &mut Capture) -> ConsumedFeed {
         if self.sorted {
             return self.finish_in_order();
         }
         capture.sort_by_time();
-        FeedConsumer::new(&self.settings).consume_capture(capture)
+        FeedConsumer::new().consume_capture(capture)
     }
 
     /// Feeds a whole, time-sorted capture through this fresh consumer in
-    /// `chunk_records` steps and closes it — the one loop behind every
-    /// finished input's corpus build (`Analyzed::stream`) and the disorder
-    /// fallback of [`FeedConsumer::finish`]. A zero chunk size feeds one
-    /// packet per step, as [`Pipeline::chunk_records`] clamps it.
+    /// one pass and closes it — the corpus build of every finished input
+    /// (`Analyzed::stream`) and the disorder fallback of
+    /// [`FeedConsumer::finish`].
     pub(crate) fn consume_capture(mut self, capture: &Capture) -> ConsumedFeed {
-        let step = self.settings.chunk_records.max(1);
-        for start in (0..capture.len()).step_by(step) {
-            let end = start.saturating_add(step).min(capture.len());
-            self.consume(capture, start..end);
-        }
+        self.consume(capture, 0..capture.len());
         self.finish_in_order()
     }
 
@@ -410,10 +399,10 @@ fn read_pcaps(
 fn analyze_input(
     input: FinishedInput,
     read_start: Instant,
-    settings: &StreamSettings,
+    threads: Option<usize>,
 ) -> PipelineOutput {
     let read = read_start.elapsed().as_secs_f64();
-    let mut analyzed = Analyzed::stream(gathered_result(input.captures), settings);
+    let mut analyzed = Analyzed::stream(gathered_result(input.captures), threads);
     analyzed.timings.streaming += read;
     PipelineOutput {
         analyzed,

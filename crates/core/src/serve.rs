@@ -25,7 +25,7 @@
 //! *is* the batch state once the feed drains, and disorder falls back to
 //! the same sort-and-re-feed path (DESIGN.md §10, §14).
 
-use crate::corpus::{Analyzed, StreamSettings};
+use crate::corpus::Analyzed;
 use crate::ingest::passive_config;
 use crate::json::Json;
 use crate::pipeline::FeedConsumer;
@@ -50,8 +50,9 @@ pub struct ServeOptions {
     /// Checkpoint every this many revealed records (`None`: only the
     /// final checkpoint). Zero is [`Error::Usage`].
     pub snapshot_every: Option<u64>,
-    /// Worker-thread cap (`None` defers to `SIXSCOPE_THREADS`). Output
-    /// bytes never depend on it.
+    /// Read by nothing: the daemon sessionizes serially, and a
+    /// checkpoint's one parallel stage (scanner profiling) follows
+    /// `SIXSCOPE_THREADS`, which `sixscope serve --threads` sets.
     pub threads: Option<usize>,
     /// Feed chunk size in records (0 acts as 1).
     pub chunk_records: usize,
@@ -485,19 +486,15 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
     }
     let _signals = SignalGuard::install();
     let mut status = StatusSink::new(opts.status_fd);
-    let settings = StreamSettings {
-        chunk_records: opts.chunk_records,
-        threads: opts.threads,
-    };
     let mut feed = TailFeed::new(
         Capture::new(passive_config(opts.prefix)),
         &opts.source,
-        settings.chunk_records,
+        opts.chunk_records,
         SESSION_TIMEOUT,
     )
     .poll_interval(Duration::from_millis(opts.poll_ms))
     .quiesce_after(Duration::from_millis(opts.quiesce_ms));
-    let mut consumer = FeedConsumer::new(&settings);
+    let mut consumer = FeedConsumer::new();
     let mut memo = ReportMemo::default();
 
     let mut revealed: u64 = 0;

@@ -19,7 +19,7 @@
 //! panic by a damaged or hostile file. All violations surface as
 //! [`ShardError`] wrapped in [`Error::Shard`] (CLI exit code 7).
 
-use crate::corpus::{Analyzed, StreamSettings};
+use crate::corpus::Analyzed;
 use crate::error::Error;
 use crate::index::proto_code;
 use crate::pipeline::FinishedInput;
@@ -748,11 +748,7 @@ pub fn merge_experiment(
         result.captures.insert(id, capture);
     }
     let read = read_start.elapsed().as_secs_f64();
-    let settings = StreamSettings {
-        threads,
-        ..StreamSettings::default()
-    };
-    let mut analyzed = Analyzed::stream(result, &settings);
+    let mut analyzed = Analyzed::stream(result, threads);
     analyzed.timings.streaming += read;
     Ok(analyzed)
 }

@@ -17,7 +17,7 @@ use sixscope::tables;
 use sixscope::telescope::{
     Bytes, Capture, CapturedPacket, Protocol, SplitSchedule, TelescopeConfig, TelescopeId,
 };
-use sixscope::types::{Asn, Ipv6Prefix, SimDuration, SimTime};
+use sixscope::types::{Asn, Ipv6Prefix, PrefixTrie, SimDuration, SimTime};
 use sixscope::Analyzed;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
@@ -305,10 +305,22 @@ proptest! {
                 }
             }
         }
+        // The naive IP-to-AS join: scanner subnet -> AS, longest match.
+        let population = &a.result.population;
+        let mut asn_by_subnet = PrefixTrie::new();
+        for scanner in &population.scanners {
+            asn_by_subnet.insert(scanner.source.subnet(), scanner.asn);
+        }
         let mut ases = BTreeSet::new();
         let mut countries = BTreeSet::new();
         for &src in &srcs {
-            if let Some(info) = a.as_info_of(src) {
+            let info = asn_by_subnet
+                .lookup(src)
+                .and_then(|(_, &asn)| population.as_info(asn));
+            // Table 8's join, read off the index, agrees for every
+            // captured source.
+            prop_assert_eq!(a.as_info_of(src).map(|i| i.asn), info.map(|i| i.asn));
+            if let Some(info) = info {
                 ases.insert(info.asn);
                 countries.insert(info.country);
             }

@@ -1,13 +1,16 @@
-//! Epoch-compiled visibility: constant-time-ish LPM and announced-set
-//! snapshots for the data-plane hot loop.
+//! Epoch-compiled visibility: cheap LPM and announced-set snapshots for
+//! the data-plane hot loop.
 //!
 //! [`Visibility::lpm`] scans every prefix's interval list per probe — fine
 //! for tests, quadratic pain for the ~10⁶-probe delivery loop. The visible
 //! set only changes at interval endpoints (announce/withdraw times), so the
 //! schedule compiles into *epochs*: between two consecutive endpoints the
-//! set is constant. Each epoch gets one [`PrefixTrie`] for longest-prefix
-//! match and one prefix-ordered snapshot of the announced set; a query is a
-//! binary search over epoch boundaries plus a trie walk.
+//! set is constant. Each epoch gets one prefix-ordered snapshot of the
+//! announced set and one copy in descending prefix length; a query is a
+//! binary search over epoch boundaries plus a first-match scan of that
+//! copy. The simulated control plane announces at most 19 prefixes at
+//! once (T2, the covering /29 and up to 17 T1 prefixes), so the scan
+//! stays short.
 //!
 //! Equivalence with the naive structure is exact (property-tested in
 //! `crates/sim/tests/prop.rs`): same LPM result for every `(addr, t)` and
@@ -17,7 +20,7 @@
 //! contract.
 
 use crate::visibility::Visibility;
-use sixscope_types::{Ipv6Prefix, PrefixTrie, SimTime};
+use sixscope_types::{Ipv6Prefix, SimTime};
 use std::cell::Cell;
 use std::net::Ipv6Addr;
 
@@ -28,49 +31,31 @@ pub struct CompiledVisibility {
     /// `[starts[i], starts[i+1])`; times before `starts[0]` fall into an
     /// implicit empty epoch (nothing announced before the first event).
     starts: Vec<SimTime>,
-    /// Longest-prefix-match trie per epoch.
-    tries: Vec<PrefixTrie<()>>,
     /// Visible prefixes per epoch, in prefix order (matching
     /// [`Visibility::announced_at`]).
     announced: Vec<Vec<Ipv6Prefix>>,
-    /// Visible prefixes per epoch in *descending length* order. For the
-    /// small announced sets real schedules produce, LPM by first-match
-    /// scan over this contiguous list beats the per-bit trie walk: equal
-    /// lengths cannot nest, so the first containing prefix in descending
-    /// length order is the longest match. Epochs with more than
-    /// [`SCAN_LPM_MAX`] prefixes leave this empty and use the trie.
+    /// Visible prefixes per epoch in *descending length* order. Two
+    /// distinct prefixes of equal length cannot both contain an address,
+    /// so the first containing prefix in this order is the longest match,
+    /// for a set of any size.
     by_len: Vec<Vec<Ipv6Prefix>>,
 }
-
-/// Largest announced set still served by the linear-scan LPM.
-const SCAN_LPM_MAX: usize = 32;
 
 impl CompiledVisibility {
     /// Compiles the interval structure into epoch snapshots.
     pub fn compile(visibility: &Visibility) -> CompiledVisibility {
         let starts = visibility.endpoints();
-        let mut tries = Vec::with_capacity(starts.len());
         let mut announced = Vec::with_capacity(starts.len());
         let mut by_len = Vec::with_capacity(starts.len());
         for &start in &starts {
             let visible = visibility.announced_at(start);
-            let mut trie = PrefixTrie::new();
-            for prefix in &visible {
-                trie.insert(*prefix, ());
-            }
-            tries.push(trie);
-            if visible.len() <= SCAN_LPM_MAX {
-                let mut longest_first = visible.clone();
-                longest_first.sort_by_key(|p| std::cmp::Reverse(p.len()));
-                by_len.push(longest_first);
-            } else {
-                by_len.push(Vec::new());
-            }
+            let mut longest_first = visible.clone();
+            longest_first.sort_by_key(|p| std::cmp::Reverse(p.len()));
+            by_len.push(longest_first);
             announced.push(visible);
         }
         CompiledVisibility {
             starts,
-            tries,
             announced,
             by_len,
         }
@@ -81,14 +66,10 @@ impl CompiledVisibility {
         self.starts.partition_point(|&s| s <= t).checked_sub(1)
     }
 
-    /// LPM within epoch `e`: linear scan of the descending-length list
-    /// when the epoch qualifies, per-bit trie walk otherwise.
+    /// LPM within epoch `e`: the first prefix of the descending-length
+    /// list that contains `addr`.
     fn lpm_in_epoch(&self, e: usize, addr: Ipv6Addr) -> Option<Ipv6Prefix> {
-        let scan = &self.by_len[e];
-        if !scan.is_empty() || self.announced[e].is_empty() {
-            return scan.iter().find(|p| p.contains(addr)).copied();
-        }
-        self.tries[e].lookup(addr).map(|(p, _)| *p)
+        self.by_len[e].iter().find(|p| p.contains(addr)).copied()
     }
 
     /// Longest visible prefix covering `addr` at `t` — same result as
@@ -143,9 +124,9 @@ impl CompiledVisibility {
     /// [`CompiledVisibility::lpm`], with both a burst cursor and a
     /// covering-prefix hint. The DFZ gate only needs *some* visible cover,
     /// not the longest one, so when the previous probe's covering prefix
-    /// is still visible (same epoch) and contains `addr`, the per-bit trie
-    /// walk is skipped entirely; scanners probe one region at a time, so
-    /// the hint hits for nearly every routed probe.
+    /// is still visible (same epoch) and contains `addr`, the LPM scan is
+    /// skipped entirely; scanners probe one region at a time, so the hint
+    /// hits for nearly every routed probe.
     pub fn routed_cached(
         &self,
         addr: Ipv6Addr,
@@ -283,6 +264,62 @@ mod tests {
                     compiled.lpm(addr, t).is_some(),
                     "routed diverged for {addr} at t={ts}"
                 );
+            }
+        }
+    }
+
+    /// Forty prefixes visible at once, nested and disjoint — more than any
+    /// epoch of the simulated control plane holds — through the one LPM
+    /// path, queried forward, backward and with regressing times.
+    #[test]
+    fn forty_visible_prefixes_match_naive_lpm() {
+        let mut prefixes = vec!["2001:db8::/32".to_string()];
+        prefixes.extend((1..=20).map(|i| format!("2001:db8:{i:x}::/48")));
+        prefixes.extend((1..=5).map(|i| format!("2001:db8:1:{i:x}00::/56")));
+        prefixes.extend((1..=4).map(|i| format!("2001:db8:1:1{i:02x}::/64")));
+        prefixes.extend((1..=10).map(|i| format!("3fff:{i:x}::/48")));
+        let mut events: Vec<RouteEvent> = prefixes.iter().map(|p| announce(100, p)).collect();
+        // Withdrawn at 500 and back at 900: every second /48 under the
+        // /32, and the /56s.
+        let flapping: Vec<&String> = prefixes[2..=20]
+            .iter()
+            .step_by(2)
+            .chain(&prefixes[21..26])
+            .collect();
+        events.extend(flapping.iter().map(|p| withdraw(500, p)));
+        events.extend(flapping.iter().map(|p| announce(900, p)));
+        events.push(withdraw(1200, "2001:db8::/32"));
+        let vis = Visibility::from_events(&events);
+        let compiled = CompiledVisibility::compile(&vis);
+        assert_eq!(compiled.announced_at(SimTime::from_secs(100)).len(), 40);
+
+        let mut addrs: Vec<Ipv6Addr> = Vec::new();
+        for p in &prefixes {
+            let prefix: Ipv6Prefix = p.parse().unwrap();
+            addrs.push(prefix.network());
+            addrs.push(prefix.nth_address(0x1_0001));
+        }
+        // Outside every prefix, and inside a /56 but none of its /64s.
+        for a in ["2001:db7::1", "3fff:ff::1", "4000::1", "2001:db8:1:1ff::1"] {
+            addrs.push(a.parse().unwrap());
+        }
+        let forward = [0u64, 99, 100, 101, 499, 500, 899, 900, 1199, 1200, 5000];
+        let backward: Vec<u64> = forward.iter().rev().copied().collect();
+        let regressing = [100u64, 950, 120, 600, 1300, 450, 900, 99, 1100];
+        for times in [&forward[..], &backward, &regressing] {
+            let cursor = Cell::new(0);
+            let hint = Cell::new(None);
+            for &ts in times {
+                let t = SimTime::from_secs(ts);
+                for &addr in &addrs {
+                    let naive = vis.lpm(addr, t);
+                    assert_eq!(compiled.lpm(addr, t), naive, "lpm of {addr} at t={ts}");
+                    assert_eq!(
+                        compiled.routed_cached(addr, t, &cursor, &hint),
+                        naive.is_some(),
+                        "routed {addr} at t={ts}"
+                    );
+                }
             }
         }
     }

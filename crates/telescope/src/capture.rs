@@ -8,10 +8,12 @@
 use crate::config::{TelescopeConfig, TelescopeId};
 use bytes::Bytes;
 use sixscope_packet::{
-    MalformedRecord, PacketError, ParsedView, SliceReader, Transport, ViewOutcome,
+    MalformedRecord, PacketBuilder, PacketError, ParsedView, PcapRecord, PcapWriter, SliceReader,
+    Transport, ViewOutcome,
 };
 use sixscope_types::SimTime;
 use std::fmt;
+use std::io::Write;
 use std::net::Ipv6Addr;
 
 /// Statistics of one recoverable pcap ingest run
@@ -471,6 +473,30 @@ impl Capture {
         }
     }
 
+    /// Writes the capture to `out` as a classic pcap (LINKTYPE_RAW) and
+    /// returns `out`. Each packet is rebuilt from its summary: ICMPv6 as an
+    /// echo request with identifier and sequence 0, TCP as a SYN with
+    /// sequence 0, UDP and [`Protocol::Other`] as UDP, with the packet's
+    /// payload and whole-second timestamp.
+    pub fn write_pcap<W: Write>(&self, out: W) -> Result<W, PacketError> {
+        let mut writer = PcapWriter::new(out)?;
+        for p in &self.packets {
+            let builder = PacketBuilder::new(p.src, p.dst);
+            let (src_port, dst_port) = (p.src_port.unwrap_or(0), p.dst_port.unwrap_or(0));
+            let data = match p.protocol {
+                Protocol::Icmpv6 => builder.icmpv6_echo_request(0, 0, &p.payload),
+                Protocol::Tcp => builder.tcp_syn(src_port, dst_port, 0, &p.payload),
+                Protocol::Udp | Protocol::Other => builder.udp(src_port, dst_port, &p.payload),
+            };
+            writer.write_record(&PcapRecord {
+                ts: p.ts,
+                ts_micros: 0,
+                data,
+            })?;
+        }
+        writer.into_inner()
+    }
+
     #[inline]
     fn apply_record(&mut self, ts: SimTime, data: &[u8], stats: &mut IngestStats) {
         stats.records_read += 1;
@@ -488,7 +514,6 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 
     fn t3_capture() -> Capture {
         Capture::new(TelescopeConfig::t3("2001:db8:3::/48".parse().unwrap()))

@@ -1,6 +1,6 @@
 //! The unified input surface of the analysis pipeline: a [`Feed`] hands
-//! out capture chunks with a watermark, whether the packets come from a
-//! finished pcap or a still-growing capture file.
+//! out capture chunks, whether the packets come from a finished pcap or a
+//! still-growing capture file.
 //!
 //! Batch, streaming and live ingestion used to be three different loops;
 //! the trait collapses them to one shape the pipeline can drive:
@@ -13,13 +13,13 @@
 //!   the writer either completes it or goes quiet, and dropping (but
 //!   counting) records that arrive later than the eviction horizon.
 //!
-//! The watermark is the maximum record timestamp observed so far — event
-//! time, not arrival time. A record whose timestamp is at least one
-//! eviction horizon older than the watermark can no longer join any open
-//! session (the incremental sessionizer would have evicted its source), so
-//! live feeds drop it up front and count it in
-//! [`LateFilter::late_records`] instead of letting it corrupt the session
-//! table. Finite feeds never drop: the pipeline's sort-and-re-feed
+//! A live feed keeps a watermark ([`LateFilter`]): the maximum admitted
+//! record timestamp — event time, not arrival time. A record whose
+//! timestamp is at least one eviction horizon older than the watermark can
+//! no longer join any open session (the incremental sessionizer would have
+//! evicted its source), so the live feed drops it up front and counts it
+//! in [`LateFilter::late_records`] instead of letting it corrupt the
+//! session table. Finite feeds never drop: the pipeline's sort-and-re-feed
 //! fallback keeps batch byte-identity for out-of-order files.
 
 use crate::capture::{Capture, IngestStats};
@@ -38,8 +38,6 @@ pub struct FeedChunk {
     /// polled while the writer is idle reports no progress, and damaged
     /// records advance statistics without appending packets.
     pub range: Range<usize>,
-    /// Event-time progress: the maximum record timestamp observed so far.
-    pub watermark: SimTime,
     /// True when the feed is drained for good; no later call will ever
     /// yield more records.
     pub end_of_feed: bool,
@@ -101,9 +99,8 @@ impl std::error::Error for FeedError {
 ///
 /// Implementations own (or borrow) a [`Capture`] that only ever grows;
 /// every [`Feed::next_chunk`] call appends zero or more packets and
-/// reports the appended index range plus the current watermark. The
-/// pipeline never sees file formats, remapping, or polling — it pulls
-/// chunks until `end_of_feed`.
+/// reports the appended index range. The pipeline never sees file
+/// formats, remapping, or polling — it pulls chunks until `end_of_feed`.
 pub trait Feed {
     /// The capture accumulating this feed's packets. Chunks index into
     /// `capture().packets()`.
@@ -191,7 +188,6 @@ pub struct PcapFeed {
     current_stats: IngestStats,
     file_stats: Vec<(String, IngestStats)>,
     chunk_records: usize,
-    watermark: SimTime,
 }
 
 impl PcapFeed {
@@ -211,7 +207,6 @@ impl PcapFeed {
             current_stats: IngestStats::default(),
             file_stats: Vec::new(),
             chunk_records: chunk_records.max(1),
-            watermark: SimTime::EPOCH,
         }
     }
 
@@ -276,7 +271,6 @@ impl Feed for PcapFeed {
             if self.current.is_none() && !self.open_next()? {
                 return Ok(FeedChunk {
                     range: before..self.capture.len(),
-                    watermark: self.watermark,
                     end_of_feed: true,
                 });
             }
@@ -287,13 +281,6 @@ impl Feed for PcapFeed {
             if got {
                 self.capture
                     .extend_from_views(&views, &mut self.current_stats);
-                for v in &views {
-                    if let ViewOutcome::Record(r) = v {
-                        if r.ts > self.watermark {
-                            self.watermark = r.ts;
-                        }
-                    }
-                }
             }
             let state = reader.state();
             let exhausted = reader.is_exhausted();
@@ -306,7 +293,6 @@ impl Feed for PcapFeed {
                 let end_of_feed = self.current.is_none() && self.next_path >= self.paths.len();
                 return Ok(FeedChunk {
                     range: before..self.capture.len(),
-                    watermark: self.watermark,
                     end_of_feed,
                 });
             }
@@ -501,7 +487,6 @@ impl Feed for TailFeed {
         if self.finished {
             return Ok(FeedChunk {
                 range: before..before,
-                watermark: self.filter.watermark(),
                 end_of_feed: true,
             });
         }
@@ -512,7 +497,6 @@ impl Feed for TailFeed {
             self.idle_elapsed = Duration::ZERO;
             return Ok(FeedChunk {
                 range: before..self.capture.len(),
-                watermark: self.filter.watermark(),
                 end_of_feed: false,
             });
         }
@@ -537,7 +521,6 @@ impl Feed for TailFeed {
             self.drain_available(true);
             return Ok(FeedChunk {
                 range: before..self.capture.len(),
-                watermark: self.filter.watermark(),
                 end_of_feed: true,
             });
         }
@@ -548,7 +531,6 @@ impl Feed for TailFeed {
         self.idle = self.idle.saturating_add(1);
         Ok(FeedChunk {
             range: before..self.capture.len(),
-            watermark: self.filter.watermark(),
             end_of_feed: false,
         })
     }
@@ -594,13 +576,7 @@ mod tests {
         let bytes = pcap_with(&[1, 2, 3, 4, 5]);
         let path = temp_file("match.pcap", &bytes);
         let mut feed = PcapFeed::new(default_capture(), [&path], 2);
-        loop {
-            let chunk = feed.next_chunk().unwrap();
-            if chunk.end_of_feed {
-                assert_eq!(chunk.watermark, SimTime::from_secs(5));
-                break;
-            }
-        }
+        while !feed.next_chunk().unwrap().end_of_feed {}
         let (capture, stats, file_stats) = feed.finish();
         let mut reference = default_capture();
         let ref_stats = reference.ingest_pcap_recovering(&bytes[..]).unwrap();

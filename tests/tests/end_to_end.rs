@@ -163,7 +163,12 @@ fn figures_are_internally_consistent() {
     // Fig. 15 session totals equal the split-period session count.
     let cells = figures::fig15(a);
     let total: u64 = cells.iter().map(|c| c.sessions).sum();
-    assert_eq!(total, a.t1_split_sessions().len() as u64);
+    let boundary = a.split_start();
+    let split = a
+        .sessions128(TelescopeId::T1)
+        .iter()
+        .filter(|s| s.start >= boundary);
+    assert_eq!(total, split.count() as u64);
     // Fig. 14: every rank curve is non-increasing.
     for counts in figures::fig14(a).values() {
         assert!(counts.windows(2).all(|w| w[0] >= w[1]));

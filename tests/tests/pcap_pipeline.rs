@@ -1,12 +1,14 @@
 //! Integration: the offline pcap pipeline — capture bytes written to pcap,
 //! read back, and analyzed must yield identical results to the live path.
 
+use sixscope::sim::ScenarioConfig;
+use sixscope::{serve, Pipeline};
 use sixscope_packet::{PcapWriter, SliceReader, ViewOutcome};
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, NetworkStrategy, ScannerSpec, SourceModel, TemporalModel, ToolProfile,
 };
-use sixscope_telescope::{AggLevel, Capture, Sessionizer, TelescopeConfig};
+use sixscope_telescope::{AggLevel, Capture, Sessionizer, TelescopeConfig, TelescopeId};
 use sixscope_types::{Asn, SimDuration, SimTime, Xoshiro256pp};
 
 fn wire_traffic() -> Vec<(SimTime, Vec<u8>)> {
@@ -114,4 +116,53 @@ fn pcap_files_are_self_describing() {
         // Every record re-parses as a valid IPv6 packet.
         sixscope_packet::ParsedView::parse(rec.data).unwrap();
     }
+}
+
+/// A simulated T1 capture written as `sixscope run --pcap-dir` writes it
+/// (`Capture::write_pcap`) and read back through the pcap path gives the
+/// simulated packets, sessions and report again.
+#[test]
+fn simulated_t1_capture_survives_the_pcap_path() {
+    let simulated = Pipeline::simulate(ScenarioConfig::new(20230824, 0.004))
+        .run()
+        .expect("simulated runs cannot fail");
+    let t1 = simulated.capture(TelescopeId::T1);
+    assert!(!t1.is_empty());
+    let path = std::env::temp_dir().join(format!(
+        "sixscope-t1-round-trip-{}.pcap",
+        std::process::id()
+    ));
+    let file = std::fs::File::create(&path).expect("create the pcap");
+    t1.write_pcap(file).expect("write the pcap");
+    let read = Pipeline::from_pcaps([&path]).run_detailed();
+    std::fs::remove_file(&path).ok();
+    let read = read.expect("read the pcap back");
+    assert_eq!(
+        read.stats.parsed,
+        t1.len() as u64,
+        "no record lost or damaged"
+    );
+
+    // Compare without printing whole captures: name the first difference.
+    let a = &read.analyzed;
+    let (read_packets, sim_packets) = (a.capture(TelescopeId::T1).packets(), t1.packets());
+    assert_eq!(read_packets.len(), sim_packets.len());
+    if let Some(i) = (0..sim_packets.len()).find(|&i| read_packets[i] != sim_packets[i]) {
+        panic!(
+            "packet {i} changed on the pcap path: {:?} became {:?}",
+            sim_packets[i], read_packets[i]
+        );
+    }
+    assert!(
+        a.sessions128(TelescopeId::T1) == simulated.sessions128(TelescopeId::T1),
+        "/128 sessions changed on the pcap path"
+    );
+    assert!(
+        a.sessions64(TelescopeId::T1) == simulated.sessions64(TelescopeId::T1),
+        "/64 sessions changed on the pcap path"
+    );
+    assert_eq!(
+        serve::analysis_report(a, &read.stats, false),
+        serve::analysis_report(&simulated, &read.stats, false)
+    );
 }
