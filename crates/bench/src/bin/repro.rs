@@ -9,10 +9,10 @@
 //! consumption.
 
 use sixscope::json::Json;
+use sixscope::report::{self, Section};
 use sixscope::sim::ScenarioConfig;
 use sixscope::Pipeline;
-use sixscope_bench::report::{figures_section, tables_section};
-use sixscope_bench::{comparisons_markdown, peak_rss_kib, SEED};
+use sixscope_bench::{peak_rss_kib, SEED};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -26,6 +26,17 @@ fn fail(err: &sixscope::Error) -> ! {
         source = std::error::Error::source(cause);
     }
     std::process::exit(err.exit_code() as i32);
+}
+
+/// Writes `contents` to `path` in the current directory, or exits as
+/// `sixscope` does on an I/O error (code 3, naming the path and cause).
+fn write_file(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|source| {
+        fail(&sixscope::Error::Io {
+            path: path.to_string(),
+            source,
+        })
+    });
 }
 
 fn main() {
@@ -112,20 +123,20 @@ fn main() {
     .unwrap();
 
     let tables_start = Instant::now();
-    let mut rows = tables_section(&a, &mut out);
+    let tables = Section::tables(&a);
     let tables_secs = tables_start.elapsed().as_secs_f64();
     let figures_start = Instant::now();
-    rows.extend(figures_section(&a, &mut out));
+    let figures = Section::figures(&a);
     let figures_secs = figures_start.elapsed().as_secs_f64();
+    let body = report::markdown(&[tables, figures]);
+    out.push_str(&body.text);
 
-    writeln!(out, "\n## Comparison summary\n").unwrap();
-    let holds = rows.iter().filter(|r| r.holds).count();
-    out.push_str(&comparisons_markdown(&rows));
-    writeln!(out, "\n**{holds} of {} shape checks hold.**", rows.len()).unwrap();
-
-    std::fs::write("EXPERIMENTS.md", &out).expect("write EXPERIMENTS.md");
+    write_file("EXPERIMENTS.md", &out);
     println!("{out}");
-    eprintln!("wrote EXPERIMENTS.md ({holds}/{} checks hold)", rows.len());
+    eprintln!(
+        "wrote EXPERIMENTS.md ({}/{} checks hold)",
+        body.holds, body.checks
+    );
 
     if timing {
         let stages = [
@@ -166,7 +177,7 @@ fn main() {
             ("peak_open_sessions", Json::u(a.peak_open_sessions as u64)),
             ("peak_rss_kib", peak_rss_kib().map_or(Json::Null, Json::u)),
         ]);
-        std::fs::write("BENCH_repro.json", json.render() + "\n").expect("write BENCH_repro.json");
+        write_file("BENCH_repro.json", &(json.render() + "\n"));
         eprintln!("wrote BENCH_repro.json");
     }
 }

@@ -142,9 +142,10 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
                 path: path.clone(),
                 source,
             })?;
+            // `write_pcap` flushes the buffer and reports its error.
             analyzed
                 .capture(id)
-                .write_pcap(file)
+                .write_pcap(std::io::BufWriter::new(file))
                 .map_err(|source| Error::Pcap {
                     path: path.clone(),
                     source,

@@ -103,185 +103,6 @@ impl Json {
     }
 }
 
-/// Exports the full set of tables as one JSON document.
-pub fn tables_json(a: &crate::Analyzed) -> Json {
-    use crate::tables;
-    let t2 = tables::table2(a);
-    let t3 = tables::table3(a);
-    let t4 = tables::table4(a);
-    let t5 = tables::table5(a);
-    let t6 = tables::table6(a);
-    let t7 = tables::table7(a);
-    let t8 = tables::table8(a);
-    let h = tables::headline(a);
-    Json::obj([
-        (
-            "table2",
-            Json::Arr(
-                t2.rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("protocol", Json::s(r.protocol.name())),
-                            ("packets", Json::u(r.packets)),
-                            ("packet_pct", Json::Num(r.packet_pct)),
-                            ("sessions", Json::u(r.sessions)),
-                            ("session_pct", Json::Num(r.session_pct)),
-                            ("sources", Json::u(r.sources)),
-                            ("source_pct", Json::Num(r.source_pct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "table3",
-            Json::Arr(
-                t3.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("address_type", Json::s(r.address_type.to_string())),
-                            ("packets", Json::u(r.packets)),
-                            ("packet_pct", Json::Num(r.packet_pct)),
-                            ("sources", Json::u(r.sources)),
-                            ("source_pct", Json::Num(r.source_pct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "table4",
-            Json::obj([
-                (
-                    "tcp",
-                    Json::Arr(
-                        t4.tcp
-                            .iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("port", Json::s(r.port.to_string())),
-                                    ("sessions", Json::u(r.sessions)),
-                                    ("pct", Json::Num(r.pct)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "udp",
-                    Json::Arr(
-                        t4.udp
-                            .iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("port", Json::s(r.port.to_string())),
-                                    ("sessions", Json::u(r.sessions)),
-                                    ("pct", Json::Num(r.pct)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "table5a",
-            Json::Arr(
-                t5.a.iter()
-                    .map(|c| {
-                        Json::obj([
-                            ("telescope", Json::s(c.telescope.to_string())),
-                            ("sources128", Json::u(c.sources128)),
-                            ("sources64", Json::u(c.sources64)),
-                            ("asns", Json::u(c.asns)),
-                            ("destinations", Json::u(c.destinations)),
-                            ("packets", Json::u(c.packets)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "table6",
-            Json::obj([
-                ("temporal", class_rows(&t6.temporal)),
-                ("network", class_rows(&t6.network)),
-            ]),
-        ),
-        (
-            "table7",
-            Json::Arr(
-                t7.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("tool", Json::s(r.tool.to_string())),
-                            ("scanners", Json::u(r.scanners)),
-                            ("scanner_pct", Json::Num(r.scanner_pct)),
-                            ("sessions", Json::u(r.sessions)),
-                            ("session_pct", Json::Num(r.session_pct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "table8",
-            Json::Arr(
-                t8.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("network_type", Json::s(r.network_type.to_string())),
-                            ("without_heavy_hitters", Json::Bool(r.without_heavy_hitters)),
-                            ("scanners", Json::u(r.scanners)),
-                            ("sessions", Json::u(r.sessions)),
-                            ("packets", Json::u(r.packets)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "headline",
-            Json::obj([
-                (
-                    "split_vs_companion_packets_pct",
-                    Json::Num(h.split_vs_companion_packets_pct),
-                ),
-                (
-                    "weekly_sources_growth_pct",
-                    Json::Num(h.weekly_sources_growth_pct),
-                ),
-                (
-                    "weekly_sessions_growth_pct",
-                    Json::Num(h.weekly_sessions_growth_pct),
-                ),
-                ("one_off_scanner_pct", Json::Num(h.one_off_scanner_pct)),
-                ("final_48_session_pct", Json::Num(h.final_48_session_pct)),
-                ("heavy_hitters", Json::u(h.heavy_hitters.len() as u64)),
-                ("heavy_packet_pct", Json::Num(h.heavy_packet_pct)),
-                ("heavy_session_pct", Json::Num(h.heavy_session_pct)),
-            ]),
-        ),
-    ])
-}
-
-fn class_rows(rows: &[crate::tables::ClassRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("label", Json::s(r.label.clone())),
-                    ("scanners", Json::u(r.scanners)),
-                    ("scanner_pct", Json::Num(r.scanner_pct)),
-                    ("sessions", Json::u(r.sessions)),
-                    ("session_pct", Json::Num(r.session_pct)),
-                ])
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,8 +16,11 @@
 //!   /128 and /64 source aggregation, plus the columnar [`CorpusIndex`]
 //!   every table and figure reduces over;
 //! * [`tables`] and [`figures`] regenerate every table and figure of the
-//!   paper's evaluation from an [`Analyzed`] corpus;
-//! * [`render`] prints them as aligned text for EXPERIMENTS.md;
+//!   paper's evaluation from an [`Analyzed`] corpus, and [`render`] prints
+//!   the tables as aligned text;
+//! * [`report`] defines each paper item once and prints the three reports
+//!   over that one list: `sixscope run`'s text and JSON, and the
+//!   EXPERIMENTS.md body;
 //! * [`Error`] is the single error type — every category carries its
 //!   source chain and maps to a distinct CLI exit code.
 //!
@@ -46,6 +49,7 @@ pub mod ingest;
 pub mod json;
 pub mod pipeline;
 pub mod render;
+pub mod report;
 pub mod serve;
 pub mod shardfile;
 pub mod tables;

@@ -1,7 +1,7 @@
-//! Text renderers: print the regenerated tables and figure series in the
-//! paper's row format (used by the `repro` harness and EXPERIMENTS.md).
+//! Text renderers: print the regenerated tables in the paper's row
+//! format. The report registry (`crate::report`) prints them in every
+//! report; its figure text lives there too.
 
-use crate::figures::{BiweeklySeries, GrowthCurve, NibbleMatrix, TaxonomyCell};
 use crate::tables::{AddressTypeRow, NetworkTypeRow, ToolRow};
 use crate::tables::{CorpusOverview, Headline, Table2, Table4, Table5, Table6};
 use std::fmt::Write;
@@ -278,82 +278,6 @@ pub fn render_headline(h: &Headline) -> String {
     out
 }
 
-/// Renders a taxonomy cell grid (Figs. 7b / 15).
-pub fn render_taxonomy(cells: &[TaxonomyCell]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<4} {:<14} {:<12} {:>9}",
-        "Tel", "Temporal", "AddrSel", "Sessions"
-    )
-    .unwrap();
-    for c in cells {
-        writeln!(
-            out,
-            "{:<4} {:<14} {:<12} {:>9}",
-            c.telescope.to_string(),
-            c.temporal.to_string(),
-            c.addr_selection.to_string(),
-            c.sessions
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// Renders growth curves (Fig. 4) at a few sample points.
-pub fn render_growth(curves: &[GrowthCurve]) -> String {
-    let mut out = String::new();
-    for c in curves {
-        let n = c.points.len();
-        let samples: Vec<String> = [0, n / 4, n / 2, 3 * n / 4, n.saturating_sub(1)]
-            .iter()
-            .filter(|&&i| i < n)
-            .map(|&i| format!("{:.2}", c.points[i].1))
-            .collect();
-        writeln!(out, "{:<14} {}", c.label, samples.join(" → ")).unwrap();
-    }
-    out
-}
-
-/// Renders the bi-weekly T1-vs-rest series (Fig. 11).
-pub fn render_biweekly(s: &BiweeklySeries) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<8} {:>12} {:>12}",
-        "bi-week", "T1 sessions", "rest sessions"
-    )
-    .unwrap();
-    let rest: std::collections::BTreeMap<u64, u64> =
-        s.others.iter().map(|&(b, n, _)| (b, n)).collect();
-    for &(b, n, _) in &s.t1 {
-        writeln!(
-            out,
-            "{:<8} {:>12} {:>12}",
-            b,
-            n,
-            rest.get(&b).copied().unwrap_or(0)
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// Renders a nibble matrix as hex art (down-sampled to at most `max_rows`).
-pub fn render_nibbles(m: &NibbleMatrix, max_rows: usize) -> String {
-    let mut out = String::new();
-    writeln!(out, "session from {} — {} targets", m.source, m.rows.len()).unwrap();
-    let step = (m.rows.len() / max_rows.max(1)).max(1);
-    for row in m.rows.iter().step_by(step).take(max_rows) {
-        for &n in row {
-            write!(out, "{n:x}").unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,20 +327,5 @@ mod tests {
         assert!(s.contains("Network selection"));
         assert!(s.contains("One-off"));
         assert!(s.contains("Single-prefix"));
-    }
-
-    #[test]
-    fn nibble_rendering_downsamples() {
-        let m = NibbleMatrix {
-            source: sixscope_telescope::SourceKey::new(
-                "2001:db8::1".parse().unwrap(),
-                sixscope_telescope::AggLevel::Addr128,
-            ),
-            rows: vec![[0xa; 32]; 1000],
-        };
-        let s = render_nibbles(&m, 10);
-        let hex_lines = s.lines().filter(|l| l.starts_with('a')).count();
-        assert!(hex_lines <= 10);
-        assert!(s.contains("1000 targets"));
     }
 }

@@ -29,7 +29,7 @@ use crate::corpus::Analyzed;
 use crate::ingest::passive_config;
 use crate::json::Json;
 use crate::pipeline::FeedConsumer;
-use crate::{render, tables, Error};
+use crate::Error;
 use sixscope_analysis::classify::{addr_selection, AddrSelection, ScannerProfiler};
 use sixscope_telescope::{
     AggLevel, Capture, Feed, IngestStats, ScanSession, Sessionizer, TailFeed, TelescopeId,
@@ -408,45 +408,10 @@ fn render_report(
 }
 
 /// Renders the `run`-style full-tables report — the exact stdout bytes of
-/// `sixscope run` over the same corpus.
+/// `sixscope run` over the same corpus, from the report registry's text
+/// or JSON backend (`crate::report`).
 pub fn tables_report(analyzed: &Analyzed, json: bool) -> String {
-    if json {
-        return format!("{}\n", crate::json::tables_json(analyzed).render());
-    }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table2(&tables::table2(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table3(&tables::table3(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table4(&tables::table4(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table5(&tables::table5(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table6(&tables::table6(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table7(&tables::table7(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table8(&tables::table8(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_headline(&tables::headline(analyzed))
-    ));
-    out
+    crate::report::run(analyzed, json)
 }
 
 /// A mid-stream checkpoint: the report, and the /128 and /64 session

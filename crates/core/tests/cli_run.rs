@@ -1,7 +1,11 @@
 //! The `sixscope` binary end to end: `run --pcap-dir` writes one pcap per
-//! telescope whichever report format goes to stdout, `analyze` logs its
-//! recovery statistics to stderr, and usage errors exit 2.
+//! telescope, byte for byte what `Capture::write_pcap` encodes, whichever
+//! report format goes to stdout; `analyze` logs its recovery statistics
+//! to stderr; and usage errors exit 2.
 
+use sixscope::sim::ScenarioConfig;
+use sixscope::telescope::TelescopeId;
+use sixscope::Pipeline;
 use std::process::Command;
 
 #[test]
@@ -21,11 +25,21 @@ fn run_json_writes_the_pcap_dir_too() {
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.starts_with('{'), "--json prints one JSON document");
-    for id in ["T1", "T2", "T3", "T4"] {
+    // Each file holds exactly what `write_pcap` encodes for the same run
+    // in-process: a lost or unflushed record shows as a shorter file.
+    let a = Pipeline::simulate(ScenarioConfig::new(20230824, 0.002))
+        .run()
+        .expect("simulated runs cannot fail");
+    for id in TelescopeId::ALL {
         let bytes = std::fs::read(pcaps.join(format!("{id}.pcap")))
             .unwrap_or_else(|e| panic!("--pcap-dir wrote no {id}.pcap: {e}"));
-        // A classic pcap global header is 24 bytes.
-        assert!(bytes.len() >= 24, "{id}.pcap lacks a pcap header");
+        let expected = a.capture(id).write_pcap(Vec::new()).unwrap();
+        assert!(
+            bytes == expected,
+            "{id}.pcap: {} bytes written, {} expected",
+            bytes.len(),
+            expected.len()
+        );
     }
     let t1 = std::fs::metadata(pcaps.join("T1.pcap")).unwrap().len();
     assert!(t1 > 24, "T1 captures packets at every scale");
