@@ -16,7 +16,7 @@ use crate::dbscan::{cluster_count, dbscan_indexed};
 use crate::nist::{BitSequence, NistTest};
 use serde::{Deserialize, Serialize};
 use sixscope_telescope::{Capture, ScanSession, SourceKey};
-use sixscope_types::{map_indexed, FxBuildHasher, Ipv6Prefix, SimTime};
+use sixscope_types::{FxBuildHasher, Ipv6Prefix, SimTime};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -126,11 +126,6 @@ pub fn temporal_class(starts: &[SimTime], detector: &PeriodDetector) -> Temporal
     }
 }
 
-/// Minimum number of sources to classify before [`ScannerProfiler`] fans
-/// the per-source classification out to worker threads; below this the
-/// thread setup costs more than the autocorrelation it parallelizes.
-const PARALLEL_PROFILE_THRESHOLD: usize = 64;
-
 /// Groups sessions by source and classifies each scanner's temporal
 /// behavior — a one-shot [`ScannerProfiler`].
 pub fn profile_scanners(sessions: &[ScanSession]) -> Vec<ScannerProfile> {
@@ -149,10 +144,9 @@ pub fn profile_scanners(sessions: &[ScanSession]) -> Vec<ScannerProfile> {
 /// sources whose count changed, and recomputes the rest of the profile
 /// (indices, packet totals) in one pass over the sessions.
 ///
-/// Classification of each source is independent, so large batches of
-/// changed sources are classified on worker threads. Grouping uses a
-/// `BTreeMap` and the parallel map preserves input order, so the output
-/// order — and content — is identical at any thread count.
+/// Profiling is serial: period detection costs a few microseconds per
+/// source, less than a worker thread's start. Grouping uses a `BTreeMap`,
+/// so the output is in source order.
 #[derive(Debug, Clone, Default)]
 pub struct ScannerProfiler {
     /// Per source: the session count its class was computed from, and the
@@ -168,44 +162,29 @@ impl ScannerProfiler {
         for (i, s) in sessions.iter().enumerate() {
             by_source.entry(s.source).or_default().push(i);
         }
-        let groups: Vec<(SourceKey, Vec<usize>)> = by_source.into_iter().collect();
-        // The remembered class of each group, `None` where it must be
-        // (re)computed.
-        let mut classes: Vec<Option<TemporalClass>> = groups
-            .iter()
-            .map(|(source, idxs)| match self.memo.get(source) {
-                Some(&(count, class)) if count == idxs.len() => Some(class),
-                _ => None,
-            })
-            .collect();
-        let stale: Vec<usize> = (0..groups.len())
-            .filter(|&g| classes[g].is_none())
-            .collect();
-        let threads = match stale.len() {
-            n if n >= PARALLEL_PROFILE_THRESHOLD => sixscope_types::num_threads(None),
-            _ => 1,
-        };
         let detector = PeriodDetector::default();
-        let fresh = map_indexed(threads, &stale, |_, &g| {
-            let starts: Vec<SimTime> = groups[g].1.iter().map(|&i| sessions[i].start).collect();
-            temporal_class(&starts, &detector)
-        });
-        for (g, class) in stale.into_iter().zip(fresh) {
-            let (source, idxs) = &groups[g];
-            self.memo.insert(*source, (idxs.len(), class));
-            classes[g] = Some(class);
-        }
-        groups
+        by_source
             .into_iter()
-            .zip(classes)
-            .map(|((source, session_indices), class)| ScannerProfile {
-                source,
-                temporal: class.expect("every stale group was classified"),
-                packets: session_indices
-                    .iter()
-                    .map(|&i| sessions[i].packet_count() as u64)
-                    .sum(),
-                session_indices,
+            .map(|(source, session_indices)| {
+                let temporal = match self.memo.get(&source) {
+                    Some(&(count, class)) if count == session_indices.len() => class,
+                    _ => {
+                        let starts: Vec<SimTime> =
+                            session_indices.iter().map(|&i| sessions[i].start).collect();
+                        let class = temporal_class(&starts, &detector);
+                        self.memo.insert(source, (session_indices.len(), class));
+                        class
+                    }
+                };
+                ScannerProfile {
+                    source,
+                    temporal,
+                    packets: session_indices
+                        .iter()
+                        .map(|&i| sessions[i].packet_count() as u64)
+                        .sum(),
+                    session_indices,
+                }
             })
             .collect()
     }

@@ -887,9 +887,10 @@ impl ClassTables {
 /// multiplication with `w = e^{-2πi/2m}` and resynchronized against
 /// `sin_cos` at every multiple of 32. The length-`m` stage holds the even
 /// entries `r[2j]`, and each smaller stage every other entry of the next
-/// larger one. This construction fixes the bits of [`fft_in_place`], whose
-/// callers compare its floats; the spectral test only needs the entries'
-/// error bound, [`STAGE_TWIDDLE_ERR`].
+/// larger one. No caller depends on the resulting bits: the spectral test
+/// and the period detector's dense path (which rounds
+/// [`fft_in_place`]'s output to integers) need only the entries' error
+/// bound, [`STAGE_TWIDDLE_ERR`].
 #[derive(Debug)]
 struct StageTable {
     re: Vec<f64>,
@@ -946,6 +947,20 @@ impl StageTable {
         let off = len / 2 - 1;
         (&self.re[off..off + len / 2], &self.im[off..off + len / 2])
     }
+}
+
+/// Bound on the 2-norm of [`fft_in_place`]'s output error (and so on every
+/// output's) for an input of 2-norm `norm` held exactly, at a length up to
+/// [`MAX_CLASS_SIZE`], whose stage twiddles [`STAGE_TWIDDLE_ERR`] bounds;
+/// `None` above it. Higham's bound (ch. 24) as in `class_bound`: `log2
+/// len` radix-2 levels of twiddle error plus 8u of rounding each.
+pub(crate) fn fft_error_bound(len: usize, norm: f64) -> Option<f64> {
+    if len > MAX_CLASS_SIZE {
+        return None;
+    }
+    let levels = len.trailing_zeros() as i32;
+    let rel = (1.0 + 8.0 * U + STAGE_TWIDDLE_ERR).powi(levels) - 1.0;
+    Some((len as f64).sqrt() * norm * rel * (1.0 + 1e-6))
 }
 
 /// Stockham autosort FFT (radix 4, with one radix-2 stage for odd powers

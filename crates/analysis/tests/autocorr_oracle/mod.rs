@@ -1,12 +1,14 @@
-//! The period detector before its Wiener–Khinchin rewrite, kept as the
-//! ground truth for `autocorr::PeriodDetector::detect`: the same
-//! inter-arrival fast path, but the general path evaluates the ACF as one
-//! O(n) scan per candidate lag.
+//! The definition of `autocorr::PeriodDetector::detect`: the inter-arrival
+//! fast path, then the ACF of the binary activity series evaluated as one
+//! O(n) scan per lag, in `i128` over `y_t = n·x_t − K` (`n` buckets, `K`
+//! occupied), so every numerator and the denominator are exact integers.
 //!
-//! Test-only. It is shared by the `autocorr` unit tests
-//! (`src/autocorr.rs`), the property tests (`tests/prop.rs`) and the
-//! `kernels` bench; each includer brings `Period` and `PeriodDetector`
-//! into the parent scope, so this file names them through `super`.
+//! Test-only, and tractable only for short series: it allocates the whole
+//! series and its quotients are correctly rounded only below 2^53 (both
+//! asserted). It is shared by the `autocorr` unit tests (`src/autocorr.rs`),
+//! the property tests (`tests/prop.rs`) and the `kernels` bench; each
+//! includer brings `Period` and `PeriodDetector` into the parent scope, so
+//! this file names them through `super`.
 
 use super::{Period, PeriodDetector};
 use sixscope_types::{SimDuration, SimTime};
@@ -45,49 +47,51 @@ pub fn detect(det: &PeriodDetector, starts: &[SimTime]) -> Option<Period> {
     }
     // General path: binary activity series + autocorrelation.
     let bucket = det.bucket.as_secs().max(1);
-    let n_buckets = (span / bucket + 1) as usize;
-    if n_buckets < 8 {
+    let n = (span / bucket + 1) as usize;
+    if n < 8 {
         return None;
     }
-    let mut series = vec![0.0f64; n_buckets];
+    let mut x = vec![0i128; n];
     for t in &times {
-        series[((t - t0) / bucket) as usize] = 1.0;
+        x[((t - t0) / bucket) as usize] = 1;
     }
-    let mean = series.iter().sum::<f64>() / n_buckets as f64;
-    for v in &mut series {
-        *v -= mean;
-    }
-    let denom: f64 = series.iter().map(|v| v * v).sum();
-    if denom == 0.0 {
+    let k: i128 = x.iter().sum();
+    let y: Vec<i128> = x.iter().map(|&v| n as i128 * v - k).collect();
+    let den: i128 = y.iter().map(|v| v * v).sum();
+    if den == 0 {
         return None;
     }
-    let max_lag = n_buckets / 2;
-    let acf = |lag: usize| -> f64 {
-        let num: f64 = (0..n_buckets - lag)
-            .map(|i| series[i] * series[i + lag])
-            .sum();
-        num / denom
-    };
+    // |numerator| ≤ den (Cauchy–Schwarz): below 2^53 both convert exactly,
+    // so one division rounds the quotient correctly.
+    assert!(
+        den < 1 << 53,
+        "series of {n} buckets is too long for the oracle"
+    );
+    let score = |num: i128| num as f64 / den as f64;
+    let max_lag = n / 2;
+    let acf: Vec<i128> = (0..=max_lag)
+        .map(|lag| (0..n - lag).map(|i| y[i] * y[i + lag]).sum())
+        .collect();
     // Find the best local-max lag.
-    let mut best: Option<(usize, f64)> = None;
+    let mut best: Option<(usize, i128)> = None;
     for lag in 2..max_lag {
-        let c = acf(lag);
-        if c >= det.min_score
-            && c > acf(lag - 1)
-            && c >= acf(lag + 1)
+        let c = acf[lag];
+        if score(c) >= det.min_score
+            && c > acf[lag - 1]
+            && c >= acf[lag + 1]
             && best.is_none_or(|(_, bc)| c > bc)
         {
             best = Some((lag, c));
         }
     }
-    let (lag, score) = best?;
+    let (lag, c) = best?;
     // Validate: the doubled lag must also correlate (a repeating
     // pattern, not a one-off coincidence).
-    if 2 * lag < max_lag && acf(2 * lag) < det.min_score * 0.5 {
+    if 2 * lag < max_lag && score(acf[2 * lag]) < det.min_score * 0.5 {
         return None;
     }
     Some(Period {
         period: SimDuration::secs(lag as u64 * bucket),
-        score,
+        score: score(c),
     })
 }

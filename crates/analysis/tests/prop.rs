@@ -15,11 +15,23 @@ use sixscope_analysis::nist::{BitSequence, NistTest};
 use sixscope_analysis::special::{erfc, normal_cdf};
 use sixscope_analysis::stats::percent_change;
 use sixscope_telescope::{AggLevel, ScanSession, SourceKey, TelescopeId};
-use sixscope_types::SimTime;
+use sixscope_types::{SimTime, Xoshiro256pp};
 use std::net::Ipv6Addr;
 
 mod autocorr_oracle;
 mod nist_oracle;
+
+/// `detect` and the oracle agree on the whole result, score bits included.
+fn assert_detect_matches_oracle(starts: &[SimTime]) -> TestCaseResult {
+    let det = PeriodDetector::default();
+    let (got, want) = (det.detect(starts), autocorr_oracle::detect(&det, starts));
+    prop_assert_eq!(got, want);
+    prop_assert_eq!(
+        got.map(|p| p.score.to_bits()),
+        want.map(|p| p.score.to_bits())
+    );
+    Ok(())
+}
 
 proptest! {
     /// The word-packed NIST kernels reproduce the naive bit-vector
@@ -89,11 +101,12 @@ proptest! {
         }
     }
 
-    /// The Wiener–Khinchin period detector makes the same discrete decision
-    /// (detected or not, and which period) as the O(n·lag) ACF reference on
-    /// arbitrary session-start trains.
+    /// The period detector returns exactly what the scan oracle defines —
+    /// the whole `Option<Period>`, down to the score's bits — on arbitrary
+    /// session-start trains. Few starts over a long span: the ACF counts
+    /// its pairs one by one.
     #[test]
-    fn autocorr_fft_matches_reference(
+    fn autocorr_matches_exact_oracle(
         offsets in proptest::collection::vec(0u64..3_000_000, 0..80),
         stretch in 1u64..40,
     ) {
@@ -101,13 +114,40 @@ proptest! {
             .iter()
             .map(|&o| SimTime::from_secs(o * stretch % 10_000_000))
             .collect();
-        let det = PeriodDetector::default();
-        let fast = det.detect(&starts);
-        let slow = autocorr_oracle::detect(&det, &starts);
-        prop_assert_eq!(fast.is_some(), slow.is_some());
-        if let (Some(f), Some(s)) = (fast, slow) {
-            prop_assert_eq!(f.period, s.period);
+        assert_detect_matches_oracle(&starts)?;
+    }
+
+    /// The same on dense trains: a block pattern of period `q` over `n`
+    /// hourly buckets, each bucket's state flipped with probability
+    /// `noise`, one start jittered inside each occupied bucket (so the
+    /// inter-arrival fast path declines). More than `n·⌈log2 n⌉` pairs lie
+    /// within `n/2`, so the ACF counts them with one transform.
+    #[test]
+    fn dense_autocorr_matches_exact_oracle(
+        n in 256u64..2048,
+        q in 2u64..40,
+        noise in 0.0f64..0.5,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut starts = Vec::new();
+        for i in 0..n {
+            if (i % q < q.div_ceil(2)) != rng.bool(noise) {
+                starts.push(SimTime::from_secs(i * 3600 + rng.below(3600)));
+            }
         }
+        let buckets: Vec<u64> = starts.iter().map(|s| s.as_secs() / 3600).collect();
+        if let (Some(first), Some(last)) = (buckets.first(), buckets.last()) {
+            let span = last - first + 1;
+            let pairs = buckets
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| buckets[i + 1..].iter().take_while(|&&c| c - b <= span / 2).count())
+                .sum::<usize>() as u64;
+            let log2 = u64::from(u64::BITS - (span - 1).leading_zeros());
+            prop_assert!(pairs > span * log2, "{pairs} pairs over {span} buckets");
+        }
+        assert_detect_matches_oracle(&starts)?;
     }
 
     /// The sorted-projection DBSCAN labels every random 1-D point set

@@ -1,11 +1,15 @@
 //! The `kernels` group: packed analysis kernels against their retained
 //! naive references, on synthetic inputs sized like the hot paths.
 //!
-//! Three pairs: the word-packed NIST battery vs the bit-vector reference,
-//! the Wiener–Khinchin period detector vs the O(n·lag) ACF scan, and the
-//! sorted-projection DBSCAN vs the O(n²) neighbor scan. Each pair asserts
-//! equal outputs before timing, so a divergence fails the bench run rather
-//! than timing the wrong kernel.
+//! The word-packed NIST battery vs the bit-vector reference; the exact
+//! integer period detector on three trains (60 sessions over 44 weeks,
+//! 3 000 dense sessions that take the one-transform path, and 3 sessions
+//! over 127 years) and the O(n·lag) scan oracle on the first; and the
+//! sorted-projection DBSCAN vs the O(n²) neighbor scan. Every kernel's
+//! output is asserted equal to its reference before timing (the period
+//! detector's wherever the oracle is tractable: the whole result, score
+//! bits included), so a divergence fails the bench run rather than timing
+//! the wrong kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sixscope_analysis::autocorr::{Period, PeriodDetector};
@@ -69,37 +73,51 @@ fn bench_nist(c: &mut Criterion) {
     });
 }
 
-/// A session-start train with alternating 4h/7h gaps: the inter-arrival
-/// fast path rejects it (7h is no multiple of the 4h median gap), but the
-/// hourly activity series repeats every 11 buckets, so detection has to go
-/// through the ACF — the path the FFT rewrite targets.
-fn periodic_starts(pairs: u64) -> Vec<SimTime> {
+/// Session-start pairs 4 h apart, one pair every `every` hours: the
+/// inter-arrival fast path rejects the train (the other gap is no multiple
+/// of the 4 h median), so the ACF decides it.
+fn paired_starts(pairs: u64, every: u64) -> Vec<SimTime> {
     (0..pairs)
-        .flat_map(|i| {
-            let base = i * 11 * 3600;
-            [
-                SimTime::from_secs(base),
-                SimTime::from_secs(base + 4 * 3600),
-            ]
-        })
+        .flat_map(|i| [i * every, i * every + 4].map(|h| SimTime::from_secs(h * 3600)))
         .collect()
 }
 
 fn bench_autocorr(c: &mut Criterion) {
     let det = PeriodDetector::default();
-    let starts = periodic_starts(140);
-    let fast = det.detect(&starts);
-    let slow = autocorr_oracle::detect(&det, &starts);
-    assert_eq!(
-        fast.as_ref().map(|p| p.period),
-        slow.as_ref().map(|p| p.period)
-    );
-    assert!(fast.is_some(), "the synthetic train must have a period");
-    c.bench_function("kernels_autocorr_fft", |b| {
-        b.iter(|| black_box(det.detect(&starts)))
-    });
+    let trains = [
+        // 60 sessions over 44 weeks: the sparse path enumerates 1 290
+        // pairs.
+        ("sparse_44w", paired_starts(30, 254), true),
+        // 3 000 sessions, alternating 4 h / 7 h gaps over 16 500 hours:
+        // 3.4 M pairs, so one 32 768-point transform counts them.
+        ("dense_3000", paired_starts(1500, 11), true),
+        // 3 sessions over 127 years (1.1 M hourly buckets): one pair.
+        (
+            "long_span",
+            [0, 1_000_000_000, 4_000_000_000]
+                .map(SimTime::from_secs)
+                .to_vec(),
+            false,
+        ),
+    ];
+    for (name, starts, tractable) in &trains {
+        let got = det.detect(starts);
+        if *tractable {
+            let want = autocorr_oracle::detect(&det, starts);
+            assert_eq!(got, want, "{name}");
+            assert_eq!(
+                got.map(|p| p.score.to_bits()),
+                want.map(|p| p.score.to_bits()),
+                "{name}"
+            );
+        }
+        c.bench_function(format!("kernels_autocorr_{name}"), |b| {
+            b.iter(|| black_box(det.detect(black_box(starts))))
+        });
+    }
+    let sparse = &trains[0].1;
     c.bench_function("kernels_autocorr_reference", |b| {
-        b.iter(|| black_box(autocorr_oracle::detect(&det, &starts)))
+        b.iter(|| black_box(autocorr_oracle::detect(&det, black_box(sparse))))
     });
 }
 

@@ -50,9 +50,9 @@ pub struct ServeOptions {
     /// Checkpoint every this many revealed records (`None`: only the
     /// final checkpoint). Zero is [`Error::Usage`].
     pub snapshot_every: Option<u64>,
-    /// Read by nothing: the daemon sessionizes serially, and a
-    /// checkpoint's one parallel stage (scanner profiling) follows
-    /// `SIXSCOPE_THREADS`, which `sixscope serve --threads` sets.
+    /// Read by nothing: the daemon sessionizes, profiles and renders
+    /// serially, so its output and its cost do not depend on a thread
+    /// count.
     pub threads: Option<usize>,
     /// Feed chunk size in records (0 acts as 1).
     pub chunk_records: usize,

@@ -1,15 +1,18 @@
 //! Integration: the offline pcap pipeline — capture bytes written to pcap,
 //! read back, and analyzed must yield identical results to the live path.
 
+mod common;
+
 use sixscope::sim::ScenarioConfig;
 use sixscope::{serve, Pipeline};
-use sixscope_packet::{PcapWriter, SliceReader, ViewOutcome};
+use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter, SliceReader, ViewOutcome};
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, NetworkStrategy, ScannerSpec, SourceModel, TemporalModel, ToolProfile,
 };
 use sixscope_telescope::{AggLevel, Capture, Sessionizer, TelescopeConfig, TelescopeId};
 use sixscope_types::{Asn, SimDuration, SimTime, Xoshiro256pp};
+use std::net::Ipv6Addr;
 
 fn wire_traffic() -> Vec<(SimTime, Vec<u8>)> {
     let prefix = "2001:db8:77::/48".parse().unwrap();
@@ -164,5 +167,39 @@ fn simulated_t1_capture_survives_the_pcap_path() {
     assert_eq!(
         serve::analysis_report(a, &read.stats, false),
         serve::analysis_report(&simulated, &read.stats, false)
+    );
+}
+
+/// Twenty sources, each sending three packets at `s`, `10⁹ + s` and
+/// `4·10⁹ + s` seconds (127 years end to end): three sessions each, whose
+/// uneven gaps the inter-arrival test rejects, so every source is decided
+/// by the autocorrelation over about 1.1 M hourly buckets, and none has a
+/// period. The pcap is built here rather than kept in `tests/corpus/`,
+/// which `make-corpus` rebuilds byte for byte.
+#[test]
+fn sources_spanning_127_years_classify_intermittent() {
+    let dir = common::ScratchDir::new("long-span");
+    let path = dir.join("long-span.pcap");
+    let mut w = PcapWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
+    for offset in [0, 1_000_000_000, 4_000_000_000] {
+        for s in 1..=20u64 {
+            let src = Ipv6Addr::from((0x2a0a_u128 << 112) | u128::from(s));
+            let dst: Ipv6Addr = "2001:db8::1".parse().unwrap();
+            w.write_record(&PcapRecord {
+                ts: SimTime::from_secs(offset + s),
+                ts_micros: 0,
+                data: PacketBuilder::new(src, dst).icmpv6_echo_request(1, s as u16, b"scan"),
+            })
+            .unwrap();
+        }
+    }
+    w.into_inner().unwrap();
+    let run = Pipeline::from_pcaps([&path]).run_detailed().unwrap();
+    let report = serve::analysis_report(&run.analyzed, &run.stats, true);
+    assert_eq!(report.matches(r#""sessions":3,"#).count(), 20, "{report}");
+    assert_eq!(
+        report.matches(r#""temporal":"Intermittent""#).count(),
+        20,
+        "{report}"
     );
 }

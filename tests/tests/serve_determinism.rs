@@ -1,6 +1,7 @@
 //! Serve-daemon determinism (DESIGN.md §10, §14): the final checkpoint is
-//! byte-identical across worker-thread counts and chunk sizes and equals
-//! the batch `analyze` stdout over the same finished pcap. Every mid-run
+//! byte-identical across chunk sizes and equals the batch `analyze` stdout
+//! over the same finished pcap. The daemon runs no parallel stage, so no
+//! thread count is varied. Every mid-run
 //! checkpoint equals the batch report over the prefix of the file it
 //! covers, on the in-order path and on the disorder fallback alike.
 
@@ -30,8 +31,7 @@ fn serve_once(mut opts: ServeOptions) -> String {
 }
 
 /// Serving a finished pcap yields the exact stdout bytes of batch
-/// `sixscope analyze` over the same file, at every thread count and chunk
-/// size — including the JSON rendering, which carries the recovery
+/// `sixscope analyze` over the same file, at every chunk size — including the JSON rendering, which carries the recovery
 /// statistics down to the per-reason skip counts.
 #[test]
 fn pcap_serve_final_checkpoint_equals_batch_analyze() {
@@ -51,9 +51,8 @@ fn pcap_serve_final_checkpoint_equals_batch_analyze() {
                 assert!(expected.contains(count), "{count} missing: {expected}");
             }
         }
-        for (threads, chunk) in [(1, 7), (8, 7), (1, usize::MAX), (8, usize::MAX)] {
+        for chunk in [7, usize::MAX] {
             let mut opts = ServeOptions::pcap(&pcap, "");
-            opts.threads = Some(threads);
             opts.chunk_records = chunk;
             opts.json = json;
             opts.poll_ms = 1;
@@ -61,7 +60,7 @@ fn pcap_serve_final_checkpoint_equals_batch_analyze() {
             let latest = serve_once(opts);
             assert_eq!(
                 latest, expected,
-                "pcap serve diverged at json={json} threads={threads} chunk={chunk}"
+                "pcap serve diverged at json={json} chunk={chunk}"
             );
         }
     }
@@ -216,8 +215,8 @@ fn status_field(line: &str, key: &str) -> u64 {
     digits.parse().expect("numeric status field")
 }
 
-/// Serves `records` with a small `snapshot_every` at threads {1, 8} ×
-/// chunk sizes {7, 4096} × {text, json}. Every numbered mid-run snapshot
+/// Serves `records` with a small `snapshot_every` at chunk sizes
+/// {7, 4096} × {text, json}. Every numbered mid-run snapshot
 /// must equal `analysis_report` from a batch run over the pcap truncated
 /// to the packets its status line reports (every record is admitted, so
 /// packets and records coincide), and the line's `sessions_128` and
@@ -232,14 +231,13 @@ fn assert_snapshots_equal_batch_prefixes(name: &str, records: &[PcapRecord]) {
     std::fs::write(&pcap, pcap_image(records)).unwrap();
     let mut expected: HashMap<(usize, bool), (String, u64, u64)> = HashMap::new();
     for json in [false, true] {
-        for (threads, chunk) in [(1, 7), (8, 7), (1, 4096), (8, 4096)] {
-            let run = format!("json={json} threads={threads} chunk={chunk}");
-            let out = dir.join(format!("out-{json}-{threads}-{chunk}"));
-            let status_path = dir.join(format!("status-{json}-{threads}-{chunk}.jsonl"));
+        for chunk in [7, 4096] {
+            let run = format!("json={json} chunk={chunk}");
+            let out = dir.join(format!("out-{json}-{chunk}"));
+            let status_path = dir.join(format!("status-{json}-{chunk}.jsonl"));
             let status = std::fs::File::create(&status_path).unwrap();
             let mut opts = ServeOptions::pcap(&pcap, &out);
             opts.snapshot_every = Some(300);
-            opts.threads = Some(threads);
             opts.chunk_records = chunk;
             opts.json = json;
             opts.poll_ms = 1;
