@@ -91,8 +91,9 @@ USAGE:
         counted as late, not replayed into closed sessions.
         Checkpoints go to --out DIR as snapshot-NNNNNN.md plus latest.md,
         written atomically; --status-fd emits one JSON line per
-        checkpoint. SIGTERM/SIGINT flush a final checkpoint and exit 0;
-        the final checkpoint over a finished pcap is byte-identical to
+        checkpoint to FD, an open descriptor (0 or above).
+        SIGTERM/SIGINT flush a final checkpoint and exit 0; the final
+        checkpoint over a finished pcap is byte-identical to
         `sixscope analyze` over the same file.
 
     sixscope shard <capture.pcap> [more.pcap…] --out <file.sixshard>

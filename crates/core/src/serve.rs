@@ -58,7 +58,9 @@ pub struct ServeOptions {
     pub chunk_records: usize,
     /// Render checkpoints as JSON instead of text.
     pub json: bool,
-    /// File descriptor receiving one JSON status line per checkpoint.
+    /// File descriptor receiving one JSON status line per checkpoint. It
+    /// must be an open descriptor the caller owns; a negative one is
+    /// [`Error::Usage`].
     pub status_fd: Option<i32>,
     /// Base idle-poll interval for the live tail, in milliseconds.
     pub poll_ms: u64,
@@ -442,12 +444,17 @@ fn checkpoint_report(
 }
 
 /// Runs the daemon to completion (feed drained, or SIGTERM/SIGINT). A
-/// zero `snapshot_every` is [`Error::Usage`].
+/// zero `snapshot_every` or a negative `status_fd` is [`Error::Usage`].
 pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
     if opts.snapshot_every == Some(0) {
         return Err(Error::Usage(
             "--snapshot-every must be at least 1 record".into(),
         ));
+    }
+    if let Some(fd) = opts.status_fd.filter(|&fd| fd < 0) {
+        return Err(Error::Usage(format!(
+            "--status-fd must be an open file descriptor (0 or above), got {fd}"
+        )));
     }
     let _signals = SignalGuard::install();
     let mut status = StatusSink::new(opts.status_fd);

@@ -86,17 +86,27 @@ fn analyze_logs_recovery_per_file_and_in_total() {
     assert!(lines[2].ends_with("; truncated tail"), "{stderr}");
 }
 
-/// Usage errors exit 2: a zero snapshot interval (which would never
-/// advance), and the removed `ingest` command and `serve --sim` flag.
+/// Usage errors exit 2 without a panic: a zero snapshot interval (which
+/// would never advance), a negative status descriptor (`-1` panicked in
+/// `File::from_raw_fd`, and `-7` ran with a sink whose every write
+/// failed), and the removed `ingest` command and `serve --sim` flag.
 #[test]
 fn zero_snapshot_interval_and_removed_front_doors_exit_2() {
     let out_dir = std::env::temp_dir().join(format!("sixscope-serve-0-{}", std::process::id()));
-    let mixed = corpus("mixed.pcap");
+    let (mixed, clean) = (corpus("mixed.pcap"), corpus("clean.pcap"));
     let out_dir = out_dir.to_str().unwrap();
     for (args, message) in [
         (
             vec!["serve", &mixed, "--snapshot-every", "0", "--out", out_dir],
             "--snapshot-every",
+        ),
+        (
+            vec!["serve", &clean, "--status-fd", "-1", "--out", out_dir],
+            "--status-fd",
+        ),
+        (
+            vec!["serve", &mixed, "--status-fd", "-7", "--out", out_dir],
+            "--status-fd",
         ),
         (vec!["ingest", &mixed], "unknown command"),
         (vec!["serve", "--sim", "0.01"], "unknown flag --sim"),
@@ -108,6 +118,7 @@ fn zero_snapshot_interval_and_removed_front_doors_exit_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
     assert!(
         !std::path::Path::new(out_dir).exists(),

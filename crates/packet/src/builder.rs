@@ -137,107 +137,6 @@ impl PacketBuilder {
     }
 }
 
-/// Amortizing encoder for runs of probes that share a source address.
-///
-/// Scanner probe streams arrive sorted by time within a scanner, so long
-/// runs share one `(src, protocol)` pair. [`RunEncoder`] caches the
-/// prefolded pseudo-header partial (see
-/// [`crate::checksum::pseudo_header_partial`]) for all three transports of
-/// the current source and only recomputes it when the source changes —
-/// output bytes are identical to the equivalent [`PacketBuilder`] calls.
-#[derive(Debug, Clone, Default)]
-pub struct RunEncoder {
-    /// Partials for next-header 58 (ICMPv6), 6 (TCP) and 17 (UDP) of the
-    /// most recent source address.
-    cached: Option<(Ipv6Addr, [u64; 3])>,
-}
-
-impl RunEncoder {
-    /// Creates an encoder with an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn partials(&mut self, src: Ipv6Addr) -> [u64; 3] {
-        match self.cached {
-            Some((cached_src, p)) if cached_src == src => p,
-            _ => {
-                let p = [
-                    crate::checksum::pseudo_header_partial(src, 58),
-                    crate::checksum::pseudo_header_partial(src, 6),
-                    crate::checksum::pseudo_header_partial(src, 17),
-                ];
-                self.cached = Some((src, p));
-                p
-            }
-        }
-    }
-
-    /// Replaces `out` with a complete ICMPv6 Echo Request packet.
-    pub fn icmpv6_echo_request_into(
-        &mut self,
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        identifier: u16,
-        sequence: u16,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) {
-        let partial = self.partials(src)[0];
-        out.clear();
-        PacketBuilder::new(src, dst).start_into(
-            NextHeader::Icmpv6,
-            ICMPV6_HEADER_LEN + payload.len(),
-            out,
-        );
-        Icmpv6Header::echo_request(identifier, sequence)
-            .encode_with_partial(partial, dst, payload, out);
-    }
-
-    /// Replaces `out` with a complete TCP SYN packet.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tcp_syn_into(
-        &mut self,
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        src_port: u16,
-        dst_port: u16,
-        seq: u32,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) {
-        let partial = self.partials(src)[1];
-        out.clear();
-        PacketBuilder::new(src, dst).start_into(
-            NextHeader::Tcp,
-            TCP_HEADER_LEN + payload.len(),
-            out,
-        );
-        TcpHeader::syn(src_port, dst_port, seq).encode_with_partial(partial, dst, payload, out);
-    }
-
-    /// Replaces `out` with a complete UDP packet.
-    pub fn udp_into(
-        &mut self,
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) {
-        let partial = self.partials(src)[2];
-        out.clear();
-        PacketBuilder::new(src, dst).start_into(
-            NextHeader::Udp,
-            UDP_HEADER_LEN + payload.len(),
-            out,
-        );
-        UdpHeader::new(src_port, dst_port, payload.len())
-            .encode_with_partial(partial, dst, payload, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,28 +201,6 @@ mod tests {
         buf.clear();
         b.udp_into(40000, 33434, b"traceroute!", &mut buf);
         assert_eq!(buf, b.udp(40000, 33434, b"traceroute!"));
-    }
-
-    #[test]
-    fn run_encoder_matches_builder_across_alternating_sources() {
-        let srcs: [Ipv6Addr; 3] = [
-            "2001:db8::1".parse().unwrap(),
-            "2001:db8:77::2".parse().unwrap(),
-            "2001:db8::1".parse().unwrap(), // revisit an earlier source
-        ];
-        let dst: Ipv6Addr = "2001:db8:8000::99".parse().unwrap();
-        let mut enc = RunEncoder::new();
-        let mut buf = Vec::new();
-        for (i, &src) in srcs.iter().enumerate() {
-            let b = PacketBuilder::new(src, dst);
-            let id = 100 + i as u16;
-            enc.icmpv6_echo_request_into(src, dst, id, 3, b"ping", &mut buf);
-            assert_eq!(buf, b.icmpv6_echo_request(id, 3, b"ping"));
-            enc.tcp_syn_into(src, dst, 55_000 + i as u16, 443, 9, b"fp", &mut buf);
-            assert_eq!(buf, b.tcp_syn(55_000 + i as u16, 443, 9, b"fp"));
-            enc.udp_into(src, dst, 40_000, 33_434, b"trace", &mut buf);
-            assert_eq!(buf, b.udp(40_000, 33_434, b"trace"));
-        }
     }
 
     #[test]

@@ -24,23 +24,6 @@ impl Checksum {
         Self::default()
     }
 
-    /// Resumes from a partial sum captured with [`Checksum::partial`].
-    ///
-    /// One's-complement addition is associative and commutative, so a
-    /// prefolded partial over any subset of the input words can seed a new
-    /// accumulator and the final checksum is bit-identical to summing
-    /// everything in one pass.
-    pub fn with_partial(sum: u64) -> Self {
-        Checksum { sum, pending: None }
-    }
-
-    /// The raw deferred-carry sum so far, for reuse via
-    /// [`Checksum::with_partial`]. Must be taken at an even byte boundary.
-    pub fn partial(&self) -> u64 {
-        debug_assert!(self.pending.is_none(), "partial at an odd byte boundary");
-        self.sum
-    }
-
     /// Adds a 16-bit word.
     pub fn add_u16(&mut self, w: u16) {
         debug_assert!(
@@ -109,33 +92,6 @@ pub fn pseudo_header_checksum(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, upp
     // Three zero bytes then the next-header value.
     ck.add_u16(0);
     ck.add_u16(next_header as u16);
-    ck.add_bytes(upper);
-    ck.finish()
-}
-
-/// Prefolds the pseudo-header fields that stay constant across a run of
-/// probes from one source over one transport: the source address and the
-/// next-header word. The returned partial seeds
-/// [`pseudo_header_checksum_with_partial`], which only has to sum the
-/// per-probe remainder (destination, length, upper bytes).
-pub fn pseudo_header_partial(src: Ipv6Addr, next_header: u8) -> u64 {
-    let mut ck = Checksum::new();
-    ck.add_bytes(&src.octets());
-    ck.add_u16(next_header as u16);
-    ck.partial()
-}
-
-/// Completes an upper-layer checksum from a [`pseudo_header_partial`].
-///
-/// Bit-identical to [`pseudo_header_checksum`] with the same source and
-/// next-header value: the one's-complement sum is order-independent, and
-/// the zero word of the pseudo-header contributes nothing.
-pub fn pseudo_header_checksum_with_partial(partial: u64, dst: Ipv6Addr, upper: &[u8]) -> u16 {
-    let mut ck = Checksum::with_partial(partial);
-    ck.add_bytes(&dst.octets());
-    let len = upper.len() as u32;
-    ck.add_u16((len >> 16) as u16);
-    ck.add_u16(len as u16);
     ck.add_bytes(upper);
     ck.finish()
 }
@@ -230,25 +186,6 @@ mod tests {
             split.add_bytes(&slice[..mid]);
             split.add_bytes(&slice[mid..]);
             assert_eq!(split.finish(), reference(slice), "len {len} split {mid}");
-        }
-    }
-
-    #[test]
-    fn partial_resume_matches_one_pass_checksum() {
-        let src: Ipv6Addr = "2001:db8:f00::7".parse().unwrap();
-        let upper: Vec<u8> = (0..53u8).collect();
-        for next in [58u8, 6, 17] {
-            let partial = pseudo_header_partial(src, next);
-            for dst_low in 0..16u16 {
-                let dst: Ipv6Addr = format!("2001:db8:8000::{dst_low}").parse().unwrap();
-                for len in [0usize, 1, 7, 8, 20, 53] {
-                    assert_eq!(
-                        pseudo_header_checksum_with_partial(partial, dst, &upper[..len]),
-                        pseudo_header_checksum(src, dst, next, &upper[..len]),
-                        "next {next} dst {dst} len {len}"
-                    );
-                }
-            }
         }
     }
 

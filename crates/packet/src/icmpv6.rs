@@ -5,7 +5,7 @@
 //! elicit Time Exceeded and Destination Unreachable from routers. The
 //! reactive telescope T4 answers Echo Requests with Echo Replies.
 
-use crate::checksum::{pseudo_header_checksum_with_partial, pseudo_header_partial};
+use crate::checksum::pseudo_header_checksum;
 use crate::error::PacketError;
 use std::net::Ipv6Addr;
 
@@ -97,19 +97,6 @@ impl Icmpv6Header {
     /// Encodes header + `payload` into `out`, computing the checksum over the
     /// pseudo-header for `src`/`dst`.
     pub fn encode(&self, src: Ipv6Addr, dst: Ipv6Addr, payload: &[u8], out: &mut Vec<u8>) {
-        self.encode_with_partial(pseudo_header_partial(src, 58), dst, payload, out);
-    }
-
-    /// Like [`Icmpv6Header::encode`], but resumes the checksum from a
-    /// [`crate::checksum::pseudo_header_partial`] for the source address —
-    /// run encoders amortize that prefix across probes sharing one source.
-    pub fn encode_with_partial(
-        &self,
-        partial: u64,
-        dst: Ipv6Addr,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) {
         let start = out.len();
         out.push(self.icmp_type.value());
         out.push(self.code);
@@ -117,7 +104,7 @@ impl Icmpv6Header {
         out.extend_from_slice(&self.identifier.to_be_bytes());
         out.extend_from_slice(&self.sequence.to_be_bytes());
         out.extend_from_slice(payload);
-        let ck = pseudo_header_checksum_with_partial(partial, dst, &out[start..]);
+        let ck = pseudo_header_checksum(src, dst, 58, &out[start..]);
         out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
     }
 

@@ -10,7 +10,6 @@
 use crate::error::PacketError;
 use crate::icmpv6::Icmpv6Header;
 use crate::ipv6::{ext, Ipv6Header, NextHeader, IPV6_HEADER_LEN};
-use crate::pcap::RecordView;
 use crate::tcp::TcpHeader;
 use crate::udp::UdpHeader;
 
@@ -159,24 +158,6 @@ impl<'a> ParsedView<'a> {
             _ => None,
         }
     }
-}
-
-/// Batched parse kernel: parses every record body in `run`, filling `out`
-/// (cleared first, like [`crate::pcap::SliceReader::next_chunk`]) with
-/// `(run_index, view)` pairs for records that parse and returning how many
-/// failed. One tight loop over a record run keeps the header-decode
-/// word loads hot — this is the form the ingest benchmark drives.
-pub fn parse_run<'a>(run: &[RecordView<'a>], out: &mut Vec<(usize, ParsedView<'a>)>) -> usize {
-    let mut failed = 0usize;
-    out.clear();
-    out.reserve(run.len());
-    for (i, rec) in run.iter().enumerate() {
-        match ParsedView::parse(rec.data) {
-            Ok(view) => out.push((i, view)),
-            Err(_) => failed += 1,
-        }
-    }
-    failed
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! header with correct checksums; options are not generated but a decoded
 //! data-offset larger than 5 is tolerated.
 
-use crate::checksum::{pseudo_header_checksum_with_partial, pseudo_header_partial};
+use crate::checksum::pseudo_header_checksum;
 use crate::error::PacketError;
 use std::net::Ipv6Addr;
 
@@ -86,18 +86,6 @@ impl TcpHeader {
 
     /// Encodes header + `payload` into `out` with a valid checksum.
     pub fn encode(&self, src: Ipv6Addr, dst: Ipv6Addr, payload: &[u8], out: &mut Vec<u8>) {
-        self.encode_with_partial(pseudo_header_partial(src, 6), dst, payload, out);
-    }
-
-    /// Like [`TcpHeader::encode`], but resumes the checksum from a
-    /// [`crate::checksum::pseudo_header_partial`] for the source address.
-    pub fn encode_with_partial(
-        &self,
-        partial: u64,
-        dst: Ipv6Addr,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) {
         let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
@@ -109,7 +97,7 @@ impl TcpHeader {
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&[0, 0]); // urgent pointer
         out.extend_from_slice(payload);
-        let ck = pseudo_header_checksum_with_partial(partial, dst, &out[start..]);
+        let ck = pseudo_header_checksum(src, dst, 6, &out[start..]);
         out[start + 16..start + 18].copy_from_slice(&ck.to_be_bytes());
     }
 

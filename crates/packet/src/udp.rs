@@ -4,7 +4,7 @@
 //! ports 33434–33523) and DNS; one heavy hitter alone contributed 85% of all
 //! UDP packets as DNS requests.
 
-use crate::checksum::{pseudo_header_checksum_with_partial, pseudo_header_partial};
+use crate::checksum::pseudo_header_checksum;
 use crate::error::PacketError;
 use std::net::Ipv6Addr;
 
@@ -37,25 +37,13 @@ impl UdpHeader {
     /// Note: over IPv6 the UDP checksum is mandatory (RFC 8200 §8.1); a zero
     /// checksum result is transmitted as 0xffff.
     pub fn encode(&self, src: Ipv6Addr, dst: Ipv6Addr, payload: &[u8], out: &mut Vec<u8>) {
-        self.encode_with_partial(pseudo_header_partial(src, 17), dst, payload, out);
-    }
-
-    /// Like [`UdpHeader::encode`], but resumes the checksum from a
-    /// [`crate::checksum::pseudo_header_partial`] for the source address.
-    pub fn encode_with_partial(
-        &self,
-        partial: u64,
-        dst: Ipv6Addr,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) {
         let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.length.to_be_bytes());
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(payload);
-        let mut ck = pseudo_header_checksum_with_partial(partial, dst, &out[start..]);
+        let mut ck = pseudo_header_checksum(src, dst, 17, &out[start..]);
         if ck == 0 {
             ck = 0xffff;
         }

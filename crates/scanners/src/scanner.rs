@@ -5,15 +5,18 @@
 //! [`Probe`]s — timestamped, fully specified packets. Scanners observe the
 //! world only through [`ScanContext`]: the announced-prefix view (what a
 //! real scanner learns from public BGP collectors), the hitlist, and
-//! end-to-end responsiveness (what its own probes reveal). The emitted
-//! probes are encoded to real IPv6 wire bytes before delivery.
+//! end-to-end responsiveness (what its own probes reveal).
+//! [`Probe::encode_into`] encodes a probe to real IPv6 wire bytes, as the
+//! pcap writer and the simulator's test oracle do; the simulator itself
+//! delivers the decoded fields, which are exactly what parsing those bytes
+//! yields.
 
 use crate::address::AddressStrategy;
 use crate::batch::{GenScratch, ProbeBatch};
 use crate::netsel::NetworkStrategy;
 use crate::temporal::TemporalModel;
 use crate::tools::{ProbeKindTemplate, ToolProfile};
-use sixscope_packet::{PacketBuilder, RunEncoder};
+use sixscope_packet::PacketBuilder;
 use sixscope_types::{Asn, Ipv6Prefix, SimDuration, SimTime, Xoshiro256pp};
 use std::net::Ipv6Addr;
 
@@ -97,35 +100,6 @@ pub enum ProbeKind {
         /// Destination port.
         dst_port: u16,
     },
-}
-
-impl ProbeKind {
-    /// Encodes a probe of this kind through a [`RunEncoder`], which caches
-    /// the pseudo-header checksum prefix across probes sharing a source.
-    /// `buf` is replaced with the wire bytes, identical to
-    /// [`Probe::encode_into`].
-    pub fn encode_run(
-        &self,
-        enc: &mut RunEncoder,
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        payload: &[u8],
-        buf: &mut Vec<u8>,
-    ) {
-        match *self {
-            ProbeKind::Icmp { ident, seq } => {
-                enc.icmpv6_echo_request_into(src, dst, ident, seq, payload, buf)
-            }
-            ProbeKind::Tcp {
-                src_port,
-                dst_port,
-                seq,
-            } => enc.tcp_syn_into(src, dst, src_port, dst_port, seq, payload, buf),
-            ProbeKind::Udp { src_port, dst_port } => {
-                enc.udp_into(src, dst, src_port, dst_port, payload, buf)
-            }
-        }
-    }
 }
 
 /// One emitted probe.
@@ -483,29 +457,6 @@ mod tests {
             assert_eq!(parsed.header.src, probe.src);
             assert_eq!(parsed.header.dst, probe.dst);
             assert_eq!(parsed.payload, &probe.payload[..]);
-        }
-    }
-
-    #[test]
-    fn run_encoder_bytes_match_per_probe_encoding() {
-        let mut spec = base_spec();
-        // Mixed transports over rotating sources exercise the prefix cache.
-        spec.source = SourceModel::RotatingIid {
-            subnet: p("2001:db8:f00:1::/64"),
-            per_probe: true,
-        };
-        spec.tool = ToolProfile::caida_ark();
-        spec.packets_per_prefix = 30;
-        let probes = spec.generate(&ctx(), &mut rng());
-        let mut enc = sixscope_packet::RunEncoder::new();
-        let mut run_buf = Vec::new();
-        let mut ref_buf = Vec::new();
-        for probe in &probes {
-            probe
-                .kind
-                .encode_run(&mut enc, probe.src, probe.dst, &probe.payload, &mut run_buf);
-            probe.encode_into(&mut ref_buf);
-            assert_eq!(run_buf, ref_buf);
         }
     }
 

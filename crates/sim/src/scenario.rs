@@ -23,13 +23,12 @@ use crate::visibility::Visibility;
 use crate::world::TumHitlist;
 use sixscope_bgp::topology::standard_topology;
 use sixscope_bgp::RouteEvent;
-use sixscope_packet::{ParsedView, RunEncoder};
 use sixscope_scanners::population::Population;
 use sixscope_scanners::{
     ExperimentLayout, GenScratch, PopulationSpec, ProbeBatch, ProbeKind, ScanContext,
 };
 use sixscope_telescope::{
-    respond, Capture, Protocol, ScheduleActionKind, SplitSchedule, TelescopeConfig, TelescopeId,
+    Capture, Protocol, ScheduleActionKind, SplitSchedule, TelescopeConfig, TelescopeId,
 };
 use sixscope_types::{
     map_indexed, num_threads, Asn, Ipv6Prefix, SimDuration, SimTime, Xoshiro256pp,
@@ -94,7 +93,8 @@ pub struct ScenarioTimings {
     pub setup: f64,
     /// Probe generation (RNG stream split + parallel generate + merge/sort).
     pub generate: f64,
-    /// Delivery into telescope captures (LPM gate + encode + ingest).
+    /// Delivery into telescope captures (DFZ gate + ingest of the decoded
+    /// fields, T4's response count included).
     pub deliver: f64,
 }
 
@@ -115,7 +115,9 @@ pub struct ExperimentResult {
     pub population: Population,
     /// The hitlist model.
     pub hitlist: TumHitlist,
-    /// Number of responses T4 sent.
+    /// Number of responses T4 sent: one per probe it recorded, since
+    /// [`respond`](sixscope_telescope::respond) answers every probe kind the
+    /// scanners emit.
     pub t4_responses: u64,
     /// Probes sent toward unrouted space (dropped in the DFZ).
     pub dropped_unrouted: u64,
@@ -144,8 +146,8 @@ pub struct Scenario {
 /// The world the scanners probe, shared by every worker.
 ///
 /// Scanners see it through [`BurstView`], which answers from pre-compiled
-/// snapshots — the epoch tries of [`CompiledVisibility`] and the
-/// publication-ordered hitlist — handing out borrowed slices. The
+/// snapshots — the per-epoch announced sets of [`CompiledVisibility`] and
+/// the publication-ordered hitlist — handing out borrowed slices. The
 /// snapshots reproduce the naive structures' content *and order* exactly,
 /// keeping the scanners' RNG draw sequences unchanged.
 struct WorldView {
@@ -207,8 +209,6 @@ impl ScanContext for BurstView<'_> {
 struct FusedScratch {
     scratch: GenScratch,
     batch: ProbeBatch,
-    encoder: RunEncoder,
-    buf: Vec<u8>,
 }
 
 impl Scenario {
@@ -324,28 +324,7 @@ impl Scenario {
                     let Some(telescope) = self.telescope_for(&layout, dst) else {
                         continue; // routed, but not into observed space
                     };
-                    if telescope == TelescopeId::T4 {
-                        // T4 answers probes: its responder consumes wire
-                        // bytes, so this (small) telescope keeps the
-                        // encode+parse round trip.
-                        fs.batch.kind(row).encode_run(
-                            &mut fs.encoder,
-                            fs.batch.src(row),
-                            dst,
-                            fs.batch.payload(row),
-                            &mut fs.buf,
-                        );
-                        let recorded = captures[telescope as usize].ingest(ts, &fs.buf);
-                        if recorded {
-                            if let Ok(parsed) = ParsedView::parse(&fs.buf) {
-                                if respond(&parsed).is_some() {
-                                    t4_responses += 1;
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    // Silent telescopes only retain decoded fields, all of
+                    // Every telescope retains only decoded fields, all of
                     // which the batch already holds — encoding to wire
                     // bytes and parsing them back would reproduce exactly
                     // these values (pinned by the staged-oracle
@@ -359,7 +338,7 @@ impl Scenario {
                             (Protocol::Udp, Some(src_port), Some(dst_port))
                         }
                     };
-                    captures[telescope as usize].ingest_fields(
+                    let recorded = captures[telescope as usize].ingest_fields(
                         ts,
                         fs.batch.src(row),
                         dst,
@@ -368,6 +347,12 @@ impl Scenario {
                         dst_port,
                         fs.batch.payload(row),
                     );
+                    // T4 answers every probe kind the engine emits (echo
+                    // request, SYN, UDP), so each recorded probe is one
+                    // response.
+                    if recorded && telescope == TelescopeId::T4 {
+                        t4_responses += 1;
+                    }
                 }
                 del_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
@@ -579,7 +564,56 @@ mod tests {
     fn t4_responds_to_probes() {
         let result = tiny();
         assert!(result.t4_responses > 0);
-        assert!(result.t4_responses <= result.capture(TelescopeId::T4).len() as u64);
+        assert_eq!(
+            result.t4_responses,
+            result.capture(TelescopeId::T4).len() as u64
+        );
+    }
+
+    #[test]
+    fn respond_answers_every_probe_kind() {
+        // The delivery loop counts one T4 response per recorded probe
+        // without encoding it; that is exact only while `respond` answers
+        // the wire encoding of every kind a scanner can emit.
+        use sixscope_packet::ParsedView;
+        use sixscope_scanners::Probe;
+        use sixscope_telescope::respond;
+        let kinds = [
+            ProbeKind::Icmp { ident: 7, seq: 3 },
+            ProbeKind::Tcp {
+                src_port: 40_000,
+                dst_port: 443,
+                seq: 0x0102_0304,
+            },
+            ProbeKind::Udp {
+                src_port: 40_001,
+                dst_port: 53,
+            },
+        ];
+        let mut buf = Vec::new();
+        for kind in kinds {
+            // Exhaustive on purpose: a new variant stops this compiling,
+            // as a reminder to add it to `kinds`.
+            match kind {
+                ProbeKind::Icmp { .. } | ProbeKind::Tcp { .. } | ProbeKind::Udp { .. } => {}
+            }
+            for payload in [&b""[..], b"yrp6 fingerprint", &[0xa5; 200]] {
+                let probe = Probe {
+                    ts: SimTime::from_secs(1),
+                    src: "2001:db8:f00::1".parse().unwrap(),
+                    dst: "2001:db8:4::42".parse().unwrap(),
+                    kind,
+                    payload: payload.to_vec(),
+                };
+                probe.encode_into(&mut buf);
+                let parsed = ParsedView::parse(&buf).expect("probe bytes parse");
+                assert!(
+                    respond(&parsed).is_some(),
+                    "{kind:?} with a {}-byte payload gets no response",
+                    payload.len()
+                );
+            }
+        }
     }
 
     #[test]

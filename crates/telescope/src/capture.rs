@@ -1,7 +1,8 @@
 //! The per-telescope packet store.
 //!
-//! [`Capture::ingest`] parses raw IPv6 bytes (as received off the simulated
-//! wire or read from a pcap) into compact [`CapturedPacket`] records.
+//! [`Capture::ingest`] parses raw IPv6 bytes (a pcap record) into a
+//! compact [`CapturedPacket`] record through [`Capture::ingest_fields`],
+//! which the simulator also calls with each probe's decoded fields.
 //! Analysis works exclusively on these records — the same structures a real
 //! deployment would fill from `tcpdump -y RAW`.
 
@@ -182,13 +183,18 @@ impl Capture {
         &self.config
     }
 
-    /// Fast-path ingest for packets whose decoded fields are already
-    /// known — the simulator's fused delivery loop built the probe, so
-    /// re-encoding and re-parsing it would only reproduce these same
-    /// values. Applies the same capture filter and counters as
-    /// [`Capture::ingest`]; the caller guarantees the fields describe a
-    /// well-formed packet (the fused-vs-reference equivalence tests pin
-    /// this).
+    /// Records a packet from its decoded fields if the capture filter
+    /// accepts `dst`, else counts it as filtered. Returns `true` if the
+    /// packet was recorded.
+    ///
+    /// Every producer enters a capture here, so the filter, the counters
+    /// and the retained packet are written in one place:
+    /// [`Capture::ingest`] parses raw bytes and lands here, and the
+    /// simulator's delivery loop, which already holds each probe's fields,
+    /// calls it directly. The caller guarantees the fields describe a
+    /// well-formed packet; for the simulator, the staged-oracle
+    /// equivalence tests pin them equal to what parsing the probe's wire
+    /// bytes yields. The payload is copied once, at retention.
     #[allow(clippy::too_many_arguments)]
     pub fn ingest_fields(
         &mut self,
@@ -217,46 +223,40 @@ impl Capture {
         true
     }
 
-    /// Ingests raw IPv6 bytes arriving at `ts`. Returns `true` if the packet
-    /// was recorded (parsed and matching the capture filter).
+    /// Ingests raw IPv6 bytes arriving at `ts` (a pcap record, or an
+    /// encoded probe in the simulator's tests). Returns `true` if the
+    /// packet was recorded (parsed and matching the capture filter).
     ///
-    /// Parsing is zero-copy ([`ParsedView`]): filtered and malformed
-    /// packets never allocate, and payload bytes are copied exactly once —
-    /// at retention, when the packet is promoted into the capture buffer
-    /// (DESIGN.md §11).
+    /// Parsing is zero-copy ([`ParsedView`]): a packet that does not parse
+    /// is counted as malformed, and one that does goes on to
+    /// [`Capture::ingest_fields`], so filtered packets never allocate
+    /// either (DESIGN.md §11).
     pub fn ingest(&mut self, ts: SimTime, raw: &[u8]) -> bool {
-        let parsed = match ParsedView::parse(raw) {
-            Ok(p) => p,
-            Err(_) => {
-                self.malformed += 1;
-                return false;
-            }
-        };
-        if !self.config.captures(parsed.header.dst) {
-            self.filtered += 1;
+        let Ok(parsed) = ParsedView::parse(raw) else {
+            self.malformed += 1;
             return false;
-        }
+        };
         let protocol = match &parsed.transport {
             Transport::Icmpv6(_) => Protocol::Icmpv6,
             Transport::Tcp(_) => Protocol::Tcp,
             Transport::Udp(_) => Protocol::Udp,
             Transport::Other(_) => Protocol::Other,
         };
-        self.packets.push(CapturedPacket {
+        self.ingest_fields(
             ts,
-            telescope: self.config.id,
-            src: parsed.header.src,
-            dst: parsed.header.dst,
+            parsed.header.src,
+            parsed.header.dst,
             protocol,
-            src_port: parsed.src_port(),
-            dst_port: parsed.dst_port(),
-            payload: Bytes::copy_from_slice(parsed.payload),
-        });
-        true
+            parsed.src_port(),
+            parsed.dst_port(),
+            parsed.payload,
+        )
     }
 
-    /// Directly records an already-decomposed packet (used when replaying
-    /// summarized captures; simulation uses [`Capture::ingest`]).
+    /// Appends an already-decoded packet as is, bypassing the capture
+    /// filter and its counters: for tests and fixtures that build a
+    /// capture by hand. Packets off the wire and from the simulator enter
+    /// through [`Capture::ingest_fields`].
     pub fn push(&mut self, packet: CapturedPacket) {
         self.packets.push(packet);
     }

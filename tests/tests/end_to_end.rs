@@ -129,7 +129,13 @@ fn derived_sixty_four_sessions_equal_direct_sessionization() {
 #[test]
 fn t4_responds_and_t3_stays_silent() {
     let a = corpus();
+    // T4 answers every probe kind the scanners send, so it sends exactly
+    // one response per probe it records.
     assert!(a.result.t4_responses > 0);
+    assert_eq!(
+        a.result.t4_responses,
+        a.capture(TelescopeId::T4).len() as u64
+    );
     // T3 records packets but never answers anything (it has no responder
     // in the pipeline at all); its volume stays a trickle.
     assert!(a.capture(TelescopeId::T3).len() < 100);

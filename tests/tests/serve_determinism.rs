@@ -107,6 +107,23 @@ fn zero_snapshot_interval_is_a_usage_error() {
     assert!(!dir.join("latest.md").exists(), "no checkpoint written");
 }
 
+/// A negative status descriptor is rejected before anything is read or
+/// any signal handler is installed, as the CLI rejects `--status-fd -1`.
+#[test]
+fn negative_status_fd_is_a_usage_error() {
+    let dir = ScratchDir::new("serve-status-fd");
+    let mut opts = ServeOptions::pcap(corpus_path("clean.pcap"), dir.path());
+    opts.status_fd = Some(-1);
+    match serve::serve(opts) {
+        Ok(_) => panic!("status_fd = Some(-1) must be rejected"),
+        Err(err) => {
+            assert!(matches!(err, sixscope::Error::Usage(_)), "{err}");
+            assert_eq!(err.exit_code(), 2, "{err}");
+        }
+    }
+    assert!(!dir.join("latest.md").exists(), "no checkpoint written");
+}
+
 /// A zero chunk size feeds one record per step, so the disorder
 /// fallback's sort-and-re-feed terminates and the final checkpoint still
 /// equals batch `analyze`. The daemon runs on a worker thread, so a hang
