@@ -85,7 +85,6 @@ mod tests {
             for _ in 0..*n {
                 cap.push(CapturedPacket {
                     ts: SimTime::from_secs(ts),
-                    telescope: TelescopeId::T3,
                     src: src.parse().unwrap(),
                     dst: "2001:db8:3::1".parse().unwrap(),
                     protocol: Protocol::Icmpv6,

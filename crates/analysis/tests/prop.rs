@@ -14,7 +14,7 @@ use sixscope_analysis::fingerprint::{identify, match_tool, KnownTool, ToolMatch}
 use sixscope_analysis::nist::{BitSequence, NistTest};
 use sixscope_analysis::special::{erfc, normal_cdf};
 use sixscope_analysis::stats::percent_change;
-use sixscope_telescope::{AggLevel, ScanSession, SourceKey, TelescopeId};
+use sixscope_telescope::{AggLevel, ScanSession, SourceKey};
 use sixscope_types::{SimTime, Xoshiro256pp};
 use std::net::Ipv6Addr;
 
@@ -271,7 +271,6 @@ proptest! {
                     Ipv6Addr::from((0x2a0a_u128 << 112) | u128::from(src)),
                     AggLevel::Addr128,
                 ),
-                telescope: TelescopeId::T1,
                 start: SimTime::from_secs(day * 86_400 + src * 37 + jitter),
                 end: SimTime::from_secs(day * 86_400 + src * 37 + jitter),
                 packet_indices: vec![0; packets],

@@ -1,28 +1,25 @@
-//! Feed-abstraction benchmarks: the unified [`Feed`] pull loop against
-//! the raw zero-copy reader it wraps. The trait adds per-chunk dispatch;
-//! the target is to stay within a few percent of the direct `SliceReader`
-//! path.
+//! Feed-abstraction benchmark: the unified [`Feed`] pull loop over a pcap
+//! file. `ingest/view_parse` (`benches/ingest.rs`) times the raw zero-copy
+//! loop this feed wraps, on the same image and at the same read step;
+//! compare the two. The trait adds per-chunk dispatch, file mapping and
+//! per-file statistics; the target is to stay within a few percent of the
+//! direct path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sixscope::ingest::passive_config;
-use sixscope::packet::{SliceReader, ViewOutcome};
 use sixscope_bench::bench_corpus;
-use sixscope_telescope::{Capture, Feed, IngestStats, PcapFeed, TelescopeId};
+use sixscope_telescope::{Capture, Feed, PcapFeed, TelescopeId, READ_STEP_RECORDS};
 use sixscope_types::Ipv6Prefix;
 use std::hint::black_box;
 use std::path::PathBuf;
 
 /// Renders the bench corpus's T1 capture into an in-memory classic pcap
-/// image, so every bench below reads identical bytes.
+/// image, the bytes `ingest/view_parse` reads too.
 fn pcap_image() -> (Vec<u8>, usize) {
     let a = bench_corpus();
     let capture = a.capture(TelescopeId::T1);
     let image = capture.write_pcap(Vec::new()).expect("write bench pcap");
     (image, capture.len())
-}
-
-fn passive() -> Capture {
-    Capture::new(passive_config(Ipv6Prefix::default_route()))
 }
 
 fn bench_feed(c: &mut Criterion) {
@@ -38,7 +35,8 @@ fn bench_feed(c: &mut Criterion) {
     // watermark tracking and per-file statistics.
     group.bench_function("pcap_feed", |b| {
         b.iter(|| {
-            let mut feed = PcapFeed::new(passive(), [&path], 1 << 14);
+            let capture = Capture::new(passive_config(Ipv6Prefix::default_route()));
+            let mut feed = PcapFeed::new(capture, [&path], READ_STEP_RECORDS);
             loop {
                 let chunk = feed.next_chunk().expect("bench file is readable");
                 if chunk.end_of_feed {
@@ -46,21 +44,6 @@ fn bench_feed(c: &mut Criterion) {
                 }
             }
             let (capture, stats, _) = feed.finish();
-            black_box((capture.len(), stats.parsed))
-        })
-    });
-
-    // The raw zero-copy loop the feed wraps — same chunk size, no trait
-    // dispatch, no watermark.
-    group.bench_function("slice_reader", |b| {
-        b.iter(|| {
-            let mut reader = SliceReader::new(&image).expect("valid header");
-            let mut capture = passive();
-            let mut stats = IngestStats::default();
-            let mut views: Vec<ViewOutcome<'_>> = Vec::new();
-            while reader.next_chunk(1 << 14, &mut views) {
-                capture.extend_from_views(&views, &mut stats);
-            }
             black_box((capture.len(), stats.parsed))
         })
     });

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sixscope::ingest::passive_config;
 use sixscope::packet::{SliceReader, ViewOutcome};
 use sixscope_bench::bench_corpus;
-use sixscope_telescope::{Capture, IngestStats, TelescopeId};
+use sixscope_telescope::{Capture, IngestStats, TelescopeId, READ_STEP_RECORDS};
 use sixscope_types::Ipv6Prefix;
 use std::hint::black_box;
 
@@ -27,7 +27,7 @@ fn ingest_image<'a>(image: &'a [u8], views: &mut Vec<ViewOutcome<'a>>) -> (Captu
     let mut reader = SliceReader::new(image).expect("valid header");
     let mut capture = Capture::new(passive_config(Ipv6Prefix::default_route()));
     let mut stats = IngestStats::default();
-    while reader.next_chunk(1 << 14, views) {
+    while reader.next_chunk(READ_STEP_RECORDS, views) {
         capture.extend_from_views(views, &mut stats);
     }
     (capture, stats)

@@ -96,44 +96,6 @@ fn bench_engine_threads(c: &mut Criterion) {
     group.finish();
 }
 
-/// Naive interval-scan LPM vs. the epoch-compiled trie on the visibility
-/// schedule of a real run.
-fn bench_lpm(c: &mut Criterion) {
-    use sixscope::sim::CompiledVisibility;
-    use sixscope::types::SimTime;
-    use std::net::Ipv6Addr;
-
-    let a = bench_corpus();
-    let vis = &a.result.visibility;
-    let compiled = CompiledVisibility::compile(vis);
-    let queries: Vec<(Ipv6Addr, SimTime)> = a
-        .capture(TelescopeId::T1)
-        .packets()
-        .iter()
-        .take(512)
-        .map(|p| (p.dst, p.ts))
-        .collect();
-    let mut group = c.benchmark_group("lpm");
-    group.throughput(Throughput::Elements(queries.len() as u64));
-    group.bench_function("naive_interval_scan", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .filter(|&&(addr, t)| black_box(vis.lpm(addr, t)).is_some())
-                .count()
-        })
-    });
-    group.bench_function("epoch_compiled", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .filter(|&&(addr, t)| black_box(compiled.lpm(addr, t)).is_some())
-                .count()
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -141,7 +103,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(800));
     targets = bench_packet_codec, bench_bgp_propagation, bench_sessionizer,
-              bench_population_build, bench_full_experiment, bench_engine_threads,
-              bench_lpm
+              bench_population_build, bench_full_experiment, bench_engine_threads
 }
 criterion_main!(benches);

@@ -1,34 +1,14 @@
-//! Streaming-pipeline benchmarks: the incremental sessionizer against the
-//! batch sessionizer on the same capture, and the chunked pcap pipeline at
-//! several chunk sizes (whose outputs are byte-identical — only memory and
-//! wall-clock move).
+//! Streaming-pipeline benchmark: the chunked pcap pipeline at several
+//! chunk sizes (whose outputs are byte-identical — only memory and
+//! wall-clock move). The sessionizer alone is `sessionizer/sessionize_t1_128`
+//! in `benches/pipeline.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sixscope::Pipeline;
 use sixscope_bench::bench_corpus;
-use sixscope_telescope::{AggLevel, IncrementalSessionizer, Sessionizer, TelescopeId};
+use sixscope_telescope::TelescopeId;
 use std::hint::black_box;
 use std::path::PathBuf;
-
-fn bench_incremental_sessionizer(c: &mut Criterion) {
-    let a = bench_corpus();
-    let capture = a.capture(TelescopeId::T1);
-    let mut group = c.benchmark_group("streaming_sessionizer");
-    group.throughput(Throughput::Elements(capture.len() as u64));
-    group.bench_function("batch_t1_128", |b| {
-        b.iter(|| black_box(Sessionizer::paper(AggLevel::Addr128).sessionize(capture)))
-    });
-    group.bench_function("incremental_t1_128", |b| {
-        b.iter(|| {
-            let mut inc = IncrementalSessionizer::paper(AggLevel::Addr128);
-            for (i, p) in capture.packets().iter().enumerate() {
-                inc.push(i as u32, p);
-            }
-            black_box(inc.finish())
-        })
-    });
-    group.finish();
-}
 
 /// Writes the bench corpus's T1 capture to a temp pcap once, then times
 /// the full streaming pipeline over it at different chunk sizes.
@@ -69,6 +49,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(800));
-    targets = bench_incremental_sessionizer, bench_chunked_pipeline
+    targets = bench_chunked_pipeline
 }
 criterion_main!(benches);

@@ -14,7 +14,7 @@
 //! flags are `--name value` pairs, everything else is positional, and
 //! `--threads N` is accepted everywhere. Errors exit with a per-category
 //! code ([`sixscope::Error::exit_code`]): 2 usage, 3 I/O, 4 pcap,
-//! 5 BGP, 6 analysis, 7 shard file.
+//! 6 analysis, 7 shard file.
 
 use sixscope::cli::Flags;
 use sixscope::serve::{self, ServeOptions};
@@ -73,15 +73,14 @@ USAGE:
         --pcap-dir also writes one pcap per telescope.
 
     sixscope analyze <telescope-prefix> <capture.pcap> [more.pcap…]
-            [--chunk N] [--json]
+            [--json]
         Stream real pcap captures (LINKTYPE_RAW) of a telescope, filtered
         to its prefix (::/0 keeps every packet), and print sessions,
         temporal classes and address selection per scanner. Damaged
         records are skipped and counted by reason, and a file cut off
         mid-record keeps every complete record: the recovery statistics
         go to stderr, one line per file plus a total for several files,
-        and into the stats object of --json. --chunk bounds memory to
-        N records per read.
+        and into the stats object of --json.
 
     sixscope serve <capture.pcap> [--out DIR]
             [--snapshot-every N] [--status-fd FD] [--prefix P]
@@ -97,7 +96,7 @@ USAGE:
         `sixscope analyze` over the same file.
 
     sixscope shard <capture.pcap> [more.pcap…] --out <file.sixshard>
-            [--prefix P] [--chunk N]
+            [--prefix P]
         Read one worker's captures and write their packets and recovery
         statistics as one .sixshard file — the scatter side of federated
         sharding (sessions are built by merge).
@@ -228,7 +227,7 @@ fn print_file_stats(
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), Error> {
-    let flags = Flags::parse(args, &["json", "threads", "chunk"])?;
+    let flags = Flags::parse(args, &["json", "threads"])?;
     let [prefix, files @ ..] = flags.positional() else {
         return Err(Error::Usage(
             "usage: sixscope analyze <telescope-prefix> <capture.pcap>…".into(),
@@ -243,9 +242,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
     let mut pipeline = Pipeline::from_pcaps(files).prefix(prefix);
     if let Some(n) = flags.apply_threads()? {
         pipeline = pipeline.threads(n);
-    }
-    if let Some(n) = flags.chunk()? {
-        pipeline = pipeline.chunk_records(n);
     }
     let out = pipeline.run_detailed()?;
     print_file_stats(&out.file_stats, &out.stats);
@@ -265,7 +261,7 @@ fn print_analysis(out: &PipelineOutput, json: bool) -> Result<(), Error> {
 }
 
 fn cmd_shard(args: &[String]) -> Result<(), Error> {
-    let flags = Flags::parse(args, &["prefix", "out", "threads", "chunk"])?;
+    let flags = Flags::parse(args, &["prefix", "out", "threads"])?;
     let files = flags.positional().to_vec();
     if files.is_empty() {
         return Err(Error::Usage(
@@ -283,9 +279,6 @@ fn cmd_shard(args: &[String]) -> Result<(), Error> {
     let mut pipeline = Pipeline::from_pcaps(&files).prefix(prefix);
     if let Some(n) = flags.apply_threads()? {
         pipeline = pipeline.threads(n);
-    }
-    if let Some(n) = flags.chunk()? {
-        pipeline = pipeline.chunk_records(n);
     }
     let out = pipeline.to_shard(out_path)?;
     print_file_stats(&out.file_stats, &out.stats);

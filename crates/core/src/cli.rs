@@ -132,9 +132,9 @@ impl Flags {
         }
     }
 
-    /// The `--chunk` streaming chunk size, if given. Zero is rejected here
-    /// rather than silently clamped by `Pipeline::chunk_records`'s
-    /// `.max(1)`, so the flag's semantics match the builder's.
+    /// The `--chunk` feed chunk size (`serve`'s records per read step),
+    /// if given. Zero is rejected here rather than silently acting as 1,
+    /// so the flag never means something other than what it says.
     pub fn chunk(&self) -> Result<Option<usize>, Error> {
         match self.parsed("chunk")? {
             Some(0) => Err(Error::Usage("--chunk must be at least 1 record".into())),

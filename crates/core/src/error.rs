@@ -8,7 +8,6 @@
 //! `caused by:` chains.
 
 use crate::shardfile::ShardError;
-use sixscope_bgp::BgpError;
 use sixscope_packet::PacketError;
 use std::fmt;
 
@@ -21,7 +20,6 @@ use std::fmt;
 /// | [`Error::Usage`] | bad command line / bad flag value | 2 |
 /// | [`Error::Io`] | file could not be opened / read / written | 3 |
 /// | [`Error::Pcap`] | pcap stream unrecoverably damaged | 4 |
-/// | [`Error::Bgp`] | BGP message parsing / session failure | 5 |
 /// | [`Error::Analysis`] | analysis-stage invariant violated | 6 |
 /// | [`Error::Shard`] | shard file damaged / wrong version | 7 |
 ///
@@ -47,8 +45,6 @@ pub enum Error {
         /// The underlying packet-layer error.
         source: PacketError,
     },
-    /// A BGP message could not be parsed or violated the session FSM.
-    Bgp(BgpError),
     /// An analysis stage hit an invariant violation.
     Analysis(String),
     /// A `.sixshard` file was damaged, truncated, or of the wrong version.
@@ -68,7 +64,6 @@ impl Error {
             Error::Usage(_) => 2,
             Error::Io { .. } => 3,
             Error::Pcap { .. } => 4,
-            Error::Bgp(_) => 5,
             Error::Analysis(_) => 6,
             Error::Shard { .. } => 7,
         }
@@ -81,7 +76,6 @@ impl fmt::Display for Error {
             Error::Usage(msg) => write!(f, "usage error: {msg}"),
             Error::Io { path, .. } => write!(f, "i/o error on {path}"),
             Error::Pcap { path, .. } => write!(f, "pcap error in {path}"),
-            Error::Bgp(_) => write!(f, "bgp error"),
             Error::Analysis(msg) => write!(f, "analysis error: {msg}"),
             Error::Shard { path, .. } => write!(f, "shard file error in {path}"),
         }
@@ -94,15 +88,8 @@ impl std::error::Error for Error {
             Error::Usage(_) | Error::Analysis(_) => None,
             Error::Io { source, .. } => Some(source),
             Error::Pcap { source, .. } => Some(source),
-            Error::Bgp(source) => Some(source),
             Error::Shard { source, .. } => Some(source),
         }
-    }
-}
-
-impl From<BgpError> for Error {
-    fn from(source: BgpError) -> Self {
-        Error::Bgp(source)
     }
 }
 
@@ -134,7 +121,6 @@ mod tests {
                 path: "b.pcap".into(),
                 source: PacketError::BadPcapMagic(0),
             },
-            Error::Bgp(BgpError::BadMarker),
             Error::Analysis("shard mismatch".into()),
             Error::Shard {
                 path: "t1-0.sixshard".into(),

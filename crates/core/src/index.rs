@@ -743,7 +743,6 @@ mod tests {
     fn column_build_panics_on_out_of_order_packets() {
         let packet = |t: u64| sixscope_telescope::CapturedPacket {
             ts: SimTime::from_secs(t),
-            telescope: TelescopeId::T1,
             src: "2001:db8::1".parse().unwrap(),
             dst: "2001:db8:1::2".parse().unwrap(),
             protocol: Protocol::Icmpv6,

@@ -10,19 +10,16 @@
 //! [`crate::serve::analysis_report`]. Every such path captures into the
 //! telescope [`passive_config`] describes.
 
-use sixscope_telescope::{TelescopeConfig, TelescopeId, TelescopeKind};
+use sixscope_telescope::{TelescopeConfig, TelescopeId};
 use sixscope_types::Ipv6Prefix;
 
 /// The passive telescope configuration real-capture ingestion uses: plain
-/// prefix filtering, no productive subnet, no DNS attractor. `::/0`
-/// accepts every packet in the file.
+/// prefix filtering, no productive subnet. `::/0` accepts every packet in
+/// the file.
 pub fn passive_config(prefix: Ipv6Prefix) -> TelescopeConfig {
     TelescopeConfig {
         id: TelescopeId::T1,
-        kind: TelescopeKind::Passive,
         prefix,
-        separately_announced: true,
-        dns_exposed: None,
         productive_subnet: None,
     }
 }

@@ -39,7 +39,7 @@ use sixscope_sim::{
 };
 use sixscope_telescope::{
     AggLevel, Capture, Feed, IncrementalSessionizer, IngestStats, PcapFeed, ScanSession,
-    Sessionizer, SplitSchedule, TelescopeConfig, TelescopeId,
+    Sessionizer, SplitSchedule, TelescopeConfig, TelescopeId, READ_STEP_RECORDS,
 };
 use sixscope_types::{Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -127,7 +127,7 @@ impl Pipeline {
         Pipeline {
             source,
             threads: None,
-            chunk_records: usize::MAX,
+            chunk_records: READ_STEP_RECORDS,
         }
     }
 
@@ -151,7 +151,7 @@ impl Pipeline {
 
     /// Pcap records per read step (no effect on simulated or shard
     /// input, whose captures are already in memory). Output bytes never
-    /// depend on it. Defaults to reading each file in one step.
+    /// depend on it. Defaults to [`READ_STEP_RECORDS`].
     pub fn chunk_records(mut self, records: usize) -> Pipeline {
         self.chunk_records = records.max(1);
         self

@@ -27,7 +27,6 @@ use sixscope_packet::MAX_RECORD_LEN;
 use sixscope_sim::ExperimentResult;
 use sixscope_telescope::{
     Bytes, Capture, CapturedPacket, IngestStats, Protocol, TelescopeConfig, TelescopeId,
-    TelescopeKind,
 };
 use sixscope_types::{chunk_ranges, Ipv6Prefix, SimTime};
 use std::collections::BTreeMap;
@@ -41,7 +40,7 @@ pub const MAGIC: [u8; 8] = *b"SIXSHARD";
 /// Current format version. Decoders reject other versions outright
 /// (DESIGN.md §13 versioning rule: the format is rewritten, never patched
 /// in place — a version bump is a new format).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section tags, in the exact order they must appear in the section table.
 const SECTION_TAGS: [(u32, &str); 3] = [(1, "config"), (2, "stats"), (3, "capture")];
@@ -169,29 +168,11 @@ fn telescope_code(id: TelescopeId) -> u8 {
     }
 }
 
-fn kind_code(kind: TelescopeKind) -> u8 {
-    match kind {
-        TelescopeKind::Passive => 0,
-        TelescopeKind::PartiallyProductive => 1,
-        TelescopeKind::Silent => 2,
-        TelescopeKind::Reactive => 3,
-    }
-}
-
 fn encode_config(shard: &TelescopeShard) -> Vec<u8> {
     let config = shard.capture.config();
     let mut e = Enc::default();
     e.u8(telescope_code(config.id));
-    e.u8(kind_code(config.kind));
     e.prefix(config.prefix);
-    e.u8(config.separately_announced as u8);
-    match config.dns_exposed {
-        Some(addr) => {
-            e.u8(1);
-            e.u128(u128::from(addr));
-        }
-        None => e.u8(0),
-    }
     match config.productive_subnet {
         Some(p) => {
             e.u8(1);
@@ -387,16 +368,6 @@ fn decode_telescope(code: u8, c: &Cursor<'_>) -> Result<TelescopeId, ShardError>
     }
 }
 
-fn decode_kind(code: u8, c: &Cursor<'_>) -> Result<TelescopeKind, ShardError> {
-    match code {
-        0 => Ok(TelescopeKind::Passive),
-        1 => Ok(TelescopeKind::PartiallyProductive),
-        2 => Ok(TelescopeKind::Silent),
-        3 => Ok(TelescopeKind::Reactive),
-        other => Err(c.corrupt(format!("unknown telescope kind code {other}"))),
-    }
-}
-
 fn decode_protocol(code: u8, c: &Cursor<'_>) -> Result<Protocol, ShardError> {
     match code {
         0 => Ok(Protocol::Icmpv6),
@@ -410,14 +381,7 @@ fn decode_protocol(code: u8, c: &Cursor<'_>) -> Result<Protocol, ShardError> {
 fn decode_config(buf: &[u8]) -> Result<TelescopeConfig, ShardError> {
     let mut c = Cursor::new(buf, "config");
     let id = decode_telescope(c.u8()?, &c)?;
-    let kind = decode_kind(c.u8()?, &c)?;
     let prefix = c.prefix()?;
-    let separately_announced = c.flag("separately_announced")?;
-    let dns_exposed = if c.flag("dns_exposed")? {
-        Some(Ipv6Addr::from(c.u128()?))
-    } else {
-        None
-    };
     let productive_subnet = if c.flag("productive_subnet")? {
         Some(c.prefix()?)
     } else {
@@ -426,10 +390,7 @@ fn decode_config(buf: &[u8]) -> Result<TelescopeConfig, ShardError> {
     c.done()?;
     Ok(TelescopeConfig {
         id,
-        kind,
         prefix,
-        separately_announced,
-        dns_exposed,
         productive_subnet,
     })
 }
@@ -471,7 +432,7 @@ fn decode_stats(buf: &[u8]) -> Result<(IngestStats, CaptureCounters), ShardError
 /// Minimum encoded size of one capture packet (empty payload).
 const MIN_PACKET_LEN: usize = 8 + 16 + 16 + 1 + 1 + 1 + 4;
 
-fn decode_capture(buf: &[u8], id: TelescopeId) -> Result<Vec<CapturedPacket>, ShardError> {
+fn decode_capture(buf: &[u8]) -> Result<Vec<CapturedPacket>, ShardError> {
     let mut c = Cursor::new(buf, "capture");
     let n = c.count(MIN_PACKET_LEN)?;
     let mut packets = Vec::with_capacity(n);
@@ -508,7 +469,6 @@ fn decode_capture(buf: &[u8], id: TelescopeId) -> Result<Vec<CapturedPacket>, Sh
         let payload = Bytes::copy_from_slice(c.take(payload_len as usize)?);
         packets.push(CapturedPacket {
             ts,
-            telescope: id,
             src,
             dst,
             protocol,
@@ -568,7 +528,7 @@ pub fn decode_shard(bytes: &[u8]) -> Result<TelescopeShard, ShardError> {
 
     let config = decode_config(bodies[0])?;
     let (stats, counters) = decode_stats(bodies[1])?;
-    let packets = decode_capture(bodies[2], config.id)?;
+    let packets = decode_capture(bodies[2])?;
     let capture = Capture::restore(config, packets, counters.filtered, counters.malformed);
     Ok(TelescopeShard { capture, stats })
 }
@@ -767,7 +727,6 @@ mod tests {
     ) -> CapturedPacket {
         CapturedPacket {
             ts: SimTime::from_secs(t),
-            telescope: TelescopeId::T1,
             src: src.parse().unwrap(),
             dst: dst.parse().unwrap(),
             protocol,
@@ -846,9 +805,11 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
         assert!(matches!(decode_shard(&bad), Err(ShardError::BadMagic)));
-        // Version 1 files (which stored sessions and index columns) and
-        // any later version are rejected before their sections are read.
-        for version in [1u32, FORMAT_VERSION + 1] {
+        // Version 1 files (which stored sessions and index columns),
+        // version 2 files (whose config section also held the telescope
+        // kind, an announcement flag and a DNS address) and any later
+        // version are rejected before their sections are read.
+        for version in [1u32, 2, FORMAT_VERSION + 1] {
             let mut other = bytes.clone();
             other[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

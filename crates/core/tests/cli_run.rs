@@ -1,7 +1,8 @@
 //! The `sixscope` binary end to end: `run --pcap-dir` writes one pcap per
 //! telescope, byte for byte what `Capture::write_pcap` encodes, whichever
 //! report format goes to stdout; `analyze` logs its recovery statistics
-//! to stderr; and usage errors exit 2.
+//! to stderr; usage errors exit 2; and a shard file of another format
+//! version exits 7.
 
 use sixscope::sim::ScenarioConfig;
 use sixscope::telescope::TelescopeId;
@@ -89,7 +90,8 @@ fn analyze_logs_recovery_per_file_and_in_total() {
 /// Usage errors exit 2 without a panic: a zero snapshot interval (which
 /// would never advance), a negative status descriptor (`-1` panicked in
 /// `File::from_raw_fd`, and `-7` ran with a sink whose every write
-/// failed), and the removed `ingest` command and `serve --sim` flag.
+/// failed), the removed `ingest` command, and the removed `serve --sim`
+/// and `analyze`/`shard --chunk` flags (pcap reads pick their own step).
 #[test]
 fn zero_snapshot_interval_and_removed_front_doors_exit_2() {
     let out_dir = std::env::temp_dir().join(format!("sixscope-serve-0-{}", std::process::id()));
@@ -110,6 +112,14 @@ fn zero_snapshot_interval_and_removed_front_doors_exit_2() {
         ),
         (vec!["ingest", &mixed], "unknown command"),
         (vec!["serve", "--sim", "0.01"], "unknown flag --sim"),
+        (
+            vec!["analyze", "::/0", &clean, "--chunk", "7"],
+            "unknown flag --chunk",
+        ),
+        (
+            vec!["shard", &clean, "--out", out_dir, "--chunk", "7"],
+            "unknown flag --chunk",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sixscope"))
             .args(&args)
@@ -124,6 +134,37 @@ fn zero_snapshot_interval_and_removed_front_doors_exit_2() {
         !std::path::Path::new(out_dir).exists(),
         "a rejected serve writes nothing"
     );
+}
+
+/// A `.sixshard` file of format version 2, whose config section held
+/// three more fields, is refused by `merge` with exit code 7 before any
+/// section is read.
+#[test]
+fn version_2_shard_exits_7() {
+    let path = std::env::temp_dir().join(format!("sixscope-v2-{}.sixshard", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_sixscope"))
+        .args(["shard", &corpus("clean.pcap"), "--out"])
+        .arg(&path)
+        .output()
+        .expect("spawn sixscope shard");
+    assert!(out.status.success(), "sixscope shard failed");
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "shard writes version 3");
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_sixscope"))
+        .arg("merge")
+        .arg(&path)
+        .output()
+        .expect("spawn sixscope merge");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(7), "{stderr}");
+    assert!(
+        stderr.contains("unsupported shard format version 2 (expected 3)"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a refused merge printed a report");
 }
 
 /// A scale that is not a finite number above zero is a usage error, not

@@ -108,7 +108,6 @@ fn build_result(raws: &[RawPacket]) -> ExperimentResult {
         };
         packets.entry(config.id).or_default().push(CapturedPacket {
             ts: SimTime::from_secs(raw.ts_secs),
-            telescope: config.id,
             src,
             dst: config.prefix.nth_address(raw.dst_bits),
             protocol,
@@ -185,7 +184,6 @@ fn routed_t1_result(
         .iter()
         .map(|&(pick, bits, secs)| CapturedPacket {
             ts: SimTime::from_secs(secs),
-            telescope: TelescopeId::T1,
             src: "2a0a::1".parse().unwrap(),
             dst: prefixes[pick % prefixes.len()].nth_address(bits),
             protocol: Protocol::Icmpv6,

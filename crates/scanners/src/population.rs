@@ -1228,6 +1228,9 @@ mod tests {
         assert!(l.covering.covers(&l.t4));
         assert!(!l.t3.overlaps(&l.t4));
         assert!(l.t2.contains(l.t2_dns_exposed));
+        // T2's DNS attractor is outside its productive /56, so T2 captures
+        // the traffic it draws.
+        assert!(sixscope_telescope::TelescopeConfig::t2(l.t2).captures(l.t2_dns_exposed));
     }
 
     #[test]

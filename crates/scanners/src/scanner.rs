@@ -24,8 +24,8 @@ use std::net::Ipv6Addr;
 ///
 /// The view methods return borrowed slices: probe generation queries them
 /// once per session, and the simulation backs them with pre-compiled
-/// snapshots (epoch tries, publication-ordered hitlists) so the hot path
-/// allocates nothing.
+/// snapshots (per-epoch announced sets, publication-ordered hitlists) so
+/// the hot path allocates nothing.
 pub trait ScanContext {
     /// Prefixes visible in the global table at `t` (collector view).
     fn announced_at(&self, t: SimTime) -> &[Ipv6Prefix];

@@ -5,8 +5,8 @@
 //! 1. **Control plane** — the BGP topology of §3.2 executes the T1 split
 //!    schedule plus the stable T2 and covering-/29 announcements; every
 //!    update propagates as wire bytes to the route collector.
-//! 2. **Visibility** — the collector's event stream becomes per-prefix
-//!    visibility intervals: the ground truth for both the scanners' world
+//! 2. **Visibility** — the collector's event stream becomes epochs of
+//!    announced prefixes: the ground truth for both the scanners' world
 //!    view and data-plane deliverability.
 //! 3. **World** — AS metadata, reverse DNS and the TUM-style hitlist with
 //!    its ~5-day publication lag.
@@ -17,12 +17,10 @@
 //! [`scenario::Scenario::run`] executes the full 11-month experiment and
 //! returns the captures and metadata the analysis pipeline consumes.
 
-pub mod compiled;
 pub mod scenario;
 pub mod visibility;
 pub mod world;
 
-pub use compiled::CompiledVisibility;
 pub use scenario::{ExperimentResult, Scenario, ScenarioConfig, ScenarioTimings};
 pub use visibility::Visibility;
 pub use world::TumHitlist;

@@ -18,7 +18,6 @@
 //! order on (time, segment, position). See DESIGN.md §6 for the full
 //! parallel-determinism contract.
 
-use crate::compiled::CompiledVisibility;
 use crate::visibility::Visibility;
 use crate::world::TumHitlist;
 use sixscope_bgp::topology::standard_topology;
@@ -108,7 +107,7 @@ pub struct ExperimentResult {
     pub captures: BTreeMap<TelescopeId, Capture>,
     /// Raw collector events.
     pub events: Vec<RouteEvent>,
-    /// Folded visibility intervals.
+    /// BGP visibility over time, folded from `events`.
     pub visibility: Visibility,
     /// The scanner population (for metadata joins — *not* used by the
     /// classifiers, which only see captures).
@@ -145,15 +144,11 @@ pub struct Scenario {
 
 /// The world the scanners probe, shared by every worker.
 ///
-/// Scanners see it through [`BurstView`], which answers from pre-compiled
-/// snapshots — the per-epoch announced sets of [`CompiledVisibility`] and
-/// the publication-ordered hitlist — handing out borrowed slices. The
-/// snapshots reproduce the naive structures' content *and order* exactly,
-/// keeping the scanners' RNG draw sequences unchanged.
+/// Scanners see it through [`BurstView`], which answers from snapshots —
+/// the per-epoch announced sets of [`Visibility`] and the
+/// publication-ordered hitlist — handing out borrowed slices.
 struct WorldView {
     visibility: Visibility,
-    compiled: CompiledVisibility,
-    transitions: Vec<(SimTime, Ipv6Prefix)>,
     hitlist: TumHitlist,
     t4: Ipv6Prefix,
     end: SimTime,
@@ -185,11 +180,11 @@ impl<'a> BurstView<'a> {
 impl ScanContext for BurstView<'_> {
     fn announced_at(&self, t: SimTime) -> &[Ipv6Prefix] {
         self.world
-            .compiled
+            .visibility
             .announced_at_cached(t, &self.epoch_cursor)
     }
     fn announce_events(&self) -> &[(SimTime, Ipv6Prefix)] {
-        &self.world.transitions
+        self.world.visibility.announce_transitions()
     }
     fn hitlist(&self, t: SimTime) -> &[Ipv6Addr] {
         self.world.hitlist.as_of_cached(t, &self.hitlist_cursor)
@@ -315,7 +310,7 @@ impl Scenario {
                     // prefix at send time? (Propagation delay for the data
                     // path is negligible at our one-second resolution.)
                     if !world
-                        .compiled
+                        .visibility
                         .routed_cached(dst, ts, &lpm_cursor, &routed_hint)
                     {
                         dropped_unrouted += 1;
@@ -448,8 +443,6 @@ impl Scenario {
         }
         .build(&layout);
         let world = WorldView {
-            compiled: CompiledVisibility::compile(&visibility),
-            transitions: visibility.announce_transitions(),
             visibility,
             hitlist,
             t4: layout.t4,
@@ -505,27 +498,25 @@ mod tests {
         let events = Scenario::new(config.clone()).run_control_plane();
         assert!(!events.is_empty());
         let vis = Visibility::from_events(&events);
+        let visible = |prefix: &Ipv6Prefix, t: SimTime| vis.announced_at(t).contains(prefix);
         let schedule = config.schedule();
         // During the baseline the /32 is visible.
         let mid_baseline = schedule.cycle_start(0) + SimDuration::weeks(5);
-        assert!(vis.visible(&config.layout.t1, mid_baseline));
+        assert!(visible(&config.layout.t1, mid_baseline));
         // Mid cycle 1 the two /33s are visible, the /32 is not.
         let mid_c1 = schedule.cycle_start(1) + SimDuration::days(5);
-        assert!(!vis.visible(&config.layout.t1, mid_c1));
+        assert!(!visible(&config.layout.t1, mid_c1));
         for prefix in schedule.announced_set(1) {
-            assert!(
-                vis.visible(&prefix, mid_c1),
-                "{prefix} not visible in cycle 1"
-            );
+            assert!(visible(&prefix, mid_c1), "{prefix} not visible in cycle 1");
         }
         // Mid final cycle all 17 prefixes are visible.
         let mid_final = schedule.cycle_start(16) + SimDuration::days(5);
-        for prefixix in schedule.announced_set(16) {
-            assert!(vis.visible(&prefixix, mid_final));
+        for prefix in schedule.announced_set(16) {
+            assert!(visible(&prefix, mid_final));
         }
         // T2 and the covering /29 are visible throughout.
-        assert!(vis.visible(&config.layout.t2, mid_c1));
-        assert!(vis.visible(&config.layout.covering, mid_c1));
+        assert!(visible(&config.layout.t2, mid_c1));
+        assert!(visible(&config.layout.covering, mid_c1));
     }
 
     #[test]
@@ -674,9 +665,11 @@ mod tests {
             .hitlist
             .published_at(result.layout.t1.low_byte_address())
             .expect("T1 low-byte published");
-        let first = result
+        let (first, _) = *result
             .visibility
-            .first_seen(&result.layout.t1)
+            .announce_transitions()
+            .iter()
+            .find(|(_, prefix)| *prefix == result.layout.t1)
             .expect("T1 was announced");
         assert_eq!(published, first + crate::world::PUBLICATION_LAG);
     }

@@ -45,7 +45,7 @@ impl TumHitlist {
             })
             .collect();
         let mut seen: Vec<Ipv6Prefix> = Vec::new();
-        for (ts, prefix) in visibility.announce_transitions() {
+        for &(ts, prefix) in visibility.announce_transitions() {
             if seen.contains(&prefix) {
                 continue; // re-announcements do not re-publish
             }

@@ -5,13 +5,11 @@
 //!
 //! Test-only. It is shared by the `scenario` unit tests
 //! (`src/scenario.rs`) and `tests/tests/parallel_determinism.rs`; each
-//! includer brings `CompiledVisibility`, `ExperimentResult`, `Scenario`,
-//! `ScenarioConfig`, `TumHitlist` and `Visibility` from `sixscope_sim` into
-//! the parent scope, so this file names them through `super`.
+//! includer brings `ExperimentResult`, `Scenario`, `ScenarioConfig`,
+//! `TumHitlist` and `Visibility` from `sixscope_sim` into the parent
+//! scope, so this file names them through `super`.
 
-use super::{
-    CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, TumHitlist, Visibility,
-};
+use super::{ExperimentResult, Scenario, ScenarioConfig, TumHitlist, Visibility};
 use sixscope_packet::ParsedView;
 use sixscope_scanners::{PopulationSpec, Probe, ScanContext};
 use sixscope_telescope::{respond, Capture, TelescopeConfig, TelescopeId};
@@ -31,8 +29,7 @@ pub struct Staged {
 
 /// The scanners' world, answered by uncached lookups.
 struct World {
-    compiled: CompiledVisibility,
-    transitions: Vec<(SimTime, Ipv6Prefix)>,
+    visibility: Visibility,
     hitlist: TumHitlist,
     t4: Ipv6Prefix,
     end: SimTime,
@@ -40,10 +37,10 @@ struct World {
 
 impl ScanContext for World {
     fn announced_at(&self, t: SimTime) -> &[Ipv6Prefix] {
-        self.compiled.announced_at(t)
+        self.visibility.announced_at(t)
     }
     fn announce_events(&self) -> &[(SimTime, Ipv6Prefix)] {
-        &self.transitions
+        self.visibility.announce_transitions()
     }
     fn hitlist(&self, t: SimTime) -> &[Ipv6Addr] {
         self.hitlist.as_of(t)
@@ -63,12 +60,11 @@ pub fn run(config: &ScenarioConfig) -> Staged {
     let events = Scenario::new(config.clone()).run_control_plane();
     let visibility = Visibility::from_events(&events);
     let world = World {
-        compiled: CompiledVisibility::compile(&visibility),
-        transitions: visibility.announce_transitions(),
         hitlist: TumHitlist::build(
             &[layout.t2_dns_exposed, layout.covering.low_byte_address()],
             &visibility,
         ),
+        visibility,
         t4: layout.t4,
         end: layout.end,
     };
@@ -101,7 +97,7 @@ pub fn run(config: &ScenarioConfig) -> Staged {
     let mut dropped_unrouted = 0;
     let mut buf = Vec::new();
     for probe in &probes {
-        if world.compiled.lpm(probe.dst, probe.ts).is_none() {
+        if world.visibility.lpm(probe.dst, probe.ts).is_none() {
             dropped_unrouted += 1;
             continue;
         }

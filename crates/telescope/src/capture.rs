@@ -6,11 +6,11 @@
 //! Analysis works exclusively on these records — the same structures a real
 //! deployment would fill from `tcpdump -y RAW`.
 
-use crate::config::{TelescopeConfig, TelescopeId};
+use crate::config::TelescopeConfig;
 use bytes::Bytes;
 use sixscope_packet::{
-    MalformedRecord, PacketBuilder, PacketError, ParsedView, PcapRecord, PcapWriter, SliceReader,
-    Transport, ViewOutcome,
+    Ipv6Header, MalformedRecord, NextHeader, PacketBuilder, PacketError, ParsedView, PcapRecord,
+    PcapWriter, SliceReader, Transport, ViewOutcome,
 };
 use sixscope_types::SimTime;
 use std::fmt;
@@ -97,6 +97,13 @@ impl fmt::Display for IngestStats {
     }
 }
 
+/// Pcap records per read step when the caller sets none: the step
+/// [`Capture::ingest_pcap_recovering`] walks a file image in, and the
+/// default of `Pipeline::chunk_records`. A read holds one borrowed record
+/// view per record of a step before it applies them, so the step bounds
+/// that buffer; output bytes never depend on it.
+pub const READ_STEP_RECORDS: usize = 1 << 14;
+
 /// Transport protocol of a captured packet (telescope view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Protocol {
@@ -130,8 +137,6 @@ impl Protocol {
 pub struct CapturedPacket {
     /// Arrival time.
     pub ts: SimTime,
-    /// Receiving telescope.
-    pub telescope: TelescopeId,
     /// Source address.
     pub src: Ipv6Addr,
     /// Destination (target) address.
@@ -212,7 +217,6 @@ impl Capture {
         }
         self.packets.push(CapturedPacket {
             ts,
-            telescope: self.config.id,
             src,
             dst,
             protocol,
@@ -436,8 +440,7 @@ impl Capture {
         let mut reader = SliceReader::new(data)?;
         let mut stats = IngestStats::default();
         let mut views = Vec::new();
-        // Bounded chunks keep the view buffer small on any file size.
-        while reader.next_chunk(1 << 14, &mut views) {
+        while reader.next_chunk(READ_STEP_RECORDS, &mut views) {
             self.extend_from_views(&views, &mut stats);
         }
         Ok(stats)
@@ -474,10 +477,12 @@ impl Capture {
     }
 
     /// Writes the capture to `out` as a classic pcap (LINKTYPE_RAW) and
-    /// returns `out`. Each packet is rebuilt from its summary: ICMPv6 as an
-    /// echo request with identifier and sequence 0, TCP as a SYN with
-    /// sequence 0, UDP and [`Protocol::Other`] as UDP, with the packet's
-    /// payload and whole-second timestamp.
+    /// returns `out`. Each packet is rebuilt from its summary, with its
+    /// payload and whole-second timestamp: ICMPv6 as an echo request with
+    /// identifier and sequence 0, TCP as a SYN with sequence 0, UDP as UDP,
+    /// and [`Protocol::Other`] as an IPv6 header with next header 59 (No
+    /// Next Header) followed by the payload. Reading the file back yields
+    /// every packet field for field.
     pub fn write_pcap<W: Write>(&self, out: W) -> Result<W, PacketError> {
         let mut writer = PcapWriter::new(out)?;
         for p in &self.packets {
@@ -486,7 +491,14 @@ impl Capture {
             let data = match p.protocol {
                 Protocol::Icmpv6 => builder.icmpv6_echo_request(0, 0, &p.payload),
                 Protocol::Tcp => builder.tcp_syn(src_port, dst_port, 0, &p.payload),
-                Protocol::Udp | Protocol::Other => builder.udp(src_port, dst_port, &p.payload),
+                Protocol::Udp => builder.udp(src_port, dst_port, &p.payload),
+                Protocol::Other => {
+                    let mut data = Vec::new();
+                    let len = p.payload.len() as u16;
+                    Ipv6Header::new(p.src, p.dst, NextHeader::Other(59), len).encode(&mut data);
+                    data.extend_from_slice(&p.payload);
+                    data
+                }
             };
             writer.write_record(&PcapRecord {
                 ts: p.ts,
@@ -533,7 +545,6 @@ mod tests {
         assert_eq!(p.protocol, Protocol::Icmpv6);
         assert_eq!(p.dst, "2001:db8:3::1".parse::<Ipv6Addr>().unwrap());
         assert_eq!(&p.payload[..], b"yarrp");
-        assert_eq!(p.telescope, TelescopeId::T3);
     }
 
     #[test]
@@ -700,6 +711,35 @@ mod tests {
         assert!(shown.contains("length-inconsistent: 1"), "{shown}");
         assert!(shown.contains("truncated-header: 1"), "{shown}");
         assert!(shown.contains("truncated tail"), "{shown}");
+    }
+
+    #[test]
+    fn write_pcap_round_trips_every_protocol() {
+        let mut written = t3_capture();
+        let kinds = [
+            (Protocol::Icmpv6, None, None),
+            (Protocol::Tcp, Some(40_000), Some(443)),
+            (Protocol::Udp, Some(40_001), Some(53)),
+            (Protocol::Other, None, None),
+        ];
+        for (protocol, src_port, dst_port) in kinds {
+            for payload in [&b""[..], b"yrp6 fingerprint"] {
+                written.push(CapturedPacket {
+                    ts: SimTime::from_secs(written.len() as u64),
+                    src: "2001:db8:f00::1".parse().unwrap(),
+                    dst: "2001:db8:3::7".parse().unwrap(),
+                    protocol,
+                    src_port,
+                    dst_port,
+                    payload: Bytes::copy_from_slice(payload),
+                });
+            }
+        }
+        let image = written.write_pcap(Vec::new()).unwrap();
+        let mut read = t3_capture();
+        let stats = read.ingest_pcap_recovering(&image).unwrap();
+        assert_eq!(stats.parsed, 8, "{stats}");
+        assert_eq!(read.packets(), written.packets());
     }
 
     #[test]

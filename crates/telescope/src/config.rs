@@ -41,33 +41,14 @@ impl fmt::Display for TelescopeId {
     }
 }
 
-/// Behavioral class of a telescope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TelescopeKind {
-    /// Absorbs packets silently.
-    Passive,
-    /// Passive but co-located with productive hosts and a DNS attractor.
-    PartiallyProductive,
-    /// Passive, not separately announced (covered by a larger prefix only).
-    Silent,
-    /// Accepts TCP connections and answers probes.
-    Reactive,
-}
-
-/// Static configuration of one telescope.
+/// Static configuration of one telescope: its identity, its prefix and
+/// its capture filter.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelescopeConfig {
     /// Which telescope this is.
     pub id: TelescopeId,
-    /// Behavioral class.
-    pub kind: TelescopeKind,
     /// The telescope's own prefix (the space it observes).
     pub prefix: Ipv6Prefix,
-    /// Whether the prefix is *separately* announced in BGP (false for
-    /// T3/T4, which ride a covering announcement).
-    pub separately_announced: bool,
-    /// The DNS-exposed address, if any (T2's attractor).
-    pub dns_exposed: Option<Ipv6Addr>,
     /// A productive sub-prefix whose traffic is excluded from capture
     /// (T2's active /56).
     pub productive_subnet: Option<Ipv6Prefix>,
@@ -79,28 +60,20 @@ impl TelescopeConfig {
         assert_eq!(prefix.len(), 32, "T1 is a /32");
         TelescopeConfig {
             id: TelescopeId::T1,
-            kind: TelescopeKind::Passive,
             prefix,
-            separately_announced: true,
-            dns_exposed: None,
             productive_subnet: None,
         }
     }
 
-    /// The study's T2: /48 announced for 13 years, productive /56 inside,
-    /// one DNS name outside the /56.
+    /// The study's T2: /48 announced for 13 years, with its first /56 in
+    /// productive use and excluded from capture. (Its DNS-exposed address,
+    /// `ExperimentLayout::t2_dns_exposed`, sits in the second /56.)
     pub fn t2(prefix: Ipv6Prefix) -> Self {
         assert_eq!(prefix.len(), 48, "T2 is a /48");
-        // The productive /56 is the first /56; the DNS-exposed address
-        // sits in the second /56 so it is outside the productive subnet.
         let productive = prefix.subnets(56).next().expect("a /48 has /56 subnets");
-        let exposed_subnet = prefix.subnets(56).nth(1).expect("second /56 exists");
         TelescopeConfig {
             id: TelescopeId::T2,
-            kind: TelescopeKind::PartiallyProductive,
             prefix,
-            separately_announced: true,
-            dns_exposed: Some(exposed_subnet.low_byte_address()),
             productive_subnet: Some(productive),
         }
     }
@@ -110,10 +83,7 @@ impl TelescopeConfig {
         assert_eq!(prefix.len(), 48, "T3 is a /48");
         TelescopeConfig {
             id: TelescopeId::T3,
-            kind: TelescopeKind::Silent,
             prefix,
-            separately_announced: false,
-            dns_exposed: None,
             productive_subnet: None,
         }
     }
@@ -123,10 +93,7 @@ impl TelescopeConfig {
         assert_eq!(prefix.len(), 48, "T4 is a /48");
         TelescopeConfig {
             id: TelescopeId::T4,
-            kind: TelescopeKind::Reactive,
             prefix,
-            separately_announced: false,
-            dns_exposed: None,
             productive_subnet: None,
         }
     }
@@ -155,8 +122,7 @@ mod tests {
     #[test]
     fn t1_constructor_checks_length() {
         let cfg = TelescopeConfig::t1(p("2001:db8::/32"));
-        assert!(cfg.separately_announced);
-        assert_eq!(cfg.kind, TelescopeKind::Passive);
+        assert_eq!((cfg.id, cfg.productive_subnet), (TelescopeId::T1, None));
     }
 
     #[test]
@@ -172,21 +138,6 @@ mod tests {
         assert_eq!(productive, p("2001:db8:2::/56"));
         // An address in the productive /56 is not captured.
         assert!(!cfg.captures("2001:db8:2:0:0::1".parse().unwrap()));
-        // The DNS-exposed address is captured and outside the /56.
-        let exposed = cfg.dns_exposed.unwrap();
-        assert!(cfg.captures(exposed));
-        assert!(!productive.contains(exposed));
-        assert!(cfg.prefix.contains(exposed));
-    }
-
-    #[test]
-    fn t3_t4_are_not_separately_announced() {
-        assert!(!TelescopeConfig::t3(p("2001:db8:3::/48")).separately_announced);
-        assert!(!TelescopeConfig::t4(p("2001:db8:4::/48")).separately_announced);
-        assert_eq!(
-            TelescopeConfig::t4(p("2001:db8:4::/48")).kind,
-            TelescopeKind::Reactive
-        );
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub mod session;
 pub mod source;
 
 pub use bytes::Bytes;
-pub use capture::{Capture, CapturedPacket, IngestStats, Protocol};
-pub use config::{TelescopeConfig, TelescopeId, TelescopeKind};
+pub use capture::{Capture, CapturedPacket, IngestStats, Protocol, READ_STEP_RECORDS};
+pub use config::{TelescopeConfig, TelescopeId};
 pub use feed::{Feed, FeedChunk, FeedError, LateFilter, PcapFeed, TailFeed};
 pub use reactive::respond;
 pub use schedule::{ScheduleAction, ScheduleActionKind, SplitSchedule};

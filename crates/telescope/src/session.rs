@@ -10,7 +10,6 @@
 //! [`Sessionizer::derive`] builds the /64 sessions from the /128 ones.
 
 use crate::capture::{Capture, CapturedPacket, Protocol};
-use crate::config::TelescopeId;
 use crate::source::{AggLevel, SourceKey};
 use sixscope_types::{FxBuildHasher, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -23,8 +22,6 @@ pub const SESSION_TIMEOUT: SimDuration = SimDuration(3600);
 pub struct ScanSession {
     /// The source (at the sessionizer's aggregation level).
     pub source: SourceKey,
-    /// The telescope observing it.
-    pub telescope: TelescopeId,
     /// First packet time.
     pub start: SimTime,
     /// Last packet time.
@@ -209,7 +206,6 @@ impl Sessionizer {
             }
             ScanSession {
                 source: SourceKey::new(head.source.prefix.network(), level),
-                telescope: head.telescope,
                 start: head.start,
                 end: g.end,
                 packet_indices,
@@ -300,7 +296,6 @@ impl IncrementalSessionizer {
                 let sid = self.sessions.len();
                 self.sessions.push(ScanSession {
                     source: key,
-                    telescope: pkt.telescope,
                     start: pkt.ts,
                     end: pkt.ts,
                     packet_indices: vec![idx],
@@ -354,7 +349,6 @@ mod tests {
         for (ts, src, dst) in packets {
             cap.push(CapturedPacket {
                 ts: SimTime::from_secs(ts),
-                telescope: TelescopeId::T3,
                 src: src.parse().unwrap(),
                 dst: dst.parse().unwrap(),
                 protocol: Protocol::Icmpv6,
@@ -539,7 +533,6 @@ mod tests {
         for i in 0u64..100 {
             let pkt = CapturedPacket {
                 ts: SimTime::from_secs(i * 30),
-                telescope: TelescopeId::T3,
                 src: format!("2001:db8:f00::{:x}", i + 1).parse().unwrap(),
                 dst: "2001:db8:3::1".parse().unwrap(),
                 protocol: Protocol::Icmpv6,
@@ -562,7 +555,6 @@ mod tests {
         let mut cap = capture_with(vec![(0, "2001:db8:f00::1", "2001:db8:3::1")]);
         cap.push(CapturedPacket {
             ts: SimTime::from_secs(1),
-            telescope: TelescopeId::T3,
             src: "2001:db8:f00::1".parse().unwrap(),
             dst: "2001:db8:3::1".parse().unwrap(),
             protocol: Protocol::Tcp,

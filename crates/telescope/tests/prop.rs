@@ -5,7 +5,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use sixscope_telescope::{
     AggLevel, Capture, CapturedPacket, IncrementalSessionizer, Protocol, ScanSession, Sessionizer,
-    SourceKey, SplitSchedule, TelescopeConfig, TelescopeId,
+    SourceKey, SplitSchedule, TelescopeConfig,
 };
 use sixscope_types::{Ipv6Prefix, SimDuration, SimTime};
 use std::net::Ipv6Addr;
@@ -17,7 +17,6 @@ fn capture_from(packets: Vec<(u64, u64)>) -> Capture {
         let src = Ipv6Addr::from((0x2a0a_u128 << 112) | ((src_idx % 5) as u128) << 64 | 1);
         cap.push(CapturedPacket {
             ts: SimTime::from_secs(ts),
-            telescope: TelescopeId::T3,
             src,
             dst: "2001:db8:3::1".parse().unwrap(),
             protocol: Protocol::Icmpv6,
@@ -55,7 +54,6 @@ fn lattice_capture(timeout: u64, spec: Vec<(u64, u64, u8, u64, u64)>) -> Capture
     for (ts, src) in packets {
         cap.push(CapturedPacket {
             ts: SimTime::from_secs(ts),
-            telescope: TelescopeId::T3,
             src,
             dst: "2001:db8:3::1".parse().unwrap(),
             protocol: Protocol::Icmpv6,

@@ -20,17 +20,18 @@ fn schedule_execution_matches_announced_sets_every_cycle() {
         // Mid-cycle, two days after the re-announcement.
         let probe_time = schedule.cycle_start(cycle) + SimDuration::days(3);
         let announced = schedule.announced_set(cycle);
+        let visible = vis.announced_at(probe_time);
         for prefix in &announced {
             assert!(
-                vis.visible(prefix, probe_time),
+                visible.contains(prefix),
                 "cycle {cycle}: {prefix} should be visible at {probe_time}"
             );
         }
         // Exactly the announced T1 prefixes are visible under the /32.
-        let visible_t1: Vec<Ipv6Prefix> = vis
-            .announced_at(probe_time)
-            .into_iter()
+        let visible_t1: Vec<Ipv6Prefix> = visible
+            .iter()
             .filter(|pre| config.layout.t1.covers(pre))
+            .copied()
             .collect();
         assert_eq!(visible_t1, announced, "cycle {cycle} set mismatch");
     }
@@ -121,7 +122,12 @@ fn hitlist_lag_matches_paper_observation() {
     // the calibrated tables), but the latency itself must hold.
     let result = Scenario::new(ScenarioConfig::new(13, 0.002)).run();
     let t1 = result.layout.t1;
-    let first = result.visibility.first_seen(&t1).unwrap();
+    let (first, _) = *result
+        .visibility
+        .announce_transitions()
+        .iter()
+        .find(|(_, prefix)| *prefix == t1)
+        .unwrap();
     let published = result.hitlist.published_at(t1.low_byte_address()).unwrap();
     assert_eq!(published.as_secs() - first.as_secs(), 5 * 86_400);
 }

@@ -12,7 +12,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sixscope_telescope::{
-    AggLevel, Bytes, CapturedPacket, IncrementalSessionizer, LateFilter, Protocol, TelescopeId,
+    AggLevel, Bytes, CapturedPacket, IncrementalSessionizer, LateFilter, Protocol,
 };
 use sixscope_types::{SimDuration, SimTime};
 
@@ -25,7 +25,6 @@ fn horizon() -> SimDuration {
 fn packet(src_host: u16, ts: u64) -> CapturedPacket {
     CapturedPacket {
         ts: SimTime::from_secs(ts),
-        telescope: TelescopeId::T1,
         src: format!("2001:db8:f00:{src_host:x}::1").parse().unwrap(),
         dst: "2001:db8::1".parse().unwrap(),
         protocol: Protocol::Icmpv6,

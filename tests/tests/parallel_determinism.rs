@@ -5,9 +5,7 @@
 //! by a single bit between `threads = 1`, `2` and `8`, and must equal the
 //! serial staged oracle's.
 
-use sixscope_sim::{
-    CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, TumHitlist, Visibility,
-};
+use sixscope_sim::{ExperimentResult, Scenario, ScenarioConfig, TumHitlist, Visibility};
 use sixscope_telescope::{AggLevel, SourceKey, TelescopeId};
 
 #[path = "../../crates/sim/tests/staged_oracle/mod.rs"]

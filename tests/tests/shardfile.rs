@@ -12,7 +12,9 @@
 //! * the outcome is a pure function of the bytes: the same seed produces
 //!   the same aggregate outcome on every run,
 //! * the untouched file round-trips canonically: decode → encode
-//!   reproduces the input bytes.
+//!   reproduces the input bytes,
+//! * every value of every config-section byte, with and without a
+//!   productive subnet, decodes canonically or fails inside that section.
 //!
 //! The gather side is pinned here too: statistics a hostile but
 //! decodable shard carries saturate instead of overflowing, and a merge
@@ -25,7 +27,7 @@ use sixscope::serve::analysis_report;
 use sixscope::shardfile::{decode_shard, encode_shard, write_shard, ShardError, TelescopeShard};
 use sixscope::{Pipeline, PipelineOutput};
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
-use sixscope_telescope::{Capture, TelescopeId};
+use sixscope_telescope::{Capture, TelescopeConfig, TelescopeId};
 use sixscope_types::{SimTime, Xoshiro256pp};
 use std::path::PathBuf;
 
@@ -218,6 +220,47 @@ fn mutated_shards_never_panic_and_errors_are_structured() {
     assert!(s.bad_version > 0, "no mutant hit the version: {s:?}");
     assert!(s.truncated > 0, "no mutant truncated a section: {s:?}");
     assert!(s.corrupt > 0, "no mutant corrupted a section: {s:?}");
+}
+
+#[test]
+fn every_config_byte_value_decodes_canonically_or_fails_in_config() {
+    let passive = base_shard_bytes();
+    let shard = decode_shard(&passive).unwrap();
+    let t2 = encode_shard(&TelescopeShard {
+        capture: Capture::restore(
+            TelescopeConfig::t2("2001:db8:2::/48".parse().unwrap()),
+            shard.capture.packets().to_vec(),
+            0,
+            0,
+        ),
+        stats: shard.stats.clone(),
+    });
+    let mut decoded = 0;
+    for bytes in [passive, t2] {
+        // The config section comes first, after the 16-byte header and
+        // the three 12-byte section table entries; its length is the
+        // first entry's `u64`.
+        let start = 16 + 3 * 12;
+        let len = u64::from_le_bytes(bytes[20..28].try_into().unwrap()) as usize;
+        for at in start..start + len {
+            for value in 0..=u8::MAX {
+                let mut mutant = bytes.clone();
+                mutant[at] = value;
+                match decode_shard(&mutant) {
+                    Ok(shard) => {
+                        assert_eq!(encode_shard(&shard), mutant, "byte {at} = {value}");
+                        decoded += 1;
+                    }
+                    Err(
+                        ShardError::Corrupt { section, .. } | ShardError::Truncated { section, .. },
+                    ) => assert_eq!(section, "config", "byte {at} = {value}"),
+                    Err(e) => panic!("byte {at} = {value}: {e}"),
+                }
+            }
+        }
+    }
+    // Other telescope ids and other canonical prefixes still decode.
+    assert!(decoded > 2, "no config mutant decoded");
 }
 
 #[test]
