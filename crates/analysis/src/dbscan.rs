@@ -3,9 +3,10 @@
 //! Used twice in the paper: clustering payload byte-representations to group
 //! scan tools (§5.4), and grouping per-prefix session counts for the
 //! network-selection taxonomy (§5.2). The implementation is generic over a
-//! point type and a distance function, deterministic (iteration order is
-//! input order), and O(n²) — fine at our cluster sizes (hundreds of payload
-//! shapes, dozens of prefixes).
+//! point type and a distance function and deterministic (iteration order is
+//! input order); region queries go through a sorted-projection index. The
+//! O(n²) textbook scan it is checked against lives in
+//! `tests/dbscan_oracle`.
 
 /// Cluster assignment of one point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,29 +29,8 @@ impl Assignment {
 
 /// Runs DBSCAN over `points` with neighborhood radius `eps` and core-point
 /// threshold `min_pts` (the point itself counts toward `min_pts`, matching
-/// the original formulation).
-///
-/// Region queries scan all points, so this is O(n²) in distance calls; for
-/// points with a cheap 1-Lipschitz projection use [`dbscan_indexed`], which
-/// produces identical labels. Retained as the ground-truth reference for the
-/// property tests and the `kernels` criterion group.
-///
+/// the original formulation), through a sorted-projection neighbor index.
 /// Returns one [`Assignment`] per input point.
-pub fn dbscan<P>(
-    points: &[P],
-    eps: f64,
-    min_pts: usize,
-    dist: impl Fn(&P, &P) -> f64,
-) -> Vec<Assignment> {
-    let n = points.len();
-    expand_clusters(n, min_pts, |i| {
-        (0..n)
-            .filter(|&j| dist(&points[i], &points[j]) <= eps)
-            .collect()
-    })
-}
-
-/// DBSCAN with a sorted-projection neighbor index.
 ///
 /// `proj` maps each point to a scalar key that must be 1-Lipschitz with
 /// respect to `dist` — `|proj(a) - proj(b)| <= dist(a, b)` for all pairs —
@@ -61,9 +41,9 @@ pub fn dbscan<P>(
 /// window *is* the neighborhood; for higher-dimensional Euclidean points any
 /// single coordinate works as the projection.
 ///
-/// Labels are identical to [`dbscan`]: neighbor sets are the same point
-/// sets, returned in the same ascending-index order, and the expansion loop
-/// is shared.
+/// Labels are those of the textbook algorithm with full-scan region
+/// queries: neighbor sets are the same point sets, returned in ascending
+/// index order.
 pub fn dbscan_indexed<P>(
     points: &[P],
     eps: f64,
@@ -86,14 +66,14 @@ pub fn dbscan_indexed<P>(
             .copied()
             .filter(|&j| dist(&points[i], &points[j]) <= eps)
             .collect();
-        // The window is in key order; the linear-scan reference emits
-        // ascending indices, and label assignment depends on that order.
+        // The window is in key order; a full scan yields ascending
+        // indices, and label assignment depends on that order.
         nbrs.sort_unstable();
         nbrs
     })
 }
 
-/// The shared worklist expansion: visits points in input order, grows each
+/// The worklist expansion: visits points in input order, grows each
 /// core point's cluster breadth-first. `neighbors(i)` must return the indices
 /// of all points within `eps` of point `i` (including `i`), ascending.
 ///
@@ -175,6 +155,12 @@ pub fn cluster_count(assignments: &[Assignment]) -> usize {
         .map_or(0, |m| m + 1)
 }
 
+/// The textbook scan `dbscan_indexed` is checked against, shared with
+/// the property tests and the `kernels` bench.
+#[cfg(test)]
+#[path = "../tests/dbscan_oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,10 +169,15 @@ mod tests {
         (a - b).abs()
     }
 
+    /// DBSCAN over 1-D points with the identity projection.
+    fn dbscan_1d(points: &[f64], eps: f64, min_pts: usize) -> Vec<Assignment> {
+        dbscan_indexed(points, eps, min_pts, |&x| x, d1)
+    }
+
     #[test]
     fn two_well_separated_blobs() {
         let points = [0.0, 0.1, 0.2, 10.0, 10.1, 10.2];
-        let out = dbscan(&points, 0.5, 2, d1);
+        let out = dbscan_1d(&points, 0.5, 2);
         assert_eq!(cluster_count(&out), 2);
         assert_eq!(out[0], out[1]);
         assert_eq!(out[1], out[2]);
@@ -197,7 +188,7 @@ mod tests {
     #[test]
     fn isolated_point_is_noise() {
         let points = [0.0, 0.1, 5.0];
-        let out = dbscan(&points, 0.5, 2, d1);
+        let out = dbscan_1d(&points, 0.5, 2);
         assert_eq!(out[2], Assignment::Noise);
         assert!(out[0].cluster().is_some());
     }
@@ -206,7 +197,7 @@ mod tests {
     fn chain_connectivity_merges() {
         // Points spaced 0.4 apart chain into a single cluster at eps 0.5.
         let points: Vec<f64> = (0..10).map(|i| i as f64 * 0.4).collect();
-        let out = dbscan(&points, 0.5, 2, d1);
+        let out = dbscan_1d(&points, 0.5, 2);
         assert_eq!(cluster_count(&out), 1);
         assert!(out.iter().all(|a| a.cluster() == Some(0)));
     }
@@ -214,7 +205,7 @@ mod tests {
     #[test]
     fn min_pts_one_clusters_everything() {
         let points = [0.0, 100.0, 200.0];
-        let out = dbscan(&points, 0.5, 1, d1);
+        let out = dbscan_1d(&points, 0.5, 1);
         assert_eq!(cluster_count(&out), 3);
         assert!(out.iter().all(|a| a.cluster().is_some()));
     }
@@ -222,7 +213,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let points: [f64; 0] = [];
-        assert!(dbscan(&points, 1.0, 2, d1).is_empty());
+        assert!(dbscan_1d(&points, 1.0, 2).is_empty());
     }
 
     #[test]
@@ -230,7 +221,7 @@ mod tests {
         // 0.0 and 0.4 are core (each has 3 neighbors incl. self at eps 0.5
         // with min_pts 3 via 0.0,0.4,0.8 chain); 0.9 is border.
         let points = [0.0, 0.4, 0.8, 1.2];
-        let out = dbscan(&points, 0.5, 3, d1);
+        let out = dbscan_1d(&points, 0.5, 3);
         // All should end in the same cluster (1.2 as border of 0.8).
         assert_eq!(cluster_count(&out), 1);
         assert!(out.iter().all(|a| a.cluster() == Some(0)));
@@ -239,8 +230,8 @@ mod tests {
     #[test]
     fn determinism() {
         let points = [0.0, 0.1, 0.2, 10.0, 10.1, 3.0];
-        let a = dbscan(&points, 0.5, 2, d1);
-        let b = dbscan(&points, 0.5, 2, d1);
+        let a = dbscan_1d(&points, 0.5, 2);
+        let b = dbscan_1d(&points, 0.5, 2);
         assert_eq!(a, b);
     }
 
@@ -254,7 +245,7 @@ mod tests {
         ];
         for points in cases {
             for min_pts in [1, 2, 3] {
-                let scan = dbscan(points, 0.5, min_pts, d1);
+                let scan = oracle::dbscan(points, 0.5, min_pts, d1);
                 let indexed = dbscan_indexed(points, 0.5, min_pts, |&x| x, d1);
                 assert_eq!(scan, indexed);
             }
@@ -271,7 +262,7 @@ mod tests {
                 .sum::<f64>()
                 .sqrt()
         };
-        let scan = dbscan(&points, 0.5, 2, dist);
+        let scan = oracle::dbscan(&points, 0.5, 2, dist);
         let indexed = dbscan_indexed(&points, 0.5, 2, |p| p[1], dist);
         assert_eq!(scan, indexed);
     }
@@ -291,7 +282,7 @@ mod tests {
                 .sum::<f64>()
                 .sqrt()
         };
-        let out = dbscan(&points, 0.5, 2, dist);
+        let out = dbscan_indexed(&points, 0.5, 2, |p| p[0], dist);
         assert_eq!(cluster_count(&out), 2);
     }
 }

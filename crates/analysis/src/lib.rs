@@ -32,7 +32,7 @@ pub mod stats;
 
 pub use addrtype::AddressType;
 pub use classify::{AddrSelection, NetworkSelection, ScannerProfile, TemporalClass};
-pub use dbscan::{dbscan, dbscan_indexed};
+pub use dbscan::dbscan_indexed;
 pub use fingerprint::{KnownTool, ToolMatch};
 pub use heavy::HeavyHitter;
 pub use nist::{NistOutcome, NistTest};

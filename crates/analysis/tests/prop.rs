@@ -9,7 +9,7 @@ use sixscope_analysis::autocorr::{Period, PeriodDetector};
 use sixscope_analysis::classify::{
     profile_scanners, ScannerProfile, ScannerProfiler, TemporalClass,
 };
-use sixscope_analysis::dbscan::{cluster_count, dbscan, dbscan_indexed, Assignment};
+use sixscope_analysis::dbscan::{cluster_count, dbscan_indexed, Assignment};
 use sixscope_analysis::fingerprint::{identify, match_tool, KnownTool, ToolMatch};
 use sixscope_analysis::nist::{BitSequence, NistTest};
 use sixscope_analysis::special::{erfc, normal_cdf};
@@ -19,6 +19,7 @@ use sixscope_types::{SimTime, Xoshiro256pp};
 use std::net::Ipv6Addr;
 
 mod autocorr_oracle;
+mod dbscan_oracle;
 mod nist_oracle;
 
 /// `detect` and the oracle agree on the whole result, score bits included.
@@ -151,7 +152,7 @@ proptest! {
     }
 
     /// The sorted-projection DBSCAN labels every random 1-D point set
-    /// exactly like the O(n²) scan.
+    /// exactly like the textbook O(n²) scan.
     #[test]
     fn dbscan_indexed_matches_scan(
         points in proptest::collection::vec(-100.0f64..100.0, 0..80),
@@ -160,7 +161,7 @@ proptest! {
     ) {
         let d = |a: &f64, b: &f64| (a - b).abs();
         prop_assert_eq!(
-            dbscan(&points, eps, min_pts, d),
+            dbscan_oracle::dbscan(&points, eps, min_pts, d),
             dbscan_indexed(&points, eps, min_pts, |&p| p, d)
         );
     }
@@ -201,8 +202,8 @@ proptest! {
         min_pts in 1usize..5,
     ) {
         let d = |a: &f64, b: &f64| (a - b).abs();
-        let out1 = dbscan(&points, eps, min_pts, d);
-        let out2 = dbscan(&points, eps, min_pts, d);
+        let out1 = dbscan_indexed(&points, eps, min_pts, |&p| p, d);
+        let out2 = dbscan_indexed(&points, eps, min_pts, |&p| p, d);
         prop_assert_eq!(&out1, &out2);
         let k = cluster_count(&out1);
         for a in &out1 {

@@ -5,7 +5,7 @@
 //! integer period detector on three trains (60 sessions over 44 weeks,
 //! 3 000 dense sessions that take the one-transform path, and 3 sessions
 //! over 127 years) and the O(n·lag) scan oracle on the first; and the
-//! sorted-projection DBSCAN vs the O(n²) neighbor scan. Every kernel's
+//! sorted-projection DBSCAN vs the textbook O(n²) scan. Every kernel's
 //! output is asserted equal to its reference before timing (the period
 //! detector's wherever the oracle is tractable: the whole result, score
 //! bits included), so a divergence fails the bench run rather than timing
@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sixscope_analysis::autocorr::{Period, PeriodDetector};
-use sixscope_analysis::dbscan::{dbscan, dbscan_indexed};
+use sixscope_analysis::dbscan::{dbscan_indexed, Assignment};
 use sixscope_analysis::nist::{BitSequence, NistTest, Twiddles};
 use sixscope_analysis::special::{erfc, normal_cdf};
 use sixscope_types::{SimTime, Xoshiro256pp};
@@ -26,6 +26,10 @@ mod nist_oracle;
 /// The O(n·lag) period-detector oracle the analysis crate's tests use.
 #[path = "../../analysis/tests/autocorr_oracle/mod.rs"]
 mod autocorr_oracle;
+
+/// The textbook O(n²) DBSCAN the analysis crate's tests use.
+#[path = "../../analysis/tests/dbscan_oracle/mod.rs"]
+mod dbscan_oracle;
 
 /// A random bit sequence about as long as a large Fig. 17 IID train.
 fn random_bits(n: usize, seed: u64) -> BitSequence {
@@ -137,14 +141,14 @@ fn bench_dbscan(c: &mut Criterion) {
         .collect();
     let dist = |a: &f64, b: &f64| (a - b).abs();
     assert_eq!(
-        dbscan(&points, 0.5, 4, dist),
+        dbscan_oracle::dbscan(&points, 0.5, 4, dist),
         dbscan_indexed(&points, 0.5, 4, |&p| p, dist)
     );
     c.bench_function("kernels_dbscan_indexed", |b| {
         b.iter(|| black_box(dbscan_indexed(&points, 0.5, 4, |&p| p, dist)))
     });
     c.bench_function("kernels_dbscan_scan", |b| {
-        b.iter(|| black_box(dbscan(&points, 0.5, 4, dist)))
+        b.iter(|| black_box(dbscan_oracle::dbscan(&points, 0.5, 4, dist)))
     });
 }
 

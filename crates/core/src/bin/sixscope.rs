@@ -84,16 +84,17 @@ USAGE:
 
     sixscope serve <capture.pcap> [--out DIR]
             [--snapshot-every N] [--status-fd FD] [--prefix P]
-            [--poll-ms MS] [--quiesce-ms MS] [--chunk N] [--json]
+            [--poll-ms MS] [--quiesce-ms MS] [--json]
         Live telescope daemon. Follows a growing pcap, remapping as the
         file grows; records older than the session-eviction horizon are
         counted as late, not replayed into closed sessions.
         Checkpoints go to --out DIR as snapshot-NNNNNN.md plus latest.md,
-        written atomically; --status-fd emits one JSON line per
-        checkpoint to FD, an open descriptor (0 or above).
-        SIGTERM/SIGINT flush a final checkpoint and exit 0; the final
-        checkpoint over a finished pcap is byte-identical to
-        `sixscope analyze` over the same file.
+        written atomically: with --snapshot-every N, snapshot k covers
+        exactly the first k*N admitted packets, however the file grew.
+        --status-fd emits one JSON line per checkpoint to FD, an open
+        descriptor (0 or above). SIGTERM/SIGINT flush a final checkpoint
+        and exit 0; the final checkpoint over a finished pcap is
+        byte-identical to `sixscope analyze` over the same file.
 
     sixscope shard <capture.pcap> [more.pcap…] --out <file.sixshard>
             [--prefix P]
@@ -168,7 +169,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
             "poll-ms",
             "quiesce-ms",
             "threads",
-            "chunk",
             "json",
         ],
     )?;
@@ -179,9 +179,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         ));
     };
     let mut opts = ServeOptions::pcap(path, flags.get("out").unwrap_or("serve-out"));
-    if let Some(n) = flags.chunk()? {
-        opts.chunk_records = n;
-    }
     opts.snapshot_every = flags.parsed("snapshot-every")?;
     opts.json = flags.is_true("json");
     opts.status_fd = flags.parsed("status-fd")?;

@@ -132,16 +132,6 @@ impl Flags {
         }
     }
 
-    /// The `--chunk` feed chunk size (`serve`'s records per read step),
-    /// if given. Zero is rejected here rather than silently acting as 1,
-    /// so the flag never means something other than what it says.
-    pub fn chunk(&self) -> Result<Option<usize>, Error> {
-        match self.parsed("chunk")? {
-            Some(0) => Err(Error::Usage("--chunk must be at least 1 record".into())),
-            other => Ok(other),
-        }
-    }
-
     /// Mirrors `--threads` into `SIXSCOPE_THREADS` so every internal
     /// `num_threads(None)` call site (report rows, tables, figures) honors
     /// it; the explicit flag wins over an inherited environment value.
@@ -232,16 +222,6 @@ mod tests {
             assert_eq!(err.exit_code(), 2);
             assert!(err.to_string().contains("at most"), "{err}");
         }
-    }
-
-    #[test]
-    fn zero_chunk_is_a_usage_error() {
-        let f = Flags::parse(&argv(&["--chunk", "0"]), &["chunk"]).unwrap();
-        let err = f.chunk().unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("--chunk"), "{err}");
-        let f = Flags::parse(&argv(&["--chunk", "512"]), &["chunk"]).unwrap();
-        assert_eq!(f.chunk().unwrap(), Some(512));
     }
 
     #[test]

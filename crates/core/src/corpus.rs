@@ -2,17 +2,16 @@
 //! columnar corpus index and metadata join helpers.
 //!
 //! Every finished input reaches this module as time-sorted captures.
-//! `Analyzed::stream` sessionizes each one at /128 through the feed
-//! consumer in one pass, derives the /64 sessions from the /128 ones,
-//! then builds the [`CorpusIndex`] once, from the captures and their
-//! sessions. The index's source table holds the study's one IP-to-AS
-//! join, which [`Analyzed::as_info_of`] reads.
+//! `Analyzed::stream` sessionizes each one at /128 in one incremental
+//! pass, derives the /64 sessions from the /128 ones, then builds the
+//! [`CorpusIndex`] once, from the captures and their sessions. The
+//! index's source table holds the study's one IP-to-AS join, which
+//! [`Analyzed::as_info_of`] reads.
 
 use crate::index::{CorpusIndex, NO_ID};
-use crate::pipeline::FeedConsumer;
 use sixscope_analysis::classify::ScannerProfile;
 use sixscope_sim::ExperimentResult;
-use sixscope_telescope::{AggLevel, Capture, ScanSession, SourceKey, TelescopeId};
+use sixscope_telescope::{AggLevel, Capture, ScanSession, Sessionizer, SourceKey, TelescopeId};
 use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -22,8 +21,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalysisTimings {
     /// The phase that produced the per-telescope sessions, end to end:
-    /// the feeds (wall-clock of the parallel stage), plus, for pcap and
-    /// shard input, the read of the files before them.
+    /// the per-telescope jobs (wall-clock of the parallel stage), plus,
+    /// for pcap and shard input, the read of the files before them.
     pub streaming: f64,
     /// Time spent pushing packets into the incremental /128 sessionizers
     /// and deriving the /64 sessions from theirs (summed across the
@@ -60,35 +59,43 @@ impl Analyzed {
         Self::stream(result, None)
     }
 
-    /// Builds the corpus by feeding each capture, in one pass, into a
-    /// [`FeedConsumer`] (an incremental /128 sessionizer, whose sessions
-    /// the /64 ones are derived from), then building the [`CorpusIndex`]
+    /// Builds the corpus by sessionizing each capture at /128 in one
+    /// incremental pass, in stable time order
+    /// ([`Sessionizer::incremental`]), deriving the /64 sessions from
+    /// those ([`Sessionizer::derive`]), then building the [`CorpusIndex`]
     /// from the captures and their sessions — the one corpus build behind
     /// every finished input: simulated captures, sorted pcap reads and
     /// shard gathers.
     ///
-    /// The four per-telescope feeds are independent pure functions of
+    /// The four per-telescope jobs are independent pure functions of
     /// their capture, so they run on up to `threads` workers (`None`
     /// defers to `SIXSCOPE_THREADS`; 1 forces serial); results are keyed
     /// by telescope, so scheduling cannot affect output. The timings
-    /// record the feeds as `streaming`, their summed pushes and /64
-    /// derivations as `sessionize` and the index build as `index_build`.
+    /// record the jobs' wall clock as `streaming`, their summed pushes and
+    /// /64 derivations as `sessionize` and the index build as
+    /// `index_build`.
     pub(crate) fn stream(result: ExperimentResult, threads: Option<usize>) -> Analyzed {
         let threads = num_threads(threads);
         let stream_start = Instant::now();
         let fed = map_indexed(threads, &TelescopeId::ALL, |_, id| {
-            FeedConsumer::new().consume_capture(&result.captures[id])
+            let start = Instant::now();
+            let s128 = Sessionizer::paper(AggLevel::Addr128).incremental(&result.captures[id]);
+            let s64: Vec<ScanSession> = Sessionizer::paper(AggLevel::Subnet64)
+                .derive(s128.sessions())
+                .collect();
+            let peak = s128.peak_open();
+            (s128.finish(), s64, peak, start.elapsed().as_secs_f64())
         });
         let streaming = stream_start.elapsed().as_secs_f64();
         let mut sessions128 = BTreeMap::new();
         let mut sessions64 = BTreeMap::new();
         let mut sessionize = 0.0;
         let mut peak_open_sessions = 0;
-        for (id, feed) in TelescopeId::ALL.into_iter().zip(fed) {
-            sessions128.insert(id, feed.sessions128);
-            sessions64.insert(id, feed.sessions64);
-            sessionize += feed.sessionize;
-            peak_open_sessions = peak_open_sessions.max(feed.peak);
+        for (id, (s128, s64, peak, secs)) in TelescopeId::ALL.into_iter().zip(fed) {
+            sessions128.insert(id, s128);
+            sessions64.insert(id, s64);
+            sessionize += secs;
+            peak_open_sessions = peak_open_sessions.max(peak);
         }
         let index_start = Instant::now();
         let index = CorpusIndex::build_with_threads(&result, &sessions128, &sessions64, threads);

@@ -38,12 +38,11 @@ use sixscope_sim::{
     ExperimentResult, Scenario, ScenarioConfig, ScenarioTimings, TumHitlist, Visibility,
 };
 use sixscope_telescope::{
-    AggLevel, Capture, Feed, IncrementalSessionizer, IngestStats, PcapFeed, ScanSession,
-    Sessionizer, SplitSchedule, TelescopeConfig, TelescopeId, READ_STEP_RECORDS,
+    Capture, Feed, IngestStats, PcapFeed, SplitSchedule, TelescopeConfig, TelescopeId,
+    READ_STEP_RECORDS,
 };
 use sixscope_types::{Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -234,137 +233,6 @@ pub(crate) struct FinishedInput {
     pub captures: BTreeMap<TelescopeId, Capture>,
     pub stats: IngestStats,
     pub file_stats: Vec<(String, IngestStats)>,
-}
-
-/// The stateful half of a feed-driven ingest: one incremental /128
-/// sessionizer, fed a packet range at a time — a whole finished capture,
-/// or one [`sixscope_telescope::FeedChunk`] of the live tail. The /64
-/// sessions and their count are derived from its sessions
-/// ([`Sessionizer::derive`]) when asked for.
-///
-/// The consumer is the only code that turns a packet range into sessions,
-/// for every input — a finished capture ([`FeedConsumer::consume_capture`])
-/// or the live tail of [`crate::serve`]. If a live feed ever delivers
-/// packets out of time order (it admits in-horizon disorder) the
-/// incremental state is abandoned and [`FeedConsumer::finish`] falls back
-/// to sort + re-feed — the open-session bound is lost but the output
-/// contract (byte-identical to batch) is kept. A snapshotting caller checks
-/// [`FeedConsumer::is_sorted`] and reads either the live state or a batch
-/// sessionization of the capture.
-pub(crate) struct FeedConsumer {
-    s128: IncrementalSessionizer,
-    sessionize: f64,
-    sorted: bool,
-}
-
-/// One telescope's sessions: what a drained [`FeedConsumer`] hands to the
-/// corpus build.
-#[derive(Debug)]
-pub(crate) struct ConsumedFeed {
-    pub sessions128: Vec<ScanSession>,
-    pub sessions64: Vec<ScanSession>,
-    pub sessionize: f64,
-    pub peak: usize,
-}
-
-impl FeedConsumer {
-    pub(crate) fn new() -> FeedConsumer {
-        FeedConsumer {
-            s128: IncrementalSessionizer::paper(AggLevel::Addr128),
-            sessionize: 0.0,
-            sorted: true,
-        }
-    }
-
-    /// True while the incremental state still mirrors the capture (no
-    /// out-of-order packet has been seen).
-    pub(crate) fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
-    /// High-water mark of the open-session table. A /64 source is open
-    /// only while the /128 source of its latest packet is, so this bounds
-    /// both aggregation levels.
-    pub(crate) fn peak_open(&self) -> usize {
-        self.s128.peak_open()
-    }
-
-    /// Open + closed session counts at /128 and /64. Only meaningful while
-    /// [`FeedConsumer::is_sorted`].
-    pub(crate) fn session_counts(&self) -> (usize, usize) {
-        let sessions = self.s128.sessions();
-        let derived64 = Sessionizer::paper(AggLevel::Subnet64).derive(sessions);
-        (sessions.len(), derived64.len())
-    }
-
-    /// The live /128 sessions (open and closed, in creation order). Only
-    /// meaningful while [`FeedConsumer::is_sorted`].
-    pub(crate) fn sessions128(&self) -> &[ScanSession] {
-        self.s128.sessions()
-    }
-
-    /// Feeds the capture packets `range` (a live feed chunk, or a whole
-    /// finished capture) into the incremental state.
-    pub(crate) fn consume(&mut self, capture: &Capture, range: Range<usize>) {
-        if range.is_empty() || !self.sorted {
-            return;
-        }
-        let packets = capture.packets();
-        // Include the boundary with the previous chunk in the order check.
-        let boundary = range.start.saturating_sub(1);
-        if packets[boundary..range.end]
-            .windows(2)
-            .any(|w| w[0].ts > w[1].ts)
-        {
-            // Out-of-order input: abandon the incremental feed and fall
-            // back to sort + re-stream at finish time.
-            self.sorted = false;
-            return;
-        }
-        let push_start = Instant::now();
-        for (i, p) in packets[range.clone()].iter().enumerate() {
-            self.s128.push((range.start + i) as u32, p);
-        }
-        self.sessionize += push_start.elapsed().as_secs_f64();
-    }
-
-    /// Closes the consumer. If disorder was seen, sorts the capture and
-    /// re-feeds it through a fresh consumer in one pass — chunk boundaries
-    /// are invisible (DESIGN.md §10), so this equals the batch path byte
-    /// for byte.
-    pub(crate) fn finish(self, capture: &mut Capture) -> ConsumedFeed {
-        if self.sorted {
-            return self.finish_in_order();
-        }
-        capture.sort_by_time();
-        FeedConsumer::new().consume_capture(capture)
-    }
-
-    /// Feeds a whole, time-sorted capture through this fresh consumer in
-    /// one pass and closes it — the corpus build of every finished input
-    /// (`Analyzed::stream`) and the disorder fallback of
-    /// [`FeedConsumer::finish`].
-    pub(crate) fn consume_capture(mut self, capture: &Capture) -> ConsumedFeed {
-        self.consume(capture, 0..capture.len());
-        self.finish_in_order()
-    }
-
-    /// Closes the consumer without a fallback path, for input whose source
-    /// guarantees time order, and derives the /64 sessions (timed with the
-    /// pushes as `sessionize`).
-    fn finish_in_order(self) -> ConsumedFeed {
-        debug_assert!(self.sorted, "in-order finish over a disordered feed");
-        let derive_start = Instant::now();
-        let sessions64 = Sessionizer::paper(AggLevel::Subnet64)
-            .derive(self.s128.sessions())
-            .collect();
-        ConsumedFeed {
-            sessionize: self.sessionize + derive_start.elapsed().as_secs_f64(),
-            peak: self.s128.peak_open(),
-            sessions128: self.s128.finish(),
-            sessions64,
-        }
-    }
 }
 
 /// Reads pcap files into one passive telescope's capture: drains a

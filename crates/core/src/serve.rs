@@ -1,14 +1,17 @@
 //! `sixscope serve` — the live telescope daemon.
 //!
 //! A long-running loop that follows one growing pcap through a
-//! [`TailFeed`] into the same `FeedConsumer` the batch pipeline uses,
-//! and checkpoints the analysis as it goes:
+//! [`TailFeed`] into one incremental /128 sessionizer, and checkpoints the
+//! analysis as it goes:
 //!
-//! * **Snapshots** — every `--snapshot-every N` revealed records the
+//! * **Snapshots** — every `--snapshot-every N` admitted packets the
 //!   current report is written to `--out DIR` as `snapshot-NNNNNN.md`
 //!   (write-to-temp, fsync, atomic rename) plus `latest.md` (a hard link
 //!   to it, renamed into place), and the directory is fsynced, so a reader
-//!   never observes a torn file, even after a crash.
+//!   never observes a torn file, even after a crash. Each read step stops
+//!   at the next multiple of N, so snapshot k covers exactly the first
+//!   k·N admitted packets: a checkpoint depends only on the file's bytes,
+//!   not on the read step, the poll timing or how the file grew.
 //! * **Status** — one JSON line per checkpoint (packets, sessions, peak
 //!   open sessions, late/skipped counts, watermark) to `--status-fd`;
 //!   failed writes are counted in [`ServeSummary::status_write_errors`].
@@ -20,22 +23,23 @@
 //!   a final checkpoint, and exits cleanly (exit code 0). The previous
 //!   handlers are restored when [`serve`] returns.
 //!
-//! The final checkpoint over a finished pcap is byte-identical to batch
+//! One function renders every checkpoint, the final one included. The
+//! final checkpoint over a finished pcap is byte-identical to batch
 //! `sixscope analyze` over the same file: the daemon's incremental state
-//! *is* the batch state once the feed drains, and disorder falls back to
-//! the same sort-and-re-feed path (DESIGN.md §10, §14).
+//! *is* the batch state once the feed drains, and after out-of-order
+//! input the capture is sessionized in stable time order, as the batch
+//! path does (DESIGN.md §10, §14).
 
 use crate::corpus::Analyzed;
 use crate::ingest::passive_config;
 use crate::json::Json;
-use crate::pipeline::FeedConsumer;
 use crate::Error;
 use sixscope_analysis::classify::{addr_selection, AddrSelection, ScannerProfiler};
 use sixscope_telescope::{
-    AggLevel, Capture, Feed, IngestStats, ScanSession, Sessionizer, TailFeed, TelescopeId,
-    SESSION_TIMEOUT,
+    AggLevel, Capture, Feed, IncrementalSessionizer, IngestStats, ScanSession, Sessionizer,
+    TailFeed, TelescopeId, READ_STEP_RECORDS, SESSION_TIMEOUT,
 };
-use sixscope_types::{FxBuildHasher, Ipv6Prefix, SimTime};
+use sixscope_types::{FxBuildHasher, Ipv6Prefix};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,14 +51,18 @@ pub struct ServeOptions {
     pub source: PathBuf,
     /// Directory receiving `snapshot-NNNNNN.md` and `latest.md`.
     pub out_dir: PathBuf,
-    /// Checkpoint every this many revealed records (`None`: only the
-    /// final checkpoint). Zero is [`Error::Usage`].
+    /// Checkpoint every this many admitted packets (`None`: only the
+    /// final checkpoint): snapshot k covers exactly the first k × N.
+    /// Zero is [`Error::Usage`].
     pub snapshot_every: Option<u64>,
     /// Read by nothing: the daemon sessionizes, profiles and renders
     /// serially, so its output and its cost do not depend on a thread
     /// count.
     pub threads: Option<usize>,
-    /// Feed chunk size in records (0 acts as 1).
+    /// Records per read step (0 acts as 1; default
+    /// [`READ_STEP_RECORDS`]). A step never reads past the next
+    /// checkpoint, so it bounds the memory one poll holds and changes no
+    /// output byte.
     pub chunk_records: usize,
     /// Render checkpoints as JSON instead of text.
     pub json: bool,
@@ -79,7 +87,7 @@ impl ServeOptions {
             out_dir: out_dir.into(),
             snapshot_every: None,
             threads: None,
-            chunk_records: usize::MAX,
+            chunk_records: READ_STEP_RECORDS,
             json: false,
             status_fd: None,
             poll_ms: 50,
@@ -217,42 +225,6 @@ impl StatusSink {
     }
 }
 
-/// One checkpoint's statistics, for the status line.
-struct Checkpoint<'a> {
-    event: &'a str,
-    snapshot: usize,
-    packets: usize,
-    /// /128 and /64 session counts of the state the checkpoint's report
-    /// was rendered from.
-    sessions128: usize,
-    sessions64: usize,
-    /// High-water mark of the incremental sessionizer's open-session
-    /// table. After out-of-order input it holds at the mark reached
-    /// before the disorder, until the final checkpoint reports the sorted
-    /// re-feed's.
-    peak_open: usize,
-    late: u64,
-    stats: &'a IngestStats,
-    watermark: SimTime,
-}
-
-impl Checkpoint<'_> {
-    fn json(&self) -> Json {
-        Json::obj([
-            ("event", Json::s(self.event.to_string())),
-            ("snapshot", Json::u(self.snapshot as u64)),
-            ("packets", Json::u(self.packets as u64)),
-            ("sessions_128", Json::u(self.sessions128 as u64)),
-            ("sessions_64", Json::u(self.sessions64 as u64)),
-            ("peak_open_sessions", Json::u(self.peak_open as u64)),
-            ("late_records", Json::u(self.late)),
-            ("skipped", Json::u(self.stats.skipped_total())),
-            ("truncated_tail", Json::Bool(self.stats.truncated_tail)),
-            ("watermark", Json::u(self.watermark.as_secs())),
-        ])
-    }
-}
-
 /// Writes one checkpoint durably and atomically. The report goes to a temp
 /// file in `dir`, which is fsynced and renamed to `snapshot-NNNNNN.md`;
 /// `latest.md` becomes a hard link to that file via a renamed temp link
@@ -303,7 +275,7 @@ fn write_snapshot(dir: &Path, seq: usize, report: &str) -> Result<PathBuf, Error
 /// Report state a daemon carries from one checkpoint to the next: the
 /// scanner profiler, and the address selection of each profile's first
 /// session keyed by session index and packet count. Both are keyed on the
-/// live, append-only session list, so they hold only while the consumer is
+/// live, append-only session list, so they hold only while the capture is
 /// sorted; disorder drops them.
 #[derive(Default)]
 struct ReportMemo {
@@ -416,31 +388,54 @@ pub fn tables_report(analyzed: &Analyzed, json: bool) -> String {
     crate::report::run(analyzed, json)
 }
 
-/// A mid-stream checkpoint: the report, and the /128 and /64 session
-/// counts of the state it was rendered from. In-order input renders
-/// straight from the borrowed capture and live /128 sessions, through the
-/// memos. Disorder drops the memos, then sessionizes the borrowed capture
-/// at /128 in stable time order — the batch fallback, applied to the
-/// prefix seen so far, without copying a packet — and derives the /64
-/// count from those sessions.
-fn checkpoint_report(
-    capture: &Capture,
-    consumer: &FeedConsumer,
+/// The one checkpoint writer, for every `"snapshot"` and the `"final"`
+/// event: renders the report, writes it as snapshot `seq` and emits its
+/// status line. While the capture is sorted (`live` is the daemon's
+/// sessionizer) the report renders from the live sessions through the
+/// memos. After disorder (`live` is `None`) the borrowed capture is
+/// sessionized in stable time order with fresh memos — the batch path
+/// over the packets seen so far, without copying one. The status line's
+/// session counts and peak come from the sessionizer the report was
+/// rendered from.
+fn checkpoint(
+    event: &str,
+    seq: usize,
+    feed: &TailFeed,
+    live: Option<&IncrementalSessionizer>,
     memo: &mut ReportMemo,
-    stats: &IngestStats,
-    json: bool,
-) -> (String, (usize, usize)) {
-    if consumer.is_sorted() {
-        let report = render_report(capture, consumer.sessions128(), stats, json, memo);
-        return (report, consumer.session_counts());
-    }
-    *memo = ReportMemo::default();
-    let sessions = Sessionizer::paper(AggLevel::Addr128).sessionize(capture);
+    opts: &ServeOptions,
+    status: &mut StatusSink,
+) -> Result<PathBuf, Error> {
+    let capture = feed.capture();
+    let stats = feed.stats();
+    let stable_order;
+    let s128 = match live {
+        Some(live) => live,
+        None => {
+            *memo = ReportMemo::default();
+            stable_order = Sessionizer::paper(AggLevel::Addr128).incremental(capture);
+            &stable_order
+        }
+    };
+    let sessions = s128.sessions();
+    let report = render_report(capture, sessions, &stats, opts.json, memo);
+    let latest = write_snapshot(&opts.out_dir, seq, &report)?;
     let sessions64 = Sessionizer::paper(AggLevel::Subnet64)
-        .derive(&sessions)
+        .derive(sessions)
         .len();
-    let report = render_report(capture, &sessions, stats, json, memo);
-    (report, (sessions.len(), sessions64))
+    status.emit(&Json::obj([
+        ("event", Json::s(event.to_string())),
+        ("snapshot", Json::u(seq as u64)),
+        ("packets", Json::u(capture.len() as u64)),
+        ("sessions_128", Json::u(sessions.len() as u64)),
+        ("sessions_64", Json::u(sessions64 as u64)),
+        ("peak_open_sessions", Json::u(s128.peak_open() as u64)),
+        ("late_records", Json::u(feed.late_records())),
+        ("skipped", Json::u(stats.skipped_total())),
+        ("truncated_tail", Json::Bool(stats.truncated_tail)),
+        ("watermark", Json::u(feed.watermark().as_secs())),
+    ]));
+    Ok(latest)
 }
 
 /// Runs the daemon to completion (feed drained, or SIGTERM/SIGINT). A
@@ -448,7 +443,7 @@ fn checkpoint_report(
 pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
     if opts.snapshot_every == Some(0) {
         return Err(Error::Usage(
-            "--snapshot-every must be at least 1 record".into(),
+            "--snapshot-every must be at least 1 packet".into(),
         ));
     }
     if let Some(fd) = opts.status_fd.filter(|&fd| fd < 0) {
@@ -466,79 +461,65 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
     )
     .poll_interval(Duration::from_millis(opts.poll_ms))
     .quiesce_after(Duration::from_millis(opts.quiesce_ms));
-    let mut consumer = FeedConsumer::new();
+    // The daemon's sessions, while the capture is in time order.
+    let mut live = Some(IncrementalSessionizer::paper(AggLevel::Addr128));
     let mut memo = ReportMemo::default();
-
-    let mut revealed: u64 = 0;
-    let mut next_snapshot = opts.snapshot_every;
     let mut seq = 0usize;
-    loop {
-        if shutdown_requested() {
-            break;
+    while !shutdown_requested() {
+        // Read no further than the next checkpoint.
+        let left = opts.snapshot_every.map_or(u64::MAX, |every| {
+            every - feed.capture().len() as u64 % every
+        });
+        let chunk = feed.next_chunk_at_most(left.min(opts.chunk_records as u64) as usize)?;
+        if let Some(s128) = &mut live {
+            let packets = feed.capture().packets();
+            // The order check spans the previous chunk's last packet.
+            let from = chunk.range.start.saturating_sub(1);
+            if packets[from..chunk.range.end]
+                .windows(2)
+                .any(|w| w[0].ts > w[1].ts)
+            {
+                live = None;
+            } else {
+                for (i, p) in packets[chunk.range.clone()].iter().enumerate() {
+                    s128.push((chunk.range.start + i) as u32, p);
+                }
+            }
         }
-        let chunk = feed.next_chunk()?;
-        consumer.consume(feed.capture(), chunk.range.clone());
-        revealed += chunk.range.len() as u64;
         if chunk.end_of_feed {
             break;
         }
-        while next_snapshot.is_some_and(|at| revealed >= at) {
-            seq += 1;
-            let stats = feed.stats();
-            let (report, (sessions128, sessions64)) =
-                checkpoint_report(feed.capture(), &consumer, &mut memo, &stats, opts.json);
-            write_snapshot(&opts.out_dir, seq, &report)?;
-            status.emit(
-                &Checkpoint {
-                    event: "snapshot",
-                    snapshot: seq,
-                    packets: feed.capture().len(),
-                    sessions128,
-                    sessions64,
-                    peak_open: consumer.peak_open(),
-                    late: feed.late_records(),
-                    stats: &stats,
-                    watermark: feed.watermark(),
-                }
-                .json(),
-            );
-            next_snapshot = opts
+        if !chunk.range.is_empty()
+            && opts
                 .snapshot_every
-                .map(|every| revealed + every - revealed % every);
+                .is_some_and(|every| chunk.range.end as u64 % every == 0)
+        {
+            seq += 1;
+            checkpoint(
+                "snapshot",
+                seq,
+                &feed,
+                live.as_ref(),
+                &mut memo,
+                &opts,
+                &mut status,
+            )?;
         }
     }
-
-    // Final checkpoint: once the feed has drained, this state is the batch
-    // state — byte-identical to `sixscope analyze` over the finished file.
-    let late = feed.late_records();
-    let watermark = feed.watermark();
-    let (mut capture, stats) = feed.finish();
-    if !consumer.is_sorted() {
-        // The fallback below re-sessionizes a sorted capture.
-        memo = ReportMemo::default();
-    }
-    let done = consumer.finish(&mut capture);
     seq += 1;
-    let report = render_report(&capture, &done.sessions128, &stats, opts.json, &mut memo);
-    let latest = write_snapshot(&opts.out_dir, seq, &report)?;
-    status.emit(
-        &Checkpoint {
-            event: "final",
-            snapshot: seq,
-            packets: capture.len(),
-            sessions128: done.sessions128.len(),
-            sessions64: done.sessions64.len(),
-            peak_open: done.peak,
-            late,
-            stats: &stats,
-            watermark,
-        }
-        .json(),
-    );
+    let latest = checkpoint(
+        "final",
+        seq,
+        &feed,
+        live.as_ref(),
+        &mut memo,
+        &opts,
+        &mut status,
+    )?;
     Ok(ServeSummary {
         snapshots: seq,
-        packets: capture.len(),
-        late_records: late,
+        packets: feed.capture().len(),
+        late_records: feed.late_records(),
         latest,
         status_write_errors: status.errors,
     })

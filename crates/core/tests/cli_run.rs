@@ -91,7 +91,8 @@ fn analyze_logs_recovery_per_file_and_in_total() {
 /// would never advance), a negative status descriptor (`-1` panicked in
 /// `File::from_raw_fd`, and `-7` ran with a sink whose every write
 /// failed), the removed `ingest` command, and the removed `serve --sim`
-/// and `analyze`/`shard --chunk` flags (pcap reads pick their own step).
+/// and `--chunk` flags (every read picks its own step; a serve checkpoint
+/// does not depend on it).
 #[test]
 fn zero_snapshot_interval_and_removed_front_doors_exit_2() {
     let out_dir = std::env::temp_dir().join(format!("sixscope-serve-0-{}", std::process::id()));
@@ -118,6 +119,10 @@ fn zero_snapshot_interval_and_removed_front_doors_exit_2() {
         ),
         (
             vec!["shard", &clean, "--out", out_dir, "--chunk", "7"],
+            "unknown flag --chunk",
+        ),
+        (
+            vec!["serve", &clean, "--chunk", "7", "--out", out_dir],
             "unknown flag --chunk",
         ),
     ] {

@@ -84,15 +84,16 @@ fn killed_daemon_leaves_latest_equal_to_a_complete_snapshot() {
     let mut observed = 0;
     for delay_ms in [0u64, 2, 5, 10, 20, 40, 80, 160, 320] {
         let out = scratch_dir("serve-kill");
-        // One record per chunk and a checkpoint per record, so the kill
-        // lands among checkpoint writes; the long quiesce keeps a daemon
-        // that got through the whole file alive (polling) until the kill.
+        // A checkpoint per record (each read step stops at the next
+        // checkpoint), so the kill lands among checkpoint writes; the long
+        // quiesce keeps a daemon that got through the whole file alive
+        // (polling) until the kill.
         let mut child = Command::new(env!("CARGO_BIN_EXE_sixscope"))
             .arg("serve")
             .arg(&pcap)
             .arg("--out")
             .arg(&out)
-            .args(["--snapshot-every", "1", "--chunk", "1"])
+            .args(["--snapshot-every", "1"])
             .args(["--poll-ms", "1", "--quiesce-ms", "30000"])
             .stdout(Stdio::null())
             .stderr(Stdio::null())

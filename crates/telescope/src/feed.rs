@@ -19,8 +19,9 @@
 //! no longer join any open session (the incremental sessionizer would have
 //! evicted its source), so the live feed drops it up front and counts it
 //! in [`LateFilter::late_records`] instead of letting it corrupt the
-//! session table. Finite feeds never drop: the pipeline's sort-and-re-feed
-//! fallback keeps batch byte-identity for out-of-order files.
+//! session table. Finite feeds never drop: the pipeline sessionizes
+//! out-of-order files in stable time order, which keeps batch
+//! byte-identity.
 
 use crate::capture::{Capture, IngestStats};
 use sixscope_packet::{MappedPcap, PacketError, SliceReader, SliceReaderState, ViewOutcome};
@@ -177,8 +178,8 @@ struct OpenPcap {
 /// Wraps the zero-copy ingest path: each file is mapped (buffered
 /// fallback included), walked in chunks of borrowed record views, and fed
 /// straight into the capture. Nothing is dropped — out-of-order records
-/// are the consumer's problem (the pipeline falls back to sort-and-re-feed
-/// to keep batch byte-identity).
+/// are the consumer's problem (the pipeline sorts the capture by time
+/// before sessionizing it, to keep batch byte-identity).
 pub struct PcapFeed {
     paths: Vec<PathBuf>,
     next_path: usize,
@@ -393,8 +394,75 @@ impl TailFeed {
         (self.capture, self.stats)
     }
 
+    /// [`Feed::next_chunk`] reading at most `max_records` records (0 acts
+    /// as 1) instead of the configured step. Each record adds at most one
+    /// packet, so a caller that asks for the packets left before a target
+    /// count lands on it exactly: the chunk that reaches it ends at its
+    /// record, whatever the step and however the file grew.
+    ///
+    /// The end-of-feed chunk reads no complete record: the feed quiesces
+    /// only after a poll that found none, and then accounts the held-back
+    /// tail exactly as a batch read of the final file would.
+    pub fn next_chunk_at_most(&mut self, max_records: usize) -> Result<FeedChunk, FeedError> {
+        let max_records = max_records.max(1);
+        let before = self.capture.len();
+        if self.finished {
+            return Ok(FeedChunk {
+                range: before..before,
+                end_of_feed: true,
+            });
+        }
+        self.remap_if_grown()?;
+        let progress = self.ensure_header()? && self.drain_available(max_records, false);
+        if progress {
+            self.idle = 0;
+            self.idle_elapsed = Duration::ZERO;
+            return Ok(FeedChunk {
+                range: before..self.capture.len(),
+                end_of_feed: false,
+            });
+        }
+        if self.idle_elapsed >= self.quiesce {
+            // Quiesce: the writer went quiet for long enough. Account the
+            // held-back tail (if any) exactly as a batch read of the final
+            // file would, then declare end-of-feed.
+            self.finished = true;
+            if self.state.is_none() && self.mapped.as_ref().is_some_and(|m| !m.data().is_empty()) {
+                // The writer died inside the 24-byte global header: batch
+                // reads of this file fail the same way.
+                let data = self.mapped.as_ref().expect("mapped").data();
+                let err = match SliceReader::new(data) {
+                    Err(err) => err,
+                    Ok(_) => unreachable!("header parsed but state is unset"),
+                };
+                return Err(FeedError::from_packet(&self.display, err));
+            }
+            self.drain_available(max_records, true);
+            return Ok(FeedChunk {
+                range: before..self.capture.len(),
+                end_of_feed: true,
+            });
+        }
+        // Bounded exponential backoff: poll, 2×, 4×, 8×, 8×, …
+        let delay = self.poll * (1u32 << self.idle.min(3));
+        std::thread::sleep(delay);
+        self.idle_elapsed += delay;
+        self.idle = self.idle.saturating_add(1);
+        Ok(FeedChunk {
+            range: before..self.capture.len(),
+            end_of_feed: false,
+        })
+    }
+
     /// Remaps the file if the writer appended bytes since the last map (or
     /// the file was never mapped). Returns true when new bytes appeared.
+    ///
+    /// A file shorter than the mapping (truncated in place, as a
+    /// copytruncate rotation does) is [`FeedError::Io`]: reading the
+    /// mapped pages past its new end would raise `SIGBUS`. The check runs
+    /// once per poll, so a file truncated between it and the read that
+    /// follows can still raise the signal; only a writer that never
+    /// shrinks the file closes that window.
     fn remap_if_grown(&mut self) -> Result<bool, FeedError> {
         let len = std::fs::metadata(&self.path)
             .map_err(|source| FeedError::Io {
@@ -403,7 +471,15 @@ impl TailFeed {
             })?
             .len();
         let mapped_len = self.mapped.as_ref().map_or(0, |m| m.data().len() as u64);
-        if self.mapped.is_some() && len <= mapped_len {
+        if len < mapped_len {
+            return Err(FeedError::Io {
+                path: self.display.clone(),
+                source: std::io::Error::other(format!(
+                    "file shrank from {mapped_len} to {len} bytes"
+                )),
+            });
+        }
+        if self.mapped.is_some() && len == mapped_len {
             return Ok(false);
         }
         self.mapped = Some(
@@ -431,9 +507,10 @@ impl TailFeed {
         Ok(true)
     }
 
-    /// Reads everything currently complete, holding back a trailing
-    /// truncated record unless `final_drain`. Returns true on progress.
-    fn drain_available(&mut self, final_drain: bool) -> bool {
+    /// Reads at most `max_records` records, holding back a trailing
+    /// truncated record, or, when `final_drain`, everything left with
+    /// the tail accounted. Returns true on progress.
+    fn drain_available(&mut self, max_records: usize, final_drain: bool) -> bool {
         let Some(state) = self.state else {
             return false;
         };
@@ -441,10 +518,8 @@ impl TailFeed {
         let mut reader = SliceReader::resume(mapped.data(), state);
         let mut views: Vec<ViewOutcome<'_>> = Vec::new();
         let mut progress = false;
-        // One chunk per call in the live loop; drain fully at quiesce so
-        // the held-back tail (and any raced-in growth) is accounted.
         loop {
-            if !reader.next_chunk(self.chunk_records, &mut views) {
+            if !reader.next_chunk(max_records, &mut views) {
                 break;
             }
             for v in &views {
@@ -483,56 +558,7 @@ impl Feed for TailFeed {
     }
 
     fn next_chunk(&mut self) -> Result<FeedChunk, FeedError> {
-        let before = self.capture.len();
-        if self.finished {
-            return Ok(FeedChunk {
-                range: before..before,
-                end_of_feed: true,
-            });
-        }
-        self.remap_if_grown()?;
-        let progress = self.ensure_header()? && self.drain_available(false);
-        if progress {
-            self.idle = 0;
-            self.idle_elapsed = Duration::ZERO;
-            return Ok(FeedChunk {
-                range: before..self.capture.len(),
-                end_of_feed: false,
-            });
-        }
-        if self.idle_elapsed >= self.quiesce {
-            // Quiesce: the writer went quiet for long enough. Account the
-            // held-back tail (if any) exactly as a batch read of the final
-            // file would, then declare end-of-feed.
-            self.finished = true;
-            if self.remap_if_grown()? && self.ensure_header()? {
-                self.drain_available(false);
-            }
-            if self.state.is_none() && self.mapped.as_ref().is_some_and(|m| !m.data().is_empty()) {
-                // The writer died inside the 24-byte global header: batch
-                // reads of this file fail the same way.
-                let data = self.mapped.as_ref().expect("mapped").data();
-                let err = match SliceReader::new(data) {
-                    Err(err) => err,
-                    Ok(_) => unreachable!("header parsed but state is unset"),
-                };
-                return Err(FeedError::from_packet(&self.display, err));
-            }
-            self.drain_available(true);
-            return Ok(FeedChunk {
-                range: before..self.capture.len(),
-                end_of_feed: true,
-            });
-        }
-        // Bounded exponential backoff: poll, 2×, 4×, 8×, 8×, …
-        let delay = self.poll * (1u32 << self.idle.min(3));
-        std::thread::sleep(delay);
-        self.idle_elapsed += delay;
-        self.idle = self.idle.saturating_add(1);
-        Ok(FeedChunk {
-            range: before..self.capture.len(),
-            end_of_feed: false,
-        })
+        self.next_chunk_at_most(self.chunk_records)
     }
 }
 
@@ -668,6 +694,56 @@ mod tests {
         assert_eq!(capture.len(), reference.len());
         assert_eq!(stats, ref_stats, "quiesce accounts the tail like batch");
         assert!(stats.truncated_tail);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn tail_feed_reports_a_file_that_shrank() {
+        // 400 records of 128 bytes: five 16-record chunks leave the cursor
+        // at byte 10 264, in the third page of the 51 224-byte file.
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for ts in 0..400 {
+            w.write_record(&PcapRecord {
+                ts: SimTime::from_secs(ts),
+                ts_micros: 0,
+                data: PacketBuilder::new(
+                    "2001:db8:f00::1".parse().unwrap(),
+                    "2001:db8:3::1".parse().unwrap(),
+                )
+                .icmpv6_echo_request(1, 1, &[0; 64]),
+            })
+            .unwrap();
+        }
+        let path = temp_file("shrink.pcap", &w.into_inner().unwrap());
+        let mut feed = TailFeed::new(
+            default_capture(),
+            &path,
+            16,
+            crate::session::SESSION_TIMEOUT,
+        )
+        .poll_interval(Duration::from_millis(1))
+        .quiesce_after(Duration::from_millis(20));
+        for _ in 0..5 {
+            assert_eq!(feed.next_chunk().unwrap().range.len(), 16);
+        }
+        assert_eq!(feed.resume_offset(), 10_264);
+        // A copytruncate rotation leaves only the global header.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(24)
+            .unwrap();
+        match feed.next_chunk() {
+            Err(FeedError::Io {
+                path: named,
+                source,
+            }) => {
+                assert_eq!(named, path.display().to_string());
+                assert_eq!(source.to_string(), "file shrank from 51224 to 24 bytes");
+            }
+            other => panic!("expected an i/o error naming the file, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -98,15 +98,19 @@ impl Sessionizer {
         }
     }
 
-    /// Sessionizes a capture. Packets must be (and are, by construction of
-    /// the simulation) in non-decreasing time order; out-of-order captures
-    /// are sorted first.
-    ///
-    /// This is the batch entry point of the streaming machinery: it feeds
-    /// the whole capture through an [`IncrementalSessionizer`] as one big
-    /// chunk, so batch and chunked runs share one code path by construction
-    /// (DESIGN.md §10).
+    /// Sessionizes a capture: [`Sessionizer::incremental`], closed.
     pub fn sessionize(&self, capture: &Capture) -> Vec<ScanSession> {
+        self.incremental(capture).finish()
+    }
+
+    /// Feeds the whole capture through an [`IncrementalSessionizer`] in
+    /// one pass, in stable time order, and returns it still open, so a
+    /// caller can read [`IncrementalSessionizer::peak_open`] before
+    /// closing it. Batch and chunked runs share this one code path
+    /// (DESIGN.md §10). An out-of-order capture is walked through an
+    /// index list sorted by time (stable, so ties keep arrival order);
+    /// session indices still point into the capture as it is.
+    pub fn incremental(&self, capture: &Capture) -> IncrementalSessionizer {
         let packets = capture.packets();
         let mut inc = IncrementalSessionizer::new(self.level, self.timeout);
         if capture.is_time_sorted() {
@@ -116,15 +120,13 @@ impl Sessionizer {
                 inc.push(idx as u32, pkt);
             }
         } else {
-            // Fallback: index list in time order (stable to preserve
-            // arrival order on ties).
             let mut order: Vec<u32> = (0..packets.len() as u32).collect();
             order.sort_by_key(|&i| packets[i as usize].ts);
             for &idx in &order {
                 inc.push(idx, &packets[idx as usize]);
             }
         }
-        inc.finish()
+        inc
     }
 
     /// Derives this level's sessions from `fine`: the sessions of the same
@@ -323,8 +325,9 @@ impl IncrementalSessionizer {
     }
 
     /// Non-consuming view of all sessions so far (open and closed, in
-    /// creation order). A snapshotting consumer clones this mid-stream;
-    /// once the input ends it equals what [`finish`](Self::finish) returns.
+    /// creation order). The live daemon renders its checkpoints from it,
+    /// borrowed; once the input ends it equals what
+    /// [`finish`](Self::finish) returns.
     pub fn sessions(&self) -> &[ScanSession] {
         &self.sessions
     }

@@ -1,9 +1,10 @@
 //! Serve-daemon determinism (DESIGN.md §10, §14): the final checkpoint is
-//! byte-identical across chunk sizes and equals the batch `analyze` stdout
+//! byte-identical across read steps and equals the batch `analyze` stdout
 //! over the same finished pcap. The daemon runs no parallel stage, so no
-//! thread count is varied. Every mid-run
-//! checkpoint equals the batch report over the prefix of the file it
-//! covers, on the in-order path and on the disorder fallback alike.
+//! thread count is varied. Every mid-run checkpoint lands on a multiple of
+//! the snapshot interval and equals the batch report over the prefix of
+//! the file it covers, on the in-order path and on the disorder fallback
+//! alike, and no checkpoint depends on the read step.
 
 mod common;
 
@@ -31,8 +32,9 @@ fn serve_once(mut opts: ServeOptions) -> String {
 }
 
 /// Serving a finished pcap yields the exact stdout bytes of batch
-/// `sixscope analyze` over the same file, at every chunk size — including the JSON rendering, which carries the recovery
-/// statistics down to the per-reason skip counts.
+/// `sixscope analyze` over the same file, at every read step — including
+/// the JSON rendering, which carries the recovery statistics down to the
+/// per-reason skip counts.
 #[test]
 fn pcap_serve_final_checkpoint_equals_batch_analyze() {
     let pcap = corpus_path("mixed.pcap");
@@ -124,10 +126,11 @@ fn negative_status_fd_is_a_usage_error() {
     assert!(!dir.join("latest.md").exists(), "no checkpoint written");
 }
 
-/// A zero chunk size feeds one record per step, so the disorder
-/// fallback's sort-and-re-feed terminates and the final checkpoint still
-/// equals batch `analyze`. The daemon runs on a worker thread, so a hang
-/// fails the test instead of stalling the suite.
+/// A zero read step reads one record per step, so the daemon makes
+/// progress over a disordered file, and its final checkpoint (the capture
+/// sessionized in stable time order) still equals batch `analyze`. The
+/// daemon runs on a worker thread, so a hang fails the test instead of
+/// stalling the suite.
 #[test]
 fn zero_chunk_serve_finishes_over_a_disordered_pcap() {
     let dir = ScratchDir::new("serve-chunk-0");
@@ -232,29 +235,36 @@ fn status_field(line: &str, key: &str) -> u64 {
     digits.parse().expect("numeric status field")
 }
 
-/// Serves `records` with a small `snapshot_every` at chunk sizes
-/// {7, 4096} × {text, json}. Every numbered mid-run snapshot
-/// must equal `analysis_report` from a batch run over the pcap truncated
-/// to the packets its status line reports (every record is admitted, so
-/// packets and records coincide), and the line's `sessions_128` and
-/// `sessions_64` must equal that batch run's /128 session count and the
-/// direct /64 sessionization of its capture (the batch run's own /64
-/// sessions are derived from the /128 ones, as the daemon's are).
+/// Serves `records` with `snapshot_every` = 300 at read steps
+/// {0, 1, 7, 4096} × {text, json}. Every `"snapshot"` status line must
+/// report a multiple of 300 packets, and every numbered snapshot must
+/// equal `analysis_report` from a batch run over the pcap truncated to the
+/// packets its status line reports (every record is admitted, so packets
+/// and records coincide). The line's `sessions_128` and `sessions_64` must
+/// equal that batch run's /128 session count and the direct /64
+/// sessionization of its capture (the batch run's own /64 sessions are
+/// derived from the /128 ones, as the daemon's are), and its
+/// `peak_open_sessions` the batch run's peak. The snapshots and status
+/// lines of one rendering must be byte-identical at every read step.
 #[cfg(unix)]
 fn assert_snapshots_equal_batch_prefixes(name: &str, records: &[PcapRecord]) {
     use std::os::unix::io::AsRawFd;
+    const EVERY: usize = 300;
     let dir = ScratchDir::new(name);
     let pcap = dir.join("capture.pcap");
     std::fs::write(&pcap, pcap_image(records)).unwrap();
-    let mut expected: HashMap<(usize, bool), (String, u64, u64)> = HashMap::new();
+    let mut expected: HashMap<(usize, bool), (String, u64, u64, u64)> = HashMap::new();
     for json in [false, true] {
-        for chunk in [7, 4096] {
+        // The first read step's snapshots and status lines, which every
+        // other step must reproduce byte for byte.
+        let mut first: Option<(Vec<String>, String)> = None;
+        for chunk in [0, 1, 7, 4096] {
             let run = format!("json={json} chunk={chunk}");
             let out = dir.join(format!("out-{json}-{chunk}"));
             let status_path = dir.join(format!("status-{json}-{chunk}.jsonl"));
             let status = std::fs::File::create(&status_path).unwrap();
             let mut opts = ServeOptions::pcap(&pcap, &out);
-            opts.snapshot_every = Some(300);
+            opts.snapshot_every = Some(EVERY as u64);
             opts.chunk_records = chunk;
             opts.json = json;
             opts.poll_ms = 1;
@@ -269,11 +279,18 @@ fn assert_snapshots_equal_batch_prefixes(name: &str, records: &[PcapRecord]) {
             );
             assert_eq!(summary.status_write_errors, 0, "{run}");
             let lines = std::fs::read_to_string(&status_path).unwrap();
-            let mut checked = 0;
+            let mut snapshots = Vec::new();
             for line in lines.lines() {
                 let seq = status_field(line, "snapshot");
                 let packets = status_field(line, "packets") as usize;
-                let (want, want128, want64) =
+                if line.contains(r#""event":"snapshot""#) {
+                    assert_eq!(
+                        packets,
+                        seq as usize * EVERY,
+                        "{run}: snapshot {seq} is not at {seq} × {EVERY} packets"
+                    );
+                }
+                let (want, want128, want64, want_peak) =
                     expected.entry((packets, json)).or_insert_with(|| {
                         let prefix = dir.join(format!("prefix-{packets}.pcap"));
                         std::fs::write(&prefix, pcap_image(&records[..packets])).unwrap();
@@ -285,6 +302,7 @@ fn assert_snapshots_equal_batch_prefixes(name: &str, records: &[PcapRecord]) {
                             serve::analysis_report(a, &batch.stats, json),
                             a.sessions128(TelescopeId::T1).len() as u64,
                             direct64.len() as u64,
+                            a.peak_open_sessions as u64,
                         )
                     });
                 let got =
@@ -296,19 +314,38 @@ fn assert_snapshots_equal_batch_prefixes(name: &str, records: &[PcapRecord]) {
                 assert_eq!(
                     (
                         status_field(line, "sessions_128"),
-                        status_field(line, "sessions_64")
+                        status_field(line, "sessions_64"),
+                        status_field(line, "peak_open_sessions"),
                     ),
-                    (*want128, *want64),
-                    "{run}: status line {seq} ({packets} packets) session counts differ from \
-                     batch over that prefix"
+                    (*want128, *want64, *want_peak),
+                    "{run}: status line {seq} ({packets} packets) session counts or peak differ \
+                     from batch over that prefix"
                 );
-                checked += 1;
+                snapshots.push(got);
             }
             assert_eq!(
-                checked, summary.snapshots,
+                snapshots.len(),
+                summary.snapshots,
                 "{run}: one status line per snapshot"
             );
-            assert!(checked >= 3, "{run}: expected mid-run snapshots");
+            assert_eq!(
+                summary.snapshots,
+                records.len() / EVERY + 1,
+                "{run}: one snapshot per {EVERY} packets, plus the final one"
+            );
+            match &first {
+                None => first = Some((snapshots, lines)),
+                Some((want_snapshots, want_lines)) => {
+                    assert!(
+                        snapshots == *want_snapshots,
+                        "{run}: snapshots differ from read step 0"
+                    );
+                    assert_eq!(
+                        lines, *want_lines,
+                        "{run}: status lines differ from read step 0"
+                    );
+                }
+            }
         }
     }
 }
@@ -322,8 +359,8 @@ fn mid_run_snapshots_equal_batch_over_their_prefix() {
 }
 
 /// In-horizon disorder past the first checkpoints: the early checkpoints
-/// take the in-order path, the later ones the sort-and-resessionize
-/// fallback, which must also equal batch over each prefix.
+/// take the in-order path, the later ones the stable-time-order
+/// resessionization, which must also equal batch over each prefix.
 #[cfg(unix)]
 #[test]
 fn mid_run_snapshots_equal_batch_over_their_prefix_with_disorder() {
